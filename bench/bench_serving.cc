@@ -381,7 +381,7 @@ bool RunPlanComparison(const serve::InferenceEngine& engine) {
 
   std::vector<std::vector<std::string>> responses;
   std::vector<double> wall_ms;
-  uint64_t plan_compiles = 0, plan_fallbacks = 0;
+  uint64_t plan_compiles = 0;
   for (const Pass& pass : passes) {
     obs::MetricsRegistry metrics;
     serve::ServerConfig config = *pass.config;
@@ -408,8 +408,6 @@ bool RunPlanComparison(const serve::InferenceEngine& engine) {
     wall_ms.push_back(result.millis);
     if (std::string(pass.label) == "plan/stdio") {
       plan_compiles = metrics.counter("plan_compiles_total")->value();
-      plan_fallbacks =
-          metrics.counter("degraded_plan_fallback_total")->value();
     }
   }
   bool identical = responses[1] == responses[0] &&
@@ -484,8 +482,7 @@ bool RunPlanComparison(const serve::InferenceEngine& engine) {
             << "  responses " << (identical ? "byte-identical" : "DIVERGE")
             << " across plan/walk x stdio/tcp ("
             << responses[0].size() << " responses); plan compiles "
-            << plan_compiles << ", degraded fallbacks " << plan_fallbacks
-            << "\n"
+            << plan_compiles << "\n"
             << "  execution: parse+walk " << Fixed(walk_us, 2)
             << " us/req, cached plan " << Fixed(hit_us, 2) << " us/req ("
             << programs.size() << " programs x " << kReps << " reps)\n"
@@ -505,7 +502,6 @@ bool RunPlanComparison(const serve::InferenceEngine& engine) {
       << "  \"plan_hit_us_per_req\": " << Fixed(hit_us, 3) << ",\n"
       << "  \"speedup_x\": " << Fixed(speedup, 2) << ",\n"
       << "  \"plan_compiles\": " << plan_compiles << ",\n"
-      << "  \"degraded_plan_fallbacks\": " << plan_fallbacks << ",\n"
       << "  \"serving_wall_ms\": {\"plan_stdio\": " << Fixed(wall_ms[0], 2)
       << ", \"walk_stdio\": " << Fixed(wall_ms[1], 2) << ", \"plan_tcp\": "
       << Fixed(wall_ms[2], 2) << ", \"walk_tcp\": " << Fixed(wall_ms[3], 2)
@@ -524,7 +520,7 @@ bool RunPlanComparison(const serve::InferenceEngine& engine) {
 int main(int argc, char** argv) {
   // --fault-spec SPEC [--fault-seed N]: run the whole bench with the
   // deterministic fault injector armed, to measure the latency/throughput
-  // cost of degraded operation (scan fallback, cache bypass, retries).
+  // cost of faults (parse errors, admission rejects, latency spikes).
   bool with_net = false;
   bool store_only = false;
   bool plan_only = false;

@@ -5,15 +5,16 @@
 # 2, and 4 uctr_serve backends, then a failover drill that hard-kills one
 # of two backends mid-run.
 #
-# Per-request work is emulated with `serve.execute=latency(20)` on every
-# backend: each request occupies a backend worker for 20 ms, so a backend
-# with 4 workers saturates at ~200 resp/s. That makes the scaling signal
-# measurable on small CI hosts, where the real execute path is so cheap
-# that the single-core client/router CPU saturates (at ~1700 resp/s of
-# parse+route work) before the backends do and would hide the scaling
-# being benchmarked. uctr_load runs with --distinct-tables so every
-# request misses the result cache and actually reaches the (emulated)
-# execute path. EXECUTE_MS / REQUESTS env vars override for beefier hosts.
+# Per-request work is emulated with `sched.dequeue=latency(20)` on every
+# backend: the site sleeps right after a worker dequeues a job, outside
+# the queue lock, so each request occupies a backend worker for 20 ms and
+# a backend with 4 workers saturates at ~200 resp/s. That makes the
+# scaling signal measurable on small CI hosts, where the real execute
+# path is so cheap that the single-core client/router CPU saturates (at
+# ~1700 resp/s of parse+route work) before the backends do and would hide
+# the scaling being benchmarked. uctr_load runs with --distinct-tables so
+# every request misses the result cache and is queued to a (stalled)
+# worker. EXECUTE_MS / REQUESTS env vars override for beefier hosts.
 #
 # Gates (from the router design goals):
 #   - every run clean: zero lost, zero reordered responses
@@ -79,7 +80,7 @@ start_stack() {
     log="$TMP/backend_$i.err"
     ./"$BUILD_DIR"/src/serve/uctr_serve serve \
       --workers "$WORKERS_PER_BACKEND" --listen 127.0.0.1:0 \
-      --fault-spec "serve.execute=latency($EXECUTE_MS)" \
+      --fault-spec "sched.dequeue=latency($EXECUTE_MS)" \
       >/dev/null 2>"$log" &
     BACKEND_PIDS+=($!)
     PIDS+=($!)

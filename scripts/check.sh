@@ -40,10 +40,9 @@
 #                                           # uninterrupted run)
 #   scripts/check.sh plan                   # ir_test (IR/VM/plan-cache
 #                                           # differential suite) + a
-#                                           # uctr_serve drill with the
-#                                           # plan compiler fault-spec'd
-#                                           # (must degrade to tree-walk,
-#                                           # never drop a response)
+#                                           # uctr_serve drill (20
+#                                           # requests, 20 responses, no
+#                                           # errors)
 #   UCTR_SANITIZE=thread scripts/check.sh   # TSan, full suite
 #   UCTR_SANITIZE=thread scripts/check.sh index_test serve_test
 set -euo pipefail
@@ -85,9 +84,9 @@ cd "$BUILD_DIR"
 if [[ "${1:-}" == faults ]]; then
   # Chaos mode: the fault-injection/resilience suite and the input fuzzer
   # under the configured sanitizer, then a bounded chaos drill of the real
-  # uctr_serve binary with a mixed fault schedule armed (errors, latency
-  # spikes, transient faults). The drill must exit 0 — degraded, never
-  # dead — and every request must get a response line.
+  # uctr_serve binary with a mixed fault schedule armed (parse errors,
+  # admission rejects, dequeue latency spikes). The drill must exit 0 and
+  # every request must get a response line.
   ./tests/fault_test
   ./tests/fuzz_test
   REQUESTS=$(for i in $(seq 1 20); do
@@ -95,7 +94,7 @@ if [[ "${1:-}" == faults ]]; then
   done)
   RESPONSES=$(printf '%s\n' "$REQUESTS" | ./src/serve/uctr_serve serve \
     --workers 4 --fault-spec \
-    'serve.index_warm=error:p=0.5;serve.cache_get=error:p=0.3;serve.table_parse=error(unavailable):n=5;sched.dequeue=latency(2):p=0.3' \
+    'table.from_csv=error:p=0.3;serve.submit=error:p=0.2;sched.dequeue=latency(2):p=0.3' \
     --fault-seed 7)
   GOT=$(printf '%s\n' "$RESPONSES" | grep -c '"id"')
   if [[ "$GOT" -ne 20 ]]; then
@@ -110,8 +109,8 @@ if [[ "${1:-}" == net ]]; then
   # sanitizer, then a soak of the real binaries: uctr_serve --listen on an
   # ephemeral port vs uctr_load with 32 concurrent connections. Run clean,
   # then again with a serving-layer fault schedule armed (every response
-  # must still arrive — degraded, never lost), then SIGTERM the server and
-  # require a graceful exit 0.
+  # must still arrive — an error or reject, never lost), then SIGTERM the
+  # server and require a graceful exit 0.
   ./tests/net_test
 
   run_soak() {  # run_soak NAME [extra uctr_serve flags...]
@@ -153,7 +152,7 @@ if [[ "${1:-}" == net ]]; then
 
   run_soak clean
   run_soak chaos --fault-spec \
-    'serve.index_warm=error:p=0.5;serve.cache_get=error:p=0.3;sched.dequeue=latency(2):p=0.3' \
+    'table.from_csv=error:p=0.3;serve.submit=error:p=0.2;sched.dequeue=latency(2):p=0.3' \
     --fault-seed 7
   echo "net ($SANITIZE) check passed"
   exit 0
@@ -457,26 +456,23 @@ if [[ "${1:-}" == router ]]; then
 fi
 if [[ "${1:-}" == plan ]]; then
   # Compiled-plan mode: the IR/VM differential suite (every program shape
-  # checked walker-vs-VM, plan cache concurrency, codec round-trips, the
-  # bytecode verifier fuzz corpus) under the sanitizer, then a drill of
-  # the real uctr_serve binary with the plan compiler itself failing half
-  # the time. A failed compile must degrade to the tree-walk reference —
-  # every request still gets a byte-identical answer, never an error.
+  # checked walker-vs-VM, plan cache concurrency, the bytecode verifier's
+  # rejection cases) under the sanitizer, then a drill of the real
+  # uctr_serve binary: every request gets an answer, never an error.
   ./tests/ir_test
 
   REQUESTS=$(for i in $(seq 1 20); do
     printf '{"id":%d,"op":"verify","table":"a,b\\n1,2\\n3,4\\n","query":"The a of the row whose b is 2 is 1."}\n' "$i"
   done)
   RESPONSES=$(printf '%s\n' "$REQUESTS" | ./src/serve/uctr_serve serve \
-    --workers 4 --fault-spec 'serve.plan_compile=error:p=0.5' \
-    --fault-seed 7)
+    --workers 4)
   GOT=$(printf '%s\n' "$RESPONSES" | grep -c '"id"')
   if [[ "$GOT" -ne 20 ]]; then
     echo "plan drill: expected 20 responses, got $GOT" >&2
     exit 1
   fi
   if printf '%s\n' "$RESPONSES" | grep -q '"error"'; then
-    echo "plan drill: compile faults must fall back, not error" >&2
+    echo "plan drill: every request must be answered, not error" >&2
     exit 1
   fi
   echo "plan ($SANITIZE) check passed"

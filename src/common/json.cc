@@ -104,8 +104,26 @@ class Parser {
       v.repr = *number;
       return v;
     }
-    return Status::ParseError("unsupported JSON token at offset " +
-                              std::to_string(pos_));
+    Value v;
+    if (ConsumeLiteral("true")) {
+      v.repr = true;
+    } else if (ConsumeLiteral("false")) {
+      v.repr = false;
+    } else if (ConsumeLiteral("null")) {
+      v.repr = nullptr;
+    } else {
+      return Status::ParseError("unsupported JSON token at offset " +
+                                std::to_string(pos_));
+    }
+    return v;
+  }
+
+  /// Consumes `word` when the input continues with exactly it (case-
+  /// sensitive, so `True` and the truncated `tru` stay errors).
+  bool ConsumeLiteral(std::string_view word) {
+    if (text_.substr(pos_, word.size()) != word) return false;
+    pos_ += word.size();
+    return true;
   }
 
   Result<std::string> ParseString() {

@@ -23,8 +23,8 @@ enum class FaultKind {
 /// \brief One armed injection rule, targeting a named site.
 ///
 /// Sites are dotted strings compiled into the code via UCTR_FAULT_POINT
-/// ("serve.index_warm", "gen.shard", ...). A rule matches its site exactly,
-/// or by prefix when the rule's site ends in '*' ("serve.*").
+/// ("store.wal_append", "router.send", ...). A rule matches its site
+/// exactly, or by prefix when the rule's site ends in '*' ("store.*").
 struct FaultRule {
   std::string site;
   FaultKind kind = FaultKind::kError;
@@ -85,7 +85,7 @@ class FaultInjector {
   /// invalid_argument, type_error, out_of_range, empty_result.
   ///
   /// Example:
-  ///   serve.index_warm=error(unavailable):p=0.5;sched.dequeue=latency(5)
+  ///   store.wal_fsync=error(unavailable):p=0.5;sched.dequeue=latency(5)
   Status ArmSpec(std::string_view spec);
 
   /// \brief Parses without arming (exposed for tests and validation).

@@ -13,7 +13,6 @@
 
 #include "common/file_util.h"
 #include "fault/fault.h"
-#include "fault/policy.h"
 #include "gen/serialize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -312,9 +311,6 @@ Result<Dataset> GenerateDatasetCheckpointed(
     todo.resize(budget);
   }
 
-  fault::RetryPolicy shard_retry(fault::RetryOptions{},
-                                 /*seed=*/base_seed ^ 0xC0FFEEULL,
-                                 &registry);
   obs::Counter* shards_written =
       registry.counter("gen_checkpoint_shards_written_total");
   obs::Counter* write_failures =
@@ -336,16 +332,6 @@ Result<Dataset> GenerateDatasetCheckpointed(
         attempts_log << "begin " << i << "\n";
         attempts_log.flush();
       }
-      // Transient shard-level dependency faults (gen.shard) are retried;
-      // a persistent fault fails the shard for THIS run only — it stays
-      // un-done in the manifest and is retried by the next resume.
-      Status shard_fault = shard_retry.Run(
-          "gen.shard", [] { return UCTR_FAULT_POINT("gen.shard"); });
-      if (!shard_fault.ok()) {
-        std::lock_guard<std::mutex> lock(state_mu);
-        ++rep.failed;
-        continue;
-      }
       rng.Seed(base_seed + i);
       Generator generator(config, library, &rng);
       std::vector<Sample> samples = generator.GenerateFromTable(corpus[i]);
@@ -359,7 +345,8 @@ Result<Dataset> GenerateDatasetCheckpointed(
       if (!write_status.ok()) {
         // Degrade, don't abort: the shard's samples are discarded (they
         // are deterministically regenerable) and the run carries on with
-        // the remaining shards.
+        // the remaining shards. The shard stays un-done in the manifest,
+        // so the next resume generates it again.
         write_failures->Increment();
         ++rep.failed;
         continue;

@@ -55,8 +55,8 @@ struct Sample {
   std::string sentence;
 
   /// \brief How programs interpreted against this sample execute (VM vs
-  /// tree-walk, plan cache). Serving sets this per request so degraded
-  /// mode can force the walker; the default is the compiled path.
+  /// tree-walk, plan cache). Serving sets this per request to share its
+  /// plan cache; the default is the compiled path.
   ExecOptions exec;
 
   /// \brief The evidence table every reader should consult: the borrowed

@@ -57,7 +57,8 @@ struct Builder {
     plan.family = family;
     plan.num_columns = static_cast<uint32_t>(schema.num_columns());
     plan.schema_fp = SchemaFingerprint(schema);
-    plan.RebuildPoolKeys();
+    plan.pool_keys.reserve(plan.pool.size());
+    for (const Value& v : plan.pool) plan.pool_keys.emplace_back(v);
     return std::move(plan);
   }
 };
@@ -69,12 +70,6 @@ Result<uint32_t> ResolveColumn(const Schema& schema, std::string_view name) {
 
 }  // namespace
 
-void Plan::RebuildPoolKeys() {
-  pool_keys.clear();
-  pool_keys.reserve(pool.size());
-  for (const Value& v : pool) pool_keys.emplace_back(v);
-}
-
 const char* FamilyToString(Family family) {
   switch (family) {
     case Family::kSql:
@@ -85,16 +80,6 @@ const char* FamilyToString(Family family) {
       return "arith";
   }
   return "unknown";
-}
-
-uint64_t Fnv1a(const void* data, size_t size) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 uint64_t SchemaFingerprint(const Schema& schema) {

@@ -118,14 +118,13 @@ struct Plan {
   std::vector<uint32_t> aux;    ///< variable-length operand lists
   std::vector<Insn> code;
 
-  /// Derived from `pool`, never serialized: each literal pre-analyzed as a
-  /// predicate key (null/numeric/normalized text), so filters pay zero
-  /// per-execution parsing or normalization. Compile() and DecodePlan()
-  /// populate it; hand-built plans may leave it empty — the VM falls back
-  /// to constructing keys on the fly (KeyFor returns nullptr).
+  /// Derived from `pool`: each literal pre-analyzed as a predicate key
+  /// (null/numeric/normalized text), so filters pay zero per-execution
+  /// parsing or normalization. Compile() populates it; hand-built plans
+  /// may leave it empty — the VM falls back to constructing keys on the
+  /// fly (KeyFor returns nullptr).
   std::vector<TableIndex::LiteralKey> pool_keys;
 
-  void RebuildPoolKeys();
   const TableIndex::LiteralKey* KeyFor(size_t i) const {
     return i < pool_keys.size() ? &pool_keys[i] : nullptr;
   }
@@ -138,9 +137,6 @@ uint64_t SchemaFingerprint(const Schema& schema);
 
 /// \brief 64-bit FNV-1a over (family tag, program text).
 uint64_t ProgramFingerprint(Family family, std::string_view text);
-
-/// \brief FNV-1a over raw bytes (exposed for the codec and its tests).
-uint64_t Fnv1a(const void* data, size_t size);
 
 /// \brief Parses `text` as `family` and lowers it against `schema`.
 /// Rejection (non-OK) means "run the tree-walk instead", not "the program
@@ -158,12 +154,12 @@ Result<Plan> LowerArith(const arith::Expression& expr, const Schema& schema);
 /// type consistency (abstract interpretation over rows/value slot types),
 /// pool/aux/column bounds, packed-flag ranges, and a single family-matching
 /// return as the final instruction. Compile output always verifies;
-/// DecodePlan runs this on everything it accepts.
+/// hand-built plans must pass it before they reach ExecutePlan.
 Status VerifyPlan(const Plan& plan);
 
 struct VmOptions {
-  /// Mirrors the walkers' use_index: read through Table::index() when the
-  /// table allows it, otherwise take the bit-identical scan path.
+  /// Mirrors the walkers' use_index: read through Table::index(), or take
+  /// the bit-identical scan path when false.
   bool use_index = true;
 };
 
@@ -172,16 +168,6 @@ struct VmOptions {
 /// so a schema change can never execute a stale plan).
 Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table,
                                const VmOptions& opts = VmOptions());
-
-/// \brief Serializes a plan: versioned header, constant pool, aux, code,
-/// trailing FNV-1a checksum. Encode does not validate — tests round-trip
-/// deliberately broken plans to prove DecodePlan rejects them.
-std::string EncodePlan(const Plan& plan);
-
-/// \brief Total decoder: any byte string returns either a verified plan or
-/// an error Status — never crashes, never reads out of bounds, never
-/// returns an unverified plan (same contract as the store codec).
-Result<Plan> DecodePlan(std::string_view bytes);
 
 }  // namespace uctr::ir
 

@@ -348,15 +348,12 @@ struct VmInstruments {
 
 Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table,
                                const VmOptions& opts) {
-  // Degraded tables (index_enabled() == false) run the scan path exactly
-  // like the walkers, so fault-injected serving stays byte-identical too.
-  const TableIndex* index =
-      opts.use_index && table.index_enabled() ? &table.index() : nullptr;
+  const TableIndex* index = opts.use_index ? &table.index() : nullptr;
   // Both checks matter: the fingerprint is the cache identity, but a
-  // decoded (possibly forged) plan could carry a copied fingerprint with
-  // an inflated num_columns, and VerifyPlan bounds columns against the
-  // plan's own claim — so re-anchor it to the actual table here. The
-  // indexed path reads the cached fingerprint (computed once per table).
+  // hand-built plan could carry a copied fingerprint with an inflated
+  // num_columns, and VerifyPlan bounds columns against the plan's own
+  // claim — so re-anchor it to the actual table here. The indexed path
+  // reads the cached fingerprint (computed once per table).
   uint64_t table_fp = index != nullptr ? index->schema_fingerprint()
                                        : SchemaFingerprint(table.schema());
   if (plan.schema_fp != table_fp ||

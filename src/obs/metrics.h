@@ -24,12 +24,13 @@ class Counter {
 };
 
 /// \brief A latency histogram over exponential microsecond buckets:
-/// bucket i holds observations in [2^i, 2^(i+1)) microseconds, with an
-/// underflow bucket for < 1us and an overflow bucket above ~134s.
+/// bucket 0 is the underflow bucket for < 1us, bucket i >= 1 holds
+/// observations in [2^(i-1), 2^i) microseconds, and the last bucket is an
+/// overflow bucket for everything at or above 2^26 us (~67 s).
 /// Observe is lock-free (one relaxed add per observation).
 class Histogram {
  public:
-  static constexpr size_t kNumBuckets = 28;  // 2^27 us ≈ 134 s
+  static constexpr size_t kNumBuckets = 28;  // overflow from 2^26 us ≈ 67 s
 
   void Observe(double micros);
 

@@ -72,9 +72,7 @@ Result<ExecResult> Program::Execute(const Table& table,
 
   ir::Family family = FamilyOf(type);
   uint64_t program_fp = ir::ProgramFingerprint(family, text);
-  uint64_t schema_fp = table.index_enabled()
-                           ? table.index().schema_fingerprint()
-                           : ir::SchemaFingerprint(table.schema());
+  uint64_t schema_fp = table.index().schema_fingerprint();
   ir::PlanCache& cache =
       opts.plan_cache != nullptr ? *opts.plan_cache : ir::PlanCache::Default();
 

@@ -58,8 +58,9 @@ class InferenceEngine {
   /// shares one registry-resident table across concurrent requests (the
   /// caller keeps the table alive, e.g. via the registry's shared_ptr).
   /// All four entry points take `exec`, the program execution options for
-  /// this request: the server passes its plan cache here, and degraded
-  /// requests force the tree-walk path (use_vm = false).
+  /// this request: the server passes its plan cache here, and forces the
+  /// tree-walk path (use_vm = false) only when that cache is configured
+  /// off.
   std::string Verify(Table&& table, const std::string& claim,
                      const std::vector<std::string>& paragraph,
                      const ExecOptions& exec = ExecOptions()) const;

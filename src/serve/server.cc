@@ -22,13 +22,18 @@ std::string ResponseLine(uint64_t id, const std::string& status,
   if (!field_name.empty()) {
     out += "," + json::Quote(field_name) + ":" + json::Quote(field_value);
   }
-  // Degraded responses carry the same answer bytes as the healthy path
-  // (scan execution is bit-identical; cache bypass recomputes the same
-  // body) plus this marker, so clients can see they were served by a
-  // fallback.
+  // A table_ref that missed the registry and was answered from the
+  // request's inline table carries the same answer bytes plus this
+  // marker, so clients can see they were served by the fallback.
   if (degraded) out += ",\"degraded\":true";
   out += "}";
   return out;
+}
+
+double MicrosSince(Scheduler::Clock::time_point start) {
+  return std::chrono::duration<double, std::micro>(Scheduler::Clock::now() -
+                                                   start)
+      .count();
 }
 
 }  // namespace
@@ -75,27 +80,17 @@ Server::Server(const InferenceEngine* engine, ServerConfig config)
                                       config.store_shards},
                 metrics_),
       scheduler_(config.scheduler, metrics_),
-      retry_(config.retry, /*seed=*/0x5EEDULL, metrics_),
-      index_breaker_("index", config.breaker, metrics_),
-      cache_breaker_("cache", config.breaker, metrics_),
       plan_cache_(config.plan_cache_capacity > 0 ? config.plan_cache_capacity
                                                  : 1,
                   config.plan_cache_shards, metrics_),
-      plan_breaker_("plan", config.breaker, metrics_),
       requests_total_(metrics_->counter("requests_total")),
       responses_ok_(metrics_->counter("responses_ok_total")),
       responses_rejected_(metrics_->counter("responses_rejected_total")),
       responses_timeout_(metrics_->counter("responses_timeout_total")),
       responses_error_(metrics_->counter("responses_error_total")),
       responses_degraded_(metrics_->counter("responses_degraded_total")),
-      degraded_index_fallback_(
-          metrics_->counter("degraded_index_fallback_total")),
-      degraded_cache_bypass_(
-          metrics_->counter("degraded_cache_bypass_total")),
       degraded_store_fallback_(
           metrics_->counter("degraded_store_fallback_total")),
-      degraded_plan_fallback_(
-          metrics_->counter("degraded_plan_fallback_total")),
       execute_us_(metrics_->histogram("latency_execute_us")),
       table_parse_us_(metrics_->histogram("latency_table_parse_us")),
       index_warm_us_(metrics_->histogram("latency_index_warm_us")) {
@@ -308,25 +303,14 @@ void Server::SubmitLine(const std::string& line,
     job.run = [this, id, csv = std::move(*csv), shared_done] {
       if (config_.pre_execute_hook) config_.pre_execute_hook();
       obs::Span put_span = tracer_->StartSpan("serve.put_table");
-      Result<Table> table = Status::Unavailable("table parse never ran");
-      Status parse_status = retry_.Run("serve.table_parse", [&] {
-        auto parse_started = Scheduler::Clock::now();
-        Status fault = UCTR_FAULT_POINT("serve.table_parse");
-        if (fault.ok()) {
-          table = Table::FromCsv(csv);
-        } else {
-          table = fault;
-        }
-        table_parse_us_->Observe(std::chrono::duration<double, std::micro>(
-                                     Scheduler::Clock::now() - parse_started)
-                                     .count());
-        return table.status();
-      });
-      if (!parse_status.ok()) {
+      auto parse_started = Scheduler::Clock::now();
+      Result<Table> table = Table::FromCsv(csv);
+      table_parse_us_->Observe(MicrosSince(parse_started));
+      if (!table.ok()) {
         responses_error_->Increment();
         put_span.AddAttr("error", "table_parse");
         (*shared_done)(ResponseLine(id, "error", "error",
-                                    "table: " + parse_status.ToString()));
+                                    "table: " + table.status().ToString()));
         return;
       }
       Status store_fault = UCTR_FAULT_POINT("serve.store_put");
@@ -346,9 +330,7 @@ void Server::SubmitLine(const std::string& line,
                               : registry_.Put(std::move(*table));
       // Put warms the stored table's index; account it where inline
       // requests account theirs so the amortization is visible.
-      index_warm_us_->Observe(std::chrono::duration<double, std::micro>(
-                                  Scheduler::Clock::now() - warm_started)
-                                  .count());
+      index_warm_us_->Observe(MicrosSince(warm_started));
       if (!put.ok()) {
         responses_error_->Increment();
         put_span.AddAttr("error", "store_put");
@@ -395,9 +377,7 @@ void Server::SubmitLine(const std::string& line,
       // The borrowed table is pre-parsed and pre-warmed; feed the lookup
       // cost into the same histograms the inline path feeds so the two
       // paths stay comparable per request.
-      table_parse_us_->Observe(std::chrono::duration<double, std::micro>(
-                                   Scheduler::Clock::now() - resolve_started)
-                                   .count());
+      table_parse_us_->Observe(MicrosSince(resolve_started));
       index_warm_us_->Observe(0.0);
     } else if (csv.ok()) {
       store_fallback = true;
@@ -429,35 +409,20 @@ void Server::SubmitLine(const std::string& line,
   // Registered tables fingerprint by their content-addressed ref (same
   // content -> same ref -> same entry). Paragraph sentences are part of
   // the evidence, so they join the fingerprint (same claim + same table
-  // + different text may differ). An injected cache fault (or an open
-  // cache breaker) degrades the request to cache bypass: the worker
-  // recomputes the identical body.
+  // + different text may differ).
   uint64_t fp = shared != nullptr ? ResultCache::FingerprintCsv(table_ref)
                                   : ResultCache::FingerprintCsv(*csv);
   for (const std::string& sentence : paragraph) {
     fp = ResultCache::FingerprintCsv(sentence) ^ (fp * 1099511628211ull);
   }
   std::string cache_key = op + "\x1f" + ResultCache::NormalizeQuery(*query);
-  bool cache_bypassed = false;
-  if (cache_breaker_.Allow()) {
-    Status cache_fault = UCTR_FAULT_POINT("serve.cache_get");
-    if (cache_fault.ok()) {
-      cache_breaker_.RecordSuccess();
-      if (auto hit = cache_.Get(fp, cache_key)) {
-        // Rewrite the id: the cached body is id-independent.
-        responses_ok_->Increment();
-        (*shared_done)(ResponseLine(
-            id, "ok", op == "verify" ? "label" : "answer", *hit));
-        return;
-      }
-    } else {
-      cache_breaker_.RecordFailure();
-      cache_bypassed = true;
-    }
-  } else {
-    cache_bypassed = true;
+  if (auto hit = cache_.Get(fp, cache_key)) {
+    // Rewrite the id: the cached body is id-independent.
+    responses_ok_->Increment();
+    (*shared_done)(
+        ResponseLine(id, "ok", op == "verify" ? "label" : "answer", *hit));
+    return;
   }
-  if (cache_bypassed) degraded_cache_bypass_->Increment();
 
   // The worker owns the parsed request pieces via the closure. When the
   // registry served the table, `shared` keeps it alive and csv_text is
@@ -466,8 +431,8 @@ void Server::SubmitLine(const std::string& line,
   auto submitted_at = Scheduler::Clock::now();
   job.run = [this, id, op, csv = std::move(csv_text), shared,
              store_fallback, query = std::move(*query),
-             paragraph = std::move(paragraph), fp, cache_key,
-             cache_bypassed, shared_done, submitted_at] {
+             paragraph = std::move(paragraph), fp, cache_key, shared_done,
+             submitted_at] {
     if (config_.pre_execute_hook) config_.pre_execute_hook();
     auto started = Scheduler::Clock::now();
     obs::Span request_span = tracer_->StartSpan("serve.request");
@@ -478,108 +443,37 @@ void Server::SubmitLine(const std::string& line,
         std::to_string(std::chrono::duration_cast<std::chrono::microseconds>(
                            started - submitted_at)
                            .count()));
-    bool degraded = cache_bypassed || store_fallback;
-    // Table parse, retried on transient faults only: an organic CSV error
-    // is permanent (retrying cannot fix malformed evidence) and fails the
-    // attempt loop on its first pass. Registry-served requests skip the
-    // stage entirely — the stored table was parsed at put_table time.
+    // Registry-served requests skip parse and warm entirely — the stored
+    // table was parsed and warmed at put_table time.
     Result<Table> table = Status::Unavailable("table parse never ran");
     if (shared == nullptr) {
-      Status parse_status = retry_.Run("serve.table_parse", [&] {
+      {
         obs::Span parse_span = tracer_->StartSpan("serve.table_parse");
         auto parse_started = Scheduler::Clock::now();
-        Status fault = UCTR_FAULT_POINT("serve.table_parse");
-        if (fault.ok()) {
-          table = Table::FromCsv(csv);
-        } else {
-          table = fault;
-        }
-        table_parse_us_->Observe(std::chrono::duration<double, std::micro>(
-                                     Scheduler::Clock::now() - parse_started)
-                                     .count());
-        return table.status();
-      });
-      if (!parse_status.ok()) {
+        table = Table::FromCsv(csv);
+        table_parse_us_->Observe(MicrosSince(parse_started));
+      }
+      if (!table.ok()) {
         responses_error_->Increment();
         request_span.AddAttr("error", "table_parse");
         (*shared_done)(ResponseLine(id, "error", "error",
-                                    "table: " + parse_status.ToString()));
+                                    "table: " + table.status().ToString()));
         return;
       }
       // Build the per-table index once at load; moving the table into
       // the engine carries it through every template execution of the
-      // request. An index-warm fault — or an index breaker opened by
-      // earlier faults — degrades this request to the bit-identical scan
-      // path (use_index=false semantics) instead of failing it.
+      // request.
       obs::Span warm_span = tracer_->StartSpan("serve.index_warm");
       auto warm_started = Scheduler::Clock::now();
-      bool index_degraded = false;
-      if (index_breaker_.Allow()) {
-        Status warm_fault = UCTR_FAULT_POINT("serve.index_warm");
-        if (warm_fault.ok()) {
-          table->WarmIndex();
-          index_breaker_.RecordSuccess();
-        } else {
-          index_breaker_.RecordFailure();
-          index_degraded = true;
-        }
-      } else {
-        index_degraded = true;
-      }
-      if (index_degraded) {
-        table->set_index_enabled(false);
-        degraded_index_fallback_->Increment();
-        warm_span.AddAttr("degraded", "scan_fallback");
-        degraded = true;
-      }
-      index_warm_us_->Observe(std::chrono::duration<double, std::micro>(
-                                  Scheduler::Clock::now() - warm_started)
-                                  .count());
+      table->WarmIndex();
+      index_warm_us_->Observe(MicrosSince(warm_started));
     }
-    // Execute-stage dependency faults are retried like parse faults; if
-    // the fault persists past the retry budget the request errors (there
-    // is no cheaper path to fall back to below inference itself).
-    Status exec_fault = retry_.Run("serve.execute", [&] {
-      return UCTR_FAULT_POINT("serve.execute");
-    });
-    if (!exec_fault.ok()) {
-      responses_error_->Increment();
-      request_span.AddAttr("error", "execute");
-      (*shared_done)(ResponseLine(id, "error", "error",
-                                  "execute: " + exec_fault.ToString()));
-      return;
-    }
-    // Compiled-plan stage: by default every interpreted program compiles
-    // to bytecode through the shared plan cache (zero parse, zero AST walk
-    // on a hit). An injected compiler fault — or a plan breaker opened by
-    // earlier faults — degrades this request to the tree-walk reference
-    // path, which produces byte-identical answers.
+    // Every interpreted program compiles to bytecode through the shared
+    // plan cache (zero parse, zero AST walk on a hit) unless the cache is
+    // configured off.
     ExecOptions exec;
     exec.plan_cache = &plan_cache_;
     if (config_.plan_cache_capacity == 0) exec.use_vm = false;
-    {
-      obs::Span plan_span = tracer_->StartSpan("serve.plan_compile");
-      bool plan_degraded = false;
-      if (exec.use_vm) {
-        if (plan_breaker_.Allow()) {
-          Status plan_fault = UCTR_FAULT_POINT("serve.plan_compile");
-          if (plan_fault.ok()) {
-            plan_breaker_.RecordSuccess();
-          } else {
-            plan_breaker_.RecordFailure();
-            plan_degraded = true;
-          }
-        } else {
-          plan_degraded = true;
-        }
-      }
-      if (plan_degraded) {
-        exec.use_vm = false;
-        degraded_plan_fallback_->Increment();
-        plan_span.AddAttr("degraded", "walk_fallback");
-        degraded = true;
-      }
-    }
     std::string body;
     {
       obs::Span exec_span = tracer_->StartSpan("serve.execute");
@@ -596,37 +490,17 @@ void Server::SubmitLine(const std::string& line,
                    : engine_->Answer(std::move(*table), query, paragraph,
                                      exec);
       }
-      execute_us_->Observe(std::chrono::duration<double, std::micro>(
-                               Scheduler::Clock::now() - exec_started)
-                               .count());
+      execute_us_->Observe(MicrosSince(exec_started));
     }
-    if (!cache_bypassed) {
-      // Cache-fill faults also degrade to bypass: the response is already
-      // computed, only future hits are lost.
+    {
       obs::Span put_span = tracer_->StartSpan("serve.cache_put");
-      bool put_bypassed = false;
-      if (cache_breaker_.Allow()) {
-        Status put_fault = UCTR_FAULT_POINT("serve.cache_put");
-        if (put_fault.ok()) {
-          cache_.Put(fp, cache_key, body);
-          cache_breaker_.RecordSuccess();
-        } else {
-          cache_breaker_.RecordFailure();
-          put_bypassed = true;
-        }
-      } else {
-        put_bypassed = true;
-      }
-      if (put_bypassed) {
-        degraded_cache_bypass_->Increment();
-        degraded = true;
-      }
+      cache_.Put(fp, cache_key, body);
     }
     responses_ok_->Increment();
-    if (degraded) responses_degraded_->Increment();
+    if (store_fallback) responses_degraded_->Increment();
     (*shared_done)(ResponseLine(id, "ok",
                                 op == "verify" ? "label" : "answer", body,
-                                degraded));
+                                store_fallback));
   };
   submit(std::move(job));
 }
@@ -642,15 +516,9 @@ std::string Server::StatsJson() const {
   out += ",\"responses_rejected_total\":" + count("responses_rejected_total");
   out += ",\"responses_timeout_total\":" + count("responses_timeout_total");
   out += ",\"responses_degraded_total\":" + count("responses_degraded_total");
-  out += ",\"degraded_index_fallback_total\":" +
-         count("degraded_index_fallback_total");
-  out += ",\"degraded_cache_bypass_total\":" +
-         count("degraded_cache_bypass_total");
   out += ",\"jobs_shed_deadline_total\":" + count("jobs_shed_deadline_total");
   out += ",\"degraded_store_fallback_total\":" +
          count("degraded_store_fallback_total");
-  out += ",\"degraded_plan_fallback_total\":" +
-         count("degraded_plan_fallback_total");
   out += ",\"cache_hits_total\":" + count("cache_hits_total");
   out += ",\"cache_misses_total\":" + count("cache_misses_total");
   out += ",\"cache_size\":" + std::to_string(cache_.size());

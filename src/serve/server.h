@@ -9,7 +9,6 @@
 #include <mutex>
 #include <string>
 
-#include "fault/policy.h"
 #include "ir/plan_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -45,12 +44,6 @@ struct ServerConfig {
   /// (bench_serving uses this to measure worker overlap independently of
   /// core count) or tracing. Never called on the cache-hit path.
   std::function<void()> pre_execute_hook;
-  /// Transient-failure retry shape for the table-parse and execute stages
-  /// (only statuses with IsTransient() are ever retried).
-  fault::RetryOptions retry;
-  /// Circuit-breaker shape shared by the per-dependency breakers (index
-  /// warming, result cache).
-  fault::CircuitBreakerOptions breaker;
   /// Byte budget of the content-addressed table registry behind
   /// `put_table`/`table_ref` (store::TableRegistry). The registry is
   /// always on; the budget only bounds how many registered tables stay
@@ -127,19 +120,15 @@ struct ServerConfig {
 ///
 /// Flow: parse (caller thread) -> cache probe (caller thread; hits answer
 /// immediately) -> bounded scheduler queue (reject = backpressure,
-/// deadline-shed = timeout) -> worker executes inference -> cache fill ->
-/// done callback.
+/// deadline-shed = timeout) -> worker parses and warms the table, executes
+/// inference -> cache fill -> done callback.
 ///
-/// Resilience (see src/fault/ and the README "Robustness" section):
-///   - transient faults in table parse / execute are retried with
-///     jittered exponential backoff (ServerConfig::retry);
-///   - index-warm faults degrade the request to the bit-identical scan
-///     path instead of failing it, cache faults degrade to cache bypass;
-///     either marks the response `"degraded":true` (the answer bytes are
-///     identical to the healthy path);
-///   - each degradable dependency sits behind a circuit breaker, so a
-///     dependency that keeps faulting is skipped outright for a cooldown
-///     instead of being probed on every request.
+/// Table parse, index warm, plan compile and the result cache are
+/// in-memory calls, so a verify/answer request that reaches a worker
+/// either answers or fails on its own evidence (a malformed table). The one degraded path
+/// is the store fallback above. Fault sites sit only at admission
+/// (`serve.submit`) and the table store (`serve.store_get`,
+/// `serve.store_put`, `store.*`); see DESIGN.md for the full list.
 class Server : public LineBackend {
  public:
   /// \param engine not owned; must outlive the server.
@@ -212,14 +201,8 @@ class Server : public LineBackend {
   std::unique_ptr<store::DurableStore> durable_;
   Status recovery_status_;
   Scheduler scheduler_;
-  fault::RetryPolicy retry_;
-  fault::CircuitBreaker index_breaker_;
-  fault::CircuitBreaker cache_breaker_;
-  /// Compiled-plan cache shared by every request this server executes;
-  /// plan_breaker_ guards the compile stage (`serve.plan_compile` fault
-  /// site) — a faulting compiler degrades requests to the tree-walk.
+  /// Compiled-plan cache shared by every request this server executes.
   ir::PlanCache plan_cache_;
-  fault::CircuitBreaker plan_breaker_;
   std::atomic<bool> draining_{false};
 
   Counter* requests_total_;
@@ -228,10 +211,7 @@ class Server : public LineBackend {
   Counter* responses_timeout_;
   Counter* responses_error_;
   Counter* responses_degraded_;
-  Counter* degraded_index_fallback_;
-  Counter* degraded_cache_bypass_;
   Counter* degraded_store_fallback_;
-  Counter* degraded_plan_fallback_;
   Histogram* execute_us_;
   Histogram* table_parse_us_;
   Histogram* index_warm_us_;

@@ -16,15 +16,13 @@ Table::Table(std::string name, Schema schema)
 Table::Table(const Table& other)
     : name_(other.name_),
       schema_(other.schema_),
-      rows_(other.rows_),
-      index_enabled_(other.index_enabled_) {}
+      rows_(other.rows_) {}
 
 Table& Table::operator=(const Table& other) {
   if (this == &other) return *this;
   name_ = other.name_;
   schema_ = other.schema_;
   rows_ = other.rows_;
-  index_enabled_ = other.index_enabled_;
   InvalidateIndex();
   return *this;
 }
@@ -33,7 +31,6 @@ Table::Table(Table&& other) noexcept
     : name_(std::move(other.name_)),
       schema_(std::move(other.schema_)),
       rows_(std::move(other.rows_)),
-      index_enabled_(other.index_enabled_),
       index_(std::move(other.index_)) {
   if (index_) index_->RebindTable(this);
 }
@@ -43,7 +40,6 @@ Table& Table::operator=(Table&& other) noexcept {
   name_ = std::move(other.name_);
   schema_ = std::move(other.schema_);
   rows_ = std::move(other.rows_);
-  index_enabled_ = other.index_enabled_;
   index_ = std::move(other.index_);
   if (index_) index_->RebindTable(this);
   return *this;
@@ -57,9 +53,7 @@ const TableIndex& Table::index() const {
   return *index_;
 }
 
-void Table::WarmIndex() const {
-  if (index_enabled_) index().Warm();
-}
+void Table::WarmIndex() const { index().Warm(); }
 
 void Table::InvalidateIndex() {
   std::lock_guard<std::mutex> lock(index_mu_);
@@ -101,10 +95,8 @@ bool Schema::HasColumn(std::string_view name) const {
 }
 
 uint64_t Schema::Fingerprint() const {
-  // FNV-1a streamed over "name \x1f type \x1e" per column. The byte layout
-  // is a compatibility contract with serialized plans (ir/codec.cc stores
-  // the resulting fingerprint); change it and every cached/persisted plan
-  // silently misses, so don't.
+  // FNV-1a streamed over "name \x1f type \x1e" per column: the identity
+  // the compiled-plan cache keys on.
   uint64_t h = 1469598103934665603ULL;
   auto mix = [&h](const char* p, size_t n) {
     for (size_t i = 0; i < n; ++i) {

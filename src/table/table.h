@@ -141,16 +141,7 @@ class Table {
 
   /// \brief Eagerly builds every column cache of index(). Serving calls
   /// this once at table load so request execution never pays the build.
-  /// No-op while the index is disabled (see set_index_enabled).
   void WarmIndex() const;
-
-  /// \brief Degraded-mode switch: with the index disabled, executors take
-  /// the reference scan path (bit-identical results, no accelerator
-  /// structures). Serving flips this off when index warming faults so a
-  /// broken accelerator degrades a request instead of failing it. The flag
-  /// travels with copies and moves — a degraded table stays degraded.
-  void set_index_enabled(bool enabled) { index_enabled_ = enabled; }
-  bool index_enabled() const { return index_enabled_; }
 
   /// \brief Cell addressed by row name (matched against the first column,
   /// case-insensitive substring fallback) and column header.
@@ -197,7 +188,6 @@ class Table {
   std::string name_;
   Schema schema_;
   std::vector<Row> rows_;
-  bool index_enabled_ = true;
 
   // Lazily created accelerators (table/index.h). The mutex only guards
   // creation/invalidation of the pointer; TableIndex synchronizes its own

@@ -291,16 +291,38 @@ TEST(JsonTest, ParsesEscapesAndUnicode) {
   EXPECT_EQ(json::GetStringOr(v.as_object(), "s", ""), "a\"b\nA");
 }
 
+TEST(JsonTest, ParsesBooleansAndNull) {
+  json::Value v =
+      json::Parse(R"({"a":true,"b":false,"c":null,"d":[true,null]})")
+          .ValueOrDie();
+  const json::Value::Object& obj = v.as_object();
+  ASSERT_TRUE(obj.at("a").is_bool());
+  EXPECT_TRUE(obj.at("a").as_bool());
+  ASSERT_TRUE(obj.at("b").is_bool());
+  EXPECT_FALSE(obj.at("b").as_bool());
+  EXPECT_TRUE(obj.at("c").is_null());
+  const json::Value::Array& d = obj.at("d").as_array();
+  ASSERT_EQ(d.size(), 2u);
+  EXPECT_TRUE(d[0].is_bool() && d[0].as_bool());
+  EXPECT_TRUE(d[1].is_null());
+  EXPECT_TRUE(json::Parse(" null ").ValueOrDie().is_null());
+  // A literal is not a string or number to the typed getters.
+  EXPECT_EQ(json::GetStringOr(obj, "a", "fallback"), "fallback");
+  EXPECT_EQ(json::GetNumberOr(obj, "c", -1.0), -1.0);
+}
+
 TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(json::Parse("").ok());
   EXPECT_FALSE(json::Parse("{").ok());
   EXPECT_FALSE(json::Parse("{\"a\":}").ok());
   EXPECT_FALSE(json::Parse("[1,2,]").ok());
   EXPECT_FALSE(json::Parse("{} trailing").ok());
-  // The wire format is a deliberate subset: strings, numbers, objects,
-  // arrays. Bare literals are rejected rather than mis-parsed.
-  EXPECT_FALSE(json::Parse("{\"a\":true}").ok());
-  EXPECT_FALSE(json::Parse("null").ok());
+  // Literals are case-sensitive and must be complete words.
+  EXPECT_FALSE(json::Parse("tru").ok());
+  EXPECT_FALSE(json::Parse("nul").ok());
+  EXPECT_FALSE(json::Parse("True").ok());
+  EXPECT_FALSE(json::Parse("{\"a\":falsey}").ok());
+  EXPECT_FALSE(json::Parse("[true false]").ok());
   // Nesting beyond the depth limit is an error, not a stack overflow.
   std::string deep(100, '[');
   deep += std::string(100, ']');

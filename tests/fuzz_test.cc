@@ -14,7 +14,6 @@
 #include "arith/executor.h"
 #include "arith/parser.h"
 #include "gen/serialize.h"
-#include "ir/ir.h"
 #include "logic/executor.h"
 #include "logic/parser.h"
 #include "net/frame.h"
@@ -288,105 +287,6 @@ TEST_P(FuzzTest, WalScanSurvivesTornAndBitFlippedLogs) {
     ASSERT_TRUE(revalid.ok());
     EXPECT_EQ(last, "post-repair");  // the new record lands intact
     std::filesystem::remove(path);
-  }
-}
-
-// ---- Compiled-plan bytecode (ir::DecodePlan / ir::VerifyPlan) ----
-//
-// DecodePlan is a total function over arbitrary bytes: every input yields
-// either an error Status or a *verified* plan that executes without
-// crashing (ASan/UBSan prove no OOB on the mutated inputs below).
-
-std::vector<ir::Plan> FuzzSeedPlans() {
-  Table nations = testing::MakeNationsTable();
-  Table finance = testing::MakeFinanceTable();
-  const struct {
-    ir::Family family;
-    const Table* table;
-    const char* text;
-  } kSeeds[] = {
-      {ir::Family::kSql, &nations,
-       "SELECT [nation], [gold] FROM w WHERE [total] > '10' "
-       "ORDER BY [gold] DESC LIMIT 3"},
-      {ir::Family::kLogic, &nations,
-       "and { most_greater { all_rows ; total ; 10 } ; eq { hop { "
-       "nth_argmax { all_rows ; gold ; 2 } ; nation } ; china } }"},
-      {ir::Family::kArith, &finance,
-       "subtract([2019 of revenue], [2018 of revenue]), "
-       "divide(#0, [2018 of revenue])"},
-  };
-  std::vector<ir::Plan> plans;
-  for (const auto& seed : kSeeds) {
-    plans.push_back(
-        ir::Compile(seed.family, seed.text, seed.table->schema())
-            .ValueOrDie());
-  }
-  return plans;
-}
-
-TEST_P(FuzzTest, PlanDecoderNeverCrashesOnGarbage) {
-  Table t = testing::MakeNationsTable();
-  for (int i = 0; i < 300; ++i) {
-    // Raw (un-biased) byte soup: the codec sees binary, not grammar text.
-    size_t len = rng_.Index(500);
-    std::string bytes(len, '\0');
-    for (char& c : bytes) c = static_cast<char>(rng_.Index(256));
-    auto decoded = ir::DecodePlan(bytes);
-    if (decoded.ok()) {
-      // Anything decode accepts must verify and execute safely.
-      ASSERT_TRUE(ir::VerifyPlan(decoded.ValueOrDie()).ok());
-      (void)ir::ExecutePlan(decoded.ValueOrDie(), t);
-    }
-  }
-}
-
-TEST_P(FuzzTest, PlanDecoderRejectsTruncationAndBitFlips) {
-  for (const ir::Plan& plan : FuzzSeedPlans()) {
-    std::string bytes = ir::EncodePlan(plan);
-    for (int i = 0; i < 100; ++i) {
-      std::string_view truncated(bytes.data(), rng_.Index(bytes.size()));
-      EXPECT_FALSE(ir::DecodePlan(truncated).ok());
-      std::string flipped = bytes;
-      size_t byte = rng_.Index(flipped.size());
-      flipped[byte] =
-          static_cast<char>(flipped[byte] ^ (1u << rng_.Index(8)));
-      // A flip in the body breaks the checksum; a flip in the trailing
-      // checksum itself mismatches the (intact) body. Either way: error.
-      EXPECT_FALSE(ir::DecodePlan(flipped).ok()) << "flip at " << byte;
-    }
-  }
-}
-
-TEST_P(FuzzTest, PlanVerifierStopsChecksumRepairedMutations) {
-  // The adversarial case: corrupt the body, then re-stamp a valid
-  // checksum so decode reaches the structural layer. VerifyPlan is the
-  // last line of defense — whatever it admits must execute as a clean
-  // Status or value on real tables, never a crash or OOB read.
-  Table nations = testing::MakeNationsTable();
-  Table finance = testing::MakeFinanceTable();
-  for (const ir::Plan& plan : FuzzSeedPlans()) {
-    std::string bytes = ir::EncodePlan(plan);
-    for (int i = 0; i < 400; ++i) {
-      std::string mutated = bytes;
-      // 1-4 byte flips anywhere in the body (ill-typed ops, bad register
-      // fields, wild column/pool/aux indices, inflated counts...).
-      size_t flips = rng_.Index(4) + 1;
-      for (size_t f = 0; f < flips; ++f) {
-        size_t byte = rng_.Index(mutated.size() - 8);
-        mutated[byte] =
-            static_cast<char>(mutated[byte] ^ (1u << rng_.Index(8)));
-      }
-      uint64_t sum = ir::Fnv1a(mutated.data(), mutated.size() - 8);
-      for (int b = 0; b < 8; ++b) {
-        mutated[mutated.size() - 8 + b] =
-            static_cast<char>((sum >> (8 * b)) & 0xFF);
-      }
-      auto decoded = ir::DecodePlan(mutated);
-      if (!decoded.ok()) continue;  // Rejected: exactly what we want.
-      ASSERT_TRUE(ir::VerifyPlan(decoded.ValueOrDie()).ok());
-      (void)ir::ExecutePlan(decoded.ValueOrDie(), nations);
-      (void)ir::ExecutePlan(decoded.ValueOrDie(), finance);
-    }
   }
 }
 

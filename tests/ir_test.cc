@@ -2,8 +2,8 @@
 // tree-walk executors: on the compiled subset the two paths must be
 // byte-identical — same values, same evidence rows, same error Status —
 // for every built-in template over randomized tables. Also covers the
-// plan codec round-trip, the bytecode verifier's rejection cases, plan
-// cache keying/invalidation, and the concurrent first-compile race.
+// bytecode verifier's rejection cases, plan cache keying/invalidation,
+// and the concurrent first-compile race.
 
 #include <gtest/gtest.h>
 
@@ -268,72 +268,9 @@ TEST(IrPlanTest, SchemaMismatchIsRejectedAtExecution) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(IrPlanTest, CodecRoundTripPreservesExecution) {
-  Table t = uctr::testing::MakeNationsTable();
-  const struct {
-    ir::Family family;
-    const char* text;
-  } kPrograms[] = {
-      {ir::Family::kSql, "SELECT [nation] FROM w ORDER BY [total] DESC"},
-      {ir::Family::kLogic,
-       "eq { hop { argmax { all_rows ; gold } ; nation } ; united states }"},
-      {ir::Family::kArith, "add(1, 2)"},
-  };
-  for (const auto& prog : kPrograms) {
-    auto plan = ir::Compile(prog.family, prog.text, t.schema());
-    ASSERT_TRUE(plan.ok()) << prog.text;
-    std::string bytes = ir::EncodePlan(plan.ValueOrDie());
-    auto decoded = ir::DecodePlan(bytes);
-    ASSERT_TRUE(decoded.ok()) << prog.text << ": "
-                              << decoded.status().ToString();
-    const ir::Plan& a = plan.ValueOrDie();
-    const ir::Plan& b = decoded.ValueOrDie();
-    EXPECT_EQ(a.family, b.family);
-    EXPECT_EQ(a.num_regs, b.num_regs);
-    EXPECT_EQ(a.num_columns, b.num_columns);
-    EXPECT_EQ(a.schema_fp, b.schema_fp);
-    ASSERT_EQ(a.code.size(), b.code.size());
-    EXPECT_EQ(a.aux, b.aux);
-    if (prog.family == ir::Family::kArith) continue;  // Needs no table run.
-    auto ra = ir::ExecutePlan(a, t);
-    auto rb = ir::ExecutePlan(b, t);
-    ASSERT_EQ(ra.ok(), rb.ok()) << prog.text;
-    if (ra.ok()) {
-      EXPECT_EQ(ra.ValueOrDie().ToDisplayString(),
-                rb.ValueOrDie().ToDisplayString());
-      EXPECT_EQ(ra.ValueOrDie().evidence_rows,
-                rb.ValueOrDie().evidence_rows);
-    }
-  }
-}
-
-TEST(IrPlanTest, DecodeRejectsCorruptBytes) {
-  Table t = uctr::testing::MakeNationsTable();
-  auto plan = ir::Compile(ir::Family::kSql, "SELECT COUNT(*) FROM w",
-                          t.schema());
-  ASSERT_TRUE(plan.ok());
-  std::string bytes = ir::EncodePlan(plan.ValueOrDie());
-
-  EXPECT_FALSE(ir::DecodePlan("").ok());
-  EXPECT_FALSE(ir::DecodePlan("UPLN").ok());
-  // Every truncation must be rejected (checksum or bounds).
-  for (size_t n = 0; n < bytes.size(); ++n) {
-    EXPECT_FALSE(ir::DecodePlan(std::string_view(bytes.data(), n)).ok())
-        << "truncation at " << n;
-  }
-  // Any single corrupted body byte breaks the checksum.
-  for (size_t i = 0; i + 8 < bytes.size(); i += 3) {
-    std::string mutated = bytes;
-    mutated[i] = static_cast<char>(mutated[i] ^ 0x5A);
-    EXPECT_FALSE(ir::DecodePlan(mutated).ok()) << "flip at " << i;
-  }
-  // Trailing garbage after a valid frame is rejected too.
-  EXPECT_FALSE(ir::DecodePlan(bytes + "x").ok());
-}
-
 // Hand-built malformed plans: the verifier must reject each one (these
-// can never come out of Compile, but DecodePlan accepts arbitrary bytes
-// whose checksum matches, so VerifyPlan is the last line of defense).
+// can never come out of Compile; VerifyPlan is what stands between a
+// hand-built plan and the VM).
 TEST(IrVerifierTest, RejectsMalformedPlans) {
   // A minimal valid logic plan: count(all_rows) returned as a scalar.
   ir::Plan valid;

@@ -4,13 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <condition_variable>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "obs/metrics.h"
 #include "serve/engine.h"
 #include "serve/result_cache.h"
@@ -470,6 +474,58 @@ TEST(ServerTest, StatsOpReturnsPopulatedJson) {
   EXPECT_NE(stats.find("\"workers\":1"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"execute_p50_us\":"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"queue_depth\":"), std::string::npos) << stats;
+}
+
+// The server's own bodies carry JSON booleans; clients parse them with
+// the same json::Parse the server reads requests with.
+TEST(ServerTest, StatsAndStoreFallbackResponsesParse) {
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     ("uctr_serve_test_stats_" +
+                      std::to_string(static_cast<unsigned long>(::getpid()))))
+                        .string();
+  std::filesystem::remove_all(dir);
+  {
+    MetricsRegistry metrics;
+    ServerConfig config;
+    config.metrics = &metrics;
+    config.scheduler.num_workers = 1;
+    config.store_dir = dir;
+    Server server(&SharedEngine(), config);
+    ASSERT_TRUE(server.recovery_status().ok());
+
+    auto stats = json::Parse(server.HandleLine("{\"op\":\"stats\",\"id\":1}"));
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    const json::Value& body = stats->as_object().at("stats");
+    ASSERT_TRUE(body.as_object().at("store_durable").is_bool());
+    EXPECT_TRUE(body.as_object().at("store_durable").as_bool());
+    EXPECT_EQ(json::GetStringOr(body.as_object(), "store_fsync_mode", ""),
+              "interval");
+
+    // An unregistered table_ref answered from the inline table.
+    std::string fallback = server.HandleLine(
+        "{\"id\":2,\"op\":\"verify\",\"table_ref\":\"ffffffffffffffff\","
+        "\"table\":\"" +
+        JsonEscapeNewlines(kMedalsCsv) +
+        "\",\"query\":\"The gold of the row whose nation is japan is 5.\"}");
+    auto parsed = json::Parse(fallback);
+    ASSERT_TRUE(parsed.ok()) << fallback;
+    const json::Value::Object& obj = parsed->as_object();
+    EXPECT_EQ(json::GetStringOr(obj, "status", ""), "ok") << fallback;
+    EXPECT_FALSE(json::GetStringOr(obj, "label", "").empty()) << fallback;
+    ASSERT_TRUE(obj.at("degraded").is_bool()) << fallback;
+    EXPECT_TRUE(obj.at("degraded").as_bool());
+  }
+  std::filesystem::remove_all(dir);
+
+  ServerConfig memory_only;
+  memory_only.scheduler.num_workers = 1;
+  Server server(&SharedEngine(), memory_only);
+  auto stats = json::Parse(server.HandleLine("{\"op\":\"stats\",\"id\":3}"));
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const json::Value& durable =
+      stats->as_object().at("stats").as_object().at("store_durable");
+  ASSERT_TRUE(durable.is_bool());
+  EXPECT_FALSE(durable.as_bool());
 }
 
 TEST(ServerTest, RepeatedRequestIsServedFromCache) {
