@@ -419,6 +419,11 @@ TEST(PlanCacheTest, SchemaChangeInvalidates) {
   uint64_t fp1 = ir::SchemaFingerprint(t1.schema());
   EXPECT_NE(fp1, ir::SchemaFingerprint(renamed.schema()));
   EXPECT_EQ(fp1, ir::SchemaFingerprint(same_shape.schema()));
+  // Pinned: the plan-cache key values.
+  EXPECT_EQ(fp1, 0xf6c479e011a3d2dcull);
+  EXPECT_EQ(ir::ProgramFingerprint(ir::Family::kSql,
+                                   "SELECT SUM([gold]) FROM w"),
+            0xc0c1b35e89cfe758ull);
 
   obs::MetricsRegistry metrics;
   ir::PlanCache cache(16, 1, &metrics);

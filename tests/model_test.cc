@@ -193,6 +193,8 @@ TEST(InterpreterTest, GeneratedClaimsRoundTrip) {
 TEST(FeatureTest, HashIsStable) {
   EXPECT_EQ(HashFeature("abc"), HashFeature("abc"));
   EXPECT_NE(HashFeature("abc"), HashFeature("abd"));
+  // Pinned: feature indices are persisted in weight files.
+  EXPECT_EQ(HashFeature("abc"), 0x1a47e90bu);
 }
 
 TEST(FeatureTest, ExtractsLexicalAndAlignment) {

@@ -95,6 +95,8 @@ TEST(ConsistentRingTest, PreferenceIsDeterministicAndDistinct) {
     std::set<uint32_t> distinct(first.begin(), first.end());
     EXPECT_EQ(distinct.size(), 4u) << "every backend appears exactly once";
   }
+  // Pinned: ring positions decide which backend owns a stored table.
+  EXPECT_EQ(ConsistentRing::Hash("a:1#0"), 0x24c9378575d87814ull);
 }
 
 TEST(ConsistentRingTest, KeysSpreadAcrossAllBackends) {

@@ -321,6 +321,9 @@ TEST(GenConfigFingerprintTest, DistinguishesDatasetShapingKnobs) {
   changed = base;
   changed.nl.stochastic = !changed.nl.stochastic;
   EXPECT_NE(GenerationConfigFingerprint(changed), fp);
+  // Pinned: both fingerprints key on-disk checkpoint manifests.
+  EXPECT_EQ(fp, 0x86450add19d091a2ull);
+  EXPECT_EQ(ConfigFingerprint(SelfTrainConfig{}), 0xfab5a9689bb8959dull);
 }
 
 TEST(GenConfigFingerprintTest, CheckpointRejectsConfigMismatch) {

@@ -179,6 +179,13 @@ TEST(CodecTest, FingerprintIsContentAddressed) {
   EXPECT_EQ(Codec::Fingerprint(a).size(), 16u);
   EXPECT_NE(Codec::Fingerprint(a), Codec::Fingerprint(b));
   EXPECT_EQ(Codec::Fingerprint(a), Codec::Fingerprint(a));
+  // Pinned: fingerprints are persisted table refs and checksums frame
+  // every WAL record, so their values must never drift.
+  EXPECT_EQ(Codec::Fingerprint(a), "997073832c14549b");
+  std::string anchor = Codec::Encode(ColumnarTable::FromTable(
+      Table::FromCsv("nation,gold\nchina,8\njapan,5\n").ValueOrDie()));
+  EXPECT_EQ(Codec::Fingerprint(anchor), "7362816b0740a60c");
+  EXPECT_EQ(Codec::Checksum64("uctr"), 0x453e9d61125e44f5ull);
 }
 
 TEST(CodecTest, EveryTruncationFailsCleanly) {
