@@ -1,6 +1,7 @@
 #include "common/numeric.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -8,6 +9,17 @@
 #include "common/string_util.h"
 
 namespace uctr {
+
+Result<uint64_t> ParseUint64(std::string_view text) {
+  std::string s(text);
+  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
+    return Status::ParseError("malformed integer '" + s + "'");
+  }
+  errno = 0;
+  uint64_t value = std::strtoull(s.c_str(), nullptr, 10);
+  if (errno == ERANGE) return Status::ParseError("integer overflow");
+  return value;
+}
 
 std::optional<double> ParseNumber(std::string_view text) {
   std::string s = Trim(text);

@@ -1,9 +1,12 @@
 #ifndef UCTR_COMMON_NUMERIC_H_
 #define UCTR_COMMON_NUMERIC_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+
+#include "common/result.h"
 
 namespace uctr {
 
@@ -16,6 +19,10 @@ namespace uctr {
 /// numeric gateway used by type inference, executors, and extraction, so
 /// financial tables (TAT-QA) behave consistently everywhere.
 std::optional<double> ParseNumber(std::string_view text);
+
+/// \brief Strict decimal u64 for machine-written files: digits only (no
+/// sign, space or separator); ParseError otherwise or on overflow.
+Result<uint64_t> ParseUint64(std::string_view text);
 
 /// \brief True when ParseNumber(text) succeeds.
 bool LooksNumeric(std::string_view text);

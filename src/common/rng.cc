@@ -2,24 +2,18 @@
 
 #include <cmath>
 
+#include "common/hash.h"
+
 namespace uctr {
 
 namespace {
-
-uint64_t SplitMix64(uint64_t* x) {
-  uint64_t z = (*x += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
 void Rng::Seed(uint64_t seed) {
-  uint64_t s = seed;
-  for (auto& part : state_) part = SplitMix64(&s);
+  for (auto& part : state_) part = hash::Mix64(seed += hash::kGoldenGamma);
 }
 
 uint64_t Rng::Next() {

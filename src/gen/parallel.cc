@@ -7,11 +7,12 @@
 #include <fstream>
 #include <map>
 #include <mutex>
-#include <set>
 #include <sstream>
 #include <thread>
 
 #include "common/file_util.h"
+#include "common/hash.h"
+#include "common/manifest.h"
 #include "fault/fault.h"
 #include "gen/serialize.h"
 #include "obs/metrics.h"
@@ -75,89 +76,33 @@ Dataset GenerateDatasetParallel(const GenerationConfig& config,
 
 namespace {
 
-uint64_t Fnv1a(std::string_view text,
-               uint64_t hash = 14695981039346656037ull) {
-  for (char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 /// Fingerprints the corpus content so a checkpoint directory can detect it
 /// is being resumed against different inputs.
 uint64_t CorpusFingerprint(const std::vector<TableWithText>& corpus) {
-  uint64_t hash = Fnv1a("uctr-corpus-v1");
+  uint64_t fp = hash::Fnv1a64("uctr-corpus-v1");
   for (const TableWithText& entry : corpus) {
-    hash = Fnv1a(entry.table.name(), hash);
-    hash = Fnv1a(entry.table.ToCsv(), hash);
+    fp = hash::Fnv1a64(entry.table.name(), fp);
+    fp = hash::Fnv1a64(entry.table.ToCsv(), fp);
     for (const std::string& sentence : entry.paragraph) {
-      hash = Fnv1a(sentence, hash);
+      fp = hash::Fnv1a64(sentence, fp);
     }
   }
-  return hash;
+  return fp;
 }
 
 /// The checkpoint MANIFEST: which shards are durably finished or
-/// quarantined, and which (seed, corpus, config, size) the checkpoint
-/// belongs to. v2 added the GenerationConfig fingerprint; v1 manifests
-/// (no config key) parse but never validate, so pre-config checkpoint
-/// directories are refused instead of silently resumed under a possibly
-/// different config.
-struct Manifest {
-  uint64_t seed = 0;
-  uint64_t corpus_fingerprint = 0;
-  uint64_t config_fingerprint = 0;
-  size_t shards = 0;
-  std::set<size_t> done;
-  std::set<size_t> poisoned;
-
-  std::string Serialize() const {
-    std::string out = "uctr-checkpoint v2\n";
-    out += "seed " + std::to_string(seed) + "\n";
-    out += "corpus " + std::to_string(corpus_fingerprint) + "\n";
-    out += "config " + std::to_string(config_fingerprint) + "\n";
-    out += "shards " + std::to_string(shards) + "\n";
-    for (size_t i : done) out += "done " + std::to_string(i) + "\n";
-    for (size_t i : poisoned) out += "poison " + std::to_string(i) + "\n";
-    return out;
-  }
-
-  static Result<Manifest> Parse(const std::string& text) {
-    std::istringstream in(text);
-    std::string header;
-    if (!std::getline(in, header) ||
-        (header != "uctr-checkpoint v1" && header != "uctr-checkpoint v2")) {
-      return Status::InvalidArgument("not a uctr checkpoint manifest");
-    }
-    Manifest m;
-    std::string key;
-    while (in >> key) {
-      uint64_t value = 0;
-      if (!(in >> value)) {
-        return Status::InvalidArgument("manifest: bad value for '" + key +
-                                       "'");
-      }
-      if (key == "seed") {
-        m.seed = value;
-      } else if (key == "corpus") {
-        m.corpus_fingerprint = value;
-      } else if (key == "config") {
-        m.config_fingerprint = value;
-      } else if (key == "shards") {
-        m.shards = static_cast<size_t>(value);
-      } else if (key == "done") {
-        m.done.insert(static_cast<size_t>(value));
-      } else if (key == "poison") {
-        m.poisoned.insert(static_cast<size_t>(value));
-      } else {
-        return Status::InvalidArgument("manifest: unknown key '" + key +
-                                       "'");
-      }
-    }
-    return m;
-  }
-};
+/// quarantined, keyed by the (seed, corpus, config, size) of the run. v2
+/// added the GenerationConfig fingerprint; a v1 manifest (no config key)
+/// does not parse, so pre-config checkpoint directories are refused
+/// instead of silently resumed under a possibly different config.
+const ManifestLayout& GenManifestLayout() {
+  static const ManifestLayout layout{"uctr-checkpoint v2",
+                                     {"seed", "corpus", "config", "shards"},
+                                     {{"done", 1}, {"poison", 1}}};
+  return layout;
+}
+constexpr size_t kDone = 0;
+constexpr size_t kPoison = 1;
 
 }  // namespace
 
@@ -198,7 +143,7 @@ uint64_t GenerationConfigFingerprint(const GenerationConfig& config) {
     canon << buf;
   }
   canon << ";quarantine_after=" << config.quarantine_after;
-  return Fnv1a(canon.str());
+  return hash::Fnv1a64(canon.str());
 }
 
 Result<Dataset> GenerateDatasetCheckpointed(
@@ -233,28 +178,12 @@ Result<Dataset> GenerateDatasetCheckpointed(
   };
 
   // --- Resume: load (and validate) the manifest left by a prior run.
-  Manifest manifest;
-  manifest.seed = base_seed;
-  manifest.corpus_fingerprint = CorpusFingerprint(corpus);
-  manifest.config_fingerprint = GenerationConfigFingerprint(config);
-  manifest.shards = corpus.size();
-  if (fs::exists(manifest_path)) {
-    auto text = ReadFileText(manifest_path);
-    if (!text.ok()) return text.status();
-    auto loaded = Manifest::Parse(*text);
-    if (!loaded.ok()) return loaded.status();
-    if (loaded->seed != manifest.seed ||
-        loaded->corpus_fingerprint != manifest.corpus_fingerprint ||
-        loaded->config_fingerprint != manifest.config_fingerprint ||
-        loaded->shards != manifest.shards) {
-      return Status::InvalidArgument(
-          "checkpoint directory " + checkpoint.directory +
-          " belongs to a different run "
-          "(seed/corpus/config/shard-count mismatch); refusing to mix "
-          "datasets");
-    }
-    manifest = std::move(loaded).ValueOrDie();
-  }
+  UCTR_ASSIGN_OR_RETURN(
+      CheckpointManifest manifest,
+      CheckpointManifest::LoadOrCreate(
+          manifest_path, GenManifestLayout(),
+          {base_seed, CorpusFingerprint(corpus),
+           GenerationConfigFingerprint(config), corpus.size()}));
 
   // --- Poison-shard quarantine: count `begin` markers per shard in the
   // append-only attempts log. A marker is written before a shard is
@@ -272,8 +201,8 @@ Result<Dataset> GenerateDatasetCheckpointed(
       }
       for (const auto& [shard, count] : begins) {
         if (count >= checkpoint.quarantine_after &&
-            manifest.done.count(shard) == 0 &&
-            manifest.poisoned.insert(shard).second) {
+            !manifest.Has(kDone, {shard}) &&
+            manifest.Add(kPoison, {shard})) {
           registry.counter("gen_checkpoint_shards_poisoned_total")
               ->Increment();
         }
@@ -290,7 +219,7 @@ Result<Dataset> GenerateDatasetCheckpointed(
 
   // Persist newly detected poisonings (and create the manifest on first
   // run) before any generation starts.
-  UCTR_RETURN_NOT_OK(WriteFileAtomic(manifest_path, manifest.Serialize()));
+  UCTR_RETURN_NOT_OK(manifest.Store(manifest_path));
 
   // --- Generate the missing shards, mirroring GenerateDatasetParallel's
   // per-entry seeding exactly so the union of all runs is byte-identical
@@ -299,7 +228,7 @@ Result<Dataset> GenerateDatasetCheckpointed(
   std::vector<char> fresh(corpus.size(), 0);
   std::vector<size_t> todo;
   for (size_t i = 0; i < corpus.size(); ++i) {
-    if (manifest.done.count(i) == 0 && manifest.poisoned.count(i) == 0) {
+    if (!manifest.Has(kDone, {i}) && !manifest.Has(kPoison, {i})) {
       todo.push_back(i);
     }
   }
@@ -351,13 +280,12 @@ Result<Dataset> GenerateDatasetCheckpointed(
         ++rep.failed;
         continue;
       }
-      manifest.done.insert(i);
-      Status manifest_status =
-          WriteFileAtomic(manifest_path, manifest.Serialize());
+      manifest.Add(kDone, {i});
+      Status manifest_status = manifest.Store(manifest_path);
       if (!manifest_status.ok()) {
         // The shard file exists but is not recorded: the next run simply
         // regenerates it (same bytes). Keep this run's copy in memory.
-        manifest.done.erase(i);
+        manifest.Remove(kDone, {i});
         write_failures->Increment();
         ++rep.failed;
         continue;
@@ -384,7 +312,7 @@ Result<Dataset> GenerateDatasetCheckpointed(
       for (Sample& s : per_entry[i]) dataset.samples.push_back(std::move(s));
       continue;
     }
-    if (manifest.done.count(i) == 0) continue;
+    if (!manifest.Has(kDone, {i})) continue;
     auto text = ReadFileText(shard_path(i));
     if (!text.ok()) {
       return Status::Internal("checkpoint shard " + shard_path(i) +
@@ -403,8 +331,8 @@ Result<Dataset> GenerateDatasetCheckpointed(
     registry.counter("gen_checkpoint_shards_resumed_total")->Increment();
   }
 
-  rep.poisoned = manifest.poisoned.size();
-  rep.complete = manifest.done.size() == corpus.size();
+  rep.poisoned = manifest.marks(kPoison).size();
+  rep.complete = manifest.marks(kDone).size() == corpus.size();
   // The Unknown post-pass draws across the whole dataset, so it must only
   // run on the complete one — and then it matches GenerateDatasetParallel
   // exactly (same `base_seed ^ 0x9E37` post-seed).

@@ -5,6 +5,7 @@
 
 #include "arith/ast.h"
 #include "arith/parser.h"
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "logic/ast.h"
 #include "logic/exec_internal.h"
@@ -90,14 +91,9 @@ uint64_t SchemaFingerprint(const Schema& schema) {
 
 uint64_t ProgramFingerprint(Family family, std::string_view text) {
   // Streamed, allocation-free: this runs on every VM-path request.
-  uint64_t h = 1469598103934665603ULL;
-  h ^= static_cast<unsigned char>(family);
-  h *= 1099511628211ULL;
-  for (char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
+  const char tag = static_cast<char>(family);
+  return hash::Fnv1a64(
+      text, hash::Fnv1a64({&tag, 1}, hash::kFnv64TruncatedBasis));
 }
 
 // --------------------------------------------------------------------------

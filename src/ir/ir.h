@@ -130,12 +130,11 @@ struct Plan {
   }
 };
 
-/// \brief 64-bit FNV-1a over a schema's column names and types — the cache
-/// identity of a plan. Cell contents do not participate: the same plan
-/// serves every table with this shape.
+/// \brief Schema::Fingerprint: the cache identity of a plan. Cell contents
+/// do not participate: the same plan serves every table with this shape.
 uint64_t SchemaFingerprint(const Schema& schema);
 
-/// \brief 64-bit FNV-1a over (family tag, program text).
+/// \brief 64-bit FNV-1a (truncated basis) over (family tag, program text).
 uint64_t ProgramFingerprint(Family family, std::string_view text);
 
 /// \brief Parses `text` as `family` and lowers it against `schema`.

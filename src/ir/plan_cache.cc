@@ -1,17 +1,12 @@
 #include "ir/plan_cache.h"
 
+#include "common/hash.h"
+
 namespace uctr::ir {
 
 PlanCache::PlanCache(size_t capacity, size_t num_shards,
-                     obs::MetricsRegistry* metrics) {
-  if (capacity < 1) capacity = 1;
-  if (num_shards < 1) num_shards = 1;
-  if (num_shards > capacity) num_shards = capacity;
-  shard_capacity_ = (capacity + num_shards - 1) / num_shards;
-  shards_.reserve(num_shards);
-  for (size_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
+                     obs::MetricsRegistry* metrics)
+    : lru_(capacity, num_shards) {
   if (metrics != nullptr) {
     hits_ = metrics->counter("plan_cache_hits_total");
     misses_ = metrics->counter("plan_cache_misses_total");
@@ -21,65 +16,29 @@ PlanCache::PlanCache(size_t capacity, size_t num_shards,
 }
 
 size_t PlanCache::KeyHash::operator()(const Key& k) const {
-  // Splitmix-style finalize over the xor of the two fingerprints; both are
-  // already FNV-avalanched, the mix just decorrelates shard selection.
-  uint64_t h = k.program_fp ^ (k.schema_fp * 0x9E3779B97F4A7C15ULL);
-  h ^= h >> 30;
-  h *= 0xBF58476D1CE4E5B9ULL;
-  h ^= h >> 27;
-  return static_cast<size_t>(h);
-}
-
-size_t PlanCache::ShardIndex(const Key& key) const {
-  return KeyHash{}(key) % shards_.size();
+  // Both fingerprints are already FNV hashes; the finalizer over their
+  // combination just decorrelates shard selection.
+  return static_cast<size_t>(
+      hash::Mix64(k.program_fp ^ (k.schema_fp * hash::kGoldenGamma)));
 }
 
 std::optional<std::shared_ptr<const Plan>> PlanCache::Get(uint64_t program_fp,
                                                           uint64_t schema_fp) {
-  Key key{program_fp, schema_fp};
-  Shard& shard = *shards_[ShardIndex(key)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    if (misses_ != nullptr) misses_->Increment();
-    return std::nullopt;
-  }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  if (hits_ != nullptr) hits_->Increment();
-  return it->second->second;
+  std::optional<std::shared_ptr<const Plan>> hit =
+      lru_.Get(Key{program_fp, schema_fp});
+  obs::Counter* counter = hit ? hits_ : misses_;
+  if (counter != nullptr) counter->Increment();
+  return hit;
 }
 
 void PlanCache::Put(uint64_t program_fp, uint64_t schema_fp,
                     std::shared_ptr<const Plan> plan) {
-  Key key{program_fp, schema_fp};
-  Shard& shard = *shards_[ShardIndex(key)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    it->second->second = std::move(plan);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
-  }
-  if (shard.lru.size() >= shard_capacity_) {
-    shard.index.erase(shard.lru.back().first);
-    shard.lru.pop_back();
-    if (evictions_ != nullptr) evictions_->Increment();
-  }
-  shard.lru.emplace_front(key, std::move(plan));
-  shard.index[key] = shard.lru.begin();
+  size_t evicted = lru_.Put(Key{program_fp, schema_fp}, std::move(plan));
+  if (evictions_ != nullptr && evicted > 0) evictions_->Increment(evicted);
 }
 
 void PlanCache::NoteCompile() {
   if (compiles_ != nullptr) compiles_->Increment();
-}
-
-size_t PlanCache::size() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->lru.size();
-  }
-  return total;
 }
 
 PlanCache& PlanCache::Default() {

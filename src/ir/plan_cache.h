@@ -2,22 +2,19 @@
 #define UCTR_IR_PLAN_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
-#include <utility>
-#include <vector>
 
+#include "common/sharded_lru.h"
 #include "ir/ir.h"
 #include "obs/metrics.h"
 
 namespace uctr::ir {
 
 /// \brief Sharded LRU cache of compiled plans, keyed by
-/// (program fingerprint, schema fingerprint). A hit hands back an
-/// immutable shared plan: execution touches neither parser nor AST.
+/// (program fingerprint, schema fingerprint), over a count-bounded
+/// ShardedLru. A hit hands back an immutable shared plan: execution
+/// touches neither parser nor AST.
 ///
 /// Negative entries: a null plan records "this program is not
 /// bytecode-compilable against this schema", so hot unsupported templates
@@ -53,9 +50,9 @@ class PlanCache {
   void NoteCompile();
 
   /// \brief Total entries across all shards (approximate under concurrency).
-  size_t size() const;
+  size_t size() const { return lru_.size(); }
 
-  size_t num_shards() const { return shards_.size(); }
+  size_t num_shards() const { return lru_.num_shards(); }
 
   /// \brief Process-wide cache used when ExecOptions does not name one;
   /// registered against the default metrics registry.
@@ -72,18 +69,8 @@ class PlanCache {
   struct KeyHash {
     size_t operator()(const Key& k) const;
   };
-  using Entry = std::pair<Key, std::shared_ptr<const Plan>>;
-  struct Shard {
-    std::mutex mu;
-    // Front = most recently used.
-    std::list<Entry> lru;
-    std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index;
-  };
 
-  size_t ShardIndex(const Key& key) const;
-
-  size_t shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  ShardedLru<Key, std::shared_ptr<const Plan>, KeyHash> lru_;
   obs::Counter* hits_ = nullptr;
   obs::Counter* misses_ = nullptr;
   obs::Counter* evictions_ = nullptr;

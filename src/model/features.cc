@@ -3,19 +3,13 @@
 #include <cmath>
 #include <set>
 
+#include "common/hash.h"
 #include "common/numeric.h"
 #include "common/string_util.h"
 
 namespace uctr::model {
 
-uint32_t HashFeature(std::string_view name) {
-  uint32_t h = 2166136261u;
-  for (char c : name) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 16777619u;
-  }
-  return h;
-}
+uint32_t HashFeature(std::string_view name) { return hash::Fnv1a32(name); }
 
 void FeatureExtractor::Add(FeatureVector* out, std::string_view name,
                            float value) const {

@@ -6,18 +6,16 @@
 #include <cerrno>
 #include <chrono>
 
+#include "common/hash.h"
 #include "common/json.h"
 #include "fault/fault.h"
 #include "store/codec.h"
-#include "store/columnar.h"
+#include "store/registry.h"
 #include "table/table.h"
 
 namespace uctr::net {
 
 namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
 
 std::string ErrorLine(uint64_t id, const std::string& status,
                       const std::string& message) {
@@ -44,21 +42,11 @@ bool IsRefMissResponse(const std::string& response) {
 // ConsistentRing
 
 uint64_t ConsistentRing::Hash(std::string_view text) {
-  uint64_t h = kFnvOffset;
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= kFnvPrime;
-  }
   // Raw FNV-1a clusters for near-identical inputs (vnode labels differ only
   // in a short numeric suffix), which skews ring ownership badly at 64
-  // vnodes. A final avalanche mix (splitmix64 finalizer) spreads those
-  // neighboring hashes across the whole ring.
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return h;
+  // vnodes. The splitmix64 finalizer spreads those neighboring hashes
+  // across the whole ring.
+  return hash::Mix64(hash::Fnv1a64(text, hash::kFnv64TruncatedBasis));
 }
 
 ConsistentRing::ConsistentRing(const std::vector<std::string>& backend_labels,
@@ -364,13 +352,11 @@ void Router::HandleJob(Job job) {
   auto started = std::chrono::steady_clock::now();
   RouteInfo& info = job.info;
   if (info.key_is_put_csv) {
-    // Mirror the backend registry's content-fingerprint derivation
-    // (store/registry.cc: FromCsv -> FromTable -> Encode -> Fingerprint)
-    // so this put lands on the shard later table_ref traffic hashes to.
+    // The registry's own content address, so this put lands on the shard
+    // later table_ref traffic hashes to.
     auto table = Table::FromCsv(info.key);
     if (table.ok()) {
-      info.key = store::Codec::Fingerprint(
-          store::Codec::Encode(store::ColumnarTable::FromTable(*table)));
+      info.key = store::TableRegistry::EncodeTable(*table).fingerprint;
     }
     // Unparseable CSV keeps the raw text as key; the shard will produce
     // the canonical parse error.

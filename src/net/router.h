@@ -48,7 +48,8 @@ class ConsistentRing {
   /// failover siblings (and hedged-replica targets), in order.
   std::vector<uint32_t> Preference(std::string_view key) const;
 
-  /// \brief 64-bit FNV-1a (the repo's standard content hash family).
+  /// \brief Ring position of `text`: hash::Mix64 over 64-bit FNV-1a
+  /// from the truncated basis (common/hash.h).
   static uint64_t Hash(std::string_view text);
 
   size_t backend_count() const { return backend_count_; }

@@ -27,7 +27,7 @@
 // (router.connect / router.send / router.recv / router.probe) plus the
 // shared transport sites (net.accept / net.read / net.write).
 
-#include <csignal>
+#include <atomic>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -49,19 +49,6 @@ using namespace uctr;
 int Fail(const std::string& message) {
   std::cerr << "uctr_router: " << message << "\n";
   return 1;
-}
-
-volatile std::sig_atomic_t g_shutdown_requested = 0;
-
-extern "C" void HandleShutdownSignal(int) { g_shutdown_requested = 1; }
-
-void InstallShutdownHandlers() {
-  struct sigaction action = {};
-  action.sa_handler = HandleShutdownSignal;
-  sigemptyset(&action.sa_mask);
-  action.sa_flags = 0;  // no SA_RESTART: the loop tick observes the flag
-  sigaction(SIGINT, &action, nullptr);
-  sigaction(SIGTERM, &action, nullptr);
 }
 
 std::map<std::string, std::string> ParseFlags(int argc, char** argv,
@@ -183,7 +170,7 @@ int Run(const std::map<std::string, std::string>& flags) {
             << " backends, " << router.backends_in_ring()
             << " reachable\n";
 
-  InstallShutdownHandlers();
+  const std::atomic<bool>& shutdown_requested = net::InstallShutdownHandlers();
 
   net::NetServerConfig net_config;
   net_config.host = listen->host;
@@ -192,7 +179,7 @@ int Run(const std::map<std::string, std::string>& flags) {
   if (Status s = net_server.Start(); !s.ok()) {
     return Fail(s.ToString());  // bind/listen failure: nonzero exit
   }
-  net_server.set_shutdown_flag(&g_shutdown_requested);
+  net_server.set_shutdown_flag(&shutdown_requested);
   // Announced on stderr so scripts can recover an ephemeral port (same
   // format as uctr_serve).
   std::cerr << "uctr_router: listening on " << listen->host << ":"

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -26,7 +27,25 @@ double MicrosSince(Clock::time_point start) {
       .count();
 }
 
+std::atomic<bool> g_shutdown_requested{false};
+static_assert(std::atomic<bool>::is_always_lock_free,
+              "the shutdown flag is stored from a signal handler");
+
+extern "C" void HandleShutdownSignal(int) {
+  g_shutdown_requested.store(true, std::memory_order_relaxed);
+}
+
 }  // namespace
+
+const std::atomic<bool>& InstallShutdownHandlers() {
+  struct sigaction action = {};
+  action.sa_handler = HandleShutdownSignal;
+  sigemptyset(&action.sa_mask);
+  action.sa_flags = 0;  // deliberately no SA_RESTART
+  sigaction(SIGINT, &action, nullptr);
+  sigaction(SIGTERM, &action, nullptr);
+  return g_shutdown_requested;
+}
 
 /// \brief Per-connection state. Owned by the loop thread exclusively:
 /// worker completions re-enter through EventLoop::Post, so no field here
@@ -141,7 +160,8 @@ void Server::Shutdown() {
 }
 
 void Server::Tick() {
-  if (shutdown_flag_ != nullptr && *shutdown_flag_ != 0) {
+  if (shutdown_flag_ != nullptr &&
+      shutdown_flag_->load(std::memory_order_relaxed)) {
     shutdown_requested_.store(true, std::memory_order_release);
   }
   if (shutdown_requested_.load(std::memory_order_acquire) && !draining_) {

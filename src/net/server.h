@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <csignal>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -112,8 +111,8 @@ class Server {
   void Shutdown();
 
   /// \brief Polled once per loop tick; when set, triggers Shutdown().
-  /// Wire this to the CLI's sig_atomic_t so SIGTERM starts the drain.
-  void set_shutdown_flag(const volatile std::sig_atomic_t* flag) {
+  /// Wire this to InstallShutdownHandlers() so SIGTERM starts the drain.
+  void set_shutdown_flag(const std::atomic<bool>* flag) {
     shutdown_flag_ = flag;
   }
 
@@ -160,7 +159,7 @@ class Server {
   bool draining_ = false;
   std::chrono::steady_clock::time_point drain_deadline_{};
   std::atomic<bool> shutdown_requested_{false};
-  const volatile std::sig_atomic_t* shutdown_flag_ = nullptr;
+  const std::atomic<bool>* shutdown_flag_ = nullptr;
 
   obs::Counter* accepted_total_;
   obs::Counter* closed_total_;
@@ -175,6 +174,12 @@ class Server {
   obs::Counter* read_resumed_total_;
   obs::Histogram* frame_us_;
 };
+
+/// \brief Installs SIGINT/SIGTERM handlers (no SA_RESTART, so a blocked
+/// read fails with EINTR) that set the returned flag. It is a lock-free
+/// atomic: safe to store from a handler and to load on another thread,
+/// which a `volatile sig_atomic_t` is not.
+const std::atomic<bool>& InstallShutdownHandlers();
 
 }  // namespace uctr::net
 

@@ -1,28 +1,13 @@
 #include "selftrain/manifest.h"
 
-#include <cerrno>
-#include <cstdlib>
-
-#include "common/file_util.h"
-#include "common/string_util.h"
-
 namespace uctr::selftrain {
 
 namespace {
 
-constexpr const char kHeader[] = "uctr-selftrain v1";
-
-Result<uint64_t> ParseU64(const std::string& text) {
-  if (text.empty()) return Status::ParseError("empty integer field");
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return Status::ParseError("malformed integer '" + text + "'");
-    }
-  }
-  errno = 0;
-  uint64_t value = std::strtoull(text.c_str(), nullptr, 10);
-  if (errno == ERANGE) return Status::ParseError("integer overflow");
-  return value;
+const ManifestLayout& Layout() {
+  static const ManifestLayout layout{
+      "uctr-selftrain v1", {"seed", "config"}, {{"done", 2}}};
+  return layout;
 }
 
 }  // namespace
@@ -41,85 +26,36 @@ const char* RoundPhaseName(RoundPhase phase) {
   return "unknown";
 }
 
+Manifest::Manifest(uint64_t seed, uint64_t config_fingerprint)
+    : CheckpointManifest(Layout(), {seed, config_fingerprint}) {}
+
 bool Manifest::RoundComplete(size_t round) const {
   for (int p = 0; p < kNumRoundPhases; ++p) {
-    if (done.count({round, p}) == 0) return false;
+    if (!IsDone(round, static_cast<RoundPhase>(p))) return false;
   }
   return true;
 }
 
-std::string Manifest::Serialize() const {
-  std::string out = kHeader;
-  out += "\nseed " + std::to_string(seed);
-  out += "\nconfig " + std::to_string(config_fingerprint);
-  // std::set iteration gives a canonical order, so equal manifests
-  // serialize to equal bytes (the kill/resume tests compare directories).
-  for (const auto& [round, phase] : done) {
-    out += "\ndone " + std::to_string(round) + " " + std::to_string(phase);
+Result<Manifest> Manifest::From(Result<CheckpointManifest> parsed) {
+  if (!parsed.ok()) return parsed.status();
+  Manifest manifest(std::move(parsed).ValueOrDie());
+  for (const Mark& mark : manifest.marks(0)) {
+    if (mark[1] >= static_cast<uint64_t>(kNumRoundPhases)) {
+      return Status::ParseError("manifest phase out of range");
+    }
   }
-  out += "\n";
-  return out;
+  return manifest;
 }
 
 Result<Manifest> Manifest::Parse(const std::string& text) {
-  std::vector<std::string> lines = Split(text, '\n');
-  if (lines.empty() || Trim(lines[0]) != kHeader) {
-    return Status::ParseError("not a uctr-selftrain manifest");
-  }
-  Manifest manifest;
-  bool saw_seed = false, saw_config = false;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    std::vector<std::string> fields = SplitWhitespace(lines[i]);
-    if (fields.empty()) continue;
-    if (fields[0] == "seed" && fields.size() == 2) {
-      UCTR_ASSIGN_OR_RETURN(manifest.seed, ParseU64(fields[1]));
-      saw_seed = true;
-    } else if (fields[0] == "config" && fields.size() == 2) {
-      UCTR_ASSIGN_OR_RETURN(manifest.config_fingerprint, ParseU64(fields[1]));
-      saw_config = true;
-    } else if (fields[0] == "done" && fields.size() == 3) {
-      UCTR_ASSIGN_OR_RETURN(uint64_t round, ParseU64(fields[1]));
-      UCTR_ASSIGN_OR_RETURN(uint64_t phase, ParseU64(fields[2]));
-      if (phase >= static_cast<uint64_t>(kNumRoundPhases)) {
-        return Status::ParseError("manifest phase out of range");
-      }
-      manifest.done.insert(
-          {static_cast<size_t>(round), static_cast<int>(phase)});
-    } else {
-      return Status::ParseError("malformed manifest line '" + lines[i] + "'");
-    }
-  }
-  if (!saw_seed || !saw_config) {
-    return Status::ParseError("manifest missing seed/config keys");
-  }
-  return manifest;
+  return From(CheckpointManifest::Parse(Layout(), text));
 }
 
-Result<Manifest> LoadOrCreateManifest(const std::string& path, uint64_t seed,
-                                      uint64_t config_fingerprint) {
-  Result<std::string> text = ReadFileText(path);
-  if (!text.ok()) {
-    if (text.status().code() == StatusCode::kNotFound) {
-      Manifest fresh;
-      fresh.seed = seed;
-      fresh.config_fingerprint = config_fingerprint;
-      return fresh;
-    }
-    return text.status();
-  }
-  UCTR_ASSIGN_OR_RETURN(Manifest manifest,
-                        Manifest::Parse(text.ValueOrDie()));
-  if (manifest.seed != seed ||
-      manifest.config_fingerprint != config_fingerprint) {
-    return Status::InvalidArgument(
-        "self-training state directory belongs to a different run "
-        "(seed/config mismatch); use a fresh --state-dir");
-  }
-  return manifest;
-}
-
-Status StoreManifest(const std::string& path, const Manifest& manifest) {
-  return WriteFileAtomic(path, manifest.Serialize());
+Result<Manifest> Manifest::LoadOrCreate(const std::string& path,
+                                        uint64_t seed,
+                                        uint64_t config_fingerprint) {
+  return From(CheckpointManifest::LoadOrCreate(path, Layout(),
+                                               {seed, config_fingerprint}));
 }
 
 }  // namespace uctr::selftrain

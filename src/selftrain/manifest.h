@@ -2,10 +2,10 @@
 #define UCTR_SELFTRAIN_MANIFEST_H_
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <utility>
 
+#include "common/manifest.h"
 #include "common/result.h"
 
 namespace uctr::selftrain {
@@ -28,45 +28,45 @@ const char* RoundPhaseName(RoundPhase phase);
 /// \brief Durable record of self-training progress: which (round, phase)
 /// pairs have fully completed — a phase is recorded only *after* its
 /// artifacts are durably on disk, so the manifest never points at work
-/// that does not exist.
-///
-/// On-disk format (version 2 of the repo's checkpoint-manifest family):
+/// that does not exist. A CheckpointManifest (common/manifest.h):
 ///   uctr-selftrain v1
 ///   seed <u64>
 ///   config <u64>
 ///   done <round> <phase>
 ///   ...
-/// written via write-to-temp + atomic rename. The (seed, config
-/// fingerprint) pair keys the whole state directory: a manifest written
-/// under a different seed or SelfTrainConfig is rejected on load rather
-/// than silently resumed (mirroring GenerateDatasetCheckpointed).
-struct Manifest {
-  uint64_t seed = 0;
-  uint64_t config_fingerprint = 0;
-  std::set<std::pair<size_t, int>> done;  ///< (round, phase as int)
+/// The (seed, config fingerprint) pair keys the whole state directory: a
+/// manifest written under a different seed or SelfTrainConfig is
+/// rejected on load rather than silently resumed.
+class Manifest : public CheckpointManifest {
+ public:
+  explicit Manifest(uint64_t seed = 0, uint64_t config_fingerprint = 0);
 
+  uint64_t seed() const { return key(0); }
+  uint64_t config_fingerprint() const { return key(1); }
   bool IsDone(size_t round, RoundPhase phase) const {
-    return done.count({round, static_cast<int>(phase)}) > 0;
+    return Has(0, {round, static_cast<uint64_t>(phase)});
   }
   void MarkDone(size_t round, RoundPhase phase) {
-    done.insert({round, static_cast<int>(phase)});
+    Add(0, {round, static_cast<uint64_t>(phase)});
   }
-  /// \brief True when every phase of rounds 0..`last_round` is recorded.
+  /// \brief True when every phase of `round` is recorded.
   bool RoundComplete(size_t round) const;
 
-  std::string Serialize() const;
   static Result<Manifest> Parse(const std::string& text);
+
+  /// \brief Loads `path` and validates it against (seed, fingerprint).
+  /// A missing file yields a fresh manifest for that key; a present file
+  /// with a mismatched key or unparseable content is an error — never a
+  /// silent restart that could interleave two configurations' artifacts.
+  static Result<Manifest> LoadOrCreate(const std::string& path, uint64_t seed,
+                                       uint64_t config_fingerprint);
+
+ private:
+  explicit Manifest(CheckpointManifest base)
+      : CheckpointManifest(std::move(base)) {}
+  /// Adopts a parsed manifest, rejecting out-of-range phases.
+  static Result<Manifest> From(Result<CheckpointManifest> parsed);
 };
-
-/// \brief Loads `path` and validates it against (seed, fingerprint).
-/// A missing file yields a fresh manifest for that key; a present file
-/// with a mismatched key or unparseable content is an error — never a
-/// silent restart that could interleave two configurations' artifacts.
-Result<Manifest> LoadOrCreateManifest(const std::string& path, uint64_t seed,
-                                      uint64_t config_fingerprint);
-
-/// \brief Atomically rewrites `path` with the manifest's current state.
-Status StoreManifest(const std::string& path, const Manifest& manifest);
 
 }  // namespace uctr::selftrain
 

@@ -11,6 +11,8 @@
 #include <sstream>
 
 #include "common/file_util.h"
+#include "common/hash.h"
+#include "common/numeric.h"
 #include "common/string_util.h"
 #include "datasets/benchmark.h"
 #include "datasets/corpus.h"
@@ -28,26 +30,11 @@ namespace {
 
 // ------------------------------------------------------------- utilities
 
-uint64_t Fnv1a(const std::string& text) {
-  uint64_t hash = 14695981039346656037ull;
-  for (unsigned char c : text) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-/// splitmix64-style derivation: one run seed fans out into independent
+/// splitmix64 derivation: one run seed fans out into independent
 /// per-round streams (corpus, generation, training) and the eval stream,
 /// so no phase's randomness aliases another's.
 uint64_t DeriveSeed(uint64_t seed, uint64_t salt) {
-  uint64_t x = seed + 0x9E3779B97F4A7C15ull * (salt + 1);
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
+  return hash::Mix64(seed + hash::kGoldenGamma * (salt + 1));
 }
 
 uint64_t CorpusSeed(uint64_t seed, size_t round) {
@@ -76,19 +63,6 @@ Result<double> ParseDoubleStrict(const std::string& text) {
       !std::isfinite(value)) {
     return Status::ParseError("malformed float '" + text + "'");
   }
-  return value;
-}
-
-Result<uint64_t> ParseU64Strict(const std::string& text) {
-  if (text.empty()) return Status::ParseError("empty integer field");
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return Status::ParseError("malformed integer '" + text + "'");
-    }
-  }
-  errno = 0;
-  uint64_t value = std::strtoull(text.c_str(), nullptr, 10);
-  if (errno == ERANGE) return Status::ParseError("integer overflow");
   return value;
 }
 
@@ -161,17 +135,17 @@ struct FilterFile {
         counts[4] != "dropped" || counts[6] != "disagreed") {
       return Status::ParseError("bad filter counts line");
     }
-    UCTR_ASSIGN_OR_RETURN(f.scored, ParseU64Strict(counts[1]));
-    UCTR_ASSIGN_OR_RETURN(f.kept, ParseU64Strict(counts[3]));
-    UCTR_ASSIGN_OR_RETURN(f.dropped, ParseU64Strict(counts[5]));
-    UCTR_ASSIGN_OR_RETURN(f.disagreed, ParseU64Strict(counts[7]));
+    UCTR_ASSIGN_OR_RETURN(f.scored, ParseUint64(counts[1]));
+    UCTR_ASSIGN_OR_RETURN(f.kept, ParseUint64(counts[3]));
+    UCTR_ASSIGN_OR_RETURN(f.dropped, ParseUint64(counts[5]));
+    UCTR_ASSIGN_OR_RETURN(f.disagreed, ParseUint64(counts[7]));
     for (size_t i = 2; i < lines.size(); ++i) {
       std::vector<std::string> fields = SplitWhitespace(lines[i]);
       if (fields.empty()) continue;
       if (fields[0] != "keep" || fields.size() != 3) {
         return Status::ParseError("bad filter line '" + lines[i] + "'");
       }
-      UCTR_ASSIGN_OR_RETURN(uint64_t index, ParseU64Strict(fields[1]));
+      UCTR_ASSIGN_OR_RETURN(uint64_t index, ParseUint64(fields[1]));
       UCTR_ASSIGN_OR_RETURN(double weight, ParseDoubleStrict(fields[2]));
       f.keeps.emplace_back(static_cast<size_t>(index), weight);
     }
@@ -266,7 +240,7 @@ uint64_t ConfigFingerprint(const SelfTrainConfig& config) {
   // checkpoint manifests validate against.
   canon << ";gen=" << GenerationConfigFingerprint(CandidateGenConfig(config));
   canon << ";eval=" << GenerationConfigFingerprint(EvalGenConfig(config));
-  return Fnv1a(canon.str());
+  return hash::Fnv1a64(canon.str());
 }
 
 std::string RoundResult::Serialize() const {
@@ -299,15 +273,15 @@ Result<RoundResult> RoundResult::Parse(const std::string& text) {
     }
     const std::string& key = fields[0];
     if (key == "round") {
-      UCTR_ASSIGN_OR_RETURN(r.round, ParseU64Strict(fields[1]));
+      UCTR_ASSIGN_OR_RETURN(r.round, ParseUint64(fields[1]));
     } else if (key == "generated") {
-      UCTR_ASSIGN_OR_RETURN(r.generated, ParseU64Strict(fields[1]));
+      UCTR_ASSIGN_OR_RETURN(r.generated, ParseUint64(fields[1]));
     } else if (key == "kept") {
-      UCTR_ASSIGN_OR_RETURN(r.kept, ParseU64Strict(fields[1]));
+      UCTR_ASSIGN_OR_RETURN(r.kept, ParseUint64(fields[1]));
     } else if (key == "dropped") {
-      UCTR_ASSIGN_OR_RETURN(r.dropped, ParseU64Strict(fields[1]));
+      UCTR_ASSIGN_OR_RETURN(r.dropped, ParseUint64(fields[1]));
     } else if (key == "disagreed") {
-      UCTR_ASSIGN_OR_RETURN(r.disagreed, ParseU64Strict(fields[1]));
+      UCTR_ASSIGN_OR_RETURN(r.disagreed, ParseUint64(fields[1]));
     } else if (key == "threshold") {
       UCTR_ASSIGN_OR_RETURN(r.threshold, ParseDoubleStrict(fields[1]));
     } else if (key == "temperature") {
@@ -383,7 +357,7 @@ class Runner {
     uint64_t fingerprint = ConfigFingerprint(cfg_);
     UCTR_ASSIGN_OR_RETURN(
         manifest_,
-        LoadOrCreateManifest(ManifestPath(), cfg_.seed, fingerprint));
+        Manifest::LoadOrCreate(ManifestPath(), cfg_.seed, fingerprint));
 
     SelfTrainReport report;
     for (size_t round = 0; round <= cfg_.rounds; ++round) {
@@ -409,7 +383,7 @@ class Runner {
         UCTR_RETURN_NOT_OK(RunPhase(round, phase, &report));
         ++report.phases_run;
         manifest_.MarkDone(round, phase);
-        UCTR_RETURN_NOT_OK(StoreManifest(ManifestPath(), manifest_));
+        UCTR_RETURN_NOT_OK(manifest_.Store(ManifestPath()));
       }
       if (!resumed_whole_round) rounds_counter_->Increment();
     }

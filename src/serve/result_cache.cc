@@ -1,41 +1,19 @@
 #include "serve/result_cache.h"
 
-#include <algorithm>
 #include <cctype>
+
+#include "common/hash.h"
 
 namespace uctr::serve {
 
-namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t Fnv1a(std::string_view text, uint64_t seed = kFnvOffset) {
-  uint64_t h = seed;
-  for (char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-}  // namespace
-
 size_t ResultCache::KeyHash::operator()(const Key& k) const {
-  uint64_t h = Fnv1a(k.query, kFnvOffset ^ k.table_fp);
-  return static_cast<size_t>(h);
+  return static_cast<size_t>(
+      hash::Fnv1a64(k.query, hash::kFnv64TruncatedBasis ^ k.table_fp));
 }
 
 ResultCache::ResultCache(size_t capacity, size_t num_shards,
-                         MetricsRegistry* metrics) {
-  capacity = std::max<size_t>(capacity, 1);
-  num_shards = std::max<size_t>(num_shards, 1);
-  num_shards = std::min(num_shards, capacity);
-  shard_capacity_ = (capacity + num_shards - 1) / num_shards;
-  shards_.reserve(num_shards);
-  for (size_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
+                         MetricsRegistry* metrics)
+    : lru_(capacity, num_shards) {
   if (metrics != nullptr) {
     hits_ = metrics->counter("cache_hits_total");
     misses_ = metrics->counter("cache_misses_total");
@@ -43,62 +21,33 @@ ResultCache::ResultCache(size_t capacity, size_t num_shards,
   }
 }
 
-size_t ResultCache::ShardIndex(uint64_t table_fp,
-                               const std::string& query) const {
-  Key key{table_fp, query};
-  return KeyHash{}(key) % shards_.size();
-}
-
 std::optional<std::string> ResultCache::Get(uint64_t table_fp,
                                             const std::string& query) {
-  Key key{table_fp, query};
-  Shard& shard = *shards_[KeyHash{}(key) % shards_.size()];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    if (misses_ != nullptr) misses_->Increment();
-    return std::nullopt;
-  }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  if (hits_ != nullptr) hits_->Increment();
-  return it->second->second;
+  std::optional<std::string> hit = lru_.Get(Key{table_fp, query});
+  Counter* counter = hit ? hits_ : misses_;
+  if (counter != nullptr) counter->Increment();
+  return hit;
 }
 
 void ResultCache::Put(uint64_t table_fp, const std::string& query,
                       std::string value) {
-  Key key{table_fp, query};
-  Shard& shard = *shards_[KeyHash{}(key) % shards_.size()];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    it->second->second = std::move(value);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
-  }
-  if (shard.lru.size() >= shard_capacity_) {
-    shard.index.erase(shard.lru.back().first);
-    shard.lru.pop_back();
-    if (evictions_ != nullptr) evictions_->Increment();
-  }
-  shard.lru.emplace_front(key, std::move(value));
-  shard.index.emplace(std::move(key), shard.lru.begin());
-}
-
-size_t ResultCache::size() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->lru.size();
-  }
-  return total;
-}
-
-uint64_t ResultCache::FingerprintTable(const Table& table) {
-  return Fnv1a(table.ToCsv(), Fnv1a(table.name()));
+  size_t evicted = lru_.Put(Key{table_fp, query}, std::move(value));
+  if (evictions_ != nullptr && evicted > 0) evictions_->Increment(evicted);
 }
 
 uint64_t ResultCache::FingerprintCsv(std::string_view csv) {
-  return Fnv1a(csv, Fnv1a("table"));
+  return hash::Fnv1a64(csv,
+                       hash::Fnv1a64("table", hash::kFnv64TruncatedBasis));
+}
+
+uint64_t ResultCache::EvidenceKey(Evidence kind, std::string_view table,
+                                  const std::vector<std::string>& paragraph) {
+  uint64_t key = hash::Mix64(static_cast<uint64_t>(kind));
+  key = hash::Mix64(key ^ FingerprintCsv(table));
+  for (const std::string& sentence : paragraph) {
+    key = hash::Mix64(key ^ FingerprintCsv(sentence));
+  }
+  return key;
 }
 
 std::string ResultCache::NormalizeQuery(std::string_view query) {

@@ -2,18 +2,13 @@
 #define UCTR_SERVE_RESULT_CACHE_H_
 
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
+#include "common/sharded_lru.h"
 #include "obs/metrics.h"
-#include "table/table.h"
 
 namespace uctr::serve {
 
@@ -21,12 +16,11 @@ using obs::Counter;
 using obs::MetricsRegistry;
 
 /// \brief Sharded LRU cache of serialized responses, keyed by
-/// (table fingerprint, normalized query). Repeated claims/questions over
-/// the same table skip program interpretation entirely.
+/// (evidence key, normalized query). Repeated claims/questions over the
+/// same evidence skip program interpretation entirely.
 ///
-/// Sharding: a key hashes to one of `num_shards` independent LRU lists,
-/// each guarded by its own mutex, so concurrent workers rarely contend.
-/// Capacity is split evenly across shards and eviction is LRU per shard.
+/// Storage and eviction are a ShardedLru with one unit of cost per entry:
+/// capacity is split evenly across shards and eviction is LRU per shard.
 class ResultCache {
  public:
   /// \param capacity total entry budget (>=1), split across shards.
@@ -44,21 +38,33 @@ class ResultCache {
   void Put(uint64_t table_fp, const std::string& query, std::string value);
 
   /// \brief Total entries across all shards (approximate under concurrency).
-  size_t size() const;
+  size_t size() const { return lru_.size(); }
 
-  size_t num_shards() const { return shards_.size(); }
-  size_t shard_capacity() const { return shard_capacity_; }
+  size_t num_shards() const { return lru_.num_shards(); }
+  size_t shard_capacity() const { return lru_.shard_budget(); }
 
   /// \brief Which shard a key maps to (exposed for tests).
-  size_t ShardIndex(uint64_t table_fp, const std::string& query) const;
-
-  /// \brief 64-bit FNV-1a fingerprint of a table's content (CSV form plus
-  /// name) — the cache identity of the evidence.
-  static uint64_t FingerprintTable(const Table& table);
+  size_t ShardIndex(uint64_t table_fp, const std::string& query) const {
+    return lru_.ShardIndex(Key{table_fp, query});
+  }
 
   /// \brief Fingerprint of raw CSV text, for callers that have not parsed
-  /// the table yet (the server's hot path).
+  /// the table yet: 64-bit FNV-1a (truncated basis) of "table" + `csv`.
   static uint64_t FingerprintCsv(std::string_view csv);
+
+  /// \brief Where a request's table came from.
+  enum class Evidence : uint8_t {
+    kTableRef = 1,   ///< a registered table, named by its content address
+    kInlineCsv = 2,  ///< CSV text carried in the request
+  };
+
+  /// \brief The evidence half of a cache key: the table (a ref or inline
+  /// CSV text, per `kind`) plus the paragraph sentences. Each part is
+  /// hashed on its own (FingerprintCsv) and folded in through hash::Mix64
+  /// after the kind, so a ref never keys like inline CSV with the same
+  /// text, and no regrouping of the parts' bytes keys like another one.
+  static uint64_t EvidenceKey(Evidence kind, std::string_view table,
+                              const std::vector<std::string>& paragraph);
 
   /// \brief Canonical query form: lowercased, whitespace collapsed,
   /// trailing sentence punctuation dropped. "  The Total  IS 30. " and
@@ -76,17 +82,8 @@ class ResultCache {
   struct KeyHash {
     size_t operator()(const Key& k) const;
   };
-  struct Shard {
-    std::mutex mu;
-    // Front = most recently used.
-    std::list<std::pair<Key, std::string>> lru;
-    std::unordered_map<Key, std::list<std::pair<Key, std::string>>::iterator,
-                       KeyHash>
-        index;
-  };
 
-  size_t shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  ShardedLru<Key, std::string, KeyHash> lru_;
   Counter* hits_ = nullptr;
   Counter* misses_ = nullptr;
   Counter* evictions_ = nullptr;

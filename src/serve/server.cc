@@ -406,15 +406,16 @@ void Server::SubmitLine(const std::string& line,
   }
 
   // Cache probe on the raw evidence text: no parsing on the hit path.
-  // Registered tables fingerprint by their content-addressed ref (same
-  // content -> same ref -> same entry). Paragraph sentences are part of
-  // the evidence, so they join the fingerprint (same claim + same table
-  // + different text may differ).
-  uint64_t fp = shared != nullptr ? ResultCache::FingerprintCsv(table_ref)
-                                  : ResultCache::FingerprintCsv(*csv);
-  for (const std::string& sentence : paragraph) {
-    fp = ResultCache::FingerprintCsv(sentence) ^ (fp * 1099511628211ull);
-  }
+  // Registered tables key by their content-addressed ref (same content ->
+  // same ref -> same entry), inline tables by their CSV text; paragraph
+  // sentences are part of the evidence (same claim + same table +
+  // different text may differ).
+  uint64_t fp =
+      shared != nullptr
+          ? ResultCache::EvidenceKey(ResultCache::Evidence::kTableRef,
+                                     table_ref, paragraph)
+          : ResultCache::EvidenceKey(ResultCache::Evidence::kInlineCsv, *csv,
+                                     paragraph);
   std::string cache_key = op + "\x1f" + ResultCache::NormalizeQuery(*query);
   if (auto hit = cache_.Get(fp, cache_key)) {
     // Rewrite the id: the cached body is id-independent.

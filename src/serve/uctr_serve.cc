@@ -47,7 +47,7 @@
 //
 // See README.md "Serving" and "Observability" for schemas.
 
-#include <csignal>
+#include <atomic>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -75,23 +75,6 @@ using namespace uctr;
 int Fail(const std::string& message) {
   std::cerr << "uctr_serve: " << message << "\n";
   return 1;
-}
-
-volatile std::sig_atomic_t g_shutdown_requested = 0;
-
-extern "C" void HandleShutdownSignal(int) { g_shutdown_requested = 1; }
-
-/// Installs SIGINT/SIGTERM handlers WITHOUT SA_RESTART: the blocking
-/// stdin read in the serve loop then fails with EINTR instead of being
-/// transparently restarted, so the loop observes g_shutdown_requested and
-/// runs the same drain/flush epilogue as EOF.
-void InstallShutdownHandlers() {
-  struct sigaction action = {};
-  action.sa_handler = HandleShutdownSignal;
-  sigemptyset(&action.sa_mask);
-  action.sa_flags = 0;  // deliberately no SA_RESTART
-  sigaction(SIGINT, &action, nullptr);
-  sigaction(SIGTERM, &action, nullptr);
 }
 
 std::map<std::string, std::string> ParseFlags(int argc, char** argv,
@@ -324,7 +307,7 @@ int RunServe(const std::map<std::string, std::string>& flags) {
               << " (fsync=" << server.durable_store()->fsync_mode() << ")\n";
   }
 
-  InstallShutdownHandlers();
+  const std::atomic<bool>& shutdown_requested = net::InstallShutdownHandlers();
 
   if (auto it = flags.find("listen"); it != flags.end()) {
     auto host_port = net::ParseHostPort(it->second);
@@ -336,7 +319,7 @@ int RunServe(const std::map<std::string, std::string>& flags) {
     if (Status s = net_server.Start(); !s.ok()) {
       return Fail(s.ToString());  // bind/listen failure: nonzero exit
     }
-    net_server.set_shutdown_flag(&g_shutdown_requested);
+    net_server.set_shutdown_flag(&shutdown_requested);
     // Announced on stderr so scripts can recover an ephemeral port.
     std::cerr << "uctr_serve: listening on " << host_port->host << ":"
               << net_server.port() << "\n";
@@ -352,14 +335,14 @@ int RunServe(const std::map<std::string, std::string>& flags) {
   // SA_RESTART) and getline fails; either way — signal or EOF — we fall
   // through to the same graceful epilogue: stop accepting input, drain
   // every in-flight request, flush responses, then metrics and trace.
-  while (!g_shutdown_requested && std::getline(std::cin, line)) {
+  while (!shutdown_requested.load() && std::getline(std::cin, line)) {
     if (line.empty()) continue;
     uint64_t seq = writer.NextSequence();
     server.SubmitLine(line, [seq, &writer](std::string response) {
       writer.Write(seq, std::move(response));
     });
   }
-  if (g_shutdown_requested) {
+  if (shutdown_requested.load()) {
     std::cerr << "uctr_serve: shutdown signal received, draining\n";
   }
   server.Drain();

@@ -1,23 +1,15 @@
 #include "store/codec.h"
 
+#include <cinttypes>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+
+#include "common/hash.h"
 
 namespace uctr::store {
 
 namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t Fnv1a(std::string_view bytes) {
-  uint64_t h = kFnvOffset;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 /// Append-only little-endian writer over a std::string.
 class ByteWriter {
@@ -178,7 +170,7 @@ std::string Codec::Encode(const ColumnarTable& table) {
   h.Bytes(kMagic, sizeof(kMagic));
   h.U32(kVersion);
   h.U64(payload.size());
-  h.U64(Fnv1a(payload));
+  h.U64(Checksum64(payload));
   h.U32(static_cast<uint32_t>(table.num_columns()));
   h.U32(static_cast<uint32_t>(rows));
   out += payload;
@@ -213,7 +205,7 @@ Result<ColumnarTable> Codec::Decode(std::string_view bytes) {
                    std::to_string(bytes.size() - kHeaderBytes));
   }
   std::string_view payload = bytes.substr(kHeaderBytes);
-  if (Fnv1a(payload) != checksum) {
+  if (Checksum64(payload) != checksum) {
     return Corrupt("checksum mismatch");
   }
 
@@ -339,17 +331,14 @@ Result<ColumnarTable> Codec::Decode(std::string_view bytes) {
 }
 
 std::string Codec::Fingerprint(std::string_view encoded) {
-  uint64_t h = Fnv1a(encoded);
-  static const char* kHex = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[i] = kHex[h & 0xf];
-    h >>= 4;
-  }
-  return out;
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016" PRIx64, Checksum64(encoded));
+  return hex;
 }
 
-uint64_t Codec::Checksum64(std::string_view bytes) { return Fnv1a(bytes); }
+uint64_t Codec::Checksum64(std::string_view bytes) {
+  return hash::Fnv1a64(bytes, hash::kFnv64TruncatedBasis);
+}
 
 std::string Codec::ToHex(std::string_view bytes) {
   static const char* kHex = "0123456789abcdef";

@@ -19,7 +19,7 @@ namespace uctr::store {
 ///   0       4     magic "UCTB"
 ///   4       4     u32 codec version (currently 1)
 ///   8       8     u64 payload size in bytes
-///   16      8     u64 FNV-1a checksum of the payload
+///   16      8     u64 Checksum64 of the payload
 ///   24      4     u32 column count
 ///   28      4     u32 row count
 ///
@@ -50,13 +50,13 @@ class Codec {
   /// \brief Parses and fully validates `bytes` (see class comment).
   static Result<ColumnarTable> Decode(std::string_view bytes);
 
-  /// \brief Content fingerprint of encoded bytes: 64-bit FNV-1a rendered
-  /// as 16 lowercase hex chars. Same hash family the result cache uses.
+  /// \brief Content fingerprint of encoded bytes: Checksum64 rendered as
+  /// 16 lowercase hex chars.
   static std::string Fingerprint(std::string_view encoded);
 
-  /// \brief Raw 64-bit FNV-1a over `bytes` — the hash behind both the
-  /// header checksum and Fingerprint. Exported so the WAL frames records
-  /// with the same checksum the codec header carries.
+  /// \brief 64-bit FNV-1a from hash::kFnv64TruncatedBasis — the hash behind
+  /// the header checksum and Fingerprint. Exported so the WAL frames
+  /// records with the same checksum the codec header carries.
   static uint64_t Checksum64(std::string_view bytes);
 
   /// \brief Lowercase-hex transport encoding for codec bytes, used where

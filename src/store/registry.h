@@ -2,15 +2,12 @@
 #define UCTR_STORE_REGISTRY_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
 
 #include "common/result.h"
+#include "common/sharded_lru.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "store/codec.h"
@@ -50,9 +47,9 @@ struct EncodedTable {
 /// no parse, no index build, and no copy. Identical content always maps
 /// to the same fingerprint, so re-registering a table is a dedup hit.
 ///
-/// Sharded LRU with byte-budget eviction: each shard orders its entries
-/// by last touch and evicts from the cold end once the shard exceeds
-/// capacity_bytes / num_shards. Eviction never races with use — borrowers
+/// A ShardedLru costed in bytes: each shard orders its entries by last
+/// touch and evicts from the cold end once the shard exceeds its share of
+/// capacity_bytes. Eviction never races with use — borrowers
 /// hold the shared_ptr, so an evicted table dies only after the last
 /// in-flight request drops it. The registry itself must outlive every
 /// thread that can call it (see DESIGN.md on ownership vs the serve and
@@ -90,9 +87,9 @@ class TableRegistry {
   /// \brief Looks up a registered table; nullptr on miss (counted).
   std::shared_ptr<const Table> Get(std::string_view fingerprint);
 
-  size_t table_count() const;
-  size_t bytes() const;
-  size_t capacity_bytes() const { return config_.capacity_bytes; }
+  size_t table_count() const { return lru_.size(); }
+  size_t bytes() const { return lru_.cost(); }
+  size_t capacity_bytes() const { return capacity_bytes_; }
 
   uint64_t puts() const { return puts_->value(); }
   uint64_t hits() const { return hits_->value(); }
@@ -100,22 +97,16 @@ class TableRegistry {
   uint64_t evictions() const { return evictions_->value(); }
 
  private:
-  struct Entry {
-    std::string fingerprint;
-    std::shared_ptr<const Table> table;
-    size_t bytes = 0;
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<Entry> lru;  // front = most recently touched
-    std::unordered_map<std::string, std::list<Entry>::iterator> by_fp;
-    size_t bytes = 0;
+  /// Shard and bucket selection from the low hex digits of the
+  /// fingerprint, which is already a 64-bit hash, so any slice of it is
+  /// uniform. Transparent: Get looks up a string_view without a copy.
+  struct FingerprintHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view fingerprint) const;
   };
 
-  Shard& ShardFor(std::string_view fingerprint);
-
-  RegistryConfig config_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  size_t capacity_bytes_;
+  ShardedLru<std::string, std::shared_ptr<const Table>, FingerprintHash> lru_;
   obs::Counter* puts_;
   obs::Counter* hits_;
   obs::Counter* misses_;

@@ -38,7 +38,7 @@ Result<FsyncMode> ParseFsyncMode(std::string_view text);
 ///   0       4     magic "UWAL"
 ///   4       4     u32 record version (currently 1)
 ///   8       8     u64 payload size in bytes
-///   16      8     u64 FNV-1a checksum of the payload
+///   16      8     u64 Codec::Checksum64 of the payload
 ///   24      n     payload: the table's canonical store::Codec bytes
 ///
 /// The payload is exactly what Codec::Encode produced, so the content

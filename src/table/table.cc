@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "fault/fault.h"
 #include "table/index.h"
@@ -97,20 +98,12 @@ bool Schema::HasColumn(std::string_view name) const {
 uint64_t Schema::Fingerprint() const {
   // FNV-1a streamed over "name \x1f type \x1e" per column: the identity
   // the compiled-plan cache keys on.
-  uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](const char* p, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      h ^= static_cast<unsigned char>(p[i]);
-      h *= 1099511628211ULL;
-    }
-  };
+  uint64_t h = hash::kFnv64TruncatedBasis;
   for (const ColumnSpec& col : columns_) {
-    mix(col.name.data(), col.name.size());
-    char tail[2] = {'\x1f',
-                    static_cast<char>('0' + static_cast<int>(col.type))};
-    mix(tail, 2);
-    char sep = '\x1e';
-    mix(&sep, 1);
+    h = hash::Fnv1a64(col.name, h);
+    const char tail[3] = {
+        '\x1f', static_cast<char>('0' + static_cast<int>(col.type)), '\x1e'};
+    h = hash::Fnv1a64({tail, 3}, h);
   }
   return h;
 }

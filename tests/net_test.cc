@@ -572,14 +572,14 @@ TEST_F(LoopbackTest, ShutdownDrainsInFlightRequestsBeforeClosing) {
 }
 
 TEST_F(LoopbackTest, ShutdownFlagTriggersDrainLikeSigterm) {
-  // The CLI wires its sig_atomic_t here; flipping it must end Run().
-  static volatile std::sig_atomic_t flag;
-  flag = 0;
+  // The CLI wires its signal-handler flag here; setting it must end Run().
+  static std::atomic<bool> flag;
+  flag.store(false);
   StartServer();
   net_->set_shutdown_flag(&flag);
   Client client = MustConnect();
   ASSERT_TRUE(client.Call("{\"id\":1,\"op\":\"ping\"}").ok());
-  flag = 1;
+  flag.store(true);
   loop_thread_.join();  // the 100 ms tick observes the flag
   SUCCEED();
 }

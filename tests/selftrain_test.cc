@@ -106,17 +106,15 @@ std::vector<std::string> ArtifactsOf(const SelfTrainConfig& config) {
 // ----------------------------------------------------------- manifest
 
 TEST(SelfTrainManifestTest, SerializeParseRoundTrip) {
-  Manifest manifest;
-  manifest.seed = 99;
-  manifest.config_fingerprint = 0xDEADBEEF;
+  Manifest manifest(99, 0xDEADBEEF);
   manifest.MarkDone(0, RoundPhase::kGenerate);
   manifest.MarkDone(0, RoundPhase::kLabel);
   manifest.MarkDone(1, RoundPhase::kGenerate);
 
   auto parsed = Manifest::Parse(manifest.Serialize());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->seed, 99u);
-  EXPECT_EQ(parsed->config_fingerprint, 0xDEADBEEFu);
+  EXPECT_EQ(parsed->seed(), 99u);
+  EXPECT_EQ(parsed->config_fingerprint(), 0xDEADBEEFu);
   EXPECT_TRUE(parsed->IsDone(0, RoundPhase::kGenerate));
   EXPECT_TRUE(parsed->IsDone(1, RoundPhase::kGenerate));
   EXPECT_FALSE(parsed->IsDone(1, RoundPhase::kLabel));
@@ -140,15 +138,15 @@ TEST(SelfTrainManifestTest, LoadRejectsMismatchedKey) {
   std::filesystem::create_directories(dir.path());
   std::string path = dir.path() + "/MANIFEST";
 
-  auto fresh = selftrain::LoadOrCreateManifest(path, 1, 2);
+  auto fresh = Manifest::LoadOrCreate(path, 1, 2);
   ASSERT_TRUE(fresh.ok());
-  ASSERT_TRUE(selftrain::StoreManifest(path, *fresh).ok());
+  ASSERT_TRUE(fresh->Store(path).ok());
 
-  EXPECT_TRUE(selftrain::LoadOrCreateManifest(path, 1, 2).ok());
-  auto wrong_seed = selftrain::LoadOrCreateManifest(path, 9, 2);
-  EXPECT_FALSE(wrong_seed.ok());
-  auto wrong_config = selftrain::LoadOrCreateManifest(path, 1, 9);
-  EXPECT_FALSE(wrong_config.ok());
+  EXPECT_TRUE(Manifest::LoadOrCreate(path, 1, 2).ok());
+  auto wrong_seed = Manifest::LoadOrCreate(path, 9, 2);
+  EXPECT_EQ(wrong_seed.status().code(), StatusCode::kInvalidArgument);
+  auto wrong_config = Manifest::LoadOrCreate(path, 1, 9);
+  EXPECT_EQ(wrong_config.status().code(), StatusCode::kInvalidArgument);
 }
 
 // --------------------------------------------------------- confidence

@@ -108,14 +108,28 @@ TEST(ResultCacheTest, NormalizeQueryCanonicalizes) {
 }
 
 TEST(ResultCacheTest, FingerprintTracksContent) {
-  Table a = Table::FromCsv("x,y\n1,2\n", "t").ValueOrDie();
-  Table b = Table::FromCsv("x,y\n1,3\n", "t").ValueOrDie();
-  EXPECT_NE(ResultCache::FingerprintTable(a),
-            ResultCache::FingerprintTable(b));
-  EXPECT_EQ(ResultCache::FingerprintTable(a),
-            ResultCache::FingerprintTable(a));
   EXPECT_NE(ResultCache::FingerprintCsv("x,y\n1,2\n"),
             ResultCache::FingerprintCsv("x,y\n1,3\n"));
+}
+
+TEST(ResultCacheTest, EvidenceKeySeparatesSourcesAndParts) {
+  using Evidence = ResultCache::Evidence;
+  const std::vector<std::string> none;
+  // A ref and inline CSV with the same text are different evidence.
+  EXPECT_NE(ResultCache::EvidenceKey(Evidence::kTableRef, "abc", none),
+            ResultCache::EvidenceKey(Evidence::kInlineCsv, "abc", none));
+  // Moving bytes between the table and the sentences, or between
+  // sentences, changes the key.
+  EXPECT_NE(ResultCache::EvidenceKey(Evidence::kInlineCsv, "ab", {"c"}),
+            ResultCache::EvidenceKey(Evidence::kInlineCsv, "a", {"bc"}));
+  EXPECT_NE(ResultCache::EvidenceKey(Evidence::kInlineCsv, "a", {"b", "c"}),
+            ResultCache::EvidenceKey(Evidence::kInlineCsv, "a", {"bc"}));
+  EXPECT_NE(ResultCache::EvidenceKey(Evidence::kInlineCsv, "a", {""}),
+            ResultCache::EvidenceKey(Evidence::kInlineCsv, "a", none));
+  EXPECT_NE(ResultCache::EvidenceKey(Evidence::kInlineCsv, "a", {"b", "c"}),
+            ResultCache::EvidenceKey(Evidence::kInlineCsv, "a", {"c", "b"}));
+  EXPECT_EQ(ResultCache::EvidenceKey(Evidence::kTableRef, "a", {"b"}),
+            ResultCache::EvidenceKey(Evidence::kTableRef, "a", {"b"}));
 }
 
 TEST(ResultCacheTest, RecordsHitAndMissMetrics) {

@@ -516,6 +516,33 @@ TEST(ServerStoreTest, RegistryMissFallsBackToInlineDegraded) {
   EXPECT_NE(miss.find("not registered"), std::string::npos) << miss;
 }
 
+TEST(ServerStoreTest, InlineTableSpelledLikeARefCannotPoisonIt) {
+  // One client sends an inline table whose CSV text is another client's
+  // table ref. Its answer must not be served to later table_ref requests.
+  ServerConfig config;
+  config.scheduler.num_workers = 1;
+  obs::MetricsRegistry metrics;
+  config.metrics = &metrics;
+  Server server(&SharedEngine(), config);
+  const std::string csv = "nation,gold\nchina,8\njapan,5\n";
+  const std::string question =
+      "What was the gold of the row whose nation is china?";
+  std::string ref =
+      ExtractFingerprint(server.HandleLine(PutTableRequest(1, csv)));
+  ASSERT_EQ(ref, "7362816b0740a60c");
+
+  // The ref as inline CSV parses to a header-only table with no answer.
+  std::string poison =
+      server.HandleLine(InlineRequest(2, "answer", ref, question));
+  EXPECT_NE(poison.find("\"answer\":\"\""), std::string::npos) << poison;
+
+  std::string by_ref =
+      server.HandleLine(RefRequest(3, "answer", ref, question));
+  EXPECT_NE(by_ref.find("\"answer\":\"8\""), std::string::npos) << by_ref;
+  EXPECT_EQ(by_ref,
+            server.HandleLine(InlineRequest(3, "answer", csv, question)));
+}
+
 TEST(ServerStoreTest, StatsExposeRegistryCounters) {
   ServerConfig config;
   config.scheduler.num_workers = 1;
