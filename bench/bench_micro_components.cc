@@ -78,19 +78,26 @@ void BM_LogicExecute(benchmark::State& state) {
 BENCHMARK(BM_LogicExecute)->Arg(16)->Arg(256);
 
 // ---------------------------------------------------------------------------
-// Indexed vs. scan execution (table/index.h). Each pair runs the same query
-// through sql::Execute / logic::Execute with use_index on and off; the
-// indexed table is warmed once before the loop, matching the serving regime
-// where the index is built at table load and amortized over many programs.
+// Compiled plan vs. scan walker. Each pair runs the same query as a
+// pre-compiled plan on the VM (over the table index, warmed once before
+// the loop, matching the serving regime where the index is built at table
+// load and amortized over many programs) and through the reference row
+// scan of sql::Execute / logic::Execute over a parsed AST.
 
-void RunSqlBench(benchmark::State& state, const char* query, bool indexed) {
+void RunSqlBench(benchmark::State& state, const char* query, bool plan) {
   Table t = BenchTable(static_cast<size_t>(state.range(0)));
-  auto stmt = sql::Parse(query).ValueOrDie();
-  sql::ExecOptions opts;
-  opts.use_index = indexed;
-  if (indexed) t.WarmIndex();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sql::Execute(stmt, t, opts));
+  if (plan) {
+    t.WarmIndex();
+    ir::Plan compiled =
+        ir::Compile(ir::Family::kSql, query, t.schema()).ValueOrDie();
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(ir::ExecutePlan(compiled, t));
+    }
+  } else {
+    auto stmt = sql::Parse(query).ValueOrDie();
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(sql::Execute(stmt, t));
+    }
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -99,36 +106,42 @@ constexpr const char* kSqlEqQuery =
     "SELECT total FROM w WHERE nation = 'nation7'";
 
 void BM_SqlEqPredicateScan(benchmark::State& state) {
-  RunSqlBench(state, kSqlEqQuery, /*indexed=*/false);
+  RunSqlBench(state, kSqlEqQuery, /*plan=*/false);
 }
 BENCHMARK(BM_SqlEqPredicateScan)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
-void BM_SqlEqPredicateIndexed(benchmark::State& state) {
-  RunSqlBench(state, kSqlEqQuery, /*indexed=*/true);
+void BM_SqlEqPredicatePlan(benchmark::State& state) {
+  RunSqlBench(state, kSqlEqQuery, /*plan=*/true);
 }
-BENCHMARK(BM_SqlEqPredicateIndexed)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_SqlEqPredicatePlan)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
 constexpr const char* kSqlAggQuery =
     "SELECT SUM(total) FROM w WHERE gold > 5";
 
 void BM_SqlNumericAggScan(benchmark::State& state) {
-  RunSqlBench(state, kSqlAggQuery, /*indexed=*/false);
+  RunSqlBench(state, kSqlAggQuery, /*plan=*/false);
 }
 BENCHMARK(BM_SqlNumericAggScan)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
-void BM_SqlNumericAggIndexed(benchmark::State& state) {
-  RunSqlBench(state, kSqlAggQuery, /*indexed=*/true);
+void BM_SqlNumericAggPlan(benchmark::State& state) {
+  RunSqlBench(state, kSqlAggQuery, /*plan=*/true);
 }
-BENCHMARK(BM_SqlNumericAggIndexed)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_SqlNumericAggPlan)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
-void RunLogicBench(benchmark::State& state, const char* form, bool indexed) {
+void RunLogicBench(benchmark::State& state, const char* form, bool plan) {
   Table t = BenchTable(static_cast<size_t>(state.range(0)));
-  auto node = logic::Parse(form).ValueOrDie();
-  logic::ExecOptions opts;
-  opts.use_index = indexed;
-  if (indexed) t.WarmIndex();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(logic::Execute(*node, t, opts));
+  if (plan) {
+    t.WarmIndex();
+    ir::Plan compiled =
+        ir::Compile(ir::Family::kLogic, form, t.schema()).ValueOrDie();
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(ir::ExecutePlan(compiled, t));
+    }
+  } else {
+    auto node = logic::Parse(form).ValueOrDie();
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(logic::Execute(*node, t));
+    }
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -137,14 +150,14 @@ constexpr const char* kLogicSuperlative =
     "hop { argmax { all_rows ; total } ; nation }";
 
 void BM_LogicSuperlativeScan(benchmark::State& state) {
-  RunLogicBench(state, kLogicSuperlative, /*indexed=*/false);
+  RunLogicBench(state, kLogicSuperlative, /*plan=*/false);
 }
 BENCHMARK(BM_LogicSuperlativeScan)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
-void BM_LogicSuperlativeIndexed(benchmark::State& state) {
-  RunLogicBench(state, kLogicSuperlative, /*indexed=*/true);
+void BM_LogicSuperlativePlan(benchmark::State& state) {
+  RunLogicBench(state, kLogicSuperlative, /*plan=*/true);
 }
-BENCHMARK(BM_LogicSuperlativeIndexed)
+BENCHMARK(BM_LogicSuperlativePlan)
     ->Arg(10)
     ->Arg(100)
     ->Arg(1000)
@@ -154,35 +167,43 @@ constexpr const char* kLogicFilterEq =
     "hop { filter_eq { all_rows ; nation ; nation7 } ; total }";
 
 void BM_LogicFilterEqScan(benchmark::State& state) {
-  RunLogicBench(state, kLogicFilterEq, /*indexed=*/false);
+  RunLogicBench(state, kLogicFilterEq, /*plan=*/false);
 }
 BENCHMARK(BM_LogicFilterEqScan)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
-void BM_LogicFilterEqIndexed(benchmark::State& state) {
-  RunLogicBench(state, kLogicFilterEq, /*indexed=*/true);
+void BM_LogicFilterEqPlan(benchmark::State& state) {
+  RunLogicBench(state, kLogicFilterEq, /*plan=*/true);
 }
-BENCHMARK(BM_LogicFilterEqIndexed)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_LogicFilterEqPlan)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
 // ---------------------------------------------------------------------------
-// Compiled-plan VM vs. parse + tree-walk (src/ir/). The VM side holds a
+// Compiled-plan VM vs. parse + scan walker (src/ir). The VM side holds a
 // pre-compiled plan (the plan-cache-hit regime: no parser, no AST) while
-// the walk side pays parse + tree interpretation per execution, which is
-// exactly what a plan-cache hit skips in serving. Both run over the same
-// warmed index, so the delta is pure program overhead, not data access.
-// The CacheHit variants go through Program::Execute with a warm
+// the walk side pays parse + row-scan interpretation per execution. The
+// CacheHit variants go through Program::Execute with a warm
 // ir::PlanCache, adding the fingerprint + cache-probe cost a real serving
 // hit pays.
+
+Result<ExecResult> ParseAndWalk(ProgramType type, const char* text,
+                                const Table& t) {
+  switch (type) {
+    case ProgramType::kSql:
+      return sql::ExecuteQuery(text, t);
+    case ProgramType::kLogicalForm:
+      return logic::ExecuteLogicalForm(text, t);
+    case ProgramType::kArithmetic:
+      return arith::ExecuteExpression(text, t);
+  }
+  return Status::Internal("unknown program type");
+}
 
 void RunPlanVsWalkBench(benchmark::State& state, ProgramType type,
                         ir::Family family, const char* text, int mode) {
   Table t = BenchTable(static_cast<size_t>(state.range(0)));
   t.WarmIndex();
-  if (mode == 0) {  // parse + tree-walk per iteration
-    Program p{type, text};
-    ExecOptions opts;
-    opts.use_vm = false;
+  if (mode == 0) {  // parse + scan walker per iteration
     for (auto _ : state) {
-      benchmark::DoNotOptimize(p.Execute(t, opts));
+      benchmark::DoNotOptimize(ParseAndWalk(type, text, t));
     }
   } else if (mode == 1) {  // pre-compiled plan, raw VM dispatch
     ir::Plan plan = ir::Compile(family, text, t.schema()).ValueOrDie();

@@ -49,8 +49,8 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# address (default) -> ASan+UBSan in build-asan; thread -> TSan in
-# build-tsan. The two modes use separate build trees so switching between
+# address (default) -> ASan+UBSan (with float-cast-overflow) in
+# build-asan; thread -> TSan in build-tsan. The two modes use separate build trees so switching between
 # them never triggers a full recompile.
 SANITIZE="${UCTR_SANITIZE:-address}"
 case "$SANITIZE" in

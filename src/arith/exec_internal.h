@@ -8,10 +8,10 @@
 #include "common/result.h"
 #include "table/table.h"
 
-/// Shared arithmetic-program execution primitives. Both the step evaluator
-/// (arith/executor.cc) and the bytecode VM (ir/vm.cc) call these, so the
-/// two paths resolve table references with literally the same code — the
-/// byte-identity contract between them holds by construction.
+/// Table-reference resolution shared by the step evaluator
+/// (arith/executor.cc) and the bytecode VM (ir/vm.cc). Arithmetic has no
+/// scan/index split: both paths resolve cell references and series with
+/// this code.
 namespace uctr::arith::internal {
 
 /// Resolves a `col of row` cell reference to a number. Tries the parsed

@@ -7,7 +7,6 @@
 #include "arith/parser.h"
 #include "common/numeric.h"
 #include "common/string_util.h"
-#include "obs/metrics.h"
 
 namespace uctr::arith {
 
@@ -108,7 +107,6 @@ class Evaluator {
         return internal::ResolveCellRef(table_, op.column, op.row, op.text,
                                         &evidence_);
       case Operand::Kind::kText: {
-        // Free text might still be a cell value; try a unique table scan.
         Value wanted = Value::FromText(op.text);
         if (wanted.is_number()) return wanted.ToNumber();
         return Status::ExecutionError("cannot resolve operand '" + op.text +
@@ -179,12 +177,6 @@ class Evaluator {
 }  // namespace
 
 Result<ExecResult> Execute(const Expression& expr, const Table& table) {
-  static obs::Counter* exec_total =
-      obs::DefaultRegistry().counter("arith_exec_total");
-  static obs::Counter* steps_total =
-      obs::DefaultRegistry().counter("arith_steps_total");
-  exec_total->Increment();
-  steps_total->Increment(expr.steps.size());
   Evaluator eval(table);
   UCTR_ASSIGN_OR_RETURN(Value answer, eval.Run(expr));
   ExecResult result;

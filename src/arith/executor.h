@@ -19,6 +19,9 @@ namespace uctr::arith {
 /// that header. `greater(a,b)` yields a Bool; everything else a Number.
 /// The answer is the value of the final step; evidence_rows lists the rows
 /// whose cells were read.
+///
+/// This is the reference evaluator: Program::Execute runs the compiled plan
+/// instead (src/ir), and tests/ir_test.cc proves the two byte-identical.
 Result<ExecResult> Execute(const Expression& expr, const Table& table);
 
 /// \brief Parses then executes.

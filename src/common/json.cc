@@ -296,4 +296,12 @@ double GetNumberOr(const Value::Object& obj, const std::string& key,
   return it->second.as_number();
 }
 
+uint64_t GetId(const Value::Object& obj) {
+  double id = GetNumberOr(obj, "id", 0);
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  // The negated form also rejects NaN.
+  if (!(id >= 0 && id < kTwoTo64)) return 0;
+  return static_cast<uint64_t>(id);
+}
+
 }  // namespace uctr::json

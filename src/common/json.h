@@ -2,6 +2,7 @@
 #define UCTR_COMMON_JSON_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
@@ -65,6 +66,12 @@ Result<double> GetNumber(const Value::Object& obj, const std::string& key);
 /// \brief Optional numeric field with a fallback.
 double GetNumberOr(const Value::Object& obj, const std::string& key,
                    double fallback);
+
+/// \brief The request/response `"id"`, truncated toward zero; 0 when it is
+/// missing, not a number, non-finite or outside [0, 2^64). Every reader of
+/// ids goes through this, so no client value reaches an out-of-range
+/// float-to-integer cast.
+uint64_t GetId(const Value::Object& obj);
 
 }  // namespace uctr::json
 

@@ -54,9 +54,9 @@ struct Sample {
   std::vector<std::string> paragraph;
   std::string sentence;
 
-  /// \brief How programs interpreted against this sample execute (VM vs
-  /// tree-walk, plan cache). Serving sets this per request to share its
-  /// plan cache; the default is the compiled path.
+  /// \brief Which plan cache programs interpreted against this sample
+  /// compile into. Serving sets this per request to share its plan cache;
+  /// the default is ir::PlanCache::Default().
   ExecOptions exec;
 
   /// \brief The evidence table every reader should consult: the borrowed

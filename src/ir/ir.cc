@@ -1,5 +1,7 @@
 #include "ir/ir.h"
 
+#include <iterator>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -18,17 +20,24 @@ namespace uctr::ir {
 namespace {
 
 // Bytecode layout limits. Register and pool operands travel in uint16
-// fields; programs large enough to blow them are rejected to the walker.
+// fields; programs large enough to blow them fail to compile.
 constexpr size_t kMaxRegs = 0xFFFF;
 constexpr size_t kMaxPool = 0xFFFF;
 
-/// Incremental plan builder shared by the three lowerings. Every reject
-/// carries the reason so bench/tests can see *why* a template fell back.
+/// Incremental plan builder shared by the three lowerings.
+///
+/// The lowerings mirror their walker's evaluation order and return the
+/// walker's exact Status wherever it raises one without reading cells.
+/// Finish() turns such a Status into a terminating kFail after the code
+/// emitted so far, so any runtime error of an earlier operand still wins.
+/// Only budget overflows stay compile errors (`over_budget`).
 struct Builder {
   Plan plan;
+  bool over_budget = false;
 
   Result<uint16_t> Alloc() {
     if (plan.num_regs >= kMaxRegs) {
+      over_budget = true;
       return Status::InvalidArgument("bytecode: register budget exceeded");
     }
     return static_cast<uint16_t>(plan.num_regs++);
@@ -36,6 +45,7 @@ struct Builder {
 
   Result<uint16_t> AddPool(Value v) {
     if (plan.pool.size() >= kMaxPool) {
+      over_budget = true;
       return Status::InvalidArgument("bytecode: constant pool exceeded");
     }
     plan.pool.push_back(std::move(v));
@@ -54,7 +64,25 @@ struct Builder {
     plan.code.push_back(insn);
   }
 
-  Result<Plan> Finish(Family family, const Schema& schema) {
+  /// Emits kFail raising `error`: unconditionally (ending the plan), or —
+  /// given `when_rows` — only if that row view is non-empty.
+  Status EmitFail(const Status& error,
+                  std::optional<uint16_t> when_rows = std::nullopt) {
+    UCTR_ASSIGN_OR_RETURN(uint16_t msg,
+                          AddPool(Value::String(error.message())));
+    uint32_t imm2 = static_cast<uint32_t>(error.code()) |
+                    (when_rows.has_value() ? 1u << 8 : 0);
+    Emit(Op::kFail, 0, when_rows.value_or(0), 0, msg, imm2);
+    return Status::OK();
+  }
+
+  /// `lowered` is the lowering's outcome: OK when it emitted its return,
+  /// else the walker error that ends the plan.
+  Result<Plan> Finish(Family family, const Schema& schema, Status lowered) {
+    if (!lowered.ok()) {
+      if (over_budget) return lowered;
+      UCTR_RETURN_NOT_OK(EmitFail(lowered));
+    }
     plan.family = family;
     plan.num_columns = static_cast<uint32_t>(schema.num_columns());
     plan.schema_fp = SchemaFingerprint(schema);
@@ -90,7 +118,7 @@ uint64_t SchemaFingerprint(const Schema& schema) {
 }
 
 uint64_t ProgramFingerprint(Family family, std::string_view text) {
-  // Streamed, allocation-free: this runs on every VM-path request.
+  // Streamed, allocation-free: this runs on every program execution.
   const char tag = static_cast<char>(family);
   return hash::Fnv1a64(
       text, hash::Fnv1a64({&tag, 1}, hash::kFnv64TruncatedBasis));
@@ -100,26 +128,96 @@ uint64_t ProgramFingerprint(Family family, std::string_view text) {
 // SQL lowering
 // --------------------------------------------------------------------------
 
-Result<Plan> LowerSql(const sql::SelectStatement& stmt, const Schema& schema) {
-  Builder b;
-  UCTR_ASSIGN_OR_RETURN(uint16_t rows, b.Alloc());
-  b.Emit(Op::kAllRows, rows, 0, 0, 0, 0);
+namespace {
 
+/// Lowers the projection. A plain item's columns resolve only once a row
+/// reaches it, item by item within the first row, so a bad one fails after
+/// the earlier items of row 0 ran and only when `rows` is non-empty.
+Status LowerSqlProjection(Builder* b, const sql::SelectStatement& stmt,
+                          const Schema& schema, uint16_t rows,
+                          bool any_aggregate) {
+  if (any_aggregate) {
+    for (const sql::SelectItem& item : stmt.items) {
+      if (item.agg == sql::AggFunc::kNone) {
+        return Status::InvalidArgument(
+            "mixing aggregates and plain columns is not supported");
+      }
+      if (item.star && item.agg != sql::AggFunc::kCount) {
+        // The parser never builds this; refuse rather than guess.
+        return Status::InvalidArgument("'*' only allowed in COUNT(*)");
+      }
+      uint32_t c = 0;
+      if (!item.star) {
+        UCTR_ASSIGN_OR_RETURN(c, ResolveColumn(schema, item.column));
+      }
+      uint32_t imm2 = static_cast<uint32_t>(item.agg) |
+                      (item.star ? 1u << 8 : 0) |
+                      (item.distinct ? 1u << 9 : 0);
+      UCTR_ASSIGN_OR_RETURN(uint16_t dst, b->Alloc());
+      b->Emit(Op::kSqlAgg, dst, rows, 0, c, imm2);
+      b->Emit(Op::kEmitValue, 0, dst, 0, 0, 0);
+    }
+    b->Emit(Op::kReturnSql, 0, rows, 0, 1, 0);
+    return Status::OK();
+  }
+
+  uint32_t aux_start = static_cast<uint32_t>(b->plan.aux.size());
+  uint32_t resolved = 0;
+  Status missing;
+  for (const sql::SelectItem& item : stmt.items) {
+    Result<uint32_t> c = ResolveColumn(schema, item.column);
+    Result<uint32_t> rhs = uint32_t{0};
+    if (c.ok() && item.arith != sql::ArithOp::kNone) {
+      rhs = ResolveColumn(schema, item.rhs_column);
+    }
+    if (!c.ok() || !rhs.ok()) {
+      missing = !c.ok() ? c.status() : rhs.status();
+      break;
+    }
+    b->plan.aux.push_back(*c);
+    b->plan.aux.push_back(static_cast<uint32_t>(item.arith));
+    b->plan.aux.push_back(*rhs);
+    ++resolved;
+  }
+  if (missing.ok()) {
+    b->Emit(Op::kSqlProject, 0, rows, 0, aux_start, resolved);
+  } else {
+    UCTR_ASSIGN_OR_RETURN(uint16_t first, b->Alloc());
+    b->Emit(Op::kLimit, first, rows, 0, 1, 0);
+    b->Emit(Op::kSqlProject, 0, first, 0, aux_start, resolved);
+    UCTR_RETURN_NOT_OK(b->EmitFail(missing, rows));
+  }
+  b->Emit(Op::kReturnSql, 0, rows, 0, 0, 0);
+  return Status::OK();
+}
+
+Status LowerSqlInto(Builder* b, const sql::SelectStatement& stmt,
+                    const Schema& schema) {
+  UCTR_ASSIGN_OR_RETURN(uint16_t rows, b->Alloc());
+  b->Emit(Op::kAllRows, rows, 0, 0, 0, 0);
+
+  // A conjunct's column resolves only once a row reaches it: a bad one
+  // fails only if rows survived the conjuncts before it, and past it the
+  // view is empty, so later conjuncts are never resolved.
   for (const sql::Condition& cond : stmt.where) {
-    UCTR_ASSIGN_OR_RETURN(uint32_t c, ResolveColumn(schema, cond.column));
-    UCTR_ASSIGN_OR_RETURN(uint16_t lit, b.AddPool(cond.literal));
-    UCTR_ASSIGN_OR_RETURN(uint16_t dst, b.Alloc());
-    b.Emit(Op::kSqlFilter, dst, rows, lit, c,
-           static_cast<uint32_t>(cond.op));
+    Result<uint32_t> c = ResolveColumn(schema, cond.column);
+    if (!c.ok()) {
+      UCTR_RETURN_NOT_OK(b->EmitFail(c.status(), rows));
+      break;
+    }
+    UCTR_ASSIGN_OR_RETURN(uint16_t lit, b->AddPool(cond.literal));
+    UCTR_ASSIGN_OR_RETURN(uint16_t dst, b->Alloc());
+    b->Emit(Op::kSqlFilter, dst, rows, lit, *c,
+            static_cast<uint32_t>(cond.op));
     rows = dst;
   }
 
   if (stmt.order_by) {
     UCTR_ASSIGN_OR_RETURN(uint32_t c,
                           ResolveColumn(schema, stmt.order_by->column));
-    UCTR_ASSIGN_OR_RETURN(uint16_t dst, b.Alloc());
-    b.Emit(Op::kOrderBy, dst, rows, 0, c,
-           stmt.order_by->descending ? 1 : 0);
+    UCTR_ASSIGN_OR_RETURN(uint16_t dst, b->Alloc());
+    b->Emit(Op::kOrderBy, dst, rows, 0, c,
+            stmt.order_by->descending ? 1 : 0);
     rows = dst;
   }
 
@@ -127,58 +225,24 @@ Result<Plan> LowerSql(const sql::SelectStatement& stmt, const Schema& schema) {
   // the walker's no-op behavior is preserved by emitting nothing.
   if (stmt.limit && *stmt.limit >= 0 &&
       *stmt.limit <= static_cast<int64_t>(UINT32_MAX)) {
-    UCTR_ASSIGN_OR_RETURN(uint16_t dst, b.Alloc());
-    b.Emit(Op::kLimit, dst, rows, 0, static_cast<uint32_t>(*stmt.limit), 0);
+    UCTR_ASSIGN_OR_RETURN(uint16_t dst, b->Alloc());
+    b->Emit(Op::kLimit, dst, rows, 0, static_cast<uint32_t>(*stmt.limit), 0);
     rows = dst;
   }
 
   bool any_aggregate = false;
-  bool any_plain = false;
   for (const sql::SelectItem& item : stmt.items) {
-    (item.agg != sql::AggFunc::kNone ? any_aggregate : any_plain) = true;
+    if (item.agg != sql::AggFunc::kNone) any_aggregate = true;
   }
-  if (any_aggregate && any_plain) {
-    // The walker rejects this at projection time; fall back so the exact
-    // InvalidArgument surfaces from the reference path.
-    return Status::InvalidArgument(
-        "bytecode: mixed aggregate/plain projection");
-  }
+  return LowerSqlProjection(b, stmt, schema, rows, any_aggregate);
+}
 
-  if (any_aggregate) {
-    for (const sql::SelectItem& item : stmt.items) {
-      uint32_t c = 0;
-      if (item.star) {
-        if (item.agg != sql::AggFunc::kCount) {
-          return Status::InvalidArgument("bytecode: '*' outside COUNT");
-        }
-      } else {
-        UCTR_ASSIGN_OR_RETURN(c, ResolveColumn(schema, item.column));
-      }
-      uint32_t imm2 = static_cast<uint32_t>(item.agg) |
-                      (item.star ? 1u << 8 : 0) |
-                      (item.distinct ? 1u << 9 : 0);
-      UCTR_ASSIGN_OR_RETURN(uint16_t dst, b.Alloc());
-      b.Emit(Op::kSqlAgg, dst, rows, 0, c, imm2);
-      b.Emit(Op::kEmitValue, 0, dst, 0, 0, 0);
-    }
-  } else {
-    uint32_t aux_start = static_cast<uint32_t>(b.plan.aux.size());
-    for (const sql::SelectItem& item : stmt.items) {
-      UCTR_ASSIGN_OR_RETURN(uint32_t c, ResolveColumn(schema, item.column));
-      uint32_t rhs = 0;
-      if (item.arith != sql::ArithOp::kNone) {
-        UCTR_ASSIGN_OR_RETURN(rhs, ResolveColumn(schema, item.rhs_column));
-      }
-      b.plan.aux.push_back(c);
-      b.plan.aux.push_back(static_cast<uint32_t>(item.arith));
-      b.plan.aux.push_back(rhs);
-    }
-    b.Emit(Op::kSqlProject, 0, rows, 0, aux_start,
-           static_cast<uint32_t>(stmt.items.size()));
-  }
+}  // namespace
 
-  b.Emit(Op::kReturnSql, 0, rows, 0, any_aggregate ? 1 : 0, 0);
-  return b.Finish(Family::kSql, schema);
+Result<Plan> LowerSql(const sql::SelectStatement& stmt, const Schema& schema) {
+  Builder b;
+  Status lowered = LowerSqlInto(&b, stmt, schema);
+  return b.Finish(Family::kSql, schema, std::move(lowered));
 }
 
 // --------------------------------------------------------------------------
@@ -191,7 +255,8 @@ using logic::internal::CmpKind;
 
 /// Recursive lowering of a logical-form tree. Emission order is the
 /// walker's evaluation order (sub-views before scalar refs before the
-/// operator), so runtime errors surface in the same sequence.
+/// operator), and every static check returns the walker's Status at the
+/// point the walker makes it, so errors surface in the same sequence.
 struct LogicLowerer {
   Builder* b;
   const Schema* schema;
@@ -203,15 +268,16 @@ struct LogicLowerer {
 
   Status ExpectArgs(const logic::Node& node, size_t n) {
     if (node.args.size() != n) {
-      return Status::InvalidArgument("bytecode: '" + node.name +
-                                     "' arity mismatch");
+      return Status::InvalidArgument(
+          "operator '" + node.name + "' expects " + std::to_string(n) +
+          " args, got " + std::to_string(node.args.size()));
     }
     return Status::OK();
   }
 
   Result<uint32_t> Column(const logic::Node& node) {
     if (!node.is_literal) {
-      return Status::InvalidArgument("bytecode: non-literal column argument");
+      return Status::InvalidArgument("column argument must be a literal");
     }
     return ResolveColumn(*schema, node.name);
   }
@@ -219,7 +285,8 @@ struct LogicLowerer {
   Result<uint16_t> GenView(const logic::Node& node) {
     UCTR_ASSIGN_OR_RETURN(Out out, Gen(node));
     if (!out.is_view) {
-      return Status::InvalidArgument("bytecode: expected view operand");
+      return Status::TypeError("operator '" + node.name +
+                               "' does not produce a row view");
     }
     return out.reg;
   }
@@ -227,7 +294,8 @@ struct LogicLowerer {
   Result<uint16_t> GenScalar(const logic::Node& node) {
     UCTR_ASSIGN_OR_RETURN(Out out, Gen(node));
     if (out.is_view) {
-      return Status::InvalidArgument("bytecode: expected scalar operand");
+      return Status::TypeError("expected scalar, got view from '" +
+                               node.name + "'");
     }
     return out.reg;
   }
@@ -381,7 +449,8 @@ struct LogicLowerer {
       return Scalar(dst);
     }
 
-    return Status::InvalidArgument("bytecode: unknown operator '" + op + "'");
+    return Status::InvalidArgument("unknown logical-form operator '" + op +
+                                   "'");
   }
 };
 
@@ -390,9 +459,11 @@ struct LogicLowerer {
 Result<Plan> LowerLogic(const logic::Node& node, const Schema& schema) {
   Builder b;
   LogicLowerer lowerer{&b, &schema};
-  UCTR_ASSIGN_OR_RETURN(LogicLowerer::Out out, lowerer.Gen(node));
-  b.Emit(Op::kReturnLogic, 0, out.reg, 0, out.is_view ? 1 : 0, 0);
-  return b.Finish(Family::kLogic, schema);
+  Result<LogicLowerer::Out> out = lowerer.Gen(node);
+  if (out.ok()) {
+    b.Emit(Op::kReturnLogic, 0, out->reg, 0, out->is_view ? 1 : 0, 0);
+  }
+  return b.Finish(Family::kLogic, schema, out.status());
 }
 
 // --------------------------------------------------------------------------
@@ -406,9 +477,8 @@ Result<uint16_t> LowerArithOperand(Builder* b, const arith::Operand& op,
   switch (op.kind) {
     case arith::Operand::Kind::kStepRef:
       if (op.step_ref >= step_regs.size()) {
-        // The walker raises OutOfRange at runtime; fall back so the exact
-        // error surfaces from the reference path.
-        return Status::InvalidArgument("bytecode: forward step reference");
+        return Status::OutOfRange("forward step reference #" +
+                                  std::to_string(op.step_ref));
       }
       return step_regs[op.step_ref];
     case arith::Operand::Kind::kConst: {
@@ -433,9 +503,8 @@ Result<uint16_t> LowerArithOperand(Builder* b, const arith::Operand& op,
     case arith::Operand::Kind::kText: {
       Value v = Value::FromText(op.text);
       if (!v.is_number()) {
-        // The walker raises ExecutionError when this operand is resolved;
-        // fall back so the exact error surfaces from the reference path.
-        return Status::InvalidArgument("bytecode: non-numeric text operand");
+        return Status::ExecutionError("cannot resolve operand '" + op.text +
+                                      "' to a number");
       }
       UCTR_ASSIGN_OR_RETURN(uint16_t idx, b->AddPool(std::move(v)));
       UCTR_ASSIGN_OR_RETURN(uint16_t dst, b->Alloc());
@@ -446,73 +515,71 @@ Result<uint16_t> LowerArithOperand(Builder* b, const arith::Operand& op,
   return Status::Internal("unreachable");
 }
 
+/// One step, in the walker's order: arity, then operands (or the series),
+/// then the operation name, whose check comes last.
+Result<uint16_t> LowerArithStep(Builder* b, const arith::Step& step,
+                                const std::vector<uint16_t>& step_regs) {
+  if (StartsWith(step.op, "table_")) {
+    if (step.args.size() != 1) {
+      return Status::InvalidArgument(step.op + " expects 1 argument");
+    }
+    const arith::Operand& arg = step.args[0];
+    std::string name = arg.kind == arith::Operand::Kind::kCellRef
+                           ? arg.column + " of " + arg.row
+                           : arg.text;
+    uint32_t kind = step.op == "table_max"       ? 0
+                    : step.op == "table_min"     ? 1
+                    : step.op == "table_sum"     ? 2
+                    : step.op == "table_average" ? 3
+                                                 : 4;
+    UCTR_ASSIGN_OR_RETURN(uint16_t idx,
+                          b->AddPool(Value::String(std::move(name))));
+    UCTR_ASSIGN_OR_RETURN(uint16_t dst, b->Alloc());
+    b->Emit(Op::kTableAgg, dst, 0, 0, idx, kind == 4 ? 0 : kind);
+    if (kind == 4) {
+      return Status::InvalidArgument("unknown table op '" + step.op + "'");
+    }
+    return dst;
+  }
+
+  if (step.args.size() != 2) {
+    return Status::InvalidArgument(step.op + " expects 2 arguments");
+  }
+  UCTR_ASSIGN_OR_RETURN(uint16_t ra,
+                        LowerArithOperand(b, step.args[0], step_regs));
+  UCTR_ASSIGN_OR_RETURN(uint16_t rb,
+                        LowerArithOperand(b, step.args[1], step_regs));
+  static constexpr const char* kBinOps[] = {"add",    "subtract", "multiply",
+                                            "divide", "greater",  "exp"};
+  for (uint32_t code = 0; code < std::size(kBinOps); ++code) {
+    if (step.op != kBinOps[code]) continue;
+    UCTR_ASSIGN_OR_RETURN(uint16_t dst, b->Alloc());
+    b->Emit(Op::kArithBin, dst, ra, rb, 0, code);
+    return dst;
+  }
+  return Status::InvalidArgument("unknown operation '" + step.op + "'");
+}
+
 }  // namespace
 
 Result<Plan> LowerArith(const arith::Expression& expr, const Schema& schema) {
   if (expr.steps.empty()) {
-    return Status::InvalidArgument("bytecode: empty arithmetic program");
+    // The parser never builds this (the walker has no answer to return).
+    return Status::ParseError("empty arithmetic expression");
   }
   Builder b;
   std::vector<uint16_t> step_regs;
+  Status lowered;
   for (const arith::Step& step : expr.steps) {
-    if (StartsWith(step.op, "table_")) {
-      uint32_t kind;
-      if (step.op == "table_max") {
-        kind = 0;
-      } else if (step.op == "table_min") {
-        kind = 1;
-      } else if (step.op == "table_sum") {
-        kind = 2;
-      } else if (step.op == "table_average") {
-        kind = 3;
-      } else {
-        return Status::InvalidArgument("bytecode: unknown table op");
-      }
-      if (step.args.size() != 1) {
-        return Status::InvalidArgument("bytecode: table op arity mismatch");
-      }
-      const arith::Operand& arg = step.args[0];
-      std::string name = arg.kind == arith::Operand::Kind::kCellRef
-                             ? arg.column + " of " + arg.row
-                             : arg.text;
-      UCTR_ASSIGN_OR_RETURN(uint16_t idx,
-                            b.AddPool(Value::String(std::move(name))));
-      UCTR_ASSIGN_OR_RETURN(uint16_t dst, b.Alloc());
-      b.Emit(Op::kTableAgg, dst, 0, 0, idx, kind);
-      step_regs.push_back(dst);
-      continue;
+    Result<uint16_t> reg = LowerArithStep(&b, step, step_regs);
+    if (!reg.ok()) {
+      lowered = reg.status();
+      break;
     }
-
-    uint32_t code;
-    if (step.op == "add") {
-      code = 0;
-    } else if (step.op == "subtract") {
-      code = 1;
-    } else if (step.op == "multiply") {
-      code = 2;
-    } else if (step.op == "divide") {
-      code = 3;
-    } else if (step.op == "greater") {
-      code = 4;
-    } else if (step.op == "exp") {
-      code = 5;
-    } else {
-      return Status::InvalidArgument("bytecode: unknown operation '" +
-                                     step.op + "'");
-    }
-    if (step.args.size() != 2) {
-      return Status::InvalidArgument("bytecode: binary op arity mismatch");
-    }
-    UCTR_ASSIGN_OR_RETURN(uint16_t ra,
-                          LowerArithOperand(&b, step.args[0], step_regs));
-    UCTR_ASSIGN_OR_RETURN(uint16_t rb,
-                          LowerArithOperand(&b, step.args[1], step_regs));
-    UCTR_ASSIGN_OR_RETURN(uint16_t dst, b.Alloc());
-    b.Emit(Op::kArithBin, dst, ra, rb, 0, code);
-    step_regs.push_back(dst);
+    step_regs.push_back(*reg);
   }
-  b.Emit(Op::kReturnArith, 0, step_regs.back(), 0, 0, 0);
-  return b.Finish(Family::kArith, schema);
+  if (lowered.ok()) b.Emit(Op::kReturnArith, 0, step_regs.back(), 0, 0, 0);
+  return b.Finish(Family::kArith, schema, std::move(lowered));
 }
 
 Result<Plan> Compile(Family family, std::string_view text,

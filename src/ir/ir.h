@@ -24,17 +24,17 @@ struct Expression;
 /// Unified program IR: the three program families (SQUALL SQL, LOGIC2TEXT
 /// logical forms, FinQA arithmetic) lower into one typed register bytecode
 /// executed by a single VM over TableIndex accessors (UniRPG's unification
-/// insight applied to the executor layer).
+/// insight applied to the executor layer). This is the only runtime
+/// execution path: Program::Execute runs every program through it.
 ///
-/// Contract with the tree-walk executors (sql/logic/arith): a program that
-/// compiles executes byte-identically to its walker — same values, same
-/// evidence rows, same error Status, proven differentially by
-/// tests/ir_test.cc. Anything the lowering cannot reproduce exactly
-/// (unknown columns, wrong arity, static type mismatches, unsupported
-/// operand shapes) is rejected at compile time and the caller falls back
-/// to the walker, so observable behavior never diverges. The VM ops call
-/// the walkers' own row-level primitives (sql/logic/arith exec_internal.h),
-/// making identity hold by construction on the accepted subset.
+/// Contract with the scan-based tree-walk executors (sql/logic/arith),
+/// which stay as the reference: every parsed program lowers, and its plan
+/// executes byte-identically to the walker — same values, same evidence
+/// rows, same error Status — proven differentially by tests/ir_test.cc
+/// and tests/index_test.cc. A walker error the lowering can see without
+/// reading cells (unknown column, wrong arity, static type mismatch)
+/// lowers to kFail at the point of the walker's evaluation order where it
+/// would be raised, so errors from earlier operands still win.
 namespace uctr::ir {
 
 /// \brief The program family a plan was compiled from. Kept separate from
@@ -91,6 +91,10 @@ enum class Op : uint16_t {
   kTableAgg,    ///< dst(val) <- series aggregate of pool[imm].text();
                 ///<   imm2: 0 max, 1 min, 2 sum, 3 average; evidence
   kReturnArith, ///< finish: answer reg a; evidence = sorted reads
+  // -- shared --
+  kFail,        ///< return Status(imm2 & 0xFF, pool[imm].text()); with
+                ///<   imm2 bit 8 set, only when view a is non-empty
+                ///<   (otherwise it ends the plan like a return)
 };
 
 /// \brief One fixed-width instruction (16 bytes). `imm` usually carries a
@@ -137,10 +141,10 @@ uint64_t SchemaFingerprint(const Schema& schema);
 /// \brief 64-bit FNV-1a (truncated basis) over (family tag, program text).
 uint64_t ProgramFingerprint(Family family, std::string_view text);
 
-/// \brief Parses `text` as `family` and lowers it against `schema`.
-/// Rejection (non-OK) means "run the tree-walk instead", not "the program
-/// is wrong": the walker is the behavioral reference for everything the
-/// bytecode cannot reproduce exactly.
+/// \brief Parses `text` as `family` and lowers it against `schema`. Fails
+/// only on a parse error (the walker's own) or when the program exceeds the
+/// uint16 register or constant budget; every other walker error lowers to
+/// kFail.
 Result<Plan> Compile(Family family, std::string_view text,
                      const Schema& schema);
 
@@ -151,22 +155,16 @@ Result<Plan> LowerArith(const arith::Expression& expr, const Schema& schema);
 
 /// \brief Static checks making a plan safe to execute: register bounds and
 /// type consistency (abstract interpretation over rows/value slot types),
-/// pool/aux/column bounds, packed-flag ranges, and a single family-matching
-/// return as the final instruction. Compile output always verifies;
+/// pool/aux/column bounds, packed-flag ranges and status codes, and a
+/// single family-matching return or unconditional kFail as the final
+/// instruction. Compile output always verifies;
 /// hand-built plans must pass it before they reach ExecutePlan.
 Status VerifyPlan(const Plan& plan);
 
-struct VmOptions {
-  /// Mirrors the walkers' use_index: read through Table::index(), or take
-  /// the bit-identical scan path when false.
-  bool use_index = true;
-};
-
-/// \brief Executes a verified plan. The table's schema fingerprint must
-/// match the plan's (InvalidArgument otherwise — the plan cache keys on it,
-/// so a schema change can never execute a stale plan).
-Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table,
-                               const VmOptions& opts = VmOptions());
+/// \brief Executes a verified plan over `table.index()`. The table's schema
+/// fingerprint must match the plan's (InvalidArgument otherwise — the plan
+/// cache keys on it, so a schema change can never execute a stale plan).
+Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table);
 
 }  // namespace uctr::ir
 

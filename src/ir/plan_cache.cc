@@ -1,5 +1,8 @@
 #include "ir/plan_cache.h"
 
+#include <optional>
+#include <utility>
+
 #include "common/hash.h"
 
 namespace uctr::ir {
@@ -22,13 +25,13 @@ size_t PlanCache::KeyHash::operator()(const Key& k) const {
       hash::Mix64(k.program_fp ^ (k.schema_fp * hash::kGoldenGamma)));
 }
 
-std::optional<std::shared_ptr<const Plan>> PlanCache::Get(uint64_t program_fp,
-                                                          uint64_t schema_fp) {
+std::shared_ptr<const Plan> PlanCache::Get(uint64_t program_fp,
+                                           uint64_t schema_fp) {
   std::optional<std::shared_ptr<const Plan>> hit =
       lru_.Get(Key{program_fp, schema_fp});
   obs::Counter* counter = hit ? hits_ : misses_;
   if (counter != nullptr) counter->Increment();
-  return hit;
+  return hit ? std::move(*hit) : nullptr;
 }
 
 void PlanCache::Put(uint64_t program_fp, uint64_t schema_fp,

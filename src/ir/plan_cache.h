@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "common/sharded_lru.h"
 #include "ir/ir.h"
@@ -14,11 +13,9 @@ namespace uctr::ir {
 /// \brief Sharded LRU cache of compiled plans, keyed by
 /// (program fingerprint, schema fingerprint), over a count-bounded
 /// ShardedLru. A hit hands back an immutable shared plan: execution
-/// touches neither parser nor AST.
-///
-/// Negative entries: a null plan records "this program is not
-/// bytecode-compilable against this schema", so hot unsupported templates
-/// skip re-lowering on every request and go straight to the tree-walk.
+/// touches neither parser nor AST. Every parseable program compiles (a
+/// program whose walker would fail holds a kFail plan), so there are no
+/// negative entries; a parse error is never cached.
 ///
 /// Keying on the *schema* fingerprint (column names + types, not cell
 /// contents) means one plan serves every table with that shape, and any
@@ -35,18 +32,16 @@ class PlanCache {
   explicit PlanCache(size_t capacity, size_t num_shards = 8,
                      obs::MetricsRegistry* metrics = nullptr);
 
-  /// \brief nullopt = miss (caller should compile and Put). A present
-  /// value may still hold nullptr: known-unsupported, run the walker.
-  std::optional<std::shared_ptr<const Plan>> Get(uint64_t program_fp,
-                                                 uint64_t schema_fp);
+  /// \brief The cached plan, or nullptr on a miss (caller should compile
+  /// and Put).
+  std::shared_ptr<const Plan> Get(uint64_t program_fp, uint64_t schema_fp);
 
-  /// \brief Inserts or refreshes an entry (nullptr = negative entry),
-  /// evicting the shard's LRU entry when the shard is at capacity.
+  /// \brief Inserts or refreshes an entry, evicting the shard's LRU entry
+  /// when the shard is at capacity.
   void Put(uint64_t program_fp, uint64_t schema_fp,
            std::shared_ptr<const Plan> plan);
 
-  /// \brief Counts one compilation attempt (hit or reject) toward
-  /// `plan_compiles_total`.
+  /// \brief Counts one compilation attempt toward `plan_compiles_total`.
   void NoteCompile();
 
   /// \brief Total entries across all shards (approximate under concurrency).

@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
@@ -32,6 +31,7 @@ Status Bad(const std::string& msg) {
 }
 
 bool OpInFamily(Family family, Op op) {
+  if (op == Op::kFail) return true;
   switch (family) {
     case Family::kSql:
       switch (op) {
@@ -84,9 +84,12 @@ bool OpInFamily(Family family, Op op) {
   return false;
 }
 
-bool IsReturnOp(Op op) {
+/// Returns and unconditional kFails end a plan; nothing may follow them.
+bool IsTerminator(const Insn& insn) {
+  Op op = static_cast<Op>(insn.op);
   return op == Op::kReturnSql || op == Op::kReturnLogic ||
-         op == Op::kReturnArith;
+         op == Op::kReturnArith ||
+         (op == Op::kFail && ((insn.imm2 >> 8) & 1) == 0);
 }
 
 }  // namespace
@@ -124,9 +127,9 @@ Status VerifyPlan(const Plan& plan) {
     Op op = static_cast<Op>(insn.op);
     if (!OpInFamily(plan.family, op)) return Bad("op outside family");
     bool last = i + 1 == plan.code.size();
-    if (IsReturnOp(op) != last) {
-      return Bad(last ? "final instruction is not a return"
-                      : "return before end of code");
+    if (IsTerminator(insn) != last) {
+      return Bad(last ? "final instruction does not end the plan"
+                      : "plan ends before its final instruction");
     }
 
     switch (op) {
@@ -283,6 +286,20 @@ Status VerifyPlan(const Plan& plan) {
         UCTR_RETURN_NOT_OK(read(insn.a, RegState::kValue));
         break;
 
+      case Op::kFail: {
+        UCTR_RETURN_NOT_OK(pool_ok(insn.imm));
+        uint32_t code = insn.imm2 & 0xFF;
+        if (code == static_cast<uint32_t>(StatusCode::kOk) ||
+            code > static_cast<uint32_t>(StatusCode::kDeadlineExceeded)) {
+          return Bad("bad fail status code");
+        }
+        if (insn.imm2 >> 9) return Bad("bad fail flags");
+        if ((insn.imm2 >> 8) & 1) {
+          UCTR_RETURN_NOT_OK(read(insn.a, RegState::kRows));
+        }
+        break;
+      }
+
       default:
         return Bad("unknown opcode");
     }
@@ -309,7 +326,7 @@ struct Reg {
   const Value* vref = nullptr;
   /// Pre-analyzed predicate key for a pool constant (kLoadConst sets it
   /// from Plan::pool_keys); null for computed values — filters then build
-  /// the key on the fly, exactly like the walker.
+  /// the key on the fly.
   const TableIndex::LiteralKey* key = nullptr;
 
   const std::vector<size_t>& view() const { return ref ? *ref : rows; }
@@ -346,17 +363,13 @@ struct VmInstruments {
 
 }  // namespace
 
-Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table,
-                               const VmOptions& opts) {
-  const TableIndex* index = opts.use_index ? &table.index() : nullptr;
+Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table) {
+  const TableIndex& index = table.index();
   // Both checks matter: the fingerprint is the cache identity, but a
   // hand-built plan could carry a copied fingerprint with an inflated
   // num_columns, and VerifyPlan bounds columns against the plan's own
-  // claim — so re-anchor it to the actual table here. The indexed path
-  // reads the cached fingerprint (computed once per table).
-  uint64_t table_fp = index != nullptr ? index->schema_fingerprint()
-                                       : SchemaFingerprint(table.schema());
-  if (plan.schema_fp != table_fp ||
+  // claim — so re-anchor it to the actual table here.
+  if (plan.schema_fp != index.schema_fingerprint() ||
       plan.num_columns != static_cast<uint32_t>(table.num_columns())) {
     return Status::InvalidArgument("plan compiled for a different schema");
   }
@@ -382,40 +395,30 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table,
         // Pool values outlive the execution; borrow, don't copy.
         regs[insn.dst].BorrowVal(plan.pool[insn.imm], plan.KeyFor(insn.imm));
         break;
-      case Op::kAllRows: {
-        if (index != nullptr) {
-          // The identity view lives on the index; borrow it instead of
-          // materializing O(rows) ids on every execution.
-          regs[insn.dst].Borrow(index->all_rows());
-        } else {
-          std::vector<size_t> rows(table.num_rows());
-          std::iota(rows.begin(), rows.end(), size_t{0});
-          regs[insn.dst].Set(std::move(rows));
-        }
+      case Op::kAllRows:
+        // The identity view lives on the index; borrow it instead of
+        // materializing O(rows) ids on every execution.
+        regs[insn.dst].Borrow(index.all_rows());
         break;
-      }
+      case Op::kFail:
+        if (((insn.imm2 >> 8) & 1) != 0 && regs[insn.a].view().empty()) {
+          break;
+        }
+        return Status(static_cast<StatusCode>(insn.imm2 & 0xFF),
+                      plan.pool[insn.imm].text());
 
       // -- sql ------------------------------------------------------------
       case Op::kSqlFilter: {
         const std::vector<size_t>& in = regs[insn.a].view();
         sql::CmpOp cmp = static_cast<sql::CmpOp>(insn.imm2);
-        const Value& lit = plan.pool[insn.b];
         std::vector<size_t> out;
-        if (index == nullptr) {
-          rows_scanned += in.size();
-          for (size_t r : in) {
-            if (sql::internal::EvalCondition(cmp, lit,
-                                             table.cell(r, insn.imm))) {
-              out.push_back(r);
-            }
-          }
-        } else if (!in.empty()) {
-          const TableIndex::Column& col = index->column(insn.imm);
+        if (!in.empty()) {
+          const TableIndex::Column& col = index.column(insn.imm);
           if (const TableIndex::LiteralKey* key = plan.KeyFor(insn.b)) {
             out = sql::internal::FilterOneIndexed(col, cmp, *key, in,
                                                   &rows_scanned);
           } else {
-            TableIndex::LiteralKey local(lit);
+            TableIndex::LiteralKey local(plan.pool[insn.b]);
             out = sql::internal::FilterOneIndexed(col, cmp, local, in,
                                                   &rows_scanned);
           }
@@ -426,22 +429,11 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table,
       case Op::kOrderBy: {
         std::vector<size_t> rows = regs[insn.a].view();
         bool desc = insn.imm2 != 0;
-        size_t c = insn.imm;
-        if (index != nullptr) {
-          const TableIndex::Column& col = index->column(c);
-          std::stable_sort(rows.begin(), rows.end(),
-                           [&](size_t a, size_t b) {
-                             int cmp = TableIndex::CompareRows(col, a, b);
-                             return desc ? cmp > 0 : cmp < 0;
-                           });
-        } else {
-          std::stable_sort(rows.begin(), rows.end(),
-                           [&](size_t a, size_t b) {
-                             int cmp =
-                                 table.cell(a, c).Compare(table.cell(b, c));
-                             return desc ? cmp > 0 : cmp < 0;
-                           });
-        }
+        const TableIndex::Column& col = index.column(insn.imm);
+        std::stable_sort(rows.begin(), rows.end(), [&](size_t a, size_t b) {
+          int cmp = TableIndex::CompareRows(col, a, b);
+          return desc ? cmp > 0 : cmp < 0;
+        });
         regs[insn.dst].Set(std::move(rows));
         break;
       }
@@ -456,12 +448,8 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table,
         bool star = (insn.imm2 >> 8) & 1;
         bool distinct = (insn.imm2 >> 9) & 1;
         const std::vector<size_t>& rows = regs[insn.a].view();
-        Result<Value> v =
-            index != nullptr
-                ? sql::internal::EvalAggregateIndexed(
-                      agg, star, distinct, insn.imm, table, *index, rows)
-                : sql::internal::EvalAggregate(agg, star, distinct, insn.imm,
-                                               table, rows);
+        Result<Value> v = sql::internal::EvalAggregateIndexed(
+            agg, star, distinct, insn.imm, table, index, rows);
         UCTR_RETURN_NOT_OK(v.status());
         regs[insn.dst].SetVal(std::move(v).ValueOrDie());
         break;
@@ -504,7 +492,7 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table,
         break;
       case Op::kFilterAll:
         regs[insn.dst].Set(logic::internal::NonNullRows(
-            table, index, regs[insn.a].view(), insn.imm));
+            index, regs[insn.a].view(), insn.imm));
         break;
       case Op::kMajority: {
         const std::vector<size_t>& view = regs[insn.a].view();

@@ -1,0 +1,154 @@
+#include "logic/exec_internal.h"
+
+#include <algorithm>
+#include <optional>
+#include <string>
+
+namespace uctr::logic::internal {
+
+namespace {
+
+bool CellMatchesIndexed(const TableIndex::Column& col, size_t r, CmpKind cmp,
+                        const TableIndex::LiteralKey& ref) {
+  if (col.is_null[r]) return false;
+  switch (cmp) {
+    case CmpKind::kEq:
+      return TableIndex::CellEquals(col, r, ref);
+    case CmpKind::kNotEq:
+      return !TableIndex::CellEquals(col, r, ref);
+    case CmpKind::kGreater:
+      return TableIndex::CellCompare(col, r, ref) > 0;
+    case CmpKind::kLess:
+      return TableIndex::CellCompare(col, r, ref) < 0;
+    case CmpKind::kGreaterEq:
+      return TableIndex::CellCompare(col, r, ref) >= 0;
+    case CmpKind::kLessEq:
+      return TableIndex::CellCompare(col, r, ref) <= 0;
+  }
+  return false;
+}
+
+}  // namespace
+
+Result<CmpKind> CmpFromSuffix(std::string_view op, std::string_view prefix) {
+  std::string suffix(op.substr(prefix.size()));
+  if (suffix == "eq") return CmpKind::kEq;
+  if (suffix == "not_eq") return CmpKind::kNotEq;
+  if (suffix == "greater") return CmpKind::kGreater;
+  if (suffix == "less") return CmpKind::kLess;
+  if (suffix == "greater_eq") return CmpKind::kGreaterEq;
+  if (suffix == "less_eq") return CmpKind::kLessEq;
+  return Status::InvalidArgument("unknown comparison '" + std::string(op) +
+                                 "'");
+}
+
+std::vector<size_t> MatchingRows(const Table& table, const TableIndex& index,
+                                 const std::vector<size_t>& view,
+                                 size_t col_idx, CmpKind cmp, const Value& ref,
+                                 const TableIndex::LiteralKey* pre_key,
+                                 size_t* rows_scanned) {
+  std::vector<size_t> out;
+  const TableIndex::Column& col = index.column(col_idx);
+  std::optional<TableIndex::LiteralKey> local;
+  if (pre_key == nullptr) local.emplace(ref);
+  const TableIndex::LiteralKey& key = pre_key != nullptr ? *pre_key : *local;
+  if (cmp == CmpKind::kEq && !key.null && !key.numeric) {
+    auto hit = col.by_text.find(key.norm);
+    if (hit == col.by_text.end()) return out;
+    // Views are ascending subsequences of [0, num_rows) (all_rows and
+    // every filter preserve that), so a full-size view IS the identity
+    // permutation and the ascending posting list is already the answer —
+    // O(matches) instead of two O(rows) passes.
+    if (view.size() == table.num_rows()) {
+      out = hit->second;
+      return out;
+    }
+    std::vector<uint8_t> member(table.num_rows(), 0);
+    for (size_t r : hit->second) member[r] = 1;
+    for (size_t r : view) {
+      if (member[r]) out.push_back(r);
+    }
+    return out;
+  }
+  *rows_scanned += view.size();
+  for (size_t r : view) {
+    if (CellMatchesIndexed(col, r, cmp, key)) out.push_back(r);
+  }
+  return out;
+}
+
+std::vector<size_t> NonNullRows(const TableIndex& index,
+                                const std::vector<size_t>& view,
+                                size_t col_idx) {
+  std::vector<size_t> out;
+  const TableIndex::Column& cache = index.column(col_idx);
+  for (size_t r : view) {
+    if (!cache.is_null[r]) out.push_back(r);
+  }
+  return out;
+}
+
+Result<std::vector<size_t>> OrderedRows(const Table& table,
+                                        const TableIndex& index,
+                                        const std::vector<size_t>& view,
+                                        size_t col_idx, bool descending) {
+  const TableIndex::Column& col = index.column(col_idx);
+  std::vector<size_t> rows;
+  if (view.size() == table.num_rows()) {
+    // Views are duplicate-free subsets in ascending row order, so a
+    // full-size view is exactly 0..n-1: the cached permutation applies.
+    rows.reserve(col.non_null_count);
+    for (size_t r : col.sorted) {
+      if (!col.is_null[r]) rows.push_back(r);
+    }
+  } else {
+    for (size_t r : view) {
+      if (!col.is_null[r]) rows.push_back(r);
+    }
+    std::stable_sort(rows.begin(), rows.end(), [&col](size_t a, size_t b) {
+      return TableIndex::CompareRows(col, a, b) < 0;
+    });
+  }
+  if (rows.empty()) return Status::EmptyResult("superlative on empty view");
+  if (descending) {
+    std::vector<size_t> desc;
+    desc.reserve(rows.size());
+    size_t end = rows.size();
+    while (end > 0) {
+      size_t begin = end - 1;
+      while (begin > 0 &&
+             TableIndex::CompareRows(col, rows[begin - 1], rows[begin]) == 0) {
+        --begin;
+      }
+      for (size_t k = begin; k < end; ++k) desc.push_back(rows[k]);
+      end = begin;
+    }
+    rows = std::move(desc);
+  }
+  return rows;
+}
+
+Result<Value> ViewAggregate(const Table& table, const TableIndex& index,
+                            const std::vector<size_t>& view, size_t col_idx,
+                            bool average, size_t* rows_scanned) {
+  *rows_scanned += view.size();
+  double sum = 0;
+  size_t n = 0;
+  const TableIndex::Column& cache = index.column(col_idx);
+  for (size_t r : view) {
+    if (cache.is_null[r]) continue;
+    if (cache.numeric[r]) {
+      sum += cache.number[r];
+    } else {
+      // Non-numeric cell: surface the exact Value::ToNumber TypeError.
+      UCTR_ASSIGN_OR_RETURN(double x, table.cell(r, col_idx).ToNumber());
+      sum += x;
+    }
+    ++n;
+  }
+  if (n == 0) return Status::EmptyResult("aggregate over no values");
+  if (!average) return Value::Number(sum);
+  return Value::Number(sum / static_cast<double>(n));
+}
+
+}  // namespace uctr::logic::internal

@@ -9,64 +9,53 @@
 #include "table/index.h"
 #include "table/table.h"
 
-/// Shared logical-form execution primitives. Both the tree-walk evaluator
-/// (logic/executor.cc) and the bytecode VM (ir/vm.cc) call these, so the
-/// two paths run literally the same row-level code — the byte-identity
-/// contract between them holds by construction. Every function takes an
-/// optional TableIndex: nullptr selects the reference scan, non-null the
-/// bit-identical accelerated path.
+/// Logical-form execution primitives of the bytecode VM (ir/vm.cc),
+/// reading through the table's TableIndex. The tree-walk evaluator
+/// (logic/executor.cc) is an independent row scan; tests/ir_test.cc and
+/// tests/index_test.cc prove the two byte-identical.
 namespace uctr::logic::internal {
 
 /// -1 / 0 / +1 comparison classes shared by filter_*, most_*, all_*.
 enum class CmpKind { kEq, kNotEq, kGreater, kLess, kGreaterEq, kLessEq };
 
+/// The comparison named by `op` after `prefix` ("filter_greater" ->
+/// kGreater); InvalidArgument for an unknown suffix. Shared with the
+/// walker so both raise the same Status.
 Result<CmpKind> CmpFromSuffix(std::string_view op, std::string_view prefix);
 
-bool CellMatches(const Value& cell, CmpKind cmp, const Value& ref);
-
-/// CellMatches over cached column data (no per-call parsing).
-bool CellMatchesIndexed(const TableIndex::Column& col, size_t r, CmpKind cmp,
-                        const TableIndex::LiteralKey& ref);
-
-/// Rows of `view` matching `cmp ref` on column `col_idx`, in view order.
-/// The equality + string-literal case probes the hash index and returns
-/// the posting list directly for a full-table view (views are ascending
+/// Rows of `view` whose non-null cell in `col_idx` matches `cmp ref`, in
+/// view order, with `ref` pre-analyzed as `key` (may be nullptr — computed
+/// here; the VM passes keys precomputed at plan-compile time). The
+/// equality + string-literal case probes the hash index and returns the
+/// posting list directly for a full-table view (views are ascending
 /// subsequences of [0, num_rows), so a full-size view is the identity
 /// permutation); narrowed views keep view order through a membership
 /// mask. Rows evaluated one-by-one are added to `*rows_scanned` (hash
 /// probes are not).
-std::vector<size_t> MatchingRows(const Table& table, const TableIndex* index,
-                                 const std::vector<size_t>& view,
-                                 size_t col_idx, CmpKind cmp, const Value& ref,
-                                 size_t* rows_scanned);
-
-/// Same, with `ref` pre-analyzed as `key` (may be nullptr — computed here).
-/// The bytecode VM passes keys precomputed at plan-compile time, removing
-/// the per-execution ToNumber/normalize work from the hot path.
-std::vector<size_t> MatchingRows(const Table& table, const TableIndex* index,
+std::vector<size_t> MatchingRows(const Table& table, const TableIndex& index,
                                  const std::vector<size_t>& view,
                                  size_t col_idx, CmpKind cmp, const Value& ref,
                                  const TableIndex::LiteralKey* key,
                                  size_t* rows_scanned);
 
 /// Rows of `view` whose cell in `col_idx` is non-null (filter_all).
-std::vector<size_t> NonNullRows(const Table& table, const TableIndex* index,
+std::vector<size_t> NonNullRows(const TableIndex& index,
                                 const std::vector<size_t>& view,
                                 size_t col_idx);
 
 /// Rows of `view` ordered by column value, nulls dropped; ties keep
 /// original order. EmptyResult("superlative on empty view") when nothing
-/// survives. A full indexed view reuses the cached sorted permutation;
-/// descending order reverses tie groups, which preserves original row
-/// order within ties exactly like a stable descending sort.
+/// survives. A full view reuses the cached sorted permutation; descending
+/// order reverses tie groups, which preserves original row order within
+/// ties exactly like a stable descending sort.
 Result<std::vector<size_t>> OrderedRows(const Table& table,
-                                        const TableIndex* index,
+                                        const TableIndex& index,
                                         const std::vector<size_t>& view,
                                         size_t col_idx, bool descending);
 
-/// sum/avg over the view's column. The caller marks evidence (the walker
-/// does so before the value loop). Adds `view.size()` to `*rows_scanned`.
-Result<Value> ViewAggregate(const Table& table, const TableIndex* index,
+/// sum/avg over the view's column. The caller marks evidence first, as
+/// the walker does. Adds `view.size()` to `*rows_scanned`.
+Result<Value> ViewAggregate(const Table& table, const TableIndex& index,
                             const std::vector<size_t>& view, size_t col_idx,
                             bool average, size_t* rows_scanned);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -11,24 +10,12 @@
 #include "common/string_util.h"
 #include "logic/exec_internal.h"
 #include "logic/parser.h"
-#include "obs/metrics.h"
-#include "table/index.h"
 
 namespace uctr::logic {
 
-namespace internal {
+namespace {
 
-Result<CmpKind> CmpFromSuffix(std::string_view op, std::string_view prefix) {
-  std::string suffix(op.substr(prefix.size()));
-  if (suffix == "eq") return CmpKind::kEq;
-  if (suffix == "not_eq") return CmpKind::kNotEq;
-  if (suffix == "greater") return CmpKind::kGreater;
-  if (suffix == "less") return CmpKind::kLess;
-  if (suffix == "greater_eq") return CmpKind::kGreaterEq;
-  if (suffix == "less_eq") return CmpKind::kLessEq;
-  return Status::InvalidArgument("unknown comparison '" + std::string(op) +
-                                 "'");
-}
+using internal::CmpKind;
 
 bool CellMatches(const Value& cell, CmpKind cmp, const Value& ref) {
   if (cell.is_null()) return false;
@@ -49,151 +36,23 @@ bool CellMatches(const Value& cell, CmpKind cmp, const Value& ref) {
   return false;
 }
 
-bool CellMatchesIndexed(const TableIndex::Column& col, size_t r, CmpKind cmp,
-                        const TableIndex::LiteralKey& ref) {
-  if (col.is_null[r]) return false;
-  switch (cmp) {
-    case CmpKind::kEq:
-      return TableIndex::CellEquals(col, r, ref);
-    case CmpKind::kNotEq:
-      return !TableIndex::CellEquals(col, r, ref);
-    case CmpKind::kGreater:
-      return TableIndex::CellCompare(col, r, ref) > 0;
-    case CmpKind::kLess:
-      return TableIndex::CellCompare(col, r, ref) < 0;
-    case CmpKind::kGreaterEq:
-      return TableIndex::CellCompare(col, r, ref) >= 0;
-    case CmpKind::kLessEq:
-      return TableIndex::CellCompare(col, r, ref) <= 0;
-  }
-  return false;
-}
-
-std::vector<size_t> MatchingRows(const Table& table, const TableIndex* index,
+/// Rows of `view` matching `cmp ref` on column `col_idx`, in view order.
+std::vector<size_t> MatchingRows(const Table& table,
                                  const std::vector<size_t>& view,
-                                 size_t col_idx, CmpKind cmp, const Value& ref,
-                                 size_t* rows_scanned) {
-  return MatchingRows(table, index, view, col_idx, cmp, ref, nullptr,
-                      rows_scanned);
-}
-
-std::vector<size_t> MatchingRows(const Table& table, const TableIndex* index,
-                                 const std::vector<size_t>& view,
-                                 size_t col_idx, CmpKind cmp, const Value& ref,
-                                 const TableIndex::LiteralKey* pre_key,
-                                 size_t* rows_scanned) {
+                                 size_t col_idx, CmpKind cmp,
+                                 const Value& ref) {
   std::vector<size_t> out;
-  if (index == nullptr) {
-    *rows_scanned += view.size();
-    for (size_t r : view) {
-      if (CellMatches(table.cell(r, col_idx), cmp, ref)) out.push_back(r);
-    }
-    return out;
-  }
-  const TableIndex::Column& col = index->column(col_idx);
-  std::optional<TableIndex::LiteralKey> local;
-  if (pre_key == nullptr) local.emplace(ref);
-  const TableIndex::LiteralKey& key = pre_key != nullptr ? *pre_key : *local;
-  if (cmp == CmpKind::kEq && !key.null && !key.numeric) {
-    auto hit = col.by_text.find(key.norm);
-    if (hit == col.by_text.end()) return out;
-    // Views are ascending subsequences of [0, num_rows) (all_rows and
-    // every filter preserve that), so a full-size view IS the identity
-    // permutation and the ascending posting list is already the answer —
-    // O(matches) instead of two O(rows) passes.
-    if (view.size() == table.num_rows()) {
-      out = hit->second;
-      return out;
-    }
-    std::vector<uint8_t> member(table.num_rows(), 0);
-    for (size_t r : hit->second) member[r] = 1;
-    for (size_t r : view) {
-      if (member[r]) out.push_back(r);
-    }
-    return out;
-  }
-  *rows_scanned += view.size();
   for (size_t r : view) {
-    if (CellMatchesIndexed(col, r, cmp, key)) out.push_back(r);
+    if (CellMatches(table.cell(r, col_idx), cmp, ref)) out.push_back(r);
   }
   return out;
 }
 
-std::vector<size_t> NonNullRows(const Table& table, const TableIndex* index,
-                                const std::vector<size_t>& view,
-                                size_t col_idx) {
-  std::vector<size_t> out;
-  if (index != nullptr) {
-    const TableIndex::Column& cache = index->column(col_idx);
-    for (size_t r : view) {
-      if (!cache.is_null[r]) out.push_back(r);
-    }
-  } else {
-    for (size_t r : view) {
-      if (!table.cell(r, col_idx).is_null()) out.push_back(r);
-    }
-  }
-  return out;
-}
-
-namespace {
-
-/// OrderedRows through the index. A full view (the common `all_rows`
-/// superlative) reuses the cached sorted permutation outright; subset
-/// views stable-sort with cached comparison keys. Descending order is
-/// derived from the ascending permutation by reversing tie groups, which
-/// preserves original row order within ties exactly like a stable
-/// descending sort.
-Result<std::vector<size_t>> OrderedRowsIndexed(const Table& table,
-                                               const TableIndex& index,
-                                               const std::vector<size_t>& view,
-                                               size_t col_idx,
-                                               bool descending) {
-  const TableIndex::Column& col = index.column(col_idx);
-  std::vector<size_t> rows;
-  if (view.size() == table.num_rows()) {
-    // Views are duplicate-free subsets in ascending row order, so a
-    // full-size view is exactly 0..n-1: the cached permutation applies.
-    rows.reserve(col.non_null_count);
-    for (size_t r : col.sorted) {
-      if (!col.is_null[r]) rows.push_back(r);
-    }
-  } else {
-    for (size_t r : view) {
-      if (!col.is_null[r]) rows.push_back(r);
-    }
-    std::stable_sort(rows.begin(), rows.end(), [&col](size_t a, size_t b) {
-      return TableIndex::CompareRows(col, a, b) < 0;
-    });
-  }
-  if (rows.empty()) return Status::EmptyResult("superlative on empty view");
-  if (descending) {
-    std::vector<size_t> desc;
-    desc.reserve(rows.size());
-    size_t end = rows.size();
-    while (end > 0) {
-      size_t begin = end - 1;
-      while (begin > 0 &&
-             TableIndex::CompareRows(col, rows[begin - 1], rows[begin]) == 0) {
-        --begin;
-      }
-      for (size_t k = begin; k < end; ++k) desc.push_back(rows[k]);
-      end = begin;
-    }
-    rows = std::move(desc);
-  }
-  return rows;
-}
-
-}  // namespace
-
+/// Rows of `view` ordered by column value, nulls dropped; ties keep
+/// original order.
 Result<std::vector<size_t>> OrderedRows(const Table& table,
-                                        const TableIndex* index,
                                         const std::vector<size_t>& view,
                                         size_t col_idx, bool descending) {
-  if (index != nullptr) {
-    return OrderedRowsIndexed(table, *index, view, col_idx, descending);
-  }
   std::vector<size_t> rows;
   for (size_t r : view) {
     if (!table.cell(r, col_idx).is_null()) rows.push_back(r);
@@ -206,61 +65,23 @@ Result<std::vector<size_t>> OrderedRows(const Table& table,
   return rows;
 }
 
-Result<Value> ViewAggregate(const Table& table, const TableIndex* index,
+/// sum/avg over the view's non-null cells of column `col_idx`.
+Result<Value> ViewAggregate(const Table& table,
                             const std::vector<size_t>& view, size_t col_idx,
-                            bool average, size_t* rows_scanned) {
-  *rows_scanned += view.size();
+                            bool average) {
   double sum = 0;
   size_t n = 0;
-  if (index != nullptr) {
-    const TableIndex::Column& cache = index->column(col_idx);
-    for (size_t r : view) {
-      if (cache.is_null[r]) continue;
-      if (cache.numeric[r]) {
-        sum += cache.number[r];
-      } else {
-        // Non-numeric cell: surface the exact scan-path TypeError.
-        UCTR_ASSIGN_OR_RETURN(double x, table.cell(r, col_idx).ToNumber());
-        sum += x;
-      }
-      ++n;
-    }
-  } else {
-    for (size_t r : view) {
-      const Value& v = table.cell(r, col_idx);
-      if (v.is_null()) continue;
-      UCTR_ASSIGN_OR_RETURN(double x, v.ToNumber());
-      sum += x;
-      ++n;
-    }
+  for (size_t r : view) {
+    const Value& v = table.cell(r, col_idx);
+    if (v.is_null()) continue;
+    UCTR_ASSIGN_OR_RETURN(double x, v.ToNumber());
+    sum += x;
+    ++n;
   }
   if (n == 0) return Status::EmptyResult("aggregate over no values");
   if (!average) return Value::Number(sum);
   return Value::Number(sum / static_cast<double>(n));
 }
-
-}  // namespace internal
-
-namespace {
-
-using internal::CmpKind;
-
-/// Executor instruments, resolved once (thread-safe function-local
-/// statics); per-program cost is relaxed atomic adds on exit.
-struct LogicInstruments {
-  obs::Counter* exec_indexed;
-  obs::Counter* exec_scan;
-  obs::Counter* rows_scanned;
-  static const LogicInstruments& Get() {
-    static const LogicInstruments inst = [] {
-      obs::MetricsRegistry& r = obs::DefaultRegistry();
-      return LogicInstruments{r.counter("logic_exec_total{path=\"indexed\"}"),
-                              r.counter("logic_exec_total{path=\"scan\"}"),
-                              r.counter("logic_rows_scanned_total")};
-    }();
-    return inst;
-  }
-};
 
 /// Intermediate value flowing through logical-form evaluation: either a
 /// view (ordered set of row indices) or a scalar Value.
@@ -285,13 +106,9 @@ struct LogicValue {
 };
 
 /// Evaluator holding the table and the accumulated evidence rows.
-/// When `index` is non-null, row selection, superlatives, and aggregates
-/// read through the cached per-column accelerators; results are
-/// bit-identical to the scan (see table/index.h).
 class Evaluator {
  public:
-  explicit Evaluator(const Table& table, const TableIndex* index = nullptr)
-      : table_(table), index_(index) {}
+  explicit Evaluator(const Table& table) : table_(table) {}
 
   Result<LogicValue> Eval(const Node& node) {
     if (node.is_literal) {
@@ -306,10 +123,6 @@ class Evaluator {
   }
 
   const std::set<size_t>& evidence() const { return evidence_; }
-
-  /// Rows whose cells were evaluated one-by-one (hash-index probes skip
-  /// the per-row work and are not counted). Read once after Eval.
-  size_t rows_scanned() const { return rows_scanned_; }
 
  private:
   // --- helpers -----------------------------------------------------------
@@ -359,8 +172,7 @@ class Evaluator {
     UCTR_ASSIGN_OR_RETURN(std::vector<size_t> view, EvalView(*node.args[0]));
     UCTR_ASSIGN_OR_RETURN(size_t col, Column(*node.args[1]));
     UCTR_ASSIGN_OR_RETURN(Value ref, EvalScalar(*node.args[2]));
-    return LogicValue::View(internal::MatchingRows(
-        table_, index_, view, col, cmp, ref, &rows_scanned_));
+    return LogicValue::View(MatchingRows(table_, view, col, cmp, ref));
   }
 
   Result<LogicValue> ApplyMajority(const Node& node, CmpKind cmp,
@@ -371,9 +183,7 @@ class Evaluator {
     UCTR_ASSIGN_OR_RETURN(Value ref, EvalScalar(*node.args[2]));
     if (view.empty()) return Status::EmptyResult("majority over empty view");
     MarkEvidence(view);
-    size_t hits = internal::MatchingRows(table_, index_, view, col, cmp, ref,
-                                         &rows_scanned_)
-                      .size();
+    size_t hits = MatchingRows(table_, view, col, cmp, ref).size();
     bool verdict = require_all ? (hits == view.size())
                                : (hits * 2 > view.size());
     return LogicValue::Scalar(Value::Bool(verdict));
@@ -399,7 +209,7 @@ class Evaluator {
     }
     UCTR_ASSIGN_OR_RETURN(
         std::vector<size_t> rows,
-        internal::OrderedRows(table_, index_, view, col, /*descending=*/max));
+        OrderedRows(table_, view, col, /*descending=*/max));
     if (n > rows.size()) {
       return Status::OutOfRange("ordinal " + std::to_string(n) +
                                 " beyond view of " +
@@ -423,9 +233,8 @@ class Evaluator {
     UCTR_ASSIGN_OR_RETURN(size_t col, Column(*node.args[1]));
     MarkEvidence(view);
     UCTR_ASSIGN_OR_RETURN(
-        Value v, internal::ViewAggregate(table_, index_, view, col,
-                                         /*average=*/node.name != "sum",
-                                         &rows_scanned_));
+        Value v, ViewAggregate(table_, view, col,
+                               /*average=*/node.name != "sum"));
     return LogicValue::Scalar(std::move(v));
   }
 
@@ -439,8 +248,11 @@ class Evaluator {
         UCTR_ASSIGN_OR_RETURN(std::vector<size_t> view,
                               EvalView(*node.args[0]));
         UCTR_ASSIGN_OR_RETURN(size_t col, Column(*node.args[1]));
-        return LogicValue::View(
-            internal::NonNullRows(table_, index_, view, col));
+        std::vector<size_t> kept;
+        for (size_t r : view) {
+          if (!table_.cell(r, col).is_null()) kept.push_back(r);
+        }
+        return LogicValue::View(std::move(kept));
       }
       UCTR_ASSIGN_OR_RETURN(CmpKind cmp,
                             internal::CmpFromSuffix(op, "filter_"));
@@ -540,22 +352,14 @@ class Evaluator {
   }
 
   const Table& table_;
-  const TableIndex* index_;
   std::set<size_t> evidence_;
-  size_t rows_scanned_ = 0;
 };
 
 }  // namespace
 
-Result<ExecResult> Execute(const Node& node, const Table& table,
-                           const ExecOptions& opts) {
-  const LogicInstruments& inst = LogicInstruments::Get();
-  (opts.use_index ? inst.exec_indexed : inst.exec_scan)->Increment();
-  Evaluator eval(table, opts.use_index ? &table.index() : nullptr);
-  Result<LogicValue> evaluated = eval.Eval(node);
-  inst.rows_scanned->Increment(eval.rows_scanned());
-  UCTR_RETURN_NOT_OK(evaluated.status());
-  LogicValue out = std::move(evaluated).ValueOrDie();
+Result<ExecResult> Execute(const Node& node, const Table& table) {
+  Evaluator eval(table);
+  UCTR_ASSIGN_OR_RETURN(LogicValue out, eval.Eval(node));
   ExecResult result;
   if (out.is_view()) {
     // A bare view is not a complete verification program, but expose the
@@ -576,10 +380,9 @@ Result<ExecResult> Execute(const Node& node, const Table& table,
 }
 
 Result<ExecResult> ExecuteLogicalForm(std::string_view text,
-                                      const Table& table,
-                                      const ExecOptions& opts) {
+                                      const Table& table) {
   UCTR_ASSIGN_OR_RETURN(std::unique_ptr<Node> node, Parse(text));
-  return Execute(*node, table, opts);
+  return Execute(*node, table);
 }
 
 bool IsKnownOperator(std::string_view op) {

@@ -24,21 +24,14 @@ namespace uctr::logic {
 /// evidence_rows lists every row consumed while reducing views to scalars
 /// (the paper's highlighted cells).
 ///
-/// Like sql::Execute, execution defaults to reading through the table's
-/// lazily built TableIndex (pre-parsed numbers, equality hash index,
-/// cached sorted row order for superlatives); `opts.use_index = false`
-/// selects the reference row scan. Both are bit-identical.
-struct ExecOptions {
-  bool use_index = true;
-};
-
-Result<ExecResult> Execute(const Node& node, const Table& table,
-                           const ExecOptions& opts = ExecOptions());
+/// This is the reference row scan: Program::Execute runs the compiled plan
+/// over the table index instead (src/ir), and tests/ir_test.cc and
+/// tests/index_test.cc prove the two byte-identical.
+Result<ExecResult> Execute(const Node& node, const Table& table);
 
 /// \brief Parses then executes.
 Result<ExecResult> ExecuteLogicalForm(std::string_view text,
-                                      const Table& table,
-                                      const ExecOptions& opts = ExecOptions());
+                                      const Table& table);
 
 /// \brief True if `op` is a known logical-form operator name.
 bool IsKnownOperator(std::string_view op);

@@ -206,8 +206,7 @@ Router::RouteInfo Router::AnalyzeRequest(const std::string& line) const {
     return info;
   }
   const json::Value::Object& obj = parsed->as_object();
-  double id = json::GetNumberOr(obj, "id", 0);
-  if (id > 0) info.id = static_cast<uint64_t>(id);
+  info.id = json::GetId(obj);
   info.op = json::GetStringOr(obj, "op", "");
   std::string ref = json::GetStringOr(obj, "table_ref", "");
   auto csv = json::GetString(obj, "table");

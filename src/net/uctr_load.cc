@@ -251,8 +251,7 @@ std::vector<std::string> RegisterTables(net::Client* client,
         return Status::Internal("unparseable response: " + *line);
       }
       const json::Value::Object& obj = parsed->as_object();
-      uint64_t got_id =
-          static_cast<uint64_t>(json::GetNumberOr(obj, "id", 0));
+      uint64_t got_id = json::GetId(obj);
       std::string status = json::GetStringOr(obj, "status", "");
       if (status == "rejected" || status == "timeout") {
         // Backpressure / queue shedding: transient by contract.
@@ -292,7 +291,7 @@ void ScoreResponse(const std::string& line, uint64_t expected_id,
     return;
   }
   const json::Value::Object& obj = parsed->as_object();
-  uint64_t id = static_cast<uint64_t>(json::GetNumberOr(obj, "id", 0));
+  uint64_t id = json::GetId(obj);
   if (id != expected_id) {
     tally->reordered.fetch_add(1, std::memory_order_relaxed);
   }

@@ -22,25 +22,18 @@ enum class ProgramType {
 
 const char* ProgramTypeToString(ProgramType type);
 
-/// \brief How a Program executes. The default is the compiled path: lower
-/// to register bytecode (through the plan cache) and run the VM; programs
-/// the lowering rejects fall back to the family tree-walk executor. The
-/// two paths are byte-identical on the accepted subset (tests/ir_test.cc),
-/// so `use_vm` only changes cost, never answers — which also keeps the
-/// generation pipeline's RNG sequence unchanged.
+/// \brief Where a Program's compiled plans are cached.
 struct ExecOptions {
-  /// false = always tree-walk (the differential reference).
-  bool use_vm = true;
-  /// Forwarded to both paths' TableIndex usage.
-  bool use_index = true;
   /// Compiled-plan cache; nullptr selects ir::PlanCache::Default().
   ir::PlanCache* plan_cache = nullptr;
 };
 
 /// \brief A concrete executable program: a type tag plus its canonical text.
 ///
-/// The unified Program-Executor (Equation 4) dispatches on the type to the
-/// per-family executors in uctr::sql / uctr::logic / uctr::arith.
+/// The unified Program-Executor (Equation 4): every family lowers to the
+/// register bytecode of src/ir and runs on its VM over the table index.
+/// The per-family tree-walkers in uctr::sql / uctr::logic / uctr::arith are
+/// the scan-based reference the VM is tested against.
 struct Program {
   ProgramType type = ProgramType::kSql;
   std::string text;
@@ -50,7 +43,9 @@ struct Program {
   /// pipeline can discard the sample (Algorithm 1, line 14).
   Result<ExecResult> Execute(const Table& table) const;
 
-  /// \brief Execute with explicit path selection (VM vs tree-walk).
+  /// \brief Execute with an explicit plan cache: fingerprint the text, look
+  /// the plan up by (program, schema), compile on a miss, run the VM. A
+  /// parse error is returned as is; every other error comes from the plan.
   Result<ExecResult> Execute(const Table& table, const ExecOptions& opts) const;
 
   /// \brief Syntax check without execution.

@@ -6,8 +6,8 @@
 
 #include "common/numeric.h"
 #include "common/string_util.h"
+#include "ir/ir.h"
 #include "logic/ast.h"
-#include "logic/executor.h"
 #include "logic/parser.h"
 #include "table/index.h"
 
@@ -200,7 +200,9 @@ Result<SampledProgram> ProgramSampler::SampleClaim(const ProgramTemplate& tmpl,
   }
   // Execute the sibling sub-expression to learn the true value.
   const logic::Node& sibling = *parent->args[1 - arg_index];
-  UCTR_ASSIGN_OR_RETURN(ExecResult inner, logic::Execute(sibling, table));
+  UCTR_ASSIGN_OR_RETURN(ir::Plan plan,
+                        ir::LowerLogic(sibling, table.schema()));
+  UCTR_ASSIGN_OR_RETURN(ExecResult inner, ir::ExecutePlan(plan, table));
   Value truth = inner.scalar();
   if (truth.is_null()) {
     return Status::EmptyResult("derived value is null");

@@ -37,7 +37,8 @@ class ProgramSampler {
 
   /// \brief Instantiation of a fact-verification template carrying a
   /// {derive} slot. Implements the paper's strategy of executing the inner
-  /// sub-template first and deriving the final argument from its result:
+  /// sub-template first (lowered and run on the VM, like every program)
+  /// and deriving the final argument from its result:
   /// with `target_true` the derived value is inserted verbatim (a supported
   /// claim); otherwise it is corrupted (numeric perturbation, or a
   /// distractor value from `derive_column_id`) to yield a refuted claim.

@@ -13,6 +13,10 @@ namespace uctr::serve {
 
 namespace {
 
+/// Compiled-plan cache sizing (entries, shards) of every server.
+constexpr size_t kPlanCacheCapacity = 1024;
+constexpr size_t kPlanCacheShards = 8;
+
 std::string ResponseLine(uint64_t id, const std::string& status,
                          const std::string& field_name,
                          const std::string& field_value,
@@ -80,9 +84,7 @@ Server::Server(const InferenceEngine* engine, ServerConfig config)
                                       config.store_shards},
                 metrics_),
       scheduler_(config.scheduler, metrics_),
-      plan_cache_(config.plan_cache_capacity > 0 ? config.plan_cache_capacity
-                                                 : 1,
-                  config.plan_cache_shards, metrics_),
+      plan_cache_(kPlanCacheCapacity, kPlanCacheShards, metrics_),
       requests_total_(metrics_->counter("requests_total")),
       responses_ok_(metrics_->counter("responses_ok_total")),
       responses_rejected_(metrics_->counter("responses_rejected_total")),
@@ -129,7 +131,7 @@ void Server::SubmitLine(const std::string& line,
     return;
   }
   const json::Value::Object& obj = parsed->as_object();
-  uint64_t id = static_cast<uint64_t>(json::GetNumberOr(obj, "id", 0));
+  uint64_t id = json::GetId(obj);
   std::string op = json::GetStringOr(obj, "op", "");
 
   if (op == "ping") {
@@ -470,11 +472,9 @@ void Server::SubmitLine(const std::string& line,
       index_warm_us_->Observe(MicrosSince(warm_started));
     }
     // Every interpreted program compiles to bytecode through the shared
-    // plan cache (zero parse, zero AST walk on a hit) unless the cache is
-    // configured off.
+    // plan cache (zero parse, zero AST walk on a hit).
     ExecOptions exec;
     exec.plan_cache = &plan_cache_;
-    if (config_.plan_cache_capacity == 0) exec.use_vm = false;
     std::string body;
     {
       obs::Span exec_span = tracer_->StartSpan("serve.execute");

@@ -50,12 +50,6 @@ struct ServerConfig {
   /// resident before LRU eviction.
   size_t store_capacity_bytes = 64ull << 20;
   size_t store_shards = 8;
-  /// Entry budget of the compiled-plan cache (ir::PlanCache). Keyed by
-  /// (program fingerprint, schema fingerprint): a table_ref request whose
-  /// interpreted programs hit this cache executes without touching parser
-  /// or AST. 0 disables the VM path entirely (always tree-walk).
-  size_t plan_cache_capacity = 1024;
-  size_t plan_cache_shards = 8;
   /// Durability: when non-empty, the table registry persists to this
   /// directory (store::DurableStore — WAL + snapshot). Startup replays
   /// the directory before serving; `put_table` is acknowledged only after
@@ -201,7 +195,9 @@ class Server : public LineBackend {
   std::unique_ptr<store::DurableStore> durable_;
   Status recovery_status_;
   Scheduler scheduler_;
-  /// Compiled-plan cache shared by every request this server executes.
+  /// Compiled-plan cache shared by every request this server executes:
+  /// keyed by (program fingerprint, schema fingerprint), so a request whose
+  /// interpreted programs hit it executes without touching parser or AST.
   ir::PlanCache plan_cache_;
   std::atomic<bool> draining_{false};
 

@@ -9,48 +9,30 @@
 #include "table/index.h"
 #include "table/table.h"
 
-/// Shared SQL execution primitives. Both the tree-walk executor
-/// (sql/executor.cc) and the bytecode VM (ir/vm.cc) call these, so the two
-/// paths run literally the same row-level code — the byte-identity contract
-/// between them holds by construction, not by parallel maintenance.
+/// SQL execution primitives of the bytecode VM (ir/vm.cc), reading through
+/// the table's TableIndex. The tree-walk executor (sql/executor.cc) is an
+/// independent row scan; tests/ir_test.cc and tests/index_test.cc prove the
+/// two byte-identical.
 namespace uctr::sql::internal {
 
-/// `cell op literal`; a null cell never matches (SQL three-valued logic
-/// collapsed to false).
-bool EvalCondition(CmpOp op, const Value& literal, const Value& cell);
-
-/// EvalCondition over cached column data; cell nullness handled here, the
-/// rest mirrors Value::Equals/Compare exactly (see TableIndex contract).
-bool EvalConditionIndexed(const TableIndex::Column& col, size_t r, CmpOp op,
-                          const TableIndex::LiteralKey& lit);
-
 /// One WHERE conjunct through the index: returns `rows` (which must be in
-/// ascending order, as produced by iota + prior narrowing) narrowed to the
-/// matching subset. Equality against a non-null non-numeric literal
-/// intersects with the hash index posting list (no per-row work, nothing
-/// added to rows_scanned) — and when `rows` covers the whole table it is
-/// necessarily the identity permutation, so the posting list is returned
-/// outright in O(matches); every other shape tests rows one by one.
+/// ascending order, as produced by the identity view + prior narrowing)
+/// narrowed to the matching subset. A null cell never matches; the rest
+/// mirrors Value::Equals/Compare exactly (see TableIndex contract).
+/// Equality against a non-null non-numeric literal intersects with the hash
+/// index posting list (no per-row work, nothing added to rows_scanned) —
+/// and when `rows` covers the whole table it is necessarily the identity
+/// permutation, so the posting list is returned outright in O(matches);
+/// every other shape tests rows one by one.
 std::vector<size_t> FilterOneIndexed(const TableIndex::Column& col, CmpOp op,
                                      const TableIndex::LiteralKey& lit,
                                      const std::vector<size_t>& rows,
                                      size_t* rows_scanned);
 
-/// In-place variant for the walker's narrow-as-you-go WHERE loop.
-void FilterOneIndexed(const TableIndex::Column& col, CmpOp op,
-                      const TableIndex::LiteralKey& lit,
-                      std::vector<size_t>* rows, size_t* rows_scanned);
-
-/// Aggregate over `rows` of column `col` (ignored when `star`). The column
-/// index must already be resolved; callers keep the walker's resolution
-/// order by resolving immediately before the call.
-Result<Value> EvalAggregate(AggFunc agg, bool star, bool distinct, size_t col,
-                            const Table& table,
-                            const std::vector<size_t>& rows);
-
-/// EvalAggregate over the numeric column cache (SUM/AVG read pre-parsed
-/// doubles, MIN/MAX compare cached keys, COUNT DISTINCT hashes cached
-/// display strings without materializing copies).
+/// Aggregate over `rows` of column `col` (ignored when `star`), through the
+/// numeric column cache: SUM/AVG read pre-parsed doubles, MIN/MAX compare
+/// cached keys, COUNT DISTINCT hashes cached display strings. NULLs are
+/// skipped; SUM/AVG/MIN/MAX over no value are EmptyResult.
 Result<Value> EvalAggregateIndexed(AggFunc agg, bool star, bool distinct,
                                    size_t col, const Table& table,
                                    const TableIndex& index,

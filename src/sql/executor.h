@@ -10,31 +10,21 @@
 
 namespace uctr::sql {
 
-/// \brief Execution knobs.
-struct ExecOptions {
-  /// When true (the default) execution reads through Table::index() — the
-  /// lazily built per-column numeric cache, equality hash index, and
-  /// cached comparison keys. When false it runs the reference row scan.
-  /// Both paths are bit-identical (values, evidence rows, tie-breaking,
-  /// EmptyResult/error behavior); tests/index_test.cc proves it
-  /// differentially. The scan exists as the executable specification and
-  /// for benchmarking the speedup.
-  bool use_index = true;
-};
-
-/// \brief Executes a parsed statement against a table (the paper's
-/// Program-Executor instantiated for SQL; replaces sqlite3).
+/// \brief Executes a parsed statement against a table by row scan (the
+/// paper's Program-Executor instantiated for SQL; replaces sqlite3).
 ///
 /// Semantics on the supported subset match SQLite: WHERE conjuncts filter
 /// rows (NULL never matches), ORDER BY sorts stably, LIMIT truncates,
 /// aggregates skip NULLs, COUNT(*) counts rows. Returns kEmptyResult when no
 /// value survives — the pipeline discards such programs per Section IV-C.
-Result<ExecResult> Execute(const SelectStatement& stmt, const Table& table,
-                           const ExecOptions& opts = ExecOptions());
+///
+/// This is the reference semantics: Program::Execute runs the compiled
+/// plan over the table index instead (src/ir), and tests/ir_test.cc and
+/// tests/index_test.cc prove the two byte-identical.
+Result<ExecResult> Execute(const SelectStatement& stmt, const Table& table);
 
 /// \brief Parses and executes in one step.
-Result<ExecResult> ExecuteQuery(std::string_view query, const Table& table,
-                                const ExecOptions& opts = ExecOptions());
+Result<ExecResult> ExecuteQuery(std::string_view query, const Table& table);
 
 }  // namespace uctr::sql
 

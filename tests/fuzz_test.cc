@@ -17,6 +17,7 @@
 #include "logic/executor.h"
 #include "logic/parser.h"
 #include "net/frame.h"
+#include "program/program.h"
 #include "program/template.h"
 #include "sql/executor.h"
 #include "sql/parser.h"
@@ -44,6 +45,22 @@ std::string RandomGarbage(Rng* rng, size_t max_len) {
   return out;
 }
 
+std::string Describe(const Result<ExecResult>& r) {
+  if (!r.ok()) return r.status().ToString();
+  std::string out = r->ToDisplayString() + " @";
+  for (size_t row : r->evidence_rows) out += " " + std::to_string(row);
+  return out;
+}
+
+/// Whatever parsed must execute or fail cleanly, and identically on the
+/// runtime path (the compiled plan on the VM) and the scan walker.
+void ExpectVmMatchesWalker(ProgramType type, const std::string& text,
+                           const Table& table,
+                           const Result<ExecResult>& walked) {
+  EXPECT_EQ(Describe(Program{type, text}.Execute(table)), Describe(walked))
+      << text;
+}
+
 class FuzzTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   Rng rng_{GetParam() * 7919 + 17};
@@ -55,8 +72,8 @@ TEST_P(FuzzTest, SqlParserNeverCrashes) {
     std::string input = RandomGarbage(&rng_, 120);
     auto parsed = sql::Parse(input);
     if (parsed.ok()) {
-      // Whatever parsed must also execute or fail cleanly.
-      (void)sql::Execute(parsed.ValueOrDie(), t);
+      ExpectVmMatchesWalker(ProgramType::kSql, input, t,
+                            sql::Execute(parsed.ValueOrDie(), t));
     }
   }
 }
@@ -67,7 +84,8 @@ TEST_P(FuzzTest, LogicParserNeverCrashes) {
     std::string input = RandomGarbage(&rng_, 120);
     auto parsed = logic::Parse(input);
     if (parsed.ok()) {
-      (void)logic::Execute(*parsed.ValueOrDie(), t);
+      ExpectVmMatchesWalker(ProgramType::kLogicalForm, input, t,
+                            logic::Execute(*parsed.ValueOrDie(), t));
     }
   }
 }
@@ -78,7 +96,8 @@ TEST_P(FuzzTest, ArithParserNeverCrashes) {
     std::string input = RandomGarbage(&rng_, 120);
     auto parsed = arith::Parse(input);
     if (parsed.ok()) {
-      (void)arith::Execute(parsed.ValueOrDie(), t);
+      ExpectVmMatchesWalker(ProgramType::kArithmetic, input, t,
+                            arith::Execute(parsed.ValueOrDie(), t));
     }
   }
 }

@@ -1,12 +1,13 @@
 // Differential tests for the lazily built per-table index (table/index.h).
 //
 // The TableIndex contract is bit-identical execution: for every program the
-// indexed path (ExecOptions::use_index = true, the default) must produce
-// exactly the same outcome as the reference scan path — same status code
-// and message on errors, same values (type and display text), the same
+// runtime path (Program::Execute — the compiled plan on the VM, which reads
+// through the index) must produce exactly the same outcome as the
+// reference row scan of the tree-walk executors — same status code and
+// message on errors, same values (type and display text), the same
 // evidence rows, and the same tie-breaking row order. These tests execute
-// fixture query suites and randomized tables through both paths and compare
-// the outcomes field by field, including after mutations invalidate the
+// fixture query suites and randomized tables through both and compare the
+// outcomes field by field, including after mutations invalidate the
 // cached index and under concurrent first-touch builds.
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 
 #include "common/rng.h"
 #include "logic/executor.h"
+#include "program/program.h"
 #include "sql/executor.h"
 #include "table/index.h"
 #include "table/table.h"
@@ -70,24 +72,27 @@ std::string DescribeOutcome(const Result<ExecResult>& r) {
   return out + "]}";
 }
 
-// Executes `query` through the indexed and the scan path and requires the
-// outcomes to match field for field. Each call uses a fresh copy of the
-// table for the scan so the indexed run can never warm state the scan
-// reads (copies deliberately do not share the cached index).
+Result<ExecResult> Execute(ProgramType type, const std::string& text,
+                       const Table& table) {
+  return Program{type, text}.Execute(table);
+}
+
+// Executes `query` on the runtime path and on the scan walker and requires
+// the outcomes to match field for field. The scan runs on a fresh copy of
+// the table so the runtime path can never warm state the scan reads
+// (copies deliberately do not share the cached index).
 void ExpectSqlIdentical(const Table& table, const std::string& query) {
   Table scan_copy = table;
-  auto indexed = sql::ExecuteQuery(query, table, {.use_index = true});
-  auto scanned = sql::ExecuteQuery(query, scan_copy, {.use_index = false});
+  auto indexed = Execute(ProgramType::kSql, query, table);
+  auto scanned = sql::ExecuteQuery(query, scan_copy);
   EXPECT_EQ(DescribeOutcome(indexed), DescribeOutcome(scanned))
       << "sql query diverged: " << query;
 }
 
 void ExpectLogicIdentical(const Table& table, const std::string& form) {
   Table scan_copy = table;
-  auto indexed =
-      logic::ExecuteLogicalForm(form, table, {.use_index = true});
-  auto scanned =
-      logic::ExecuteLogicalForm(form, scan_copy, {.use_index = false});
+  auto indexed = Execute(ProgramType::kLogicalForm, form, table);
+  auto scanned = logic::ExecuteLogicalForm(form, scan_copy);
   EXPECT_EQ(DescribeOutcome(indexed), DescribeOutcome(scanned))
       << "logical form diverged: " << form;
 }
@@ -230,7 +235,7 @@ TEST(IndexDifferentialTest, EmptyAndDegenerateTables) {
 // Randomized tables: mixed-type columns (numeric text like "7", currency,
 // plain words, nulls) with heavy duplication so equality and tie-breaking
 // paths all fire. Every query from a fixed suite must agree between the
-// two execution modes on every sampled table.
+// runtime path and the scan on every sampled table.
 TEST(IndexDifferentialTest, RandomizedTablesMatchScan) {
   Rng rng(20240817);
   const std::vector<std::string> words = {"alpha", "beta",  "gamma",
@@ -288,15 +293,14 @@ TEST(IndexDifferentialTest, RandomizedTablesMatchScan) {
 TEST(IndexInvalidationTest, MutationInvalidatesAndStaysIdentical) {
   Table t = MedalTable();
 
-  auto before = sql::ExecuteQuery(
-      "SELECT total FROM w WHERE nation = 'Germany'", t);
+  const std::string germany = "SELECT total FROM w WHERE nation = 'Germany'";
+  auto before = Execute(ProgramType::kSql, germany, t);
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before->ToDisplayString(), "27");
 
   // Rename Germany; the stale hash index would still find it.
   *t.mutable_cell(1, 0) = Value::String("Wakanda");
-  auto renamed = sql::ExecuteQuery(
-      "SELECT total FROM w WHERE nation = 'Germany'", t);
+  auto renamed = Execute(ProgramType::kSql, germany, t);
   // A stale hash index would still answer 27; the executor's no-match
   // policy is an EmptyResult status.
   ASSERT_FALSE(renamed.ok());
@@ -305,8 +309,8 @@ TEST(IndexInvalidationTest, MutationInvalidatesAndStaysIdentical) {
 
   // Bump a number past the max; the stale sorted order would miss it.
   *t.mutable_cell(4, 4) = Value::Number(99);
-  auto max_after = logic::ExecuteLogicalForm(
-      "hop { argmax { all_rows ; total } ; nation }", t);
+  auto max_after = Execute(ProgramType::kLogicalForm,
+                       "hop { argmax { all_rows ; total } ; nation }", t);
   ASSERT_TRUE(max_after.ok());
   EXPECT_EQ(max_after->ToDisplayString(), "Sweden");
   ExpectLogicIdentical(t, "hop { argmax { all_rows ; total } ; nation }");
@@ -342,8 +346,8 @@ TEST(IndexInvalidationTest, CopiesRebuildMovesCarry) {
   ExpectSqlIdentical(moved, "SELECT total FROM w WHERE nation = 'Canada'");
 }
 
-// Concurrent first-touch: many threads execute indexed programs against
-// one shared const Table whose index has NOT been warmed, so the lazy
+// Concurrent first-touch: many threads execute programs against one
+// shared const Table whose index has NOT been warmed, so the lazy
 // per-column std::call_once builds race. Run under
 // `UCTR_SANITIZE=thread scripts/check.sh index_test` to let TSan check
 // the synchronization; in any build mode the results must match the scan.
@@ -351,7 +355,7 @@ TEST(IndexConcurrencyTest, SharedConstTableAcrossThreads) {
   Table t = MedalTable();
   const std::string query =
       "SELECT nation FROM w WHERE gold >= 4 ORDER BY total DESC";
-  auto expected = sql::ExecuteQuery(query, t, {.use_index = false});
+  auto expected = sql::ExecuteQuery(query, t);
   ASSERT_TRUE(expected.ok());
   const std::string want = DescribeOutcome(expected);
 
@@ -362,7 +366,7 @@ TEST(IndexConcurrencyTest, SharedConstTableAcrossThreads) {
     workers.reserve(kThreads);
     for (int i = 0; i < kThreads; ++i) {
       workers.emplace_back([&t, &query, &got, i] {
-        auto r = sql::ExecuteQuery(query, t, {.use_index = true});
+        auto r = Execute(ProgramType::kSql, query, t);
         got[i] = DescribeOutcome(r);
       });
     }

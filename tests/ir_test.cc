@@ -1,7 +1,8 @@
-// Differential tests of the unified IR / bytecode VM against the family
-// tree-walk executors: on the compiled subset the two paths must be
-// byte-identical — same values, same evidence rows, same error Status —
-// for every built-in template over randomized tables. Also covers the
+// Differential tests of the unified IR / bytecode VM — the only runtime
+// execution path — against the scan-based family tree-walk executors:
+// every parsed program must run byte-identically on both — same values,
+// same evidence rows, same error Status — for every built-in template
+// over randomized tables and for each walker error shape. Also covers the
 // bytecode verifier's rejection cases, plan cache keying/invalidation,
 // and the concurrent first-compile race.
 
@@ -13,11 +14,14 @@
 #include <thread>
 #include <vector>
 
+#include "arith/executor.h"
 #include "ir/ir.h"
 #include "ir/plan_cache.h"
+#include "logic/executor.h"
 #include "obs/metrics.h"
 #include "program/library.h"
 #include "program/sampler.h"
+#include "sql/executor.h"
 #include "tests/test_util.h"
 
 namespace uctr {
@@ -35,67 +39,69 @@ ir::Family FamilyOf(ProgramType type) {
   return ir::Family::kSql;
 }
 
-// Executes `program` down both paths and asserts observable identity:
-// success/failure, error code + message, value types and display strings,
-// and evidence rows. Exercised with the index both on and off.
-void ExpectIdentical(const Program& program, const Table& table,
-                     ir::PlanCache* cache) {
-  for (bool use_index : {true, false}) {
-    ExecOptions vm;
-    vm.use_vm = true;
-    vm.use_index = use_index;
-    vm.plan_cache = cache;
-    ExecOptions walk = vm;
-    walk.use_vm = false;
-
-    auto got = program.Execute(table, vm);
-    auto want = program.Execute(table, walk);
-    ASSERT_EQ(got.ok(), want.ok())
-        << program.text << " (use_index=" << use_index << ")\n  vm:   "
-        << (got.ok() ? "ok" : got.status().ToString()) << "\n  walk: "
-        << (want.ok() ? "ok" : want.status().ToString());
-    if (!got.ok()) {
-      EXPECT_EQ(got.status().code(), want.status().code()) << program.text;
-      EXPECT_EQ(got.status().message(), want.status().message())
-          << program.text;
-      continue;
-    }
-    const ExecResult& a = got.ValueOrDie();
-    const ExecResult& b = want.ValueOrDie();
-    ASSERT_EQ(a.values.size(), b.values.size()) << program.text;
-    for (size_t i = 0; i < a.values.size(); ++i) {
-      EXPECT_EQ(a.values[i].type(), b.values[i].type()) << program.text;
-      EXPECT_EQ(a.values[i].ToDisplayString(), b.values[i].ToDisplayString())
-          << program.text;
-      EXPECT_TRUE(a.values[i].Equals(b.values[i])) << program.text;
-    }
-    EXPECT_EQ(a.evidence_rows, b.evidence_rows) << program.text;
+// The reference: parse, then the family tree-walker's row scan.
+Result<ExecResult> Walk(const Program& program, const Table& table) {
+  switch (program.type) {
+    case ProgramType::kSql:
+      return sql::ExecuteQuery(program.text, table);
+    case ProgramType::kLogicalForm:
+      return logic::ExecuteLogicalForm(program.text, table);
+    case ProgramType::kArithmetic:
+      return arith::ExecuteExpression(program.text, table);
   }
+  return Status::Internal("unknown program type");
 }
 
-// When the program lowers, the raw compile + ExecutePlan path (no cache,
-// no Program orchestration) must also match the walker.
+// Asserts observable identity of two outcomes: success/failure, error
+// code + message, value types and display strings, and evidence rows.
+void ExpectSameOutcome(const std::string& text, const Result<ExecResult>& got,
+                       const Result<ExecResult>& want) {
+  ASSERT_EQ(got.ok(), want.ok())
+      << text << "\n  vm:   "
+      << (got.ok() ? "ok" : got.status().ToString()) << "\n  walk: "
+      << (want.ok() ? "ok" : want.status().ToString());
+  if (!got.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code()) << text;
+    EXPECT_EQ(got.status().message(), want.status().message()) << text;
+    return;
+  }
+  const ExecResult& a = got.ValueOrDie();
+  const ExecResult& b = want.ValueOrDie();
+  ASSERT_EQ(a.values.size(), b.values.size()) << text;
+  for (size_t i = 0; i < a.values.size(); ++i) {
+    EXPECT_EQ(a.values[i].type(), b.values[i].type()) << text;
+    EXPECT_EQ(a.values[i].ToDisplayString(), b.values[i].ToDisplayString())
+        << text;
+    EXPECT_TRUE(a.values[i].Equals(b.values[i])) << text;
+  }
+  EXPECT_EQ(a.evidence_rows, b.evidence_rows) << text;
+}
+
+// The runtime path (Program::Execute: plan cache, then the VM over the
+// table index) must match the scan walker.
+void ExpectIdentical(const Program& program, const Table& table,
+                     ir::PlanCache* cache) {
+  ExecOptions opts;
+  opts.plan_cache = cache;
+  ExpectSameOutcome(program.text, program.Execute(table, opts),
+                    Walk(program, table));
+}
+
+// The raw compile + ExecutePlan path (no cache, no Program orchestration)
+// must also match the walker: every parsed program compiles to a plan
+// that verifies, and a program that fails to compile fails to parse, with
+// the walker's own ParseError.
 void ExpectDirectVmIdentical(const Program& program, const Table& table) {
   auto plan = ir::Compile(FamilyOf(program.type), program.text,
                           table.schema());
-  if (!plan.ok()) return;  // Rejected = walker-only; covered elsewhere.
-  ASSERT_TRUE(ir::VerifyPlan(plan.ValueOrDie()).ok()) << program.text;
-  auto got = ir::ExecutePlan(plan.ValueOrDie(), table);
-  ExecOptions walk;
-  walk.use_vm = false;
-  auto want = program.Execute(table, walk);
-  ASSERT_EQ(got.ok(), want.ok()) << program.text;
-  if (!got.ok()) {
-    EXPECT_EQ(got.status().code(), want.status().code()) << program.text;
-    EXPECT_EQ(got.status().message(), want.status().message())
-        << program.text;
+  if (!plan.ok()) {
+    EXPECT_EQ(plan.status().code(), StatusCode::kParseError) << program.text;
+    ExpectSameOutcome(program.text, plan.status(), Walk(program, table));
     return;
   }
-  EXPECT_EQ(got.ValueOrDie().ToDisplayString(),
-            want.ValueOrDie().ToDisplayString())
-      << program.text;
-  EXPECT_EQ(got.ValueOrDie().evidence_rows, want.ValueOrDie().evidence_rows)
-      << program.text;
+  ASSERT_TRUE(ir::VerifyPlan(plan.ValueOrDie()).ok()) << program.text;
+  ExpectSameOutcome(program.text, ir::ExecutePlan(plan.ValueOrDie(), table),
+                    Walk(program, table));
 }
 
 bool HasDerive(const ProgramTemplate& tmpl) {
@@ -106,9 +112,8 @@ bool HasDerive(const ProgramTemplate& tmpl) {
 }
 
 // Every built-in template, instantiated repeatedly on randomized tables,
-// must execute identically down both paths. This sweeps the whole
-// template library through the compiler: templates the lowering rejects
-// exercise the fallback, templates it accepts exercise the VM.
+// must execute identically on the VM and the scan walker. This sweeps the
+// whole template library through the compiler.
 class IrDifferentialTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   Rng rng_{GetParam()};
@@ -132,8 +137,8 @@ TEST_P(IrDifferentialTest, AllBuiltinTemplatesMatchTreeWalk) {
       ++executed;
     }
   }
-  // The library must not silently stop sampling (e.g. every template
-  // rejected): differential coverage requires real executions.
+  // The library must not silently stop sampling (e.g. every binding
+  // failing): differential coverage requires real executions.
   EXPECT_GT(executed, 20u);
 }
 
@@ -141,7 +146,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IrDifferentialTest,
                          ::testing::Values(1, 7, 42, 1234, 99991));
 
 // Fixed programs covering each family's edge cases, including ones whose
-// *walker* fails: the VM must reproduce the exact error Status too.
+// *walker* fails: the VM must reproduce the exact error Status too, which
+// for errors found without reading cells means a kFail at the walker's
+// point of evaluation.
 TEST(IrFixedProgramTest, SqlProgramsMatch) {
   Table t = uctr::testing::MakeNationsTable();
   ir::PlanCache cache(64, 1);
@@ -160,6 +167,24 @@ TEST(IrFixedProgramTest, SqlProgramsMatch) {
            "SELECT [nation] FROM w WHERE [gold] > '99'",
            // Unknown column: both paths must fail identically.
            "SELECT [unobtainium] FROM w",
+           // Plain column after an aggregate, and before one.
+           "SELECT COUNT(*), [nation] FROM w",
+           "SELECT [nation], COUNT(*) FROM w",
+           // An aggregate's TypeError comes before the mixing error.
+           "SELECT SUM([nation]), [gold] FROM w",
+           // A WHERE column resolves only once a row reaches it: no row
+           // has gold 99, so [bogus] is never resolved and COUNT is 0.
+           "SELECT COUNT(*) FROM w WHERE [gold] = '99' AND [bogus] = '1'",
+           "SELECT [nation] FROM w WHERE [gold] > '5' AND [bogus] = '1'",
+           "SELECT [nation] FROM w WHERE [gold] = '99' AND [bogus] = '1'",
+           // ORDER BY resolves its column even over no rows.
+           "SELECT [nation] FROM w WHERE [gold] = '99' ORDER BY [bogus]",
+           // A projection column resolves per row, item by item: row 0's
+           // earlier items run (and may fail) first.
+           "SELECT [nation], [bogus] FROM w",
+           "SELECT [gold] + [nation], [bogus] FROM w",
+           "SELECT [gold] - [silver], [gold] + [bogus] FROM w",
+           "SELECT [nation], [bogus] FROM w WHERE [gold] = '99'",
        }) {
     Program p{ProgramType::kSql, text};
     ExpectIdentical(p, t, &cache);
@@ -202,6 +227,19 @@ TEST(IrFixedProgramTest, LogicProgramsMatch) {
            // diff over text cells: ToNumber failure surfaces identically.
            "eq { diff { hop { filter_eq { all_rows ; nation ; china } ; "
            "nation } ; 3 } ; 1 }",
+           // Arity, operand kind, operator name and column errors.
+           "hop { all_rows }",
+           "count { 5 }",
+           "eq { all_rows ; 5 }",
+           "bogus_op { all_rows ; x }",
+           "hop { all_rows ; count { all_rows } }",
+           "filter_bogus { all_rows ; gold ; 1 }",
+           "most_bogus { all_rows ; gold ; 1 }",
+           "max { all_rows ; bogus }",
+           "count { filter_eq { all_rows ; bogus ; 1 } }",
+           // The walker's evaluation order reaches the empty hop first.
+           "eq { hop { filter_eq { all_rows ; nation ; atlantis } ; gold } ; "
+           "hop { all_rows } }",
        }) {
     Program p{ProgramType::kLogicalForm, text};
     ExpectIdentical(p, t, &cache);
@@ -226,6 +264,13 @@ TEST(IrFixedProgramTest, ArithProgramsMatch) {
            "[2019 of revenue]",
            // Unknown cell ref: identical error.
            "subtract([2019 of warp drive], 1)",
+           // Non-numeric text operand, arity, and a runtime error that
+           // comes before a later step's static one.
+           "add(hello, 1)",
+           "add(1, hello)",
+           "divide(1, 0), add(hello, 1)",
+           "add(1, 2, 3)",
+           "table_max(2019, 2018)",
        }) {
     Program p{ProgramType::kArithmetic, text};
     ExpectIdentical(p, t, &cache);
@@ -364,28 +409,79 @@ TEST(IrVerifierTest, RejectsMalformedPlans) {
     p.code.pop_back();
     EXPECT_FALSE(ir::VerifyPlan(p).ok());
   }
+  const auto fail = static_cast<uint16_t>(ir::Op::kFail);
+  const uint32_t not_found = static_cast<uint32_t>(StatusCode::kNotFound);
+  const uint32_t when_rows = 1u << 8;
+  // kFail carries a pooled message, a status code and, when conditional,
+  // a row-view register: count(all_rows), failing first when the view is
+  // non-empty.
+  ir::Plan with_fail;
+  with_fail.family = ir::Family::kLogic;
+  with_fail.num_regs = 2;
+  with_fail.num_columns = 5;
+  with_fail.pool = {Value::String("no column named 'x'")};
+  with_fail.code = {
+      {static_cast<uint16_t>(ir::Op::kAllRows), 0, 0, 0, 0, 0},
+      {fail, 0, 0, 0, 0, not_found | when_rows},
+      {static_cast<uint16_t>(ir::Op::kCount), 1, 0, 0, 0, 0},
+      {static_cast<uint16_t>(ir::Op::kReturnLogic), 0, 1, 0, 0, 0},
+  };
+  ASSERT_TRUE(ir::VerifyPlan(with_fail).ok());
+  {  // An unconditional kFail ends a plan on its own.
+    ir::Plan p = with_fail;
+    p.code = {{fail, 0, 0, 0, 0, not_found}};
+    EXPECT_TRUE(ir::VerifyPlan(p).ok());
+  }
+  {  // Message pool index out of range.
+    ir::Plan p = with_fail;
+    p.code[1].imm = 1;
+    EXPECT_FALSE(ir::VerifyPlan(p).ok());
+  }
+  {  // Status code OK.
+    ir::Plan p = with_fail;
+    p.code[1].imm2 = static_cast<uint32_t>(StatusCode::kOk) | when_rows;
+    EXPECT_FALSE(ir::VerifyPlan(p).ok());
+  }
+  {  // Status code out of range.
+    ir::Plan p = with_fail;
+    p.code[1].imm2 =
+        (static_cast<uint32_t>(StatusCode::kDeadlineExceeded) + 1) |
+        when_rows;
+    EXPECT_FALSE(ir::VerifyPlan(p).ok());
+  }
+  {  // Unknown flag bits.
+    ir::Plan p = with_fail;
+    p.code[1].imm2 |= 1u << 9;
+    EXPECT_FALSE(ir::VerifyPlan(p).ok());
+  }
+  {  // Condition register holds a scalar, not a row view.
+    ir::Plan p = with_fail;
+    p.code[1].a = 1;
+    p.code.insert(p.code.begin() + 1,
+                  {static_cast<uint16_t>(ir::Op::kLoadConst), 1, 0, 0, 0, 0});
+    EXPECT_FALSE(ir::VerifyPlan(p).ok());
+  }
+  {  // Unconditional kFail before the end of the code.
+    ir::Plan p = with_fail;
+    p.code[1].imm2 = not_found;
+    EXPECT_FALSE(ir::VerifyPlan(p).ok());
+  }
 }
 
-TEST(PlanCacheTest, HitMissAndNegativeEntries) {
+TEST(PlanCacheTest, HitAndMiss) {
   obs::MetricsRegistry metrics;
   ir::PlanCache cache(8, 2, &metrics);
   auto plan = std::make_shared<const ir::Plan>();
 
-  EXPECT_FALSE(cache.Get(1, 2).has_value());
+  EXPECT_EQ(cache.Get(1, 2), nullptr);
   cache.Put(1, 2, plan);
-  auto hit = cache.Get(1, 2);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->get(), plan.get());
+  EXPECT_EQ(cache.Get(1, 2).get(), plan.get());
+  // Same program, other schema: a distinct key.
+  EXPECT_EQ(cache.Get(1, 3), nullptr);
+  EXPECT_EQ(cache.size(), 1u);
 
-  // Negative entry: present, but null — "known unsupported".
-  cache.Put(3, 4, nullptr);
-  auto negative = cache.Get(3, 4);
-  ASSERT_TRUE(negative.has_value());
-  EXPECT_EQ(negative->get(), nullptr);
-  EXPECT_EQ(cache.size(), 2u);
-
-  EXPECT_EQ(metrics.counter("plan_cache_hits_total")->value(), 2u);
-  EXPECT_EQ(metrics.counter("plan_cache_misses_total")->value(), 1u);
+  EXPECT_EQ(metrics.counter("plan_cache_hits_total")->value(), 1u);
+  EXPECT_EQ(metrics.counter("plan_cache_misses_total")->value(), 2u);
 }
 
 TEST(PlanCacheTest, EvictsLeastRecentlyUsed) {
@@ -394,11 +490,11 @@ TEST(PlanCacheTest, EvictsLeastRecentlyUsed) {
   auto plan = std::make_shared<const ir::Plan>();
   cache.Put(1, 1, plan);
   cache.Put(2, 2, plan);
-  ASSERT_TRUE(cache.Get(1, 1).has_value());  // 1 is now most recent.
-  cache.Put(3, 3, plan);                     // Evicts 2.
-  EXPECT_TRUE(cache.Get(1, 1).has_value());
-  EXPECT_FALSE(cache.Get(2, 2).has_value());
-  EXPECT_TRUE(cache.Get(3, 3).has_value());
+  ASSERT_NE(cache.Get(1, 1), nullptr);  // 1 is now most recent.
+  cache.Put(3, 3, plan);                // Evicts 2.
+  EXPECT_NE(cache.Get(1, 1), nullptr);
+  EXPECT_EQ(cache.Get(2, 2), nullptr);
+  EXPECT_NE(cache.Get(3, 3), nullptr);
   EXPECT_EQ(metrics.counter("plan_cache_evictions_total")->value(), 1u);
 }
 
@@ -443,18 +539,20 @@ TEST(PlanCacheTest, SchemaChangeInvalidates) {
   EXPECT_EQ(metrics.counter("plan_compiles_total")->value(), 2u);
 }
 
-TEST(PlanCacheTest, UnsupportedProgramCachesNegativeEntry) {
+TEST(PlanCacheTest, FailingProgramCachesItsFailPlan) {
   Table t = uctr::testing::MakeNationsTable();
   obs::MetricsRegistry metrics;
   ir::PlanCache cache(16, 1, &metrics);
   ExecOptions opts;
   opts.plan_cache = &cache;
-  // Unknown column: the lowering rejects, the walker is authoritative.
+  // Unknown column: the plan is a kFail carrying the walker's NotFound.
   Program p{ProgramType::kSql, "SELECT [unobtainium] FROM w"};
   auto r1 = p.Execute(t, opts);
   auto r2 = p.Execute(t, opts);
-  EXPECT_EQ(r1.ok(), r2.ok());
-  // One compile attempt, then the negative entry short-circuits.
+  ASSERT_FALSE(r1.ok());
+  EXPECT_EQ(r1.status(), r2.status());
+  EXPECT_EQ(r1.status().code(), StatusCode::kNotFound);
+  // One compile, then a hit on the cached kFail plan.
   EXPECT_EQ(metrics.counter("plan_compiles_total")->value(), 1u);
   EXPECT_EQ(metrics.counter("plan_cache_hits_total")->value(), 1u);
 }
@@ -476,9 +574,7 @@ TEST(PlanCacheTest, ConcurrentFirstCompileIsRaceFree) {
   // Walker-computed ground truth, single-threaded.
   std::vector<std::string> expected;
   for (const Program& p : programs) {
-    ExecOptions walk;
-    walk.use_vm = false;
-    auto r = p.Execute(table, walk);
+    auto r = Walk(p, table);
     expected.push_back(r.ok() ? r.ValueOrDie().ToDisplayString()
                               : r.status().ToString());
   }

@@ -236,6 +236,11 @@ TEST_F(RouterTest, RoutedResponsesAreByteIdenticalToDirectOnes) {
       VerifyRequest(2, "The total of the row whose nation is china is 99."),
       "{\"id\":3,\"op\":\"fly\"}",
       "not json at all",
+      // Ids outside [0, 2^64): the router answers ping itself and must
+      // echo the id as a backend does.
+      "{\"id\":-1,\"op\":\"ping\"}",
+      "{\"id\":1e30,\"op\":\"ping\"}",
+      "{\"id\":-1,\"op\":\"fly\"}",
   };
   for (const std::string& request : requests) {
     EXPECT_EQ(CallRouter(router_.get(), request), direct.HandleLine(request))

@@ -442,6 +442,17 @@ TEST(ServerTest, PingAndMetricsOps) {
             std::string::npos);
   std::string metrics = server.HandleLine("{\"op\":\"metrics\"}");
   EXPECT_NE(metrics.find("requests_total"), std::string::npos);
+  // Client ids are doubles on the wire. One outside [0, 2^64) must never
+  // reach a double-to-uint64 cast (undefined behaviour): it echoes as 0,
+  // the router's rule, while in-range ids keep their truncated value.
+  for (const char* id : {"-1", "1e30", "18446744073709551616"}) {
+    EXPECT_EQ(server.HandleLine(std::string("{\"id\":") + id +
+                                ",\"op\":\"ping\"}"),
+              "{\"id\":0,\"status\":\"ok\"}")
+        << "id " << id;
+  }
+  EXPECT_EQ(server.HandleLine("{\"id\":2.5,\"op\":\"ping\"}"),
+            "{\"id\":2,\"status\":\"ok\"}");
 }
 
 TEST(ServerTest, HealthOpReportsLiveThenDraining) {
