@@ -233,6 +233,62 @@ TEST(FeatureTest, NumericMismatchSignal) {
   EXPECT_TRUE(has_miss(bad));
 }
 
+/// The value of feature `name` in `f`, or -1 when it is absent.
+float FeatureValue(const FeatureVector& f, std::string_view name,
+                   const FeatureConfig& config) {
+  uint32_t idx = HashFeature(name) % config.dim;
+  for (const Feature& feat : f) {
+    if (feat.index == idx) return feat.value;
+  }
+  return -1.0f;
+}
+
+/// Alignment features only, for `sentence` against `table` (+ paragraph).
+FeatureVector AlignmentOf(const Table& table, const std::string& sentence,
+                          std::vector<std::string> paragraph = {}) {
+  FeatureConfig config;
+  config.interpreter = false;
+  config.lexical = false;
+  FeatureExtractor extractor(config, nullptr);
+  Sample s;
+  s.task = TaskType::kFactVerification;
+  s.table = table;
+  s.paragraph = std::move(paragraph);
+  s.sentence = sentence;
+  return extractor.Extract(s);
+}
+
+TEST(FeatureTest, HeaderTokensCountTowardTableCoverage) {
+  const FeatureConfig config;
+  // "gold" and "nation" occur only in headers of the nations table.
+  EXPECT_FLOAT_EQ(
+      FeatureValue(AlignmentOf(MakeNationsTable(), "gold nation"),
+                   "align:table_cov", config),
+      1.0f);
+  EXPECT_FLOAT_EQ(
+      FeatureValue(AlignmentOf(MakeNationsTable(), "gold zebra"),
+                   "align:table_cov", config),
+      0.5f);
+}
+
+TEST(FeatureTest, NumberMatchUsesRelativeToleranceAtScale) {
+  const FeatureConfig config;
+  Table t = Table::FromCsv("name,population\ncapital,1000001\n").ValueOrDie();
+  FeatureVector near = AlignmentOf(t, "it has 1000000.5 people");
+  EXPECT_FLOAT_EQ(FeatureValue(near, "align:num_match", config), 1.0f);
+  EXPECT_FLOAT_EQ(FeatureValue(near, "align:num_miss", config), 0.0f);
+  FeatureVector far = AlignmentOf(t, "it has 1000003 people");
+  EXPECT_FLOAT_EQ(FeatureValue(far, "align:num_match", config), 0.0f);
+  EXPECT_FLOAT_EQ(FeatureValue(far, "align:num_miss", config), 1.0f);
+}
+
+TEST(FeatureTest, InfTokenMatchesAFiniteTableNumber) {
+  const FeatureConfig config;
+  FeatureVector f = AlignmentOf(MakeNationsTable(), "china won inf gold");
+  EXPECT_FLOAT_EQ(FeatureValue(f, "align:num_match", config), 1.0f);
+  EXPECT_FLOAT_EQ(FeatureValue(f, "align:num_miss", config), 0.0f);
+}
+
 // ----------------------------------------------------- Verifier end-to-end
 
 Dataset MakeClaimDataset(const Table& table, size_t n, uint64_t seed,
