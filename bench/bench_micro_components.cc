@@ -1,6 +1,7 @@
 // Microbenchmarks of the core components (google-benchmark): program
-// executors, template sampling, NL generation, interpretation, feature
-// extraction, and the end-to-end generation pipeline.
+// executors, template sampling, NL generation, interpretation, linking a
+// sentence to a table (RankAll, feature extraction), and the end-to-end
+// generation pipeline.
 
 #include <benchmark/benchmark.h>
 
@@ -355,6 +356,41 @@ void BM_FeatureExtract(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FeatureExtract);
+
+// Linking a sentence to a table: RankAll binds every claim template against
+// a warmed shared table; Extract adds the lexical, alignment and
+// interpreter features. The sentence repeats, as requests against one
+// registered table do.
+constexpr const char* kLinkClaim =
+    "The gold of the row whose nation is nation7 is 7.";
+
+void BM_RankAll(benchmark::State& state) {
+  Table t = BenchTable(static_cast<size_t>(state.range(0)));
+  t.WarmIndex();
+  model::NlInterpreter interpreter(BuiltinLogicTemplates());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        interpreter.RankAll(kLinkClaim, t, TaskType::kFactVerification));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_RankAll)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
+
+void BM_ExtractFeatures(benchmark::State& state) {
+  Table t = BenchTable(static_cast<size_t>(state.range(0)));
+  t.WarmIndex();
+  model::NlInterpreter interpreter(BuiltinLogicTemplates());
+  model::FeatureExtractor extractor(model::FeatureConfig(), &interpreter);
+  Sample s;
+  s.task = TaskType::kFactVerification;
+  s.shared_table = &t;
+  s.sentence = kLinkClaim;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(extractor.Extract(s));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ExtractFeatures)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_GeneratePipeline(benchmark::State& state) {
   Rng rng(3);

@@ -1,13 +1,39 @@
 #include "model/features.h"
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
 #include "common/hash.h"
 #include "common/numeric.h"
 #include "common/string_util.h"
+#include "table/index.h"
 
 namespace uctr::model {
+
+namespace {
+
+/// Whether some x of `sorted` (ascending, NaN-free) is
+/// NearlyEqual(n, x, 1e-6, 1e-6). For finite n and x any match lies within
+/// 1.000001e-6 * max(1, |n|) of n, so scanning twice that window is exact.
+/// An infinite operand makes the relative tolerance infinite; those rare
+/// cases scan everything.
+bool ContainsNearly(const std::vector<double>& sorted, double n) {
+  if (sorted.empty() || std::isnan(n)) return false;
+  auto near = [n](double x) { return NearlyEqual(n, x, 1e-6, 1e-6); };
+  if (std::isinf(n) || std::isinf(sorted.front()) ||
+      std::isinf(sorted.back())) {
+    return std::any_of(sorted.begin(), sorted.end(), near);
+  }
+  const double w = 2e-6 * std::max(1.0, std::abs(n));
+  for (auto it = std::lower_bound(sorted.begin(), sorted.end(), n - w);
+       it != sorted.end() && *it <= n + w; ++it) {
+    if (near(*it)) return true;
+  }
+  return false;
+}
+
+}  // namespace
 
 uint32_t HashFeature(std::string_view name) { return hash::Fnv1a32(name); }
 
@@ -35,47 +61,33 @@ void FeatureExtractor::AddAlignment(const Sample& sample,
   std::vector<std::string> tokens = WordTokens(sample.sentence);
   if (tokens.empty()) return;
 
-  // Token inventory of the evidence.
-  const Table& table = sample.evidence_table();
-  std::set<std::string> table_tokens;
-  std::set<double> table_numbers;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      const Value& v = table.cell(r, c);
-      if (v.is_null()) continue;
-      for (const std::string& t : WordTokens(v.ToDisplayString())) {
-        table_tokens.insert(t);
-      }
-      if (v.is_number()) table_numbers.insert(v.number());
-    }
-  }
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    for (const std::string& t : WordTokens(table.schema().column(c).name)) {
-      table_tokens.insert(t);
-    }
-  }
+  // The evidence table's words and numbers come from its token inventory;
+  // the paragraph is per sample, so it is tokenized here.
+  const TableIndex::TokenInventory& table_words =
+      sample.evidence_table().index().tokens();
   std::set<std::string> text_tokens;
-  std::set<double> text_numbers;
+  std::vector<double> text_numbers;
   for (const std::string& s : sample.paragraph) {
-    for (const std::string& t : WordTokens(s)) {
-      text_tokens.insert(t);
-      if (auto n = ParseNumber(t)) text_numbers.insert(*n);
+    for (std::string& t : WordTokens(s)) {
+      // NaN has no place in a sorted vector and never matches anyway.
+      if (auto n = ParseNumber(t); n && !std::isnan(*n)) {
+        text_numbers.push_back(*n);
+      }
+      text_tokens.insert(std::move(t));
     }
   }
+  std::sort(text_numbers.begin(), text_numbers.end());
 
   size_t table_hits = 0, text_hits = 0;
   size_t num_match = 0, num_miss = 0;
   for (const std::string& t : tokens) {
-    if (table_tokens.count(t)) ++table_hits;
+    if (table_words.Find(t) != TableIndex::TokenInventory::kNoWord) {
+      ++table_hits;
+    }
     if (text_tokens.count(t)) ++text_hits;
     if (auto n = ParseNumber(t)) {
-      bool matched = false;
-      for (double x : table_numbers) {
-        if (NearlyEqual(*n, x, 1e-6, 1e-6)) matched = true;
-      }
-      for (double x : text_numbers) {
-        if (NearlyEqual(*n, x, 1e-6, 1e-6)) matched = true;
-      }
+      bool matched = ContainsNearly(table_words.numbers, *n) ||
+                     ContainsNearly(text_numbers, *n);
       (matched ? num_match : num_miss) += 1;
     }
   }

@@ -1,7 +1,9 @@
 #include "model/interpreter.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <span>
 
 #include "common/string_util.h"
 #include "table/index.h"
@@ -10,17 +12,89 @@ namespace uctr::model {
 
 namespace {
 
-/// Fraction of `phrase` tokens that occur in `sentence_tokens`.
-double CoverageScore(const std::string& phrase,
-                     const std::set<std::string>& sentence_tokens) {
-  std::vector<std::string> tokens = WordTokens(phrase);
-  if (tokens.empty()) return 0.0;
-  size_t hits = 0;
-  for (const std::string& t : tokens) {
-    if (sentence_tokens.count(t)) ++hits;
+/// One RankAll call's view of its sentence against the table, shared by
+/// every template the call tries: the sentence's tokens, which inventory
+/// words they are, each header's coverage, and per column (on first use)
+/// the rows whose cells the sentence covers at all.
+class Linker {
+ public:
+  /// A non-null row whose cell shares a token with the sentence.
+  struct Candidate {
+    size_t row;
+    double score;  ///< share of the cell's tokens found in the sentence
+  };
+
+  Linker(const std::string& sentence, const Table& table)
+      : sentence_(sentence),
+        table_(table),
+        index_(table.index()),
+        inventory_(index_.tokens()),
+        tokens_(WordTokens(sentence)),
+        candidates_(table.num_columns()) {
+    for (const std::string& t : tokens_) {
+      uint32_t id = inventory_.Find(t);
+      if (id != TableIndex::TokenInventory::kNoWord) {
+        sentence_ids_.push_back(id);
+      }
+    }
+    std::sort(sentence_ids_.begin(), sentence_ids_.end());
+    sentence_ids_.erase(
+        std::unique(sentence_ids_.begin(), sentence_ids_.end()),
+        sentence_ids_.end());
+    // Header words are in the inventory, so an id test is a word test.
+    std::vector<uint32_t> ids;
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      ids.clear();
+      for (const std::string& t : WordTokens(table.schema().column(c).name)) {
+        ids.push_back(inventory_.Find(t));
+      }
+      header_scores_.push_back(Coverage(ids));
+    }
   }
-  return static_cast<double>(hits) / static_cast<double>(tokens.size());
-}
+
+  const std::string& sentence() const { return sentence_; }
+  const Table& table() const { return table_; }
+  const TableIndex& index() const { return index_; }
+  const std::vector<std::string>& tokens() const { return tokens_; }
+
+  /// \brief Share of column `c`'s header tokens found in the sentence.
+  double HeaderScore(size_t c) const { return header_scores_[c]; }
+
+  /// \brief The rows of column `c` with a positive cell score, ascending.
+  const std::vector<Candidate>& Candidates(size_t c) {
+    std::optional<std::vector<Candidate>>& rows = candidates_[c];
+    if (!rows) {
+      rows.emplace();
+      for (size_t r = 0; r < table_.num_rows(); ++r) {
+        double score = Coverage(inventory_.cell(r, c));
+        if (score > 0.0) rows->push_back({r, score});
+      }
+    }
+    return *rows;
+  }
+
+ private:
+  /// Share of `ids` found in the sentence; duplicates count.
+  double Coverage(std::span<const uint32_t> ids) const {
+    if (ids.empty()) return 0.0;
+    size_t hits = 0;
+    for (uint32_t id : ids) {
+      if (std::binary_search(sentence_ids_.begin(), sentence_ids_.end(), id)) {
+        ++hits;
+      }
+    }
+    return static_cast<double>(hits) / static_cast<double>(ids.size());
+  }
+
+  const std::string& sentence_;
+  const Table& table_;
+  const TableIndex& index_;
+  const TableIndex::TokenInventory& inventory_;
+  std::vector<std::string> tokens_;
+  std::vector<uint32_t> sentence_ids_;  ///< sorted, distinct
+  std::vector<double> header_scores_;
+  std::vector<std::optional<std::vector<Candidate>>> candidates_;
+};
 
 /// Ordinal mention in the sentence ("2nd", "third", ...), or 0.
 int FindOrdinal(const std::vector<std::string>& tokens) {
@@ -83,12 +157,33 @@ std::string NlInterpreter::ClaimedValue(const std::string& sentence) {
   return Trim(tail);
 }
 
-Result<std::map<std::string, std::string>> NlInterpreter::BindTemplate(
-    const ProgramTemplate& tmpl, const std::string& sentence,
-    const Table& table, TaskType task) const {
-  std::vector<std::string> tokens = WordTokens(sentence);
-  std::set<std::string> token_set(tokens.begin(), tokens.end());
+namespace {
 
+/// The display string of the best-covered row of column `c` whose value is
+/// not in `used`, inserted into `used`; null when no row reaches 0.5. Ties
+/// go to the first row.
+const std::string* BindCell(Linker* linker, size_t c,
+                            std::set<std::string>* used) {
+  const TableIndex::Column& cache = linker->index().column(c);
+  double best = 0.0;
+  const std::string* best_value = nullptr;
+  for (const Linker::Candidate& cand : linker->Candidates(c)) {
+    if (cand.score <= best) continue;
+    const std::string& display = cache.display[cand.row];
+    if (used->count(display)) continue;
+    best = cand.score;
+    best_value = &display;
+  }
+  if (best < 0.5) return nullptr;
+  used->insert(*best_value);
+  return best_value;
+}
+
+/// Binds one template's slots against the linked sentence; an error when
+/// a slot cannot be filled.
+Result<std::map<std::string, std::string>> BindTemplate(
+    const ProgramTemplate& tmpl, TaskType task, Linker* linker) {
+  const Table& table = linker->table();
   std::map<std::string, std::string> bindings;
   std::map<std::string, size_t> column_of;
   std::set<size_t> used_columns;
@@ -105,8 +200,7 @@ Result<std::map<std::string, std::string>> NlInterpreter::BindTemplate(
               table.schema().column(c).type != p.column_type) {
             continue;
           }
-          double score =
-              CoverageScore(table.schema().column(c).name, token_set);
+          double score = linker->HeaderScore(c);
           if (score > best) {
             best = score;
             best_col = c;
@@ -125,52 +219,28 @@ Result<std::map<std::string, std::string>> NlInterpreter::BindTemplate(
         if (it == column_of.end()) {
           return Status::Internal("value slot before its column slot");
         }
-        // Cached display strings: RankAll scores every template against
-        // the same table, so the per-cell rendering is paid once.
-        const TableIndex::Column& cache = table.index().column(it->second);
-        double best = 0.0;
-        std::string best_value;
-        for (size_t r = 0; r < table.num_rows(); ++r) {
-          if (cache.is_null[r]) continue;
-          const std::string& display = cache.display[r];
-          if (used_values[p.column_id].count(display)) continue;
-          double score = CoverageScore(display, token_set);
-          if (score > best) {
-            best = score;
-            best_value = display;
-          }
-        }
-        if (best < 0.5) {
+        const std::string* value =
+            BindCell(linker, it->second, &used_values[p.column_id]);
+        if (value == nullptr) {
           return Status::NotFound("no cell value matches slot '" + p.id +
                                   "'");
         }
-        used_values[p.column_id].insert(best_value);
-        bindings[p.id] = best_value;
+        bindings[p.id] = *value;
         break;
       }
       case Placeholder::Kind::kRow: {
-        const TableIndex::Column& names = table.index().column(0);
-        double best = 0.0;
-        std::string best_name;
-        for (size_t r = 0; r < table.num_rows(); ++r) {
-          if (names.is_null[r]) continue;
-          const std::string& display = names.display[r];
-          if (used_values["__rows__"].count(display)) continue;
-          double score = CoverageScore(display, token_set);
-          if (score > best) {
-            best = score;
-            best_name = display;
-          }
-        }
-        if (best < 0.5) {
+        const std::string* name =
+            table.num_columns() == 0
+                ? nullptr
+                : BindCell(linker, 0, &used_values["__rows__"]);
+        if (name == nullptr) {
           return Status::NotFound("no row name matches slot '" + p.id + "'");
         }
-        used_values["__rows__"].insert(best_name);
-        bindings[p.id] = best_name;
+        bindings[p.id] = *name;
         break;
       }
       case Placeholder::Kind::kOrdinal: {
-        int n = FindOrdinal(tokens);
+        int n = FindOrdinal(linker->tokens());
         if (n == 0) {
           return Status::NotFound("no ordinal mention in the sentence");
         }
@@ -182,7 +252,7 @@ Result<std::map<std::string, std::string>> NlInterpreter::BindTemplate(
           return Status::InvalidArgument(
               "derive slot only binds for claims");
         }
-        std::string claimed = ClaimedValue(sentence);
+        std::string claimed = NlInterpreter::ClaimedValue(linker->sentence());
         if (claimed.empty()) {
           return Status::NotFound("no claimed value in the sentence");
         }
@@ -194,17 +264,21 @@ Result<std::map<std::string, std::string>> NlInterpreter::BindTemplate(
   return bindings;
 }
 
+}  // namespace
+
 std::vector<Interpretation> NlInterpreter::RankAll(
     const std::string& sentence, const Table& table, TaskType task,
     const ExecOptions& exec) const {
   std::vector<Interpretation> out;
+  std::optional<Linker> linker;  // built by the first template that reads
   for (size_t i = 0; i < templates_.size(); ++i) {
     const ProgramTemplate& tmpl = templates_[i];
     // Claim templates only read claims, question templates only questions.
     bool is_claim_template = tmpl.type == ProgramType::kLogicalForm;
     if (is_claim_template != (task == TaskType::kFactVerification)) continue;
 
-    auto bindings = BindTemplate(tmpl, sentence, table, task);
+    if (!linker) linker.emplace(sentence, table);
+    auto bindings = BindTemplate(tmpl, task, &*linker);
     if (!bindings.ok()) continue;
     auto filled = tmpl.Fill(bindings.ValueOrDie());
     if (!filled.ok()) continue;

@@ -32,6 +32,12 @@ struct Interpretation {
 /// models (VerifierModel / QaModel) learn how much to trust which
 /// interpretations, mirroring program-enhanced verification models and
 /// semantic-parsing QA models in the paper's related work.
+///
+/// Binding cost per request: RankAll tokenizes the sentence once and maps
+/// its tokens to the table's token inventory (TableIndex::tokens(), built
+/// once per table). Each column a slot binds is then scored once per call
+/// by integer lookups over its cells' token ids and shared by every
+/// template; no cell is tokenized per request.
 class NlInterpreter {
  public:
   explicit NlInterpreter(std::vector<ProgramTemplate> templates);
@@ -56,12 +62,6 @@ class NlInterpreter {
   static std::string ClaimedValue(const std::string& sentence);
 
  private:
-  /// Binds one template against (sentence, table); nullopt-like error when
-  /// a slot cannot be filled.
-  Result<std::map<std::string, std::string>> BindTemplate(
-      const ProgramTemplate& tmpl, const std::string& sentence,
-      const Table& table, TaskType task) const;
-
   std::vector<ProgramTemplate> templates_;
   nlgen::NlGenerator canonical_generator_;
 };

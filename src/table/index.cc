@@ -1,6 +1,7 @@
 #include "table/index.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "common/numeric.h"
@@ -25,7 +26,8 @@ TableIndex::TableIndex(const Table* table)
       once_(std::make_unique<std::once_flag[]>(table->num_columns())),
       columns_(table->num_columns()),
       all_rows_once_(std::make_unique<std::once_flag>()),
-      schema_fp_once_(std::make_unique<std::once_flag>()) {}
+      schema_fp_once_(std::make_unique<std::once_flag>()),
+      tokens_once_(std::make_unique<std::once_flag>()) {}
 
 const TableIndex::Column& TableIndex::column(size_t c) const {
   std::call_once(once_[c], [this, c] { BuildColumn(c); });
@@ -48,6 +50,83 @@ uint64_t TableIndex::schema_fingerprint() const {
   std::call_once(*schema_fp_once_,
                  [this] { schema_fp_ = table_->schema().Fingerprint(); });
   return schema_fp_;
+}
+
+const TableIndex::TokenInventory& TableIndex::tokens() const {
+  std::call_once(*tokens_once_, [this] { BuildTokens(); });
+  return *tokens_;
+}
+
+std::string_view TableIndex::TokenInventory::word(uint32_t id) const {
+  const uint32_t begin = id == 0 ? 0 : word_end[id - 1];
+  return std::string_view(words.data() + begin, word_end[id] - begin);
+}
+
+uint32_t TableIndex::TokenInventory::Find(std::string_view w) const {
+  uint32_t lo = 0, hi = static_cast<uint32_t>(num_words());
+  while (lo < hi) {
+    const uint32_t mid = lo + (hi - lo) / 2;
+    if (word(mid) < w) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo < num_words() && word(lo) == w ? lo : kNoWord;
+}
+
+void TableIndex::BuildTokens() const {
+  auto inv = std::make_unique<TokenInventory>();
+  const size_t rows = table_->num_rows();
+  inv->num_rows = rows;
+  // Cell tokens in CSR order, then header tokens; ids are assigned once
+  // the words are sorted.
+  std::vector<std::string> tokens;
+  inv->cell_begin.reserve(num_columns_ * rows + 1);
+  inv->cell_begin.push_back(0);
+  for (size_t c = 0; c < num_columns_; ++c) {
+    for (size_t r = 0; r < rows; ++r) {
+      const Value& v = table_->cell(r, c);
+      if (!v.is_null()) {
+        for (std::string& t : WordTokens(v.ToDisplayString())) {
+          tokens.push_back(std::move(t));
+        }
+        // NaN would break the sorted order the number lookups rely on,
+        // and NearlyEqual never matches it anyway.
+        if (v.is_number() && !std::isnan(v.number())) {
+          inv->numbers.push_back(v.number());
+        }
+      }
+      inv->cell_begin.push_back(static_cast<uint32_t>(tokens.size()));
+    }
+  }
+  const size_t cell_tokens = tokens.size();
+  for (size_t c = 0; c < num_columns_; ++c) {
+    for (std::string& t : WordTokens(table_->schema().column(c).name)) {
+      tokens.push_back(std::move(t));
+    }
+  }
+  std::vector<std::string_view> distinct(tokens.begin(), tokens.end());
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  size_t bytes = 0;
+  for (std::string_view w : distinct) bytes += w.size();
+  inv->words.reserve(bytes);
+  inv->word_end.reserve(distinct.size());
+  for (std::string_view w : distinct) {
+    inv->words.append(w);
+    inv->word_end.push_back(static_cast<uint32_t>(inv->words.size()));
+  }
+  inv->ids.reserve(cell_tokens);
+  for (size_t i = 0; i < cell_tokens; ++i) {
+    inv->ids.push_back(inv->Find(tokens[i]));
+  }
+  std::sort(inv->numbers.begin(), inv->numbers.end());
+  inv->numbers.erase(std::unique(inv->numbers.begin(), inv->numbers.end()),
+                     inv->numbers.end());
+  inv->numbers.shrink_to_fit();
+  tokens_ = std::move(inv);
 }
 
 void TableIndex::BuildColumn(size_t c) const {

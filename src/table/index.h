@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -29,13 +31,13 @@ class Table;
 /// values, same tie-breaking row order, same EmptyResult/error behavior).
 /// tests/index_test.cc enforces this differentially.
 ///
-/// Thread safety: column caches are built under std::call_once, so any
-/// number of threads may share one TableIndex through a const Table —
-/// this is what lets serve:: build the index once at table load and share
-/// it read-only across Scheduler workers. The table itself must not be
-/// mutated while readers are active (the same rule that already governs
-/// Table::rows_); any mutation through the Table API invalidates the
-/// whole index.
+/// Thread safety: column caches and the token inventory are each built
+/// under their own std::call_once, so any number of threads may share one
+/// TableIndex through a const Table — this is what lets serve:: build the
+/// index once at table load and share it read-only across Scheduler
+/// workers. The table itself must not be mutated while readers are active
+/// (the same rule that already governs Table::rows_); any mutation through
+/// the Table API invalidates the whole index.
 class TableIndex {
  public:
   /// \brief One column's caches, all aligned with table row order.
@@ -67,6 +69,37 @@ class TableIndex {
     explicit LiteralKey(const Value& v);
   };
 
+  /// \brief The table's words, tokenized once so that linking a sentence
+  /// to the table (template slot binding, alignment features) costs
+  /// integer lookups instead of re-tokenizing cells per request.
+  struct TokenInventory {
+    static constexpr uint32_t kNoWord = UINT32_MAX;
+
+    /// Distinct WordTokens of every non-null cell and every header,
+    /// sorted and concatenated: word i is words[word_end[i-1], word_end[i]).
+    std::string words;
+    std::vector<uint32_t> word_end;
+    /// Each cell's token ids in WordTokens order, duplicates kept, in CSR
+    /// form: cell (r, c) owns ids[cell_begin[k], cell_begin[k + 1]) with
+    /// k = c * num_rows + r, so a column's cells are contiguous. Null
+    /// cells own none.
+    std::vector<uint32_t> cell_begin;
+    std::vector<uint32_t> ids;
+    size_t num_rows = 0;
+    /// Distinct non-NaN numbers of kNumber cells, ascending.
+    std::vector<double> numbers;
+
+    size_t num_words() const { return word_end.size(); }
+    std::string_view word(uint32_t id) const;
+    /// \brief The id of `w`, or kNoWord (binary search).
+    uint32_t Find(std::string_view w) const;
+    /// \brief The token ids of cell (r, c).
+    std::span<const uint32_t> cell(size_t r, size_t c) const {
+      const size_t k = c * num_rows + r;
+      return {ids.data() + cell_begin[k], ids.data() + cell_begin[k + 1]};
+    }
+  };
+
   explicit TableIndex(const Table* table);
 
   /// \brief The cache for column `c`, building it on first use.
@@ -74,8 +107,12 @@ class TableIndex {
   const Column& column(size_t c) const;
 
   /// \brief Eagerly builds every column cache (serve:: calls this once at
-  /// table load so workers never pay the build inside a request).
+  /// table load so workers never pay the build inside a request). It does
+  /// not build tokens(): tables that are only stored never pay for it.
   void Warm() const;
+
+  /// \brief The token inventory, built on first use. Thread-safe.
+  const TokenInventory& tokens() const;
 
   /// \brief The identity view [0, num_rows) — `all_rows` materialized —
   /// built once and shared so the bytecode VM borrows it instead of
@@ -107,6 +144,7 @@ class TableIndex {
   void RebindTable(const Table* table) { table_ = table; }
 
   void BuildColumn(size_t c) const;
+  void BuildTokens() const;
 
   const Table* table_;
   size_t num_columns_;
@@ -116,6 +154,8 @@ class TableIndex {
   mutable std::vector<size_t> all_rows_;
   std::unique_ptr<std::once_flag> schema_fp_once_;
   mutable uint64_t schema_fp_ = 0;
+  std::unique_ptr<std::once_flag> tokens_once_;
+  mutable std::unique_ptr<const TokenInventory> tokens_;
 };
 
 }  // namespace uctr

@@ -8,16 +8,24 @@
 // evidence rows, and the same tie-breaking row order. These tests execute
 // fixture query suites and randomized tables through both and compare the
 // outcomes field by field, including after mutations invalidate the
-// cached index and under concurrent first-touch builds.
+// cached index and under concurrent first-touch builds. The token
+// inventory's lifecycle (lazy build, invalidation, moves and copies,
+// concurrent first touch through RankAll and Extract) is checked too.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "logic/executor.h"
+#include "model/features.h"
+#include "model/interpreter.h"
+#include "program/library.h"
 #include "program/program.h"
 #include "sql/executor.h"
 #include "table/index.h"
@@ -375,6 +383,123 @@ TEST(IndexConcurrencyTest, SharedConstTableAcrossThreads) {
   for (int i = 0; i < kThreads; ++i) {
     EXPECT_EQ(got[i], want) << "thread " << i;
   }
+}
+
+// ----------------------------------------------------------- token inventory
+
+// Everything a caller reads from RankAll and Extract, as one string.
+std::string DescribeLinking(const std::vector<model::Interpretation>& ranked,
+                            const model::FeatureVector& features) {
+  std::string out;
+  char buf[64];
+  for (const model::Interpretation& r : ranked) {
+    std::snprintf(buf, sizeof(buf), "%zu|%.17g|", r.template_index, r.score);
+    out += buf + r.program.text + "|" + r.result.ToDisplayString() + "|";
+    for (const auto& [slot, value] : r.bindings) {
+      out += slot + "=" + value + ",";
+    }
+    out += "\n";
+  }
+  for (const model::Feature& f : features) {
+    std::snprintf(buf, sizeof(buf), "%u:%.9g ", f.index, f.value);
+    out += buf;
+  }
+  return out;
+}
+
+// Concurrent first touch of the token inventory: eight threads rank and
+// extract against one shared const Table nobody has warmed, so the
+// inventory's call_once and the column caches' race. Each thread must see
+// what a single thread sees on its own copy.
+TEST(TokenInventoryTest, SharedConstTableFirstTouchAcrossThreads) {
+  const Table shared = MedalTable();
+  model::NlInterpreter interp(BuiltinLogicTemplates());
+  model::FeatureExtractor extractor(model::FeatureConfig(), &interp);
+  const std::string claim = "The gold of the row whose nation is Canada is 4.";
+  auto link = [&](const Table& table) {
+    Sample s;
+    s.task = TaskType::kFactVerification;
+    s.shared_table = &table;
+    s.sentence = claim;
+    return DescribeLinking(
+        interp.RankAll(claim, table, TaskType::kFactVerification),
+        extractor.Extract(s));
+  };
+  const Table alone = shared;  // a copy builds its own index
+  const std::string want = link(alone);
+  ASSERT_NE(want.find("v1=Canada"), std::string::npos) << want;
+
+  constexpr int kThreads = 8;
+  std::vector<std::string> got(kThreads);
+  std::atomic<int> ready{0};
+  {
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (int i = 0; i < kThreads; ++i) {
+      workers.emplace_back([&, i] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        got[i] = link(shared);
+      });
+    }
+    for (std::thread& w : workers) w.join();
+  }
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(got[i], want) << "thread " << i;
+  }
+}
+
+// Every mutator drops the inventory with the rest of the index; the next
+// reader rebuilds it from the current cells.
+TEST(TokenInventoryTest, MutationDropsAndRebuildsTheInventory) {
+  using Inventory = TableIndex::TokenInventory;
+  Table t = MedalTable();
+  EXPECT_EQ(t.index().tokens().Find("wakanda"), Inventory::kNoWord);
+
+  *t.mutable_cell(1, 0) = Value::String("Wakanda");
+  const Inventory& renamed = t.index().tokens();
+  EXPECT_NE(renamed.Find("wakanda"), Inventory::kNoWord);
+  EXPECT_EQ(renamed.Find("germany"), Inventory::kNoWord);
+  ASSERT_EQ(renamed.cell(1, 0).size(), 1u);
+  EXPECT_EQ(renamed.word(renamed.cell(1, 0)[0]), "wakanda");
+  model::NlInterpreter interp(BuiltinLogicTemplates());
+  auto read = interp.Interpret(
+      "The gold of the row whose nation is Wakanda is 12.", t,
+      TaskType::kFactVerification);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read->bindings.at("v1"), "Wakanda");
+
+  ASSERT_TRUE(t.AppendRow({Value::String("Atlantis"), Value::Number(77),
+                           Value::Number(1), Value::Number(1),
+                           Value::Number(79)})
+                  .ok());
+  const Inventory& appended = t.index().tokens();
+  EXPECT_NE(appended.Find("atlantis"), Inventory::kNoWord);
+  EXPECT_TRUE(std::binary_search(appended.numbers.begin(),
+                                 appended.numbers.end(), 77.0));
+
+  ASSERT_TRUE(t.AppendColumn("mascot", Value::String("wombat")).ok());
+  const Inventory& widened = t.index().tokens();
+  EXPECT_NE(widened.Find("mascot"), Inventory::kNoWord);  // a header word
+  ASSERT_EQ(widened.cell(t.num_rows() - 1, 5).size(), 1u);
+  EXPECT_EQ(widened.word(widened.cell(t.num_rows() - 1, 5)[0]), "wombat");
+}
+
+TEST(TokenInventoryTest, MovesKeepTheInventoryCopiesBuildTheirOwn) {
+  Table t = MedalTable();
+  const TableIndex::TokenInventory* built = &t.index().tokens();
+
+  Table copy = t;
+  const TableIndex::TokenInventory& own = copy.index().tokens();
+  EXPECT_NE(&own, built);
+  EXPECT_EQ(own.words, built->words);
+  EXPECT_EQ(own.word_end, built->word_end);
+  EXPECT_EQ(own.cell_begin, built->cell_begin);
+  EXPECT_EQ(own.ids, built->ids);
+  EXPECT_EQ(own.numbers, built->numbers);
+
+  Table moved = std::move(t);
+  EXPECT_EQ(&moved.index().tokens(), built);
 }
 
 // The span accessor must agree with the copying ColumnValues everywhere.

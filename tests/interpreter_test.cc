@@ -165,6 +165,12 @@ TEST(InterpreterBindingTest, EmptyTableYieldsNoInterpretations) {
                   .RankAll("The gold of china is 8.", empty,
                            TaskType::kFactVerification)
                   .empty());
+  // Row slots read the first column, which a columnless table lacks.
+  NlInterpreter questions(BuiltinArithTemplates());
+  EXPECT_TRUE(questions
+                  .RankAll("What is the total of revenue?", empty,
+                           TaskType::kQuestionAnswering)
+                  .empty());
 }
 
 TEST(InterpreterBindingTest, DuplicateCellTokensCountTowardCoverage) {
@@ -369,9 +375,9 @@ TEST(InterpreterSweepTest, RankAllAndExtractDigestIsPinned) {
     }
   }
   EXPECT_GT(readings, samples.size());
-  EXPECT_EQ(digest, 0xc20dcfe9a09d61b1ull) << std::hex << digest << std::dec << " over "
-                            << samples.size() << " samples, " << readings
-                            << " readings";
+  EXPECT_EQ(digest, 0xc20dcfe9a09d61b1ull)
+      << std::hex << digest << std::dec << " over " << samples.size()
+      << " samples, " << readings << " readings";
 }
 
 }  // namespace

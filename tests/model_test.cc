@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "gen/generator.h"
 #include "model/features.h"
 #include "model/interpreter.h"
@@ -287,6 +289,34 @@ TEST(FeatureTest, InfTokenMatchesAFiniteTableNumber) {
   FeatureVector f = AlignmentOf(MakeNationsTable(), "china won inf gold");
   EXPECT_FLOAT_EQ(FeatureValue(f, "align:num_match", config), 1.0f);
   EXPECT_FLOAT_EQ(FeatureValue(f, "align:num_miss", config), 0.0f);
+}
+
+// NaN must stay out of the number lists: in an ordered container it breaks
+// the strict weak order, so the numbers inserted after it are lost.
+TEST(FeatureTest, NanCellDoesNotHideOtherTableNumbers) {
+  const FeatureConfig config;
+  for (const char* csv : {"name,score\nalpha,nan\nbeta,5\n",
+                          "name,score\nbeta,5\nalpha,nan\n"}) {
+    Table t = Table::FromCsv(csv).ValueOrDie();
+    ASSERT_TRUE(std::isnan(t.cell(0, 1).number()) ||
+                std::isnan(t.cell(1, 1).number()));
+    FeatureVector f = AlignmentOf(t, "the score of beta is 5");
+    EXPECT_FLOAT_EQ(FeatureValue(f, "align:num_match", config), 1.0f) << csv;
+    EXPECT_FLOAT_EQ(FeatureValue(f, "align:num_miss", config), 0.0f) << csv;
+  }
+}
+
+TEST(FeatureTest, NanWordDoesNotHideOtherParagraphNumbers) {
+  const FeatureConfig config;
+  Table t = Table::FromCsv("name,score\nalpha,7\n").ValueOrDie();
+  for (const char* paragraph :
+       {"Nan scored 5 points.", "Bo scored 5 points."}) {
+    FeatureVector f = AlignmentOf(t, "beta scored 5", {paragraph});
+    EXPECT_FLOAT_EQ(FeatureValue(f, "align:num_match", config), 1.0f)
+        << paragraph;
+    EXPECT_FLOAT_EQ(FeatureValue(f, "align:num_miss", config), 0.0f)
+        << paragraph;
+  }
 }
 
 // ----------------------------------------------------- Verifier end-to-end
