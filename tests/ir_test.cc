@@ -119,26 +119,51 @@ class IrDifferentialTest : public ::testing::TestWithParam<uint64_t> {
   Rng rng_{GetParam()};
 };
 
+// Samples every built-in template once on `table` and checks each program
+// on both runtime entry points; returns how many programs executed.
+size_t SweepLibrary(const Table& table, bool support, ProgramSampler* sampler,
+                    ir::PlanCache* cache) {
+  static const TemplateLibrary library = TemplateLibrary::Builtin();
+  size_t executed = 0;
+  for (const ProgramTemplate& tmpl : library.templates()) {
+    Result<SampledProgram> sampled =
+        HasDerive(tmpl) ? sampler->SampleClaim(tmpl, table, support)
+                        : sampler->Sample(tmpl, table);
+    if (!sampled.ok()) continue;  // Binding failed on this table; skip.
+    const Program& program = sampled.ValueOrDie().program;
+    ExpectIdentical(program, table, cache);
+    ExpectDirectVmIdentical(program, table);
+    ++executed;
+  }
+  return executed;
+}
+
 TEST_P(IrDifferentialTest, AllBuiltinTemplatesMatchTreeWalk) {
-  TemplateLibrary library = TemplateLibrary::Builtin();
   ir::PlanCache cache(256, 4);
   ProgramSampler sampler(&rng_);
   size_t executed = 0;
   for (int round = 0; round < 3; ++round) {
     Table table = uctr::testing::RandomTable(&rng_);
-    for (const ProgramTemplate& tmpl : library.templates()) {
-      Result<SampledProgram> sampled =
-          HasDerive(tmpl) ? sampler.SampleClaim(tmpl, table, round % 2 == 0)
-                          : sampler.Sample(tmpl, table);
-      if (!sampled.ok()) continue;  // Binding failed on this table; skip.
-      const Program& program = sampled.ValueOrDie().program;
-      ExpectIdentical(program, table, &cache);
-      ExpectDirectVmIdentical(program, table);
-      ++executed;
-    }
+    executed += SweepLibrary(table, round % 2 == 0, &sampler, &cache);
   }
   // The library must not silently stop sampling (e.g. every binding
   // failing): differential coverage requires real executions.
+  EXPECT_GT(executed, 20u);
+}
+
+// The same sweep on tables whose evidence crosses 64-row words: one row
+// short of a word, exactly one, one past, two words and a row, and the
+// 1000 rows of a registered serving table.
+TEST_P(IrDifferentialTest, AllBuiltinTemplatesMatchTreeWalkOnTallTables) {
+  ir::PlanCache cache(256, 4);
+  ProgramSampler sampler(&rng_);
+  size_t executed = 0;
+  bool support = true;
+  for (size_t rows : {63, 64, 65, 129, 1000}) {
+    Table table = uctr::testing::RandomTable(&rng_, rows);
+    executed += SweepLibrary(table, support, &sampler, &cache);
+    support = !support;
+  }
   EXPECT_GT(executed, 20u);
 }
 
@@ -275,6 +300,23 @@ TEST(IrFixedProgramTest, ArithProgramsMatch) {
     Program p{ProgramType::kArithmetic, text};
     ExpectIdentical(p, t, &cache);
     ExpectDirectVmIdentical(p, t);
+  }
+
+  // A column series over 130 rows, so its evidence spans three 64-row
+  // words; every seventh cell is null and stays out of the evidence.
+  std::vector<std::vector<std::string>> cells;
+  for (int r = 0; r < 130; ++r) {
+    cells.push_back({"item " + std::to_string(r),
+                     r % 7 == 3 ? "n/a" : std::to_string(3 * r + 1)});
+  }
+  Table tall = Table::FromStrings({"item", "amount"}, cells).ValueOrDie();
+  for (const char* text : {"table_sum(amount)", "table_average(amount)"}) {
+    Program p{ProgramType::kArithmetic, text};
+    ExpectIdentical(p, tall, &cache);
+    ExpectDirectVmIdentical(p, tall);
+    auto r = p.Execute(tall);
+    ASSERT_TRUE(r.ok()) << text;
+    EXPECT_EQ(r->evidence_rows.size(), 111u) << text;
   }
 }
 
