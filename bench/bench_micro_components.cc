@@ -177,6 +177,46 @@ void BM_LogicFilterEqPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_LogicFilterEqPlan)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
+// Programs whose evidence is every row: the VM marks it in a row bitmap.
+constexpr const char* kLogicAggregate = "sum { all_rows ; total }";
+
+void BM_LogicAggregateScan(benchmark::State& state) {
+  RunLogicBench(state, kLogicAggregate, /*plan=*/false);
+}
+BENCHMARK(BM_LogicAggregateScan)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
+
+void BM_LogicAggregatePlan(benchmark::State& state) {
+  RunLogicBench(state, kLogicAggregate, /*plan=*/true);
+}
+BENCHMARK(BM_LogicAggregatePlan)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
+
+constexpr const char* kLogicMajority = "most_greater { all_rows ; gold ; 5 }";
+
+void BM_LogicMajorityScan(benchmark::State& state) {
+  RunLogicBench(state, kLogicMajority, /*plan=*/false);
+}
+BENCHMARK(BM_LogicMajorityScan)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
+
+void BM_LogicMajorityPlan(benchmark::State& state) {
+  RunLogicBench(state, kLogicMajority, /*plan=*/true);
+}
+BENCHMARK(BM_LogicMajorityPlan)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
+
+// A full-table ORDER BY on a column with one stable order: the VM reads
+// the index's cached permutation instead of sorting.
+constexpr const char* kSqlOrderByLimit =
+    "SELECT nation FROM w ORDER BY total DESC LIMIT 1";
+
+void BM_SqlOrderByLimitScan(benchmark::State& state) {
+  RunSqlBench(state, kSqlOrderByLimit, /*plan=*/false);
+}
+BENCHMARK(BM_SqlOrderByLimitScan)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
+
+void BM_SqlOrderByLimitPlan(benchmark::State& state) {
+  RunSqlBench(state, kSqlOrderByLimit, /*plan=*/true);
+}
+BENCHMARK(BM_SqlOrderByLimitPlan)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
+
 // ---------------------------------------------------------------------------
 // Compiled-plan VM vs. parse + scan walker (src/ir). The VM side holds a
 // pre-compiled plan (the plan-cache-hit regime: no parser, no AST) while

@@ -1,11 +1,11 @@
 #ifndef UCTR_ARITH_EXEC_INTERNAL_H_
 #define UCTR_ARITH_EXEC_INTERNAL_H_
 
-#include <set>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "table/exec_result.h"
 #include "table/table.h"
 
 /// Table-reference resolution shared by the step evaluator
@@ -17,17 +17,17 @@ namespace uctr::arith::internal {
 /// Resolves a `col of row` cell reference to a number. Tries the parsed
 /// (column, row) split first, then every other " of " split point of the
 /// original text — both halves may themselves contain " of " ("cost of
-/// sales"). Rows read are added to `*evidence`. NotFound when no split
+/// sales"). Rows read are marked in `*evidence`. NotFound when no split
 /// resolves.
 Result<double> ResolveCellRef(const Table& table, const std::string& column,
                               const std::string& row, const std::string& text,
-                              std::set<size_t>* evidence);
+                              RowMarks* evidence);
 
 /// Numeric cells of the row named `name`, or of the column headed `name`.
-/// Rows read are added to `*evidence`.
+/// Rows read are marked in `*evidence`.
 Result<std::vector<double>> ResolveSeries(const Table& table,
                                           const std::string& name,
-                                          std::set<size_t>* evidence);
+                                          RowMarks* evidence);
 
 }  // namespace uctr::arith::internal
 

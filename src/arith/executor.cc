@@ -1,7 +1,6 @@
 #include "arith/executor.h"
 
 #include <cmath>
-#include <set>
 
 #include "arith/exec_internal.h"
 #include "arith/parser.h"
@@ -16,11 +15,11 @@ namespace {
 
 Result<double> TryCellLookup(const Table& table, const std::string& column,
                              const std::string& row_name,
-                             std::set<size_t>* evidence) {
+                             RowMarks* evidence) {
   UCTR_ASSIGN_OR_RETURN(size_t r, table.RowIndexByName(row_name));
   UCTR_ASSIGN_OR_RETURN(size_t c, table.ColumnIndex(column));
   UCTR_ASSIGN_OR_RETURN(double v, table.cell(r, c).ToNumber());
-  evidence->insert(r);
+  evidence->Mark(r);
   return v;
 }
 
@@ -28,7 +27,7 @@ Result<double> TryCellLookup(const Table& table, const std::string& column,
 
 Result<double> ResolveCellRef(const Table& table, const std::string& column,
                               const std::string& row, const std::string& text,
-                              std::set<size_t>* evidence) {
+                              RowMarks* evidence) {
   // The parser's "col of row" split is a guess: both halves may
   // themselves contain " of " ("cost of sales"). Try the parsed
   // split first, then every other split point of the original text.
@@ -48,11 +47,11 @@ Result<double> ResolveCellRef(const Table& table, const std::string& column,
 
 Result<std::vector<double>> ResolveSeries(const Table& table,
                                           const std::string& name,
-                                          std::set<size_t>* evidence) {
+                                          RowMarks* evidence) {
   std::vector<double> out;
   if (auto r = table.RowIndexByName(name); r.ok()) {
     size_t row = r.ValueOrDie();
-    evidence->insert(row);
+    evidence->Mark(row);
     for (size_t c = 0; c < table.num_columns(); ++c) {
       const Value& v = table.cell(row, c);
       if (v.is_number()) out.push_back(v.number());
@@ -65,7 +64,7 @@ Result<std::vector<double>> ResolveSeries(const Table& table,
       const Value& v = table.cell(r, col);
       if (v.is_number()) {
         out.push_back(v.number());
-        evidence->insert(r);
+        evidence->Mark(r);
       }
     }
     if (!out.empty()) return out;
@@ -79,7 +78,8 @@ namespace {
 
 class Evaluator {
  public:
-  explicit Evaluator(const Table& table) : table_(table) {}
+  explicit Evaluator(const Table& table)
+      : table_(table), evidence_(table.num_rows()) {}
 
   Result<Value> Run(const Expression& expr) {
     results_.clear();
@@ -90,7 +90,7 @@ class Evaluator {
     return results_.back();
   }
 
-  const std::set<size_t>& evidence() const { return evidence_; }
+  const RowMarks& evidence() const { return evidence_; }
 
  private:
   Result<double> ResolveNumeric(const Operand& op) {
@@ -171,7 +171,7 @@ class Evaluator {
 
   const Table& table_;
   std::vector<Value> results_;
-  std::set<size_t> evidence_;
+  RowMarks evidence_;
 };
 
 }  // namespace
@@ -181,7 +181,7 @@ Result<ExecResult> Execute(const Expression& expr, const Table& table) {
   UCTR_ASSIGN_OR_RETURN(Value answer, eval.Run(expr));
   ExecResult result;
   result.values.push_back(std::move(answer));
-  result.evidence_rows.assign(eval.evidence().begin(), eval.evidence().end());
+  result.evidence_rows = eval.evidence().Rows();
   return result;
 }
 

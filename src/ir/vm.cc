@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -315,10 +314,11 @@ namespace {
 
 /// One register: a row view or a scalar, per the verifier's static typing.
 /// Both slots may be *borrowed* — ref/vref point at storage that outlives
-/// the execution (TableIndex::all_rows(), the plan's constant pool) — so
-/// the common claim shape — all_rows narrowed by one eq-filter against a
-/// pooled literal — executes without copying row ids or literal strings.
-/// Writing an owned value clears the borrow.
+/// the execution (TableIndex::all_rows(), a column's sorted permutation,
+/// the plan's constant pool) — so the common claim shape — all_rows
+/// narrowed by one eq-filter against a pooled literal — executes without
+/// copying row ids or literal strings. Writing an owned value clears the
+/// borrow.
 struct Reg {
   std::vector<size_t> rows;
   const std::vector<size_t>* ref = nullptr;
@@ -378,7 +378,7 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table) {
 
   std::vector<Reg> regs(plan.num_regs);
   ExecResult result;
-  std::set<size_t> evidence;  // logic scalar / arith evidence accumulator
+  RowMarks evidence(table.num_rows());  // logic scalar / arith evidence
   size_t rows_scanned = 0;
   // Flush scan-work telemetry on every exit path, error or value.
   struct ScanFlush {
@@ -427,9 +427,21 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table) {
         break;
       }
       case Op::kOrderBy: {
-        std::vector<size_t> rows = regs[insn.a].view();
+        const std::vector<size_t>& in = regs[insn.a].view();
         bool desc = insn.imm2 != 0;
         const TableIndex::Column& col = index.column(insn.imm);
+        // Filters keep views ascending and duplicate-free, so a full-size
+        // view is the identity; where the column has one stable order, the
+        // cached permutation is the answer.
+        if (col.strict_order && in.size() == table.num_rows()) {
+          if (desc) {
+            regs[insn.dst].Set(TableIndex::SortedDescending(col));
+          } else {
+            regs[insn.dst].Borrow(col.sorted);
+          }
+          break;
+        }
+        std::vector<size_t> rows = in;
         std::stable_sort(rows.begin(), rows.end(), [&](size_t a, size_t b) {
           int cmp = TableIndex::CompareRows(col, a, b);
           return desc ? cmp > 0 : cmp < 0;
@@ -438,9 +450,9 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table) {
         break;
       }
       case Op::kLimit: {
-        std::vector<size_t> rows = regs[insn.a].view();
-        if (rows.size() > insn.imm) rows.resize(insn.imm);
-        regs[insn.dst].Set(std::move(rows));
+        const std::vector<size_t>& in = regs[insn.a].view();
+        const size_t keep = std::min<size_t>(in.size(), insn.imm);
+        regs[insn.dst].Set(std::vector<size_t>(in.begin(), in.begin() + keep));
         break;
       }
       case Op::kSqlAgg: {
@@ -499,7 +511,7 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table) {
         if (view.empty()) {
           return Status::EmptyResult("majority over empty view");
         }
-        evidence.insert(view.begin(), view.end());
+        evidence.Mark(view);
         size_t hits =
             logic::internal::MatchingRows(table, index, view, insn.imm,
                                           static_cast<CmpKind>(insn.imm2 &
@@ -535,7 +547,7 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table) {
                                     " beyond view of " +
                                     std::to_string(rows.size()));
         }
-        evidence.insert(rows.begin(), rows.end());
+        evidence.Mark(rows);
         regs[insn.dst].Set({rows[n - 1]});
         break;
       }
@@ -550,19 +562,19 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table) {
       case Op::kHop: {
         const std::vector<size_t>& view = regs[insn.a].view();
         if (view.empty()) return Status::EmptyResult("hop on empty view");
-        evidence.insert(view[0]);
+        evidence.Mark(view[0]);
         regs[insn.dst].BorrowVal(table.cell(view[0], insn.imm));
         break;
       }
       case Op::kCount: {
         const std::vector<size_t>& view = regs[insn.a].view();
-        evidence.insert(view.begin(), view.end());
+        evidence.Mark(view);
         regs[insn.dst].SetVal(Value::Number(static_cast<double>(view.size())));
         break;
       }
       case Op::kLogicAgg: {
         const std::vector<size_t>& view = regs[insn.a].view();
-        evidence.insert(view.begin(), view.end());
+        evidence.Mark(view);
         UCTR_ASSIGN_OR_RETURN(
             Value v, logic::internal::ViewAggregate(
                          table, index, view, insn.imm,
@@ -617,7 +629,7 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table) {
         break;
       case Op::kOnly: {
         const std::vector<size_t>& view = regs[insn.a].view();
-        evidence.insert(view.begin(), view.end());
+        evidence.Mark(view);
         regs[insn.dst].SetVal(Value::Bool(view.size() == 1));
         break;
       }
@@ -632,7 +644,7 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table) {
           result.evidence_rows.assign(rows.begin(), rows.end());
         } else {
           result.values.push_back(regs[insn.a].value());
-          result.evidence_rows.assign(evidence.begin(), evidence.end());
+          result.evidence_rows = evidence.Rows();
         }
         if (result.values.empty()) {
           return Status::EmptyResult("logical form produced no values");
@@ -708,7 +720,7 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table) {
       }
       case Op::kReturnArith:
         result.values.push_back(regs[insn.a].value());
-        result.evidence_rows.assign(evidence.begin(), evidence.end());
+        result.evidence_rows = evidence.Rows();
         return result;
 
       default:

@@ -1,6 +1,7 @@
 #include "logic/exec_internal.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <optional>
 #include <string>
 
@@ -94,37 +95,32 @@ Result<std::vector<size_t>> OrderedRows(const Table& table,
                                         size_t col_idx, bool descending) {
   const TableIndex::Column& col = index.column(col_idx);
   std::vector<size_t> rows;
-  if (view.size() == table.num_rows()) {
+  if (col.strict_order && view.size() == table.num_rows()) {
     // Views are duplicate-free subsets in ascending row order, so a
-    // full-size view is exactly 0..n-1: the cached permutation applies.
-    rows.reserve(col.non_null_count);
-    for (size_t r : col.sorted) {
-      if (!col.is_null[r]) rows.push_back(r);
+    // full-size view is exactly 0..n-1, and on a column with one stable
+    // order the cached permutation is its order. Nulls are the first tie
+    // group ascending and the last descending.
+    if (descending) {
+      rows = TableIndex::SortedDescending(col);
+      rows.resize(col.non_null_count);
+    } else {
+      rows.assign(col.sorted.end() -
+                      static_cast<std::ptrdiff_t>(col.non_null_count),
+                  col.sorted.end());
     }
   } else {
+    // The walker's stable sort: the same rows in the same input order,
+    // compared the same way in the same direction.
     for (size_t r : view) {
       if (!col.is_null[r]) rows.push_back(r);
     }
-    std::stable_sort(rows.begin(), rows.end(), [&col](size_t a, size_t b) {
-      return TableIndex::CompareRows(col, a, b) < 0;
-    });
+    std::stable_sort(rows.begin(), rows.end(),
+                     [&col, descending](size_t a, size_t b) {
+                       int cmp = TableIndex::CompareRows(col, a, b);
+                       return descending ? cmp > 0 : cmp < 0;
+                     });
   }
   if (rows.empty()) return Status::EmptyResult("superlative on empty view");
-  if (descending) {
-    std::vector<size_t> desc;
-    desc.reserve(rows.size());
-    size_t end = rows.size();
-    while (end > 0) {
-      size_t begin = end - 1;
-      while (begin > 0 &&
-             TableIndex::CompareRows(col, rows[begin - 1], rows[begin]) == 0) {
-        --begin;
-      }
-      for (size_t k = begin; k < end; ++k) desc.push_back(rows[k]);
-      end = begin;
-    }
-    rows = std::move(desc);
-  }
   return rows;
 }
 

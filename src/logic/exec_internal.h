@@ -45,9 +45,10 @@ std::vector<size_t> NonNullRows(const TableIndex& index,
 
 /// Rows of `view` ordered by column value, nulls dropped; ties keep
 /// original order. EmptyResult("superlative on empty view") when nothing
-/// survives. A full view reuses the cached sorted permutation; descending
-/// order reverses tie groups, which preserves original row order within
-/// ties exactly like a stable descending sort.
+/// survives. A full view over a strict_order column reads the cached
+/// sorted permutation (descending: TableIndex::SortedDescending); every
+/// other view is stable-sorted exactly as the walker sorts it, which on
+/// columns without a unique order is the only way to match it.
 Result<std::vector<size_t>> OrderedRows(const Table& table,
                                         const TableIndex& index,
                                         const std::vector<size_t>& view,

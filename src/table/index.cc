@@ -157,7 +157,51 @@ void TableIndex::BuildColumn(size_t c) const {
                    [&built](size_t a, size_t b) {
                      return CompareRows(built, a, b) < 0;
                    });
+  // One pass over `sorted` decides strict_order. Text compares by its
+  // normalized string, a strict weak order. Numbers compare through
+  // NearlyEqual, which is not transitive, and a number against text
+  // compares as strings. An all-number column is safe when `sorted` is
+  // non-decreasing and no two adjacent distinct numbers are NearlyEqual:
+  // were two distinct numbers anywhere NearlyEqual, so would be an
+  // adjacent pair between them (the pair holding the larger magnitude
+  // endpoint has at least their tolerance), so NearlyEqual is equality
+  // here and CompareRows exact ordering. nan and inf are not compared
+  // consistently at all.
+  bool all_text = true, all_numbers = true;
+  size_t prev = n;  // the previous non-null row in `sorted`
+  for (size_t r : col->sorted) {
+    if (col->is_null[r]) continue;
+    if (!col->numeric[r]) {
+      all_numbers = false;
+      continue;
+    }
+    all_text = false;
+    const double x = col->number[r];
+    if (!std::isfinite(x)) all_numbers = false;
+    if (prev < n) {
+      const double p = col->number[prev];
+      if (x < p || (x != p && NearlyEqual(p, x))) all_numbers = false;
+    }
+    prev = r;
+  }
+  col->strict_order = all_text || all_numbers;
   columns_[c] = std::move(col);
+}
+
+std::vector<size_t> TableIndex::SortedDescending(const Column& col) {
+  const std::vector<size_t>& asc = col.sorted;
+  std::vector<size_t> desc;
+  desc.reserve(asc.size());
+  size_t end = asc.size();
+  while (end > 0) {
+    size_t begin = end - 1;
+    while (begin > 0 && CompareRows(col, asc[begin - 1], asc[begin]) == 0) {
+      --begin;
+    }
+    desc.insert(desc.end(), asc.begin() + begin, asc.begin() + end);
+    end = begin;
+  }
+  return desc;
 }
 
 bool TableIndex::CellEquals(const Column& col, size_t r,

@@ -54,9 +54,15 @@ class TableIndex {
     /// cells compare through NearlyEqual, which a hash key cannot express).
     std::unordered_map<std::string, std::vector<size_t>> by_text;
     /// All rows stable-sorted by Value::Compare (nulls first, ties in row
-    /// order) — the order ORDER BY ASC / argmin produce over a full view.
+    /// order).
     std::vector<size_t> sorted;
     size_t non_null_count = 0;
+    /// True when CompareRows is a strict weak order on this column: every
+    /// non-null cell is text, or every one is a finite number and no two
+    /// distinct ones are NearlyEqual. Only then does a view have one
+    /// stable order, so only then may executors read orders from `sorted`
+    /// instead of sorting the view as the walkers do.
+    bool strict_order = false;
   };
 
   /// \brief Pre-analysis of a predicate literal, hoisted out of row loops.
@@ -136,6 +142,11 @@ class TableIndex {
 
   /// \brief Value::Compare(cell(a), cell(b)) within one column.
   static int CompareRows(const Column& col, size_t a, size_t b);
+
+  /// \brief All rows of `col` in descending order: `sorted`'s tie groups in
+  /// reverse, rows ascending within each group, nulls last. On a
+  /// strict_order column this is the stable descending sort.
+  static std::vector<size_t> SortedDescending(const Column& col);
 
  private:
   friend class Table;

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -292,6 +293,129 @@ TEST(IndexDifferentialTest, RandomizedTablesMatchScan) {
          }) {
       ExpectLogicIdentical(t, form);
     }
+  }
+}
+
+// Columns on which Value::Compare is not a strict weak order, so the
+// cached sorted permutation need not be the walker's stable sort: chains
+// of numbers each within NearlyEqual's tolerance of the next, numbers
+// beside text (numbers compare numerically with each other but as strings
+// with text), nan and inf, and integers above four million, where the
+// relative tolerance spans about four units. Each column has 10% nulls;
+// every superlative and ORDER BY runs over the full view and a filtered
+// one.
+TEST(IndexDifferentialTest, ColumnsWithoutAUniqueOrderMatchScan) {
+  Rng rng(20261017);
+  auto cell = [&rng](int kind) -> std::string {
+    if (rng.Bernoulli(0.1)) return "";
+    switch (kind) {
+      case 0: {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.7f",
+                      1.0 + static_cast<double>(rng.Index(8)) * 4e-7);
+        return buf;
+      }
+      case 1: {
+        static const char* const kText[] = {"5x", "1a", "b"};
+        return rng.Bernoulli(0.5) ? std::to_string(rng.Index(13))
+                                  : kText[rng.Index(3)];
+      }
+      case 2: {
+        static const char* const kOdd[] = {"nan", "inf", "-inf",
+                                           "1",   "2",   "3"};
+        return kOdd[rng.Index(6)];
+      }
+      default:
+        return std::to_string(4000000 + rng.Index(12));
+    }
+  };
+  for (int kind = 0; kind < 4; ++kind) {
+    for (int trial = 0; trial < 250; ++trial) {
+      std::vector<std::vector<std::string>> cells;
+      const size_t rows = 2 + rng.Index(8);
+      for (size_t r = 0; r < rows; ++r) {
+        cells.push_back({"r" + std::to_string(r),
+                         rng.Bernoulli(0.5) ? "yes" : "no", cell(kind)});
+      }
+      Table t = Table::FromStrings({"name", "keep", "x"}, cells).ValueOrDie();
+      for (const std::string view :
+           {"all_rows", "filter_eq { all_rows ; keep ; yes }"}) {
+        for (const std::string op : {"argmax", "argmin"}) {
+          ExpectLogicIdentical(t,
+                               "hop { " + op + " { " + view + " ; x } ; name }");
+          ExpectLogicIdentical(
+              t, "hop { nth_" + op + " { " + view + " ; x ; 2 } ; name }");
+        }
+        for (const std::string op : {"max", "min"}) {
+          ExpectLogicIdentical(t, op + " { " + view + " ; x }");
+          ExpectLogicIdentical(t, "nth_" + op + " { " + view + " ; x ; 2 }");
+        }
+      }
+      for (const std::string where : {"", " WHERE keep = 'yes'"}) {
+        for (const std::string dir : {" ASC", " DESC"}) {
+          const std::string query = "SELECT name FROM w" + where +
+                                    " ORDER BY x" + dir;
+          ExpectSqlIdentical(t, query);
+          ExpectSqlIdentical(t, query + " LIMIT 2");
+        }
+      }
+    }
+  }
+}
+
+// strict_order holds exactly where CompareRows is a strict weak order:
+// all text, or finite numbers no two distinct of which are NearlyEqual.
+TEST(IndexStrictOrderTest, OnlyColumnsWithOneStableOrderQualify) {
+  auto strict = [](std::vector<std::string> column) {
+    std::vector<std::vector<std::string>> cells;
+    for (std::string& cell : column) cells.push_back({std::move(cell)});
+    Table t = Table::FromStrings({"x"}, cells).ValueOrDie();
+    return t.index().column(0).strict_order;
+  };
+  EXPECT_TRUE(strict({"b", "", "A", "a", "c"}));
+  EXPECT_TRUE(strict({"3", "", "1", "3", "-2.5", "$1,000"}));
+  EXPECT_TRUE(strict({"", ""}));
+  EXPECT_TRUE(strict({"4000000", "4000005", "4000010"}));
+  EXPECT_TRUE(strict({"1.0000011", "1.0"}));
+  EXPECT_FALSE(strict({"1.0000004", "1.0", "1.0000008"}));
+  EXPECT_FALSE(strict({"4000007", "4000011", "4000004"}));
+  EXPECT_FALSE(strict({"10", "9", "5x"}));
+  EXPECT_FALSE(strict({"1", "nan", "2"}));
+  EXPECT_FALSE(strict({"inf", "1"}));
+  EXPECT_FALSE(strict({"-inf"}));
+}
+
+// Two literal columns without a unique order. Within the tolerance
+// 4000007 ties both others, which do not tie each other; and 10 > 9
+// numerically while "10" < "5x" < "9" as strings. The walker's stable
+// sort answers 4000007 and 10.
+TEST(IndexDifferentialTest, LiteralColumnsWithoutAUniqueOrder) {
+  for (const auto& [csv, max] :
+       {std::pair<const char*, const char*>{
+            "name,x\na,4000007\nb,4000011\nc,4000004\n", "4000007"},
+        {"name,x\na,10\nb,9\nc,5x\n", "10"}}) {
+    Table t = Table::FromCsv(csv).ValueOrDie();
+    for (const std::string form : {
+             "max { all_rows ; x }",
+             "min { all_rows ; x }",
+             "nth_max { all_rows ; x ; 2 }",
+             "nth_min { all_rows ; x ; 2 }",
+             "hop { argmax { all_rows ; x } ; name }",
+             "hop { argmin { all_rows ; x } ; name }",
+             "hop { nth_argmax { all_rows ; x ; 3 } ; name }",
+         }) {
+      ExpectLogicIdentical(t, form);
+    }
+    for (const std::string query : {
+             "SELECT name FROM w ORDER BY x ASC",
+             "SELECT name FROM w ORDER BY x DESC",
+             "SELECT x FROM w ORDER BY x DESC LIMIT 1",
+         }) {
+      ExpectSqlIdentical(t, query);
+    }
+    auto answer = Execute(ProgramType::kLogicalForm, "max { all_rows ; x }", t);
+    ASSERT_TRUE(answer.ok());
+    EXPECT_EQ(answer->ToDisplayString(), max);
   }
 }
 

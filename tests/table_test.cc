@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "table/exec_result.h"
 #include "table/table.h"
 #include "table/value.h"
 #include "tests/test_util.h"
@@ -168,6 +169,22 @@ TEST(TableTest, EmptyCsvFails) {
 
 TEST(TableTest, RaggedRowFails) {
   EXPECT_FALSE(Table::FromCsv("a,b\n1\n").ok());
+}
+
+// ------------------------------------------------------------- RowMarks
+
+TEST(RowMarksTest, YieldsDistinctRowsAscendingAcrossWords) {
+  RowMarks marks(130);
+  EXPECT_TRUE(marks.Rows().empty());
+  marks.Mark(std::vector<size_t>{129, 64, 0, 63, 64});
+  marks.Mark(65);
+  marks.Mark(0);
+  marks.Mark(std::vector<size_t>{});
+  EXPECT_EQ(marks.Rows(), (std::vector<size_t>{0, 63, 64, 65, 129}));
+
+  RowMarks none(0);
+  none.Mark(std::vector<size_t>{});
+  EXPECT_TRUE(none.Rows().empty());
 }
 
 }  // namespace
