@@ -196,6 +196,82 @@ TEST(TextToTableTest, SharedRowNameIntegratesNewColumns) {
   EXPECT_FALSE(op.Expand(t, orphan).ok());
 }
 
+// Pins of Expand's output CSV and inferred schema types for a merge into
+// an existing row, an appended row and appended columns.
+std::string SchemaTypes(const Table& t) {
+  std::string out;
+  for (const ColumnSpec& col : t.schema().columns()) {
+    out += std::string(out.empty() ? "" : ",") + ColumnTypeToString(col.type);
+  }
+  return out;
+}
+
+TEST(TextToTableTest, ExpandPinsMergedRow) {
+  auto t = Table::FromCsv(
+               "item,2019,2018,note\n"
+               "revenue,\"$1,200.5\",,\n"
+               "cost,80,70,\n"
+               "profit,-0,n/a,yes\n")
+               .ValueOrDie();
+  ExtractedRecord record;
+  record.row_name = "Revenue";
+  record.fields = {{"2018", "12%"}, {"2019", "5"}, {"note", "no"}};
+  Table out = TextToTable().Expand(t, record).ValueOrDie();
+  EXPECT_EQ(out.ToCsv(),
+            "item,2019,2018,note\n"
+            "revenue,\"$1,200.5\",12%,false\n"
+            "cost,80,70,\n"
+            "profit,-0,,true\n");
+  EXPECT_EQ(SchemaTypes(out), "text,number,number,bool");
+}
+
+TEST(TextToTableTest, ExpandPinsAppendedRow) {
+  ExtractedRecord record;
+  record.row_name = "italy";
+  record.fields = {{"gold", "3"}, {"silver", "n/a"}, {"total", "many"}};
+  Table out = TextToTable().Expand(MakeNationsTable(), record).ValueOrDie();
+  EXPECT_EQ(out.ToCsv(),
+            "nation,gold,silver,bronze,total\n"
+            "united states,10,12,8,30\n"
+            "china,8,6,10,24\n"
+            "japan,5,9,4,18\n"
+            "germany,5,3,6,14\n"
+            "france,2,4,7,13\n"
+            "italy,3,,,many\n");
+  // One text cell in six demotes `total` to text.
+  EXPECT_EQ(SchemaTypes(out), "text,number,number,number,text");
+}
+
+TEST(TextToTableTest, ExpandPinsAppendedColumns) {
+  ExtractedRecord record;
+  record.row_name = "cost of sales";
+  record.fields = {{"2017", "650"},
+                   {" margin ", "12%"},
+                   {"audited", "yes"},
+                   {"2019", "1"}};
+  Table out = TextToTable().Expand(MakeFinanceTable(), record).ValueOrDie();
+  // New columns follow the record's field order, trimmed.
+  EXPECT_EQ(out.ToCsv(),
+            "item,2019,2018,margin,2017,audited\n"
+            "revenue,\"$1,200.5\",\"$1,000.0\",,,\n"
+            "cost of sales,800,700,12%,650,true\n"
+            "gross profit,400.5,300,,,\n"
+            "stockholders' equity,\"2,500\",\"2,000\",,,\n");
+  EXPECT_EQ(SchemaTypes(out), "text,number,number,number,number,bool");
+}
+
+// A record about an existing row that adds a column named only by
+// whitespace is rejected, not given an empty header.
+TEST(TextToTableTest, ExpandRejectsWhitespaceColumnName) {
+  ExtractedRecord record;
+  record.row_name = "revenue";
+  record.fields = {{"2017", "650"}, {"  ", "5"}};
+  Result<Table> out = TextToTable().Expand(MakeFinanceTable(), record);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(out.status().message(), "empty column header");
+}
+
 TEST(TableTest2, AppendColumnBasics) {
   auto t = Table::FromCsv("a,b\nx,1\ny,2\n").ValueOrDie();
   ASSERT_TRUE(t.AppendColumn("c").ok());
