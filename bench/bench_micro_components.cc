@@ -1,10 +1,12 @@
 // Microbenchmarks of the core components (google-benchmark): program
 // executors, template sampling, NL generation, interpretation, linking a
-// sentence to a table (RankAll, feature extraction), and the end-to-end
-// generation pipeline.
+// sentence to a table (RankAll, feature extraction), building, decoding
+// and copying tables, and the end-to-end generation pipeline.
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -13,6 +15,7 @@
 #include "arith/executor.h"
 #include "obs/metrics.h"
 #include "arith/parser.h"
+#include "datasets/vocab.h"
 #include "gen/generator.h"
 #include "gen/parallel.h"
 #include "ir/ir.h"
@@ -26,12 +29,14 @@
 #include "program/sampler.h"
 #include "sql/executor.h"
 #include "sql/parser.h"
+#include "store/codec.h"
+#include "store/registry.h"
 #include "table/table.h"
 
 namespace uctr {
 namespace {
 
-Table BenchTable(size_t rows) {
+Table BenchTable(size_t rows, std::string name = "table") {
   std::string csv = "nation,gold,silver,bronze,total\n";
   for (size_t r = 0; r < rows; ++r) {
     csv += "nation" + std::to_string(r) + "," + std::to_string(r % 13) +
@@ -39,7 +44,7 @@ Table BenchTable(size_t rows) {
            std::to_string((r * 3) % 11) + "," + std::to_string(r % 40) +
            "\n";
   }
-  return Table::FromCsv(csv).ValueOrDie();
+  return Table::FromCsv(csv, std::move(name)).ValueOrDie();
 }
 
 void BM_CsvParse(benchmark::State& state) {
@@ -325,7 +330,7 @@ void BM_IndexBuild(benchmark::State& state) {
   Table t = BenchTable(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     state.PauseTiming();
-    Table fresh = t;  // copies never share the cached index
+    Table fresh(t.columns());  // a new table over the same cells
     state.ResumeTiming();
     fresh.WarmIndex();
     benchmark::DoNotOptimize(fresh);
@@ -333,6 +338,81 @@ void BM_IndexBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_IndexBuild)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
+
+// A table shaped like the serving benchmark's: an entity column, three
+// numeric columns of a Wikipedia topic with "$" or integer surface text,
+// and the topic's category.
+std::string TopicTableCsv(size_t rows) {
+  const datasets::Topic& topic =
+      datasets::TopicsFor(datasets::Domain::kWikipedia)[0];
+  Rng rng(rows);
+  std::vector<std::string> header = {topic.entity_header};
+  const size_t numeric = std::min<size_t>(3, topic.numeric_columns.size());
+  for (size_t c = 0; c < numeric; ++c) {
+    header.push_back(topic.numeric_columns[c].header);
+  }
+  header.push_back(topic.category_header);
+  std::vector<std::vector<std::string>> body;
+  for (size_t r = 0; r < rows; ++r) {
+    std::vector<std::string> row = {
+        topic.entities[r % topic.entities.size()] + " " + std::to_string(r)};
+    for (size_t c = 0; c < numeric; ++c) {
+      const auto& spec = topic.numeric_columns[c];
+      char buf[48];
+      const double v = rng.UniformDouble(spec.lo, spec.hi);
+      std::snprintf(buf, sizeof(buf), spec.integral ? "%s%.0f" : "%s%.1f",
+                    spec.money ? "$" : "", spec.integral ? std::round(v) : v);
+      row.push_back(buf);
+    }
+    row.push_back(topic.category_values.empty()
+                      ? "none"
+                      : topic.category_values[rng.Index(
+                            topic.category_values.size())]);
+    body.push_back(std::move(row));
+  }
+  return Table::FromStrings(header, body).ValueOrDie().ToCsv();
+}
+
+// put_table's work: parse, canonical encoding, index warm.
+void BM_TablePut(benchmark::State& state) {
+  const std::string csv = TopicTableCsv(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    Table t = Table::FromCsv(csv).ValueOrDie();
+    benchmark::DoNotOptimize(store::TableRegistry::EncodeTable(t));
+    t.WarmIndex();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TablePut)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
+
+// WAL replay's and read-repair's work: decode, then warm.
+void BM_TableDecode(benchmark::State& state) {
+  const std::string bytes =
+      store::TableRegistry::EncodeTable(
+          Table::FromCsv(TopicTableCsv(static_cast<size_t>(state.range(0))))
+              .ValueOrDie())
+          .bytes;
+  for (auto _ : state) {
+    Table t(store::Codec::Decode(bytes).ValueOrDie());
+    t.WarmIndex();
+    benchmark::DoNotOptimize(t);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TableDecode)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
+
+// What every Sample and serving request pays to hold a table.
+void BM_TableCopy(benchmark::State& state) {
+  const Table t =
+      Table::FromCsv(TopicTableCsv(static_cast<size_t>(state.range(0))))
+          .ValueOrDie();
+  for (auto _ : state) {
+    Table copy = t;
+    benchmark::DoNotOptimize(copy);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TableCopy)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_ArithExecute(benchmark::State& state) {
   Table t = BenchTable(64);
@@ -454,8 +534,7 @@ void BM_GenerateParallel(benchmark::State& state) {
   std::vector<TableWithText> corpus;
   for (int i = 0; i < 16; ++i) {
     TableWithText entry;
-    entry.table = BenchTable(12);
-    entry.table.set_name("t" + std::to_string(i));
+    entry.table = BenchTable(12, "t" + std::to_string(i));
     corpus.push_back(std::move(entry));
   }
   static const TemplateLibrary& library = TemplateLibrary::Builtin();

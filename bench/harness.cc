@@ -102,9 +102,8 @@ Dataset TableOnlyView(const Dataset& data) {
 Dataset SentenceOnlyView(const Dataset& data) {
   Dataset out = data;
   for (Sample& s : out.samples) {
-    Table stripped;
-    stripped.set_name(s.table.name());  // keep provenance for retrieval
-    s.table = std::move(stripped);
+    // No cells, but the name is kept: it is the provenance retrieval uses.
+    s.table = Table::FromValues(s.table.name(), {}, {});
   }
   return out;
 }

@@ -158,30 +158,49 @@ Result<Table> TextToTable::Expand(const Table& table,
   if (record.fields.empty()) {
     return Status::InvalidArgument("record has no fields");
   }
-  Table out = table;
 
   // Section III-B: integration needs a shared row name OR shared column
   // names. Schema-guided extraction always shares columns; externally
   // built records may instead share only the row name, in which case
   // their new columns are appended to the schema.
-  bool row_shared = table.RowIndexByName(record.row_name).ok();
+  Result<size_t> existing = table.RowIndexByName(record.row_name);
+  Schema schema = table.schema();
   for (const auto& [column, value] : record.fields) {
-    if (out.schema().HasColumn(column)) continue;
-    if (!row_shared) {
+    if (schema.HasColumn(column)) continue;
+    if (!existing.ok()) {
       return Status::NotFound("record column '" + column +
                               "' not in the table schema and no shared "
                               "row name to integrate through");
     }
-    UCTR_RETURN_NOT_OK(out.AppendColumn(column));
+    std::string trimmed = Trim(column);
+    if (trimmed.empty()) {
+      return Status::InvalidArgument("empty column header");
+    }
+    for (const ColumnSpec& spec : schema.columns()) {
+      if (EqualsIgnoreCase(spec.name, trimmed)) {
+        return Status::InvalidArgument("duplicate column '" + trimmed + "'");
+      }
+    }
+    schema.AddColumn({trimmed, ColumnType::kText});
   }
-  if (auto existing = table.RowIndexByName(record.row_name); existing.ok()) {
+
+  // The output's cells, row after row; appended columns start null.
+  const size_t width = schema.num_columns();
+  std::vector<Value> cells;
+  cells.reserve((table.num_rows() + 1) * width);
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    for (size_t c = 0; c < width; ++c) {
+      cells.push_back(c < table.num_columns() ? table.cell(r, c) : Value());
+    }
+  }
+  if (existing.ok()) {
     // Shared row name: merge, filling only missing cells.
-    size_t r = existing.ValueOrDie();
+    const size_t r = existing.ValueOrDie();
     size_t filled = 0;
     for (const auto& [column, value] : record.fields) {
-      size_t c = out.ColumnIndex(column).ValueOrDie();
-      if (out.cell(r, c).is_null()) {
-        *out.mutable_cell(r, c) = Value::FromText(value);
+      Value& cell = cells[r * width + schema.ColumnIndex(column).ValueOrDie()];
+      if (cell.is_null()) {
+        cell = Value::FromText(value);
         ++filled;
       }
     }
@@ -191,16 +210,17 @@ Result<Table> TextToTable::Expand(const Table& table,
     }
   } else {
     // New row name: append a record row.
-    Table::Row row(table.num_columns());
-    row[0] = Value::String(record.row_name);
+    const size_t row = cells.size();
+    cells.resize(row + width);
+    cells[row] = Value::String(record.row_name);
     for (const auto& [column, value] : record.fields) {
-      size_t c = out.ColumnIndex(column).ValueOrDie();
-      row[c] = Value::FromText(value);
+      cells[row + schema.ColumnIndex(column).ValueOrDie()] =
+          Value::FromText(value);
     }
-    UCTR_RETURN_NOT_OK(out.AppendRow(std::move(row)));
   }
-  out.InferColumnTypes();
-  return out;
+  std::vector<std::string> header;
+  for (const ColumnSpec& spec : schema.columns()) header.push_back(spec.name);
+  return Table::FromValues(table.name(), header, cells);
 }
 
 Result<Table> TextToTable::Apply(

@@ -475,12 +475,12 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table) {
           for (uint32_t k = 0; k < insn.imm2; ++k) {
             size_t c = plan.aux[insn.imm + 3 * k];
             uint32_t arith = plan.aux[insn.imm + 3 * k + 1];
-            const Value& lhs = table.cell(r, c);
+            Value lhs = table.cell(r, c);
             if (arith == 0) {
-              if (!lhs.is_null()) result.values.push_back(lhs);
+              if (!lhs.is_null()) result.values.push_back(std::move(lhs));
               continue;
             }
-            const Value& rhs = table.cell(r, plan.aux[insn.imm + 3 * k + 2]);
+            const Value rhs = table.cell(r, plan.aux[insn.imm + 3 * k + 2]);
             UCTR_ASSIGN_OR_RETURN(double a, lhs.ToNumber());
             UCTR_ASSIGN_OR_RETURN(double b, rhs.ToNumber());
             result.values.push_back(Value::Number(arith == 1 ? a + b : a - b));
@@ -557,13 +557,13 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table) {
         if (regs[insn.a].view().empty()) {
           return Status::Internal("cell read from empty view");
         }
-        regs[insn.dst].BorrowVal(table.cell(regs[insn.a].view()[0], insn.imm));
+        regs[insn.dst].SetVal(table.cell(regs[insn.a].view()[0], insn.imm));
         break;
       case Op::kHop: {
         const std::vector<size_t>& view = regs[insn.a].view();
         if (view.empty()) return Status::EmptyResult("hop on empty view");
         evidence.Mark(view[0]);
-        regs[insn.dst].BorrowVal(table.cell(view[0], insn.imm));
+        regs[insn.dst].SetVal(table.cell(view[0], insn.imm));
         break;
       }
       case Op::kCount: {

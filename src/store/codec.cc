@@ -96,7 +96,9 @@ class ByteReader {
   }
   Status Bytes(void* out, size_t n) {
     if (remaining() < n) return Truncated();
-    std::memcpy(out, bytes_.data() + pos_, n);
+    // A zero-row table's arrays are empty; memcpy from or to a null
+    // pointer is undefined even for zero bytes.
+    if (n > 0) std::memcpy(out, bytes_.data() + pos_, n);
     pos_ += n;
     return Status::OK();
   }
@@ -131,12 +133,15 @@ std::string Codec::Encode(const ColumnarTable& table) {
   std::string payload;
   ByteWriter w(&payload);
   w.Str(table.name());
-  w.U32(static_cast<uint32_t>(table.pool().size()));
-  for (const std::string& s : table.pool().strings()) w.Str(s);
+  w.U32(table.pool().size());
+  for (uint32_t id = 0; id < table.pool().size(); ++id) {
+    w.Str(table.pool().at(id));
+  }
   for (size_t c = 0; c < table.num_columns(); ++c) {
-    const Column& col = table.column(c);
-    w.Str(col.name);
-    w.U8(static_cast<uint8_t>(col.schema_type));
+    const ColumnSpec& spec = table.schema().column(c);
+    const TypedColumn& col = table.column(c);
+    w.Str(spec.name);
+    w.U8(static_cast<uint8_t>(spec.type));
     w.U8(static_cast<uint8_t>(col.encoding));
     w.Bytes(col.null_bitmap.data(), bitmap_bytes);
     switch (col.encoding) {
@@ -224,33 +229,38 @@ Result<ColumnarTable> Codec::Decode(std::string_view bytes) {
   if (static_cast<uint64_t>(pool_count) * 4 > r.remaining()) {
     return Corrupt("string pool count exceeds payload");
   }
-  std::vector<std::string> strings;
-  strings.reserve(pool_count);
+  table.pool_.offsets_.reserve(pool_count + 1);
+  std::string s;
   for (uint32_t i = 0; i < pool_count; ++i) {
-    std::string s;
     UCTR_RETURN_NOT_OK(r.Str(&s));
-    strings.push_back(std::move(s));
+    if (i == 0) {
+      if (!s.empty()) return Corrupt("pool id 0 is not empty string");
+      continue;  // the pool starts out holding it
+    }
+    table.pool_.Add(s);
   }
-  if (!strings[0].empty()) return Corrupt("pool id 0 is not empty string");
-  table.pool_ = StringPool::FromStrings(std::move(strings));
+  table.pool_.chars_.shrink_to_fit();
 
-  table.columns_.reserve(
-      std::min<size_t>(num_columns, r.remaining() / 2 + 1));
+  const size_t reserve = std::min<size_t>(num_columns, r.remaining() / 2 + 1);
+  std::vector<ColumnSpec> specs;
+  specs.reserve(reserve);
+  table.columns_.reserve(reserve);
   for (uint32_t c = 0; c < num_columns; ++c) {
-    Column col;
-    UCTR_RETURN_NOT_OK(r.Str(&col.name));
+    ColumnSpec spec;
+    TypedColumn col;
+    UCTR_RETURN_NOT_OK(r.Str(&spec.name));
     uint8_t schema_type, encoding;
     UCTR_RETURN_NOT_OK(r.U8(&schema_type));
     UCTR_RETURN_NOT_OK(r.U8(&encoding));
     if (schema_type > static_cast<uint8_t>(ColumnType::kBool)) {
-      return Corrupt("column '" + col.name + "': bad schema type " +
+      return Corrupt("column '" + spec.name + "': bad schema type " +
                      std::to_string(schema_type));
     }
     if (encoding > static_cast<uint8_t>(ColumnEncoding::kMixed)) {
-      return Corrupt("column '" + col.name + "': bad encoding " +
+      return Corrupt("column '" + spec.name + "': bad encoding " +
                      std::to_string(encoding));
     }
-    col.schema_type = static_cast<ColumnType>(schema_type);
+    spec.type = static_cast<ColumnType>(schema_type);
     col.encoding = static_cast<ColumnEncoding>(encoding);
     if (r.remaining() < bitmap_bytes) return Corrupt("truncated payload");
     col.null_bitmap.resize(bitmap_bytes);
@@ -262,7 +272,7 @@ Result<ColumnarTable> Codec::Decode(std::string_view bytes) {
       for (size_t i = 0; i < rows; ++i) {
         UCTR_RETURN_NOT_OK(r.U32(&col.text_ids[i]));
         if (!table.pool_.valid(col.text_ids[i])) {
-          return Corrupt("column '" + col.name + "': string id " +
+          return Corrupt("column '" + spec.name + "': string id " +
                          std::to_string(col.text_ids[i]) + " out of range");
         }
       }
@@ -310,7 +320,7 @@ Result<ColumnarTable> Codec::Decode(std::string_view bytes) {
         UCTR_RETURN_NOT_OK(r.Bytes(col.cell_types.data(), rows));
         for (uint8_t t : col.cell_types) {
           if (t > static_cast<uint8_t>(ValueType::kBool)) {
-            return Corrupt("column '" + col.name + "': bad cell type " +
+            return Corrupt("column '" + spec.name + "': bad cell type " +
                            std::to_string(t));
           }
         }
@@ -321,12 +331,14 @@ Result<ColumnarTable> Codec::Decode(std::string_view bytes) {
         UCTR_RETURN_NOT_OK(read_text_ids());
         break;
     }
+    specs.push_back(std::move(spec));
     table.columns_.push_back(std::move(col));
   }
   if (!r.done()) {
     return Corrupt(std::to_string(r.remaining()) +
                    " trailing bytes after last column");
   }
+  table.schema_ = Schema(std::move(specs));
   return table;
 }
 

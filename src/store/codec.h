@@ -11,7 +11,8 @@
 
 namespace uctr::store {
 
-/// \brief Versioned binary serialization for ColumnarTable.
+/// \brief Versioned binary serialization of a table's typed columns
+/// (ColumnarTable, the form every Table holds).
 ///
 /// Layout: a fixed 32-byte little-endian header followed by the payload.
 ///
@@ -31,8 +32,8 @@ namespace uctr::store {
 /// mmap reader — nothing in the layout requires a deserialization pass
 /// to locate.
 ///
-/// Decode is total: any byte string either yields a valid ColumnarTable
-/// or an error Status. Truncation, trailing garbage, bad magic, version
+/// Decode is total: any byte string either yields a valid ColumnarTable,
+/// which becomes a Table by a move, or an error Status. Truncation, trailing garbage, bad magic, version
 /// skew, checksum mismatch, out-of-range enums/string ids, and
 /// length-prefix overflows are all detected before any allocation sized
 /// from untrusted input.
@@ -43,7 +44,7 @@ class Codec {
   static constexpr size_t kHeaderBytes = 32;
 
   /// \brief Serializes `table`. The output is canonical: encoding the
-  /// result of Decode (or of FromTable on a round-tripped Table) yields
+  /// result of Decode, or of any table built from the same cells, yields
   /// byte-identical output, which makes content fingerprints stable.
   static std::string Encode(const ColumnarTable& table);
 

@@ -1,131 +1,13 @@
 #ifndef UCTR_STORE_COLUMNAR_H_
 #define UCTR_STORE_COLUMNAR_H_
 
-#include <cstdint>
-#include <string>
-#include <string_view>
-#include <unordered_map>
-#include <vector>
-
-#include "common/result.h"
-#include "common/status.h"
-#include "table/table.h"
+#include "table/columnar.h"
 
 namespace uctr::store {
 
-/// \brief Physical storage decided once per column.
-///
-/// Table cells arrive as dynamically typed Values whose numeric form is
-/// re-divined from text on every TableIndex build. ColumnarTable lifts
-/// that per-cell decision to a one-time per-column one: a single pass
-/// over the column picks the narrowest encoding that represents every
-/// cell exactly, and from then on readers touch typed arrays.
-enum class ColumnEncoding : uint8_t {
-  kInt64 = 0,   ///< every non-null cell is a number with an integral value
-  kDouble = 1,  ///< every non-null cell is a number
-  kString = 2,  ///< every non-null cell is a string (interned)
-  kBool = 3,    ///< every non-null cell is a bool (bit-packed)
-  kMixed = 4,   ///< heterogeneous column: per-cell type tags
-};
-
-const char* ColumnEncodingToString(ColumnEncoding encoding);
-
-/// \brief Deduplicated string storage shared by every column of one
-/// ColumnarTable. Id 0 is always the empty string, so "no surface text"
-/// costs nothing to represent.
-class StringPool {
- public:
-  StringPool() { Intern(""); }
-
-  /// \brief Returns the id of `text`, adding it on first sight.
-  uint32_t Intern(std::string_view text);
-
-  const std::string& at(uint32_t id) const { return strings_[id]; }
-  size_t size() const { return strings_.size(); }
-  bool valid(uint32_t id) const { return id < strings_.size(); }
-
-  /// \brief Rebuilds the reverse map after decode populated strings_.
-  static StringPool FromStrings(std::vector<std::string> strings);
-
-  const std::vector<std::string>& strings() const { return strings_; }
-
- private:
-  std::vector<std::string> strings_;
-  std::unordered_map<std::string, uint32_t> ids_;
-};
-
-/// \brief One typed column: null bitmap plus encoding-specific arrays,
-/// all row-aligned. Only the arrays the encoding needs are populated;
-/// slots under a set null bit are zero-filled.
-struct Column {
-  std::string name;
-  /// The Table-level inferred type (text/number/bool), preserved so a
-  /// round-tripped table never re-runs type inference (which could
-  /// disagree with the original after edits).
-  ColumnType schema_type = ColumnType::kText;
-  ColumnEncoding encoding = ColumnEncoding::kString;
-
-  /// Bit r set = row r is null. ceil(rows/8) bytes.
-  std::vector<uint8_t> null_bitmap;
-  std::vector<int64_t> ints;       ///< kInt64
-  std::vector<double> doubles;     ///< kDouble, and kMixed numbers/bools
-  /// String-pool ids: the cell text for kString, the numeric surface text
-  /// ("$1,234.5") for kInt64/kDouble (empty when no cell has one), and
-  /// both roles for kMixed.
-  std::vector<uint32_t> text_ids;
-  std::vector<uint8_t> bool_bits;  ///< kBool: bit r = value of row r
-  std::vector<uint8_t> cell_types; ///< kMixed: ValueType per row
-
-  bool is_null(size_t r) const {
-    return (null_bitmap[r / 8] >> (r % 8)) & 1;
-  }
-};
-
-/// \brief A Table re-encoded into typed columns over a shared string
-/// pool: the at-rest and in-registry representation of evidence tables.
-///
-/// Round-trip contract: ToTable() reconstructs a Table whose schema,
-/// column types, and cell Values (type, numeric value, and surface text)
-/// are exactly those of the FromTable() input, so serving from a stored
-/// table is bit-identical to serving from the original parse. The
-/// encoding is canonical: FromTable(ToTable(ct)) re-produces the same
-/// columns and pool order, which is what makes the serialized bytes (and
-/// therefore the content fingerprint, see codec.h) stable.
-class ColumnarTable {
- public:
-  ColumnarTable() = default;
-
-  /// \brief One pass per column: decides the encoding, interns strings,
-  /// and packs values. Never fails — kMixed represents any column.
-  static ColumnarTable FromTable(const Table& table);
-
-  /// \brief Reconstructs the row-oriented Table (see round-trip contract
-  /// above). Fails only on invariant violations in a hand-built or
-  /// decoded-then-corrupted instance; decode (codec.h) validates
-  /// everything this needs, so its tables always convert.
-  Result<Table> ToTable() const;
-
-  /// \brief The Value of one cell, reconstructed from the typed arrays.
-  Value CellValue(size_t r, size_t c) const;
-
-  const std::string& name() const { return name_; }
-  size_t num_rows() const { return num_rows_; }
-  size_t num_columns() const { return columns_.size(); }
-  const Column& column(size_t c) const { return columns_[c]; }
-  const StringPool& pool() const { return pool_; }
-
-  /// \brief Approximate heap footprint of the typed arrays + pool, used
-  /// for registry byte accounting.
-  size_t ApproxBytes() const;
-
- private:
-  friend class Codec;
-
-  std::string name_;
-  size_t num_rows_ = 0;
-  std::vector<Column> columns_;
-  StringPool pool_;
-};
+/// \brief A table's typed columns, as the codec serializes them. They are
+/// the Table's own cells (table/columnar.h); the store keeps this name.
+using ColumnarTable = ::uctr::ColumnarTable;
 
 }  // namespace uctr::store
 

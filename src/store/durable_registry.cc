@@ -265,20 +265,17 @@ Result<PutResult> DurableStore::PutEncodedBytes(std::string_view bytes) {
   // cannot replay.
   Result<ColumnarTable> columnar = Codec::Decode(bytes);
   if (!columnar.ok()) return columnar.status();
-  Result<Table> table = columnar->ToTable();
-  if (!table.ok()) return table.status();
 
   EncodedTable encoded;
   encoded.bytes.assign(bytes.data(), bytes.size());
   encoded.fingerprint = Codec::Fingerprint(bytes);
-  encoded.approx_bytes = columnar->ApproxBytes();
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (refs_.find(encoded.fingerprint) == refs_.end()) {
       UCTR_RETURN_NOT_OK(LogLocked(encoded.fingerprint, encoded.bytes));
     }
   }
-  return registry_->PutPreEncoded(std::move(*table), encoded);
+  return registry_->PutPreEncoded(Table(std::move(*columnar)), encoded);
 }
 
 std::shared_ptr<const Table> DurableStore::Get(std::string_view fingerprint) {

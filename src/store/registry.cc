@@ -28,11 +28,9 @@ TableRegistry::TableRegistry(RegistryConfig config,
 }
 
 EncodedTable TableRegistry::EncodeTable(const Table& table) {
-  ColumnarTable columnar = ColumnarTable::FromTable(table);
   EncodedTable out;
-  out.bytes = Codec::Encode(columnar);
+  out.bytes = Codec::Encode(table.columns());
   out.fingerprint = Codec::Fingerprint(out.bytes);
-  out.approx_bytes = columnar.ApproxBytes();
   return out;
 }
 
@@ -44,13 +42,10 @@ Result<PutResult> TableRegistry::Put(Table table) {
 Result<PutResult> TableRegistry::PutEncodedBytes(std::string_view bytes) {
   Result<ColumnarTable> columnar = Codec::Decode(bytes);
   if (!columnar.ok()) return columnar.status();
-  Result<Table> table = columnar->ToTable();
-  if (!table.ok()) return table.status();
   EncodedTable encoded;
   encoded.bytes.assign(bytes.data(), bytes.size());
   encoded.fingerprint = Codec::Fingerprint(bytes);
-  encoded.approx_bytes = columnar->ApproxBytes();
-  return PutPreEncoded(std::move(*table), encoded);
+  return PutPreEncoded(Table(std::move(*columnar)), encoded);
 }
 
 Result<PutResult> TableRegistry::PutPreEncoded(Table table,
@@ -59,19 +54,23 @@ Result<PutResult> TableRegistry::PutPreEncoded(Table table,
 
   PutResult result;
   result.fingerprint = encoded.fingerprint;
-  result.bytes = encoded.approx_bytes;
 
   // Dedup before warming: an identical table is already resident.
   if (lru_.Get(result.fingerprint, &result.bytes)) return result;
 
   // Warm outside the shard lock: index builds on a large table are the
   // expensive part of Put and must not block readers of other entries.
+  // The entry is charged what it holds: its typed columns and warmed
+  // column caches. The token inventory is built later, by the first
+  // request that links a sentence to the table, and is not charged.
   table.WarmIndex();
+  const size_t bytes =
+      table.columns().ApproxBytes() + table.index().ApproxBytes();
   // A concurrent Put of the same content may have won the race meanwhile;
   // then theirs stays. Evicted tables live on in borrowers' shared_ptrs.
   auto inserted = lru_.InsertIfAbsent(
       result.fingerprint, std::make_shared<const Table>(std::move(table)),
-      result.bytes);
+      bytes);
   result.bytes = inserted.cost;
   result.inserted = inserted.inserted;
   if (inserted.evicted > 0) evictions_->Increment(inserted.evicted);

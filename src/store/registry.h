@@ -29,13 +29,12 @@ struct PutResult {
   bool inserted = false;    ///< false: identical table was already present
 };
 
-/// \brief A table's canonical codec bytes plus the facts derived from
-/// them, produced once by EncodeTable so the durable path (encode → WAL
+/// \brief A table's canonical codec bytes plus their fingerprint,
+/// produced once by EncodeTable so the durable path (encode → WAL
 /// append → registry insert) never encodes the same table twice.
 struct EncodedTable {
   std::string bytes;        ///< canonical store::Codec bytes
   std::string fingerprint;  ///< Codec::Fingerprint(bytes)
-  size_t approx_bytes = 0;  ///< in-memory footprint for LRU accounting
 };
 
 /// \brief Content-addressed cache of served evidence tables.
@@ -64,8 +63,8 @@ class TableRegistry {
   explicit TableRegistry(RegistryConfig config = {},
                          obs::MetricsRegistry* metrics = nullptr);
 
-  /// \brief Canonically encodes `table` (FromTable → Codec::Encode) and
-  /// derives its fingerprint and footprint. Pure; no registry state.
+  /// \brief Canonically encodes `table`'s own columns (Codec::Encode)
+  /// and derives their fingerprint. Pure; no registry state.
   static EncodedTable EncodeTable(const Table& table);
 
   /// \brief Registers `table` under its content fingerprint, warming its

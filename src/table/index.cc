@@ -6,7 +6,7 @@
 
 #include "common/numeric.h"
 #include "common/string_util.h"
-#include "table/table.h"
+#include "table/columnar.h"
 
 namespace uctr {
 
@@ -20,14 +20,11 @@ TableIndex::LiteralKey::LiteralKey(const Value& v) {
   norm = ToLower(Trim(v.ToDisplayString()));
 }
 
-TableIndex::TableIndex(const Table* table)
-    : table_(table),
-      num_columns_(table->num_columns()),
-      once_(std::make_unique<std::once_flag[]>(table->num_columns())),
-      columns_(table->num_columns()),
-      all_rows_once_(std::make_unique<std::once_flag>()),
-      schema_fp_once_(std::make_unique<std::once_flag>()),
-      tokens_once_(std::make_unique<std::once_flag>()) {}
+TableIndex::TableIndex(const ColumnarTable* cells)
+    : cells_(cells),
+      num_columns_(cells->num_columns()),
+      once_(std::make_unique<std::once_flag[]>(num_columns_)),
+      columns_(num_columns_) {}
 
 const TableIndex::Column& TableIndex::column(size_t c) const {
   std::call_once(once_[c], [this, c] { BuildColumn(c); });
@@ -39,21 +36,21 @@ void TableIndex::Warm() const {
 }
 
 const std::vector<size_t>& TableIndex::all_rows() const {
-  std::call_once(*all_rows_once_, [this] {
-    all_rows_.resize(table_->num_rows());
+  std::call_once(all_rows_once_, [this] {
+    all_rows_.resize(cells_->num_rows());
     std::iota(all_rows_.begin(), all_rows_.end(), 0);
   });
   return all_rows_;
 }
 
 uint64_t TableIndex::schema_fingerprint() const {
-  std::call_once(*schema_fp_once_,
-                 [this] { schema_fp_ = table_->schema().Fingerprint(); });
+  std::call_once(schema_fp_once_,
+                 [this] { schema_fp_ = cells_->schema().Fingerprint(); });
   return schema_fp_;
 }
 
 const TableIndex::TokenInventory& TableIndex::tokens() const {
-  std::call_once(*tokens_once_, [this] { BuildTokens(); });
+  std::call_once(tokens_once_, [this] { BuildTokens(); });
   return *tokens_;
 }
 
@@ -77,7 +74,7 @@ uint32_t TableIndex::TokenInventory::Find(std::string_view w) const {
 
 void TableIndex::BuildTokens() const {
   auto inv = std::make_unique<TokenInventory>();
-  const size_t rows = table_->num_rows();
+  const size_t rows = cells_->num_rows();
   inv->num_rows = rows;
   // Cell tokens in CSR order, then header tokens; ids are assigned once
   // the words are sorted.
@@ -86,7 +83,7 @@ void TableIndex::BuildTokens() const {
   inv->cell_begin.push_back(0);
   for (size_t c = 0; c < num_columns_; ++c) {
     for (size_t r = 0; r < rows; ++r) {
-      const Value& v = table_->cell(r, c);
+      const Value v = cells_->CellValue(r, c);
       if (!v.is_null()) {
         for (std::string& t : WordTokens(v.ToDisplayString())) {
           tokens.push_back(std::move(t));
@@ -102,7 +99,7 @@ void TableIndex::BuildTokens() const {
   }
   const size_t cell_tokens = tokens.size();
   for (size_t c = 0; c < num_columns_; ++c) {
-    for (std::string& t : WordTokens(table_->schema().column(c).name)) {
+    for (std::string& t : WordTokens(cells_->schema().column(c).name)) {
       tokens.push_back(std::move(t));
     }
   }
@@ -131,14 +128,14 @@ void TableIndex::BuildTokens() const {
 
 void TableIndex::BuildColumn(size_t c) const {
   auto col = std::make_unique<Column>();
-  const size_t n = table_->num_rows();
+  const size_t n = cells_->num_rows();
   col->is_null.resize(n);
   col->numeric.resize(n);
   col->number.resize(n, 0.0);
   col->display.resize(n);
   col->norm.resize(n);
   for (size_t r = 0; r < n; ++r) {
-    const Value& v = table_->cell(r, c);
+    Value v = cells_->CellValue(r, c);
     col->is_null[r] = v.is_null() ? 1 : 0;
     if (v.is_null()) continue;
     ++col->non_null_count;
@@ -146,7 +143,7 @@ void TableIndex::BuildColumn(size_t c) const {
       col->numeric[r] = 1;
       col->number[r] = num.ValueOrDie();
     }
-    col->display[r] = v.ToDisplayString();
+    col->display[r] = std::move(v).ToDisplayString();
     col->norm[r] = ToLower(Trim(col->display[r]));
     if (!col->numeric[r]) col->by_text[col->norm[r]].push_back(r);
   }
@@ -186,6 +183,32 @@ void TableIndex::BuildColumn(size_t c) const {
   }
   col->strict_order = all_text || all_numbers;
   columns_[c] = std::move(col);
+}
+
+size_t TableIndex::ApproxBytes() const {
+  auto string_bytes = [](const std::string& s) {
+    return sizeof(std::string) +
+           (s.capacity() > sizeof(std::string) - 1 ? s.capacity() + 1 : 0);
+  };
+  size_t bytes = num_columns_ * (sizeof(std::once_flag) +
+                                 sizeof(std::unique_ptr<Column>));
+  for (size_t c = 0; c < num_columns_; ++c) {
+    const Column& col = column(c);
+    bytes += sizeof(Column) + col.is_null.capacity() +
+             col.numeric.capacity() +
+             col.number.capacity() * sizeof(double) +
+             col.sorted.capacity() * sizeof(size_t);
+    for (const std::string& s : col.display) bytes += string_bytes(s);
+    for (const std::string& s : col.norm) bytes += string_bytes(s);
+    // Node-based map: a bucket pointer each, plus per entry a node holding
+    // the key, the row vector and the cached hash.
+    bytes += col.by_text.bucket_count() * sizeof(void*);
+    for (const auto& [norm, rows] : col.by_text) {
+      bytes += 2 * sizeof(void*) + string_bytes(norm) +
+               sizeof(std::vector<size_t>) + rows.capacity() * sizeof(size_t);
+    }
+  }
+  return bytes;
 }
 
 std::vector<size_t> TableIndex::SortedDescending(const Column& col) {

@@ -14,10 +14,11 @@
 
 namespace uctr {
 
-class Table;
+class ColumnarTable;
 
 /// \brief Per-column accelerators for the executor hot path, built lazily
-/// and cached on the owning Table (see Table::index()).
+/// next to a table's cells and shared by every copy of the table (see
+/// Table::index()).
 ///
 /// Every program execution used to re-parse the same cell strings through
 /// Value::ToNumber()/ToDisplayString() on every predicate, aggregate, and
@@ -33,16 +34,12 @@ class Table;
 ///
 /// Thread safety: column caches and the token inventory are each built
 /// under their own std::call_once, so any number of threads may share one
-/// TableIndex through a const Table — this is what lets serve:: build the
-/// index once at table load and share it read-only across Scheduler
-/// workers. The table itself must not be mutated while readers are active
-/// (the same rule that already governs Table::rows_); any mutation through
-/// the Table API invalidates the whole index.
+/// TableIndex through copies of a Table — this is what lets serve:: build
+/// the index once at table load and share it read-only across Scheduler
+/// workers. Tables never change, so a built cache never goes stale.
 class TableIndex {
  public:
   /// \brief One column's caches, all aligned with table row order.
-  /// Self-contained (owns copies), so the cache stays valid across Table
-  /// moves and never dangles into row storage.
   struct Column {
     std::vector<uint8_t> is_null;   ///< cell.is_null()
     std::vector<uint8_t> numeric;   ///< cell.ToNumber().ok()
@@ -106,7 +103,10 @@ class TableIndex {
     }
   };
 
-  explicit TableIndex(const Table* table);
+  /// \brief An index over `cells`, which must outlive it.
+  explicit TableIndex(const ColumnarTable* cells);
+  TableIndex(const TableIndex&) = delete;
+  TableIndex& operator=(const TableIndex&) = delete;
 
   /// \brief The cache for column `c`, building it on first use.
   /// Thread-safe; `c` must be a valid column index.
@@ -132,6 +132,11 @@ class TableIndex {
 
   size_t num_columns() const { return num_columns_; }
 
+  /// \brief Heap bytes of the column caches, building any not yet built.
+  /// The identity view and the token inventory, built on first use by a
+  /// request, are not counted.
+  size_t ApproxBytes() const;
+
   // --- comparison helpers mirroring Value semantics over cached data ---
 
   /// \brief Value::Equals(cell(r), literal) for a non-null cell.
@@ -149,23 +154,18 @@ class TableIndex {
   static std::vector<size_t> SortedDescending(const Column& col);
 
  private:
-  friend class Table;
-  /// Re-points the index at a moved-to Table (caches are self-contained;
-  /// only lazy builds of untouched columns read through the pointer).
-  void RebindTable(const Table* table) { table_ = table; }
-
   void BuildColumn(size_t c) const;
   void BuildTokens() const;
 
-  const Table* table_;
+  const ColumnarTable* cells_;
   size_t num_columns_;
   std::unique_ptr<std::once_flag[]> once_;
   mutable std::vector<std::unique_ptr<Column>> columns_;
-  std::unique_ptr<std::once_flag> all_rows_once_;
+  mutable std::once_flag all_rows_once_;
   mutable std::vector<size_t> all_rows_;
-  std::unique_ptr<std::once_flag> schema_fp_once_;
+  mutable std::once_flag schema_fp_once_;
   mutable uint64_t schema_fp_ = 0;
-  std::unique_ptr<std::once_flag> tokens_once_;
+  mutable std::once_flag tokens_once_;
   mutable std::unique_ptr<const TokenInventory> tokens_;
 };
 

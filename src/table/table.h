@@ -2,97 +2,35 @@
 #define UCTR_TABLE_TABLE_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
+#include "table/columnar.h"
+#include "table/index.h"
 #include "table/value.h"
 
 namespace uctr {
 
-class Table;
-class TableIndex;
-
-/// \brief Lightweight non-owning view of one column's cells in row order.
-/// Replaces Table::ColumnValues() copies on hot paths: no Value copies are
-/// made, cells are read in place. Invalidated by any table mutation.
-class ColumnSpan {
- public:
-  ColumnSpan(const Table* table, size_t column)
-      : table_(table), column_(column) {}
-
-  size_t size() const;
-  const Value& operator[](size_t r) const;
-
- private:
-  const Table* table_;
-  size_t column_;
-};
-
-/// \brief Declared type of a column, inferred from its cells.
-enum class ColumnType {
-  kText = 0,
-  kNumber,
-  kBool,
-};
-
-const char* ColumnTypeToString(ColumnType type);
-
-/// \brief One column: a header name plus an inferred type.
-struct ColumnSpec {
-  std::string name;
-  ColumnType type = ColumnType::kText;
-};
-
-/// \brief Ordered set of columns.
-class Schema {
- public:
-  Schema() = default;
-  explicit Schema(std::vector<ColumnSpec> columns)
-      : columns_(std::move(columns)) {}
-
-  size_t num_columns() const { return columns_.size(); }
-  const ColumnSpec& column(size_t i) const { return columns_[i]; }
-  ColumnSpec* mutable_column(size_t i) { return &columns_[i]; }
-  const std::vector<ColumnSpec>& columns() const { return columns_; }
-
-  /// \brief Case-insensitive lookup by header name.
-  Result<size_t> ColumnIndex(std::string_view name) const;
-  bool HasColumn(std::string_view name) const;
-
-  /// \brief 64-bit FNV-1a (truncated basis) over column names and types,
-  /// the canonical shape identity used to key compiled plans
-  /// (ir::SchemaFingerprint delegates here). Cell contents do not
-  /// participate. Allocation-free: the hash is streamed, not buffered.
-  uint64_t Fingerprint() const;
-
-  void AddColumn(ColumnSpec spec) { columns_.push_back(std::move(spec)); }
-
- private:
-  std::vector<ColumnSpec> columns_;
-};
-
-/// \brief A relational table: schema + rows of Values, the "program context"
-/// of the paper. Row 0 of the paper's relational tables is a record; the
+/// \brief A relational table: schema + cells, the "program context" of
+/// the paper. Row 0 of the paper's relational tables is a record; the
 /// first column frequently acts as the row name (TAT-QA line items).
+///
+/// A Table never changes once built. Its cells live once, in typed
+/// columns (ColumnarTable), next to the lazily built TableIndex; copies
+/// share both, so copying a table costs a reference count. Every table
+/// is built by one encoding pass (ColumnarTable::Build): FromCsv,
+/// FromStrings, FromValues and WithoutRow run it over Values, and
+/// store::Codec::Decode yields columns the Table takes by a move.
 class Table {
  public:
-  using Row = std::vector<Value>;
+  /// An empty table: no name, no columns, no rows.
+  Table() = default;
 
-  Table();
-  Table(std::string name, Schema schema);
-
-  // Copies do not clone the cached index (it is rebuilt lazily on demand);
-  // moves carry it along, so a warmed index survives being moved into a
-  // Sample or a serving request.
-  Table(const Table& other);
-  Table& operator=(const Table& other);
-  Table(Table&& other) noexcept;
-  Table& operator=(Table&& other) noexcept;
-  ~Table();
+  /// \brief Takes `columns` as this table's cells.
+  explicit Table(ColumnarTable columns);
 
   /// \brief Parses CSV text (first line = header) and infers column types.
   /// Handles quoted fields with embedded commas/quotes.
@@ -105,43 +43,37 @@ class Table {
       const std::vector<std::vector<std::string>>& rows,
       std::string name = "table");
 
-  const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
-  const Schema& schema() const { return schema_; }
-  size_t num_rows() const { return rows_.size(); }
-  size_t num_columns() const { return schema_.num_columns(); }
-  bool empty() const { return rows_.empty(); }
+  /// \brief Builds a table from a header and header.size() cells per row,
+  /// row after row, inferring column types as FromStrings does.
+  static Table FromValues(std::string name,
+                          const std::vector<std::string>& header,
+                          const std::vector<Value>& cells);
 
-  const Row& row(size_t r) const { return rows_[r]; }
-  const Value& cell(size_t r, size_t c) const { return rows_[r][c]; }
-  /// \brief Mutable cell access. Invalidates the cached index: the caller
-  /// may write through the pointer, so any cached view of the cell is
-  /// stale. Do not hold the pointer across other Table calls.
-  Value* mutable_cell(size_t r, size_t c) {
-    InvalidateIndex();
-    return &rows_[r][c];
-  }
+  const std::string& name() const { return columns().name(); }
+  const Schema& schema() const { return columns().schema(); }
+  size_t num_rows() const { return columns().num_rows(); }
+  size_t num_columns() const { return columns().num_columns(); }
+  bool empty() const { return num_rows() == 0; }
+
+  /// \brief The Value of one cell, reconstructed from its typed column.
+  Value cell(size_t r, size_t c) const { return columns().CellValue(r, c); }
 
   Result<size_t> ColumnIndex(std::string_view name) const {
-    return schema_.ColumnIndex(name);
+    return schema().ColumnIndex(name);
   }
 
-  /// \brief All values of one column, in row order. Materializes a fresh
-  /// vector of Value copies per call — prefer Column() on hot paths.
-  std::vector<Value> ColumnValues(size_t c) const;
-
-  /// \brief Copy-free view of one column (see ColumnSpan).
-  ColumnSpan Column(size_t c) const { return ColumnSpan(this, c); }
-
   /// \brief Lazily built per-column accelerators (numeric cache, equality
-  /// hash index, sorted row order) shared by every executor; see
-  /// table/index.h for the exact caching and thread-safety contract.
-  /// Thread-safe on const tables; invalidated by any mutation.
-  const TableIndex& index() const;
+  /// hash index, sorted row order) shared by every executor and every
+  /// copy of this table; see table/index.h for the caching and
+  /// thread-safety contract.
+  const TableIndex& index() const { return body().index; }
 
   /// \brief Eagerly builds every column cache of index(). Serving calls
   /// this once at table load so request execution never pays the build.
   void WarmIndex() const;
+
+  /// \brief The typed columns holding this table's cells.
+  const ColumnarTable& columns() const { return body().columns; }
 
   /// \brief Cell addressed by row name (matched against the first column,
   /// case-insensitive substring fallback) and column header.
@@ -152,21 +84,8 @@ class Table {
   /// (exact case-insensitive first, then unique-substring fallback).
   Result<size_t> RowIndexByName(std::string_view row_name) const;
 
-  /// \brief Appends a row. Fails unless the width matches the schema.
-  Status AppendRow(Row row);
-
-  /// \brief Appends a column filled with `fill` (defaults to null) and
-  /// re-infers its type. Fails on duplicate header names.
-  Status AppendColumn(const std::string& name, const Value& fill = Value());
-
-  /// \brief A new table containing only `row_indices` (in the given order).
-  Table SubTable(const std::vector<size_t>& row_indices) const;
-
-  /// \brief A new table with row `r` removed.
+  /// \brief A new table with row `r` removed, keeping this schema.
   Table WithoutRow(size_t r) const;
-
-  /// \brief Re-runs column type inference (after edits).
-  void InferColumnTypes();
 
   /// \brief Indices of columns with the given type.
   std::vector<size_t> ColumnsOfType(ColumnType type) const;
@@ -182,24 +101,21 @@ class Table {
   std::string Linearize(size_t max_rows = 64) const;
 
  private:
-  /// Drops the cached index; called by every mutator.
-  void InvalidateIndex();
+  /// The shared, immutable state. The index reads `columns`, so the two
+  /// live and die together.
+  struct Body {
+    explicit Body(ColumnarTable cells)
+        : columns(std::move(cells)), index(&columns) {}
+    ColumnarTable columns;
+    TableIndex index;
+  };
 
-  std::string name_;
-  Schema schema_;
-  std::vector<Row> rows_;
+  /// A default-constructed or moved-from table reads as the empty table.
+  const Body& body() const { return body_ ? *body_ : EmptyBody(); }
+  static const Body& EmptyBody();
 
-  // Lazily created accelerators (table/index.h). The mutex only guards
-  // creation/invalidation of the pointer; TableIndex synchronizes its own
-  // per-column builds, so concurrent const readers are race-free.
-  mutable std::mutex index_mu_;
-  mutable std::unique_ptr<TableIndex> index_;
+  std::shared_ptr<const Body> body_;
 };
-
-inline size_t ColumnSpan::size() const { return table_->num_rows(); }
-inline const Value& ColumnSpan::operator[](size_t r) const {
-  return table_->cell(r, column_);
-}
 
 }  // namespace uctr
 

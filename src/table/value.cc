@@ -1,5 +1,7 @@
 #include "table/value.h"
 
+#include <utility>
+
 #include "common/numeric.h"
 #include "common/string_util.h"
 
@@ -36,7 +38,15 @@ Value Value::FromText(std::string_view text) {
   return String(std::move(trimmed));
 }
 
-std::string Value::ToDisplayString() const {
+std::string Value::ToDisplayString() && {
+  if (type_ == ValueType::kString ||
+      (type_ == ValueType::kNumber && !text_.empty())) {
+    return std::move(text_);
+  }
+  return std::as_const(*this).ToDisplayString();
+}
+
+std::string Value::ToDisplayString() const& {
   switch (type_) {
     case ValueType::kNull:
       return "";

@@ -77,7 +77,10 @@ class Value {
 
   /// \brief Human-readable rendering: surface text when available,
   /// otherwise a compact formatting of the number / "true" / "false" / "".
-  std::string ToDisplayString() const;
+  std::string ToDisplayString() const&;
+  /// \brief The same, moving the surface text out of a temporary (a cell
+  /// Table::cell returned).
+  std::string ToDisplayString() &&;
 
   /// \brief Numeric view: numbers and bools convert; strings convert when
   /// they parse as a number; null and other strings fail with TypeError.

@@ -157,11 +157,9 @@ TEST(GeneratorTest, UnknownSamplesComeFromEvidenceSwap) {
   Generator gen(config, &lib, &rng);
 
   TableWithText a;
-  a.table = MakeNationsTable();
-  a.table.set_name("nations");
+  a.table = Table::FromCsv(MakeNationsTable().ToCsv(), "nations").ValueOrDie();
   TableWithText b;
-  b.table = MakeFinanceTable();
-  b.table.set_name("finance");
+  b.table = Table::FromCsv(MakeFinanceTable().ToCsv(), "finance").ValueOrDie();
   Dataset dataset = gen.GenerateDataset({a, b});
   EXPECT_GT(dataset.CountLabel(Label::kUnknown), 0u);
   EXPECT_GT(dataset.CountLabel(Label::kSupported), 0u);

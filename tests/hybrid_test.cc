@@ -270,18 +270,16 @@ TEST(TextToTableTest, ExpandRejectsWhitespaceColumnName) {
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(out.status().message(), "empty column header");
-}
 
-TEST(TableTest2, AppendColumnBasics) {
-  auto t = Table::FromCsv("a,b\nx,1\ny,2\n").ValueOrDie();
-  ASSERT_TRUE(t.AppendColumn("c").ok());
-  EXPECT_EQ(t.num_columns(), 3u);
-  EXPECT_TRUE(t.cell(0, 2).is_null());
-  EXPECT_FALSE(t.AppendColumn("B").ok());  // duplicate, case-insensitive
-  EXPECT_FALSE(t.AppendColumn("  ").ok());
-  ASSERT_TRUE(t.AppendColumn("d", Value::Number(7)).ok());
-  EXPECT_DOUBLE_EQ(t.cell(1, 3).number(), 7.0);
-  EXPECT_EQ(t.schema().column(3).type, ColumnType::kNumber);
+  // So is one that trims to an existing header but matches several
+  // headers loosely, so the schema lookup did not find it.
+  auto t = Table::FromCsv("a,b,bc\nx,1,\n").ValueOrDie();
+  record.row_name = "x";
+  record.fields = {{" BC ", "5"}};
+  out = TextToTable().Expand(t, record);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(out.status().message(), "duplicate column 'BC'");
 }
 
 TEST(TextToTableTest, RoundTripWithTableToText) {

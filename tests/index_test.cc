@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "logic/executor.h"
 #include "model/features.h"
 #include "model/interpreter.h"
@@ -37,18 +38,17 @@ namespace {
 
 // The medal fixture used across the executor test suites: text rows with
 // duplicate values (tie-breaking), a numeric tie in `total`, and a null.
-Table MedalTable() {
-  return Table::FromCsv(
-             "nation,gold,silver,bronze,total\n"
-             "Norway,16,8,13,37\n"
-             "Germany,12,10,5,27\n"
-             "Canada,4,8,14,26\n"
-             "USA,8,10,9,27\n"
-             "Sweden,8,5,5,18\n"
-             "Austria,4,8,5,17\n"
-             "Italy,2,7,,9\n")
-      .ValueOrDie();
-}
+const char kMedalCsv[] =
+    "nation,gold,silver,bronze,total\n"
+    "Norway,16,8,13,37\n"
+    "Germany,12,10,5,27\n"
+    "Canada,4,8,14,26\n"
+    "USA,8,10,9,27\n"
+    "Sweden,8,5,5,18\n"
+    "Austria,4,8,5,17\n"
+    "Italy,2,7,,9\n";
+
+Table MedalTable() { return Table::FromCsv(kMedalCsv).ValueOrDie(); }
 
 // Currency/percent formatting plus nulls: ToNumber parses "$1,234" and
 // "12%", so the numeric cache must agree with per-cell parsing exactly.
@@ -419,63 +419,58 @@ TEST(IndexDifferentialTest, LiteralColumnsWithoutAUniqueOrder) {
   }
 }
 
-// Mutations must invalidate the cached index: results computed after a
-// mutable_cell / AppendRow / AppendColumn must reflect the new data and
-// still match the scan path exactly.
-TEST(IndexInvalidationTest, MutationInvalidatesAndStaysIdentical) {
-  Table t = MedalTable();
-
-  const std::string germany = "SELECT total FROM w WHERE nation = 'Germany'";
-  auto before = Execute(ProgramType::kSql, germany, t);
-  ASSERT_TRUE(before.ok());
-  EXPECT_EQ(before->ToDisplayString(), "27");
-
-  // Rename Germany; the stale hash index would still find it.
-  *t.mutable_cell(1, 0) = Value::String("Wakanda");
-  auto renamed = Execute(ProgramType::kSql, germany, t);
-  // A stale hash index would still answer 27; the executor's no-match
-  // policy is an EmptyResult status.
+// Tables built with MedalTable's content after successive edits: a
+// renamed row, a new maximum, an appended row and an appended column.
+// Each is a new table with its own index, and must match the scan path.
+TEST(IndexDifferentialTest, EditedContentMatchesScan) {
+  std::string csv = ReplaceAll(ReplaceAll(kMedalCsv, "Germany", "Wakanda"),
+                               "Sweden,8,5,5,18", "Sweden,8,5,5,99");
+  Table edited = Table::FromCsv(csv).ValueOrDie();
+  auto renamed = Execute(
+      ProgramType::kSql, "SELECT total FROM w WHERE nation = 'Germany'",
+      edited);
+  // The executor's no-match policy is an EmptyResult status.
   ASSERT_FALSE(renamed.ok());
   EXPECT_EQ(renamed.status().code(), StatusCode::kEmptyResult);
-  ExpectSqlIdentical(t, "SELECT total FROM w WHERE nation = 'Wakanda'");
+  ExpectSqlIdentical(edited, "SELECT total FROM w WHERE nation = 'Wakanda'");
+  auto max = Execute(ProgramType::kLogicalForm,
+                     "hop { argmax { all_rows ; total } ; nation }", edited);
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ(max->ToDisplayString(), "Sweden");
+  ExpectLogicIdentical(edited, "hop { argmax { all_rows ; total } ; nation }");
 
-  // Bump a number past the max; the stale sorted order would miss it.
-  *t.mutable_cell(4, 4) = Value::Number(99);
-  auto max_after = Execute(ProgramType::kLogicalForm,
-                       "hop { argmax { all_rows ; total } ; nation }", t);
-  ASSERT_TRUE(max_after.ok());
-  EXPECT_EQ(max_after->ToDisplayString(), "Sweden");
-  ExpectLogicIdentical(t, "hop { argmax { all_rows ; total } ; nation }");
+  csv += "Norway,1,2,3,6\n";
+  Table appended = Table::FromCsv(csv).ValueOrDie();
+  ExpectSqlIdentical(appended, "SELECT total FROM w WHERE nation = 'Norway'");
+  ExpectSqlIdentical(appended, "SELECT COUNT(DISTINCT nation) FROM w");
 
-  // AppendRow extends every per-column cache.
-  ASSERT_TRUE(t.AppendRow({Value::String("Norway"), Value::Number(1),
-                           Value::Number(2), Value::Number(3),
-                           Value::Number(6)})
-                  .ok());
-  ExpectSqlIdentical(t, "SELECT total FROM w WHERE nation = 'Norway'");
-  ExpectSqlIdentical(t, "SELECT COUNT(DISTINCT nation) FROM w");
-
-  // AppendColumn changes the column count the index was sized for.
-  ASSERT_TRUE(t.AppendColumn("rank", Value::Number(1)).ok());
-  ExpectSqlIdentical(t, "SELECT nation FROM w WHERE rank = 1");
-  ExpectLogicIdentical(t, "sum { all_rows ; rank }");
+  Table widened =
+      Table::FromCsv(ReplaceAll(ReplaceAll(csv, "\n", ",1\n"),
+                                "total,1\n", "total,rank\n"))
+          .ValueOrDie();
+  ASSERT_EQ(widened.num_columns(), 6u);
+  ExpectSqlIdentical(widened, "SELECT nation FROM w WHERE rank = 1");
+  ExpectLogicIdentical(widened, "sum { all_rows ; rank }");
 }
 
+// Tables never change, so copies and moves share one index; a table
+// built anew over the same cells builds its own.
 TEST(IndexInvalidationTest, CopiesRebuildMovesCarry) {
   Table t = MedalTable();
   t.WarmIndex();
   const TableIndex* warmed = &t.index();
 
-  // A copy never shares the original's index.
   Table copy = t;
-  EXPECT_NE(&copy.index(), warmed);
+  EXPECT_EQ(&copy.index(), warmed);
   ExpectSqlIdentical(copy, "SELECT total FROM w WHERE nation = 'Canada'");
 
-  // A move carries the warmed index along (serving moves tables into
-  // Samples after warming them once at load).
   Table moved = std::move(t);
   EXPECT_EQ(&moved.index(), warmed);
   ExpectSqlIdentical(moved, "SELECT total FROM w WHERE nation = 'Canada'");
+
+  Table rebuilt(moved.columns());
+  EXPECT_NE(&rebuilt.index(), warmed);
+  ExpectSqlIdentical(rebuilt, "SELECT total FROM w WHERE nation = 'Canada'");
 }
 
 // Concurrent first-touch: many threads execute programs against one
@@ -506,6 +501,48 @@ TEST(IndexConcurrencyTest, SharedConstTableAcrossThreads) {
   }
   for (int i = 0; i < kThreads; ++i) {
     EXPECT_EQ(got[i], want) << "thread " << i;
+  }
+}
+
+// Threads each take a copy of one table nobody has warmed and race the
+// shared index's first build: the column caches and the token inventory.
+// Every thread must see what a table with its own index answers.
+TEST(IndexConcurrencyTest, CopiesRaceTheSharedIndexFirstBuild) {
+  const Table original = MedalTable();
+  const std::vector<std::string> queries = {
+      "SELECT nation FROM w WHERE gold >= 4 ORDER BY total DESC",
+      "SELECT total FROM w WHERE nation = 'Canada'",
+      "SELECT COUNT(DISTINCT silver) FROM w"};
+  auto run = [&queries](const Table& table) {
+    std::string out;
+    for (const std::string& q : queries) {
+      out += DescribeOutcome(Execute(ProgramType::kSql, q, table)) + "\n";
+    }
+    return out + std::to_string(table.index().tokens().num_words());
+  };
+  const std::string want = run(Table(original.columns()));
+
+  constexpr int kThreads = 8;
+  std::vector<std::string> got(kThreads);
+  std::vector<const TableIndex*> indexes(kThreads);
+  std::atomic<int> ready{0};
+  {
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (int i = 0; i < kThreads; ++i) {
+      workers.emplace_back([&, i] {
+        Table copy = original;
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        got[i] = run(copy);
+        indexes[i] = &copy.index();
+      });
+    }
+    for (std::thread& w : workers) w.join();
+  }
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(got[i], want) << "thread " << i;
+    EXPECT_EQ(indexes[i], &original.index()) << "thread " << i;
   }
 }
 
@@ -549,7 +586,7 @@ TEST(TokenInventoryTest, SharedConstTableFirstTouchAcrossThreads) {
         interp.RankAll(claim, table, TaskType::kFactVerification),
         extractor.Extract(s));
   };
-  const Table alone = shared;  // a copy builds its own index
+  const Table alone(shared.columns());  // its own index
   const std::string want = link(alone);
   ASSERT_NE(want.find("v1=Canada"), std::string::npos) << want;
 
@@ -573,48 +610,54 @@ TEST(TokenInventoryTest, SharedConstTableFirstTouchAcrossThreads) {
   }
 }
 
-// Every mutator drops the inventory with the rest of the index; the next
-// reader rebuilds it from the current cells.
-TEST(TokenInventoryTest, MutationDropsAndRebuildsTheInventory) {
+// A table built with edited content tokenizes that content: a renamed
+// row, an appended row and an appended column.
+TEST(TokenInventoryTest, BuiltFromEditedContent) {
   using Inventory = TableIndex::TokenInventory;
-  Table t = MedalTable();
-  EXPECT_EQ(t.index().tokens().Find("wakanda"), Inventory::kNoWord);
+  EXPECT_EQ(MedalTable().index().tokens().Find("wakanda"), Inventory::kNoWord);
 
-  *t.mutable_cell(1, 0) = Value::String("Wakanda");
-  const Inventory& renamed = t.index().tokens();
-  EXPECT_NE(renamed.Find("wakanda"), Inventory::kNoWord);
-  EXPECT_EQ(renamed.Find("germany"), Inventory::kNoWord);
-  ASSERT_EQ(renamed.cell(1, 0).size(), 1u);
-  EXPECT_EQ(renamed.word(renamed.cell(1, 0)[0]), "wakanda");
+  std::string csv = ReplaceAll(kMedalCsv, "Germany", "Wakanda");
+  Table renamed = Table::FromCsv(csv).ValueOrDie();
+  const Inventory& tokens = renamed.index().tokens();
+  EXPECT_NE(tokens.Find("wakanda"), Inventory::kNoWord);
+  EXPECT_EQ(tokens.Find("germany"), Inventory::kNoWord);
+  ASSERT_EQ(tokens.cell(1, 0).size(), 1u);
+  EXPECT_EQ(tokens.word(tokens.cell(1, 0)[0]), "wakanda");
   model::NlInterpreter interp(BuiltinLogicTemplates());
   auto read = interp.Interpret(
-      "The gold of the row whose nation is Wakanda is 12.", t,
+      "The gold of the row whose nation is Wakanda is 12.", renamed,
       TaskType::kFactVerification);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read->bindings.at("v1"), "Wakanda");
 
-  ASSERT_TRUE(t.AppendRow({Value::String("Atlantis"), Value::Number(77),
-                           Value::Number(1), Value::Number(1),
-                           Value::Number(79)})
-                  .ok());
-  const Inventory& appended = t.index().tokens();
-  EXPECT_NE(appended.Find("atlantis"), Inventory::kNoWord);
-  EXPECT_TRUE(std::binary_search(appended.numbers.begin(),
-                                 appended.numbers.end(), 77.0));
+  csv += "Atlantis,77,1,1,79\n";
+  Table appended = Table::FromCsv(csv).ValueOrDie();
+  const Inventory& more = appended.index().tokens();
+  EXPECT_NE(more.Find("atlantis"), Inventory::kNoWord);
+  EXPECT_TRUE(
+      std::binary_search(more.numbers.begin(), more.numbers.end(), 77.0));
 
-  ASSERT_TRUE(t.AppendColumn("mascot", Value::String("wombat")).ok());
-  const Inventory& widened = t.index().tokens();
-  EXPECT_NE(widened.Find("mascot"), Inventory::kNoWord);  // a header word
-  ASSERT_EQ(widened.cell(t.num_rows() - 1, 5).size(), 1u);
-  EXPECT_EQ(widened.word(widened.cell(t.num_rows() - 1, 5)[0]), "wombat");
+  Table widened =
+      Table::FromCsv(ReplaceAll(ReplaceAll(csv, "\n", ",wombat\n"),
+                                "total,wombat\n", "total,mascot\n"))
+          .ValueOrDie();
+  const Inventory& wide = widened.index().tokens();
+  EXPECT_NE(wide.Find("mascot"), Inventory::kNoWord);  // a header word
+  ASSERT_EQ(wide.cell(widened.num_rows() - 1, 5).size(), 1u);
+  EXPECT_EQ(wide.word(wide.cell(widened.num_rows() - 1, 5)[0]), "wombat");
 }
 
+// Copies and moves share the inventory with the index; a table built anew
+// over the same cells builds an equal one of its own.
 TEST(TokenInventoryTest, MovesKeepTheInventoryCopiesBuildTheirOwn) {
   Table t = MedalTable();
   const TableIndex::TokenInventory* built = &t.index().tokens();
 
   Table copy = t;
-  const TableIndex::TokenInventory& own = copy.index().tokens();
+  EXPECT_EQ(&copy.index().tokens(), built);
+
+  Table rebuilt(t.columns());
+  const TableIndex::TokenInventory& own = rebuilt.index().tokens();
   EXPECT_NE(&own, built);
   EXPECT_EQ(own.words, built->words);
   EXPECT_EQ(own.word_end, built->word_end);
@@ -626,20 +669,6 @@ TEST(TokenInventoryTest, MovesKeepTheInventoryCopiesBuildTheirOwn) {
   EXPECT_EQ(&moved.index().tokens(), built);
 }
 
-// The span accessor must agree with the copying ColumnValues everywhere.
-TEST(ColumnSpanTest, MatchesColumnValues) {
-  Table t = FinanceTable();
-  for (size_t c = 0; c < t.num_columns(); ++c) {
-    std::vector<Value> copies = t.ColumnValues(c);
-    ColumnSpan span = t.Column(c);
-    ASSERT_EQ(span.size(), copies.size());
-    for (size_t r = 0; r < copies.size(); ++r) {
-      EXPECT_EQ(span[r].type(), copies[r].type());
-      EXPECT_EQ(span[r].ToDisplayString(), copies[r].ToDisplayString());
-    }
-  }
-}
-
 // RowIndexByName now reads the cached first column; exact, substring, and
 // error behavior must be unchanged.
 TEST(RowIndexByNameTest, IndexedLookupKeepsSemantics) {
@@ -648,10 +677,11 @@ TEST(RowIndexByNameTest, IndexedLookupKeepsSemantics) {
   EXPECT_EQ(t.RowIndexByName("  USA  ").ValueOrDie(), 3u);
   EXPECT_EQ(t.RowIndexByName("swed").ValueOrDie(), 4u);  // substring
   EXPECT_FALSE(t.RowIndexByName("Atlantis").ok());
-  // Mutation is visible through the name lookup too.
-  *t.mutable_cell(1, 0) = Value::String("Prussia");
-  EXPECT_EQ(t.RowIndexByName("Prussia").ValueOrDie(), 1u);
-  EXPECT_FALSE(t.RowIndexByName("Germany").ok());
+  // A table built with another name in that row finds it there.
+  Table renamed =
+      Table::FromCsv(ReplaceAll(kMedalCsv, "Germany", "Prussia")).ValueOrDie();
+  EXPECT_EQ(renamed.RowIndexByName("Prussia").ValueOrDie(), 1u);
+  EXPECT_FALSE(renamed.RowIndexByName("Germany").ok());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 #include <string>
 #include <thread>
@@ -13,6 +14,7 @@
 
 #include "fault/fault.h"
 #include "obs/metrics.h"
+#include "program/program.h"
 #include "serve/engine.h"
 #include "serve/server.h"
 #include "store/codec.h"
@@ -31,8 +33,9 @@ using testing::MakeFinanceTable;
 using testing::MakeNationsTable;
 using testing::RandomTable;
 
-// Cell-exact equality: type, numeric value, surface text, schema, and the
-// rendered CSV all have to match for serving to be byte-identical.
+// Cell-exact equality: type, numeric value (its bits, so the sign of zero
+// too), surface text, schema, and the rendered CSV all have to match for
+// serving to be byte-identical.
 void ExpectTablesIdentical(const Table& a, const Table& b) {
   EXPECT_EQ(a.name(), b.name());
   ASSERT_EQ(a.num_rows(), b.num_rows());
@@ -48,7 +51,8 @@ void ExpectTablesIdentical(const Table& a, const Table& b) {
       ASSERT_EQ(va.type(), vb.type()) << "cell (" << r << "," << c << ")";
       EXPECT_EQ(va.text(), vb.text()) << "cell (" << r << "," << c << ")";
       if (va.is_number()) {
-        EXPECT_EQ(va.number(), vb.number())
+        EXPECT_EQ(std::bit_cast<uint64_t>(va.number()),
+                  std::bit_cast<uint64_t>(vb.number()))
             << "cell (" << r << "," << c << ")";
       }
       if (va.is_bool()) {
@@ -68,7 +72,7 @@ TEST(ColumnarTest, PicksInt64ForIntegralNumericColumns) {
   EXPECT_EQ(ct.column(0).encoding, ColumnEncoding::kString);  // nation
   for (size_t c = 1; c < 5; ++c) {
     EXPECT_EQ(ct.column(c).encoding, ColumnEncoding::kInt64)
-        << ct.column(c).name;
+        << ct.schema().column(c).name;
   }
   // CSV-parsed numbers keep their surface text ("10") so ToCsv is exact.
   ASSERT_FALSE(ct.column(1).text_ids.empty());
@@ -79,12 +83,12 @@ TEST(ColumnarTest, PicksInt64ForIntegralNumericColumns) {
 TEST(ColumnarTest, KeepsNumericSurfaceText) {
   // "$1,200.5" parses to 1200.5 but must render back as "$1,200.5".
   ColumnarTable ct = ColumnarTable::FromTable(MakeFinanceTable());
-  const Column& y2019 = ct.column(1);
+  const TypedColumn& y2019 = ct.column(1);
   EXPECT_EQ(y2019.encoding, ColumnEncoding::kDouble);  // 400.5 not integral
   ASSERT_FALSE(y2019.text_ids.empty());
   EXPECT_EQ(ct.pool().at(y2019.text_ids[0]), "$1,200.5");
   // 2018 holds 1000.0 / 700 / 300 / 2000 — integral, but with text.
-  const Column& y2018 = ct.column(2);
+  const TypedColumn& y2018 = ct.column(2);
   EXPECT_EQ(y2018.encoding, ColumnEncoding::kInt64);
   ASSERT_FALSE(y2018.text_ids.empty());
   EXPECT_EQ(ct.pool().at(y2018.text_ids[0]), "$1,000.0");
@@ -110,12 +114,24 @@ TEST(ColumnarTest, PicksBoolAndMixedAndHandlesNulls) {
   EXPECT_TRUE(ct.CellValue(0, 2).is_null());
 }
 
+// What serving reads back from the store: the table's columns through
+// the codec and into a new Table.
+Table ThroughCodec(const Table& t) {
+  Result<ColumnarTable> decoded =
+      Codec::Decode(Codec::Encode(ColumnarTable::FromTable(t)));
+  EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+  return decoded.ok() ? Table(std::move(*decoded)) : Table();
+}
+
 TEST(ColumnarTest, RoundTripIsCellExact) {
-  for (const Table& t : {MakeNationsTable(), MakeFinanceTable()}) {
-    ColumnarTable ct = ColumnarTable::FromTable(t);
-    Result<Table> back = ct.ToTable();
-    ASSERT_TRUE(back.ok()) << back.status().ToString();
-    ExpectTablesIdentical(t, *back);
+  // An integer column holding -0 is stored as double, keeping the sign.
+  Table negative_zero =
+      Table::FromCsv("name,b\nx,-0\ny,5\n", "nz").ValueOrDie();
+  EXPECT_EQ(negative_zero.columns().column(1).encoding,
+            ColumnEncoding::kDouble);
+  for (const Table& t :
+       {MakeNationsTable(), MakeFinanceTable(), negative_zero}) {
+    ExpectTablesIdentical(t, ThroughCodec(t));
   }
 }
 
@@ -123,19 +139,16 @@ TEST(ColumnarTest, RoundTripsRandomTables) {
   Rng rng(0xC01u);
   for (int i = 0; i < 20; ++i) {
     Table t = RandomTable(&rng);
-    Result<Table> back = ColumnarTable::FromTable(t).ToTable();
-    ASSERT_TRUE(back.ok()) << back.status().ToString();
-    ExpectTablesIdentical(t, *back);
+    ExpectTablesIdentical(t, ThroughCodec(t));
   }
 }
 
 TEST(ColumnarTest, RoundTripsEmptyAndHeaderOnlyTables) {
   Table t = Table::FromCsv("a,b\n", "empty").ValueOrDie();
-  Result<Table> back = ColumnarTable::FromTable(t).ToTable();
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->num_rows(), 0u);
-  EXPECT_EQ(back->num_columns(), 2u);
-  ExpectTablesIdentical(t, *back);
+  Table back = ThroughCodec(t);
+  EXPECT_EQ(back.num_rows(), 0u);
+  EXPECT_EQ(back.num_columns(), 2u);
+  ExpectTablesIdentical(t, back);
 }
 
 TEST(ColumnarTest, ApproxBytesGrowsWithData) {
@@ -152,25 +165,39 @@ TEST(ColumnarTest, ApproxBytesGrowsWithData) {
 
 TEST(CodecTest, EncodeDecodeRoundTrips) {
   for (const Table& t : {MakeNationsTable(), MakeFinanceTable()}) {
-    ColumnarTable ct = ColumnarTable::FromTable(t);
-    std::string bytes = Codec::Encode(ct);
-    Result<ColumnarTable> decoded = Codec::Decode(bytes);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    Result<Table> back = decoded->ToTable();
-    ASSERT_TRUE(back.ok()) << back.status().ToString();
-    ExpectTablesIdentical(t, *back);
+    ExpectTablesIdentical(t, ThroughCodec(t));
   }
 }
 
 TEST(CodecTest, EncodingIsCanonical) {
-  // Re-encoding a round-tripped table reproduces the exact bytes — the
-  // property that makes content fingerprints stable across put/get/put.
-  ColumnarTable ct = ColumnarTable::FromTable(MakeFinanceTable());
-  std::string bytes = Codec::Encode(ct);
-  Table back = Codec::Decode(bytes).ValueOrDie().ToTable().ValueOrDie();
+  // Re-encoding a decoded table reproduces the exact bytes, and so does
+  // re-building a table from its cells — the property that makes content
+  // fingerprints stable across put/get/put.
+  std::string bytes =
+      Codec::Encode(ColumnarTable::FromTable(MakeFinanceTable()));
+  Table back(Codec::Decode(bytes).ValueOrDie());
   std::string again = Codec::Encode(ColumnarTable::FromTable(back));
   EXPECT_EQ(bytes, again);
   EXPECT_EQ(Codec::Fingerprint(bytes), Codec::Fingerprint(again));
+  Table rebuilt = back.WithoutRow(back.num_rows());
+  EXPECT_EQ(Codec::Encode(ColumnarTable::FromTable(rebuilt)), bytes);
+}
+
+// A decoded table answers exactly as the inline table it was encoded
+// from, down to the sign of a zero.
+TEST(CodecTest, DecodedTableAnswersLikeTheInlineOne) {
+  Table inline_table =
+      Table::FromCsv("name,b\nx,-0\ny,5\n", "nz").ValueOrDie();
+  Table decoded = ThroughCodec(inline_table);
+  Program program{ProgramType::kArithmetic, "multiply(b of x, 5)"};
+  Result<ExecResult> want = program.Execute(inline_table);
+  Result<ExecResult> got = program.Execute(decoded);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(want->ToDisplayString(), "-0");
+  EXPECT_EQ(got->ToDisplayString(), want->ToDisplayString());
+  EXPECT_EQ(std::bit_cast<uint64_t>(got->scalar().number()),
+            std::bit_cast<uint64_t>(want->scalar().number()));
 }
 
 TEST(CodecTest, FingerprintIsContentAddressed) {
@@ -242,12 +269,21 @@ TEST(CodecTest, GarbageInputsNeverCrash) {
     Result<ColumnarTable> decoded = Codec::Decode(garbage);
     if (decoded.ok()) {
       // Astronomically unlikely, but if it parses it must be usable.
-      EXPECT_TRUE(decoded->ToTable().ok());
+      Table table(std::move(*decoded));
+      table.WarmIndex();
+      EXPECT_FALSE(table.ToCsv().empty());
     }
   }
 }
 
 // --------------------------------------------------------- TableRegistry
+
+// What a registry charges for holding `table`.
+size_t RegistryCharge(const Table& table) {
+  obs::MetricsRegistry metrics;
+  TableRegistry probe(RegistryConfig{}, &metrics);
+  return probe.Put(table)->bytes;
+}
 
 TEST(RegistryTest, PutThenGetReturnsWarmTable) {
   obs::MetricsRegistry metrics;
@@ -292,8 +328,7 @@ TEST(RegistryTest, MissesAreCountedAndReturnNull) {
 TEST(RegistryTest, ByteBudgetEvictsColdEntries) {
   Rng rng(0x11u);
   Table first = RandomTable(&rng, 40, 3);
-  size_t one_table =
-      ColumnarTable::FromTable(first).ApproxBytes();
+  size_t one_table = RegistryCharge(first);
   RegistryConfig config;
   config.num_shards = 1;
   config.capacity_bytes = one_table * 3;
@@ -309,6 +344,21 @@ TEST(RegistryTest, ByteBudgetEvictsColdEntries) {
   EXPECT_LE(registry.bytes(), config.capacity_bytes + one_table);
   EXPECT_EQ(registry.Get(first_fp), nullptr) << "cold entry must be gone";
   EXPECT_NE(registry.Get(fps.back()), nullptr) << "hot entry must survive";
+}
+
+// The registry charges what it holds: the typed columns and the warmed
+// index, whose sorted permutations alone take 8 bytes per row per column.
+TEST(RegistryTest, ChargesColumnsAndWarmedIndex) {
+  Rng rng(0x33u);
+  Table t = RandomTable(&rng, 1000, 4);
+  const size_t columns = ColumnarTable::FromTable(t).ApproxBytes();
+  obs::MetricsRegistry metrics;
+  TableRegistry registry(RegistryConfig{}, &metrics);
+  Result<PutResult> put = registry.Put(t);
+  ASSERT_TRUE(put.ok());
+  EXPECT_GE(put->bytes,
+            columns + t.num_rows() * t.num_columns() * sizeof(size_t));
+  EXPECT_EQ(registry.bytes(), put->bytes);
 }
 
 TEST(RegistryTest, OversizedTableIsAdmittedAlone) {
@@ -327,8 +377,7 @@ TEST(RegistryTest, BorrowedTableSurvivesEviction) {
   Rng rng(0x22u);
   RegistryConfig config;
   config.num_shards = 1;
-  config.capacity_bytes =
-      ColumnarTable::FromTable(MakeNationsTable()).ApproxBytes() + 1;
+  config.capacity_bytes = RegistryCharge(MakeNationsTable()) + 1;
   TableRegistry registry(config);
   std::string fp = registry.Put(MakeNationsTable())->fingerprint;
   std::shared_ptr<const Table> borrowed = registry.Get(fp);

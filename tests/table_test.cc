@@ -120,24 +120,21 @@ TEST(TableTest, CellByNames) {
 
 TEST(TableTest, SubTableAndWithoutRow) {
   Table t = MakeNationsTable();
-  Table sub = t.SubTable({2, 0});
-  ASSERT_EQ(sub.num_rows(), 2u);
-  EXPECT_EQ(sub.cell(0, 0).ToDisplayString(), "japan");
-  EXPECT_EQ(sub.cell(1, 0).ToDisplayString(), "united states");
-
   Table without = t.WithoutRow(0);
   EXPECT_EQ(without.num_rows(), 4u);
   EXPECT_EQ(without.cell(0, 0).ToDisplayString(), "china");
-}
-
-TEST(TableTest, AppendRowValidatesWidth) {
-  Table t = MakeNationsTable();
-  EXPECT_FALSE(t.AppendRow({Value::String("x")}).ok());
-  EXPECT_TRUE(t.AppendRow({Value::String("italy"), Value::Number(1),
-                           Value::Number(2), Value::Number(3),
-                           Value::Number(6)})
-                  .ok());
-  EXPECT_EQ(t.num_rows(), 6u);
+  EXPECT_EQ(without.name(), "medals");
+  // The source's schema is kept, not re-inferred.
+  Table finance = MakeFinanceTable();
+  Table rest = finance.WithoutRow(3);
+  EXPECT_EQ(rest.ToCsv(),
+            "item,2019,2018\n"
+            "revenue,\"$1,200.5\",\"$1,000.0\"\n"
+            "cost of sales,800,700\n"
+            "gross profit,400.5,300\n");
+  EXPECT_EQ(rest.schema().Fingerprint(), finance.schema().Fingerprint());
+  // Out of range removes nothing.
+  EXPECT_EQ(t.WithoutRow(99).ToCsv(), t.ToCsv());
 }
 
 TEST(TableTest, ColumnsOfType) {
