@@ -241,6 +241,105 @@ TEST(IndexDifferentialTest, EmptyAndDegenerateTables) {
   ExpectLogicIdentical(nulls, "count { filter_all { all_rows ; x } }");
 }
 
+// Cells whose display text, normalized text and surface text disagree:
+// texts that differ only in case or surrounding whitespace, equal numbers
+// with different surface text, a text-less number beside the string "5"
+// in one mixed column, an empty string, bools and nulls. Built from
+// Values, so the whitespace and the text-less number survive.
+Table DisagreeingTextTable() {
+  const Value null = Value::Null();
+  auto s = [](const char* text) { return Value::String(text); };
+  auto n = [](double x, const char* text) {
+    return Value::NumberWithText(x, text);
+  };
+  return Table::FromValues(
+      "w", {"name", "word", "amount", "mixed", "flag"},
+      {s("Apple"),     s("Apple"),   n(5, "5"),   Value::Number(5),  Value::Bool(true),
+       s("apple"),     s("apple"),   n(5, "5.0"), s("5"),            Value::Bool(false),
+       s(" apple "),   s(" apple "), n(5, "$5"),  s("apple"),        null,
+       s("Apple pie"), s("banana"),  Value::Number(7), s(""),        Value::Bool(true),
+       null,           s(""),        null,        Value::Bool(true), Value::Bool(false),
+       s(""),          null,         n(-2, "-2"), null,              Value::Bool(true),
+       Value::Number(5), s("Banana"), n(5, "5"),  s(" Apple"),       null});
+}
+
+TEST(IndexDifferentialTest, DisagreeingTextMatchesScan) {
+  const Table t = DisagreeingTextTable();
+  for (const char* col : {"name", "word", "amount", "mixed", "flag"}) {
+    const std::string c = col;
+    ExpectSqlIdentical(t, "SELECT COUNT(DISTINCT " + c + ") FROM w");
+    ExpectSqlIdentical(t, "SELECT COUNT(DISTINCT " + c + ") FROM w WHERE " +
+                              c + " != 'apple'");
+    ExpectSqlIdentical(t, "SELECT MIN(" + c + ") FROM w");
+    ExpectSqlIdentical(t, "SELECT MAX(" + c + ") FROM w");
+    for (const char* dir : {" ASC", " DESC"}) {
+      ExpectSqlIdentical(t, "SELECT name FROM w ORDER BY " + c + dir);
+      ExpectSqlIdentical(t, "SELECT name FROM w WHERE flag = 1 ORDER BY " +
+                                c + dir + " LIMIT 3");
+    }
+    for (const char* literal : {"'apple'", "'APPLE'", "' apple '", "''",
+                                "'5'", "5", "'$5'", "'5.0'", "'true'", "1",
+                                "'banana'", "'b'"}) {
+      for (const char* op : {" = ", " != ", " < "}) {
+        ExpectSqlIdentical(t, "SELECT name FROM w WHERE " + c + op + literal);
+      }
+      ExpectSqlIdentical(t, "SELECT name FROM w WHERE amount = 5 AND " + c +
+                                " = " + literal);
+    }
+    for (const char* literal : {"apple", "APPLE", "5", "5.0", "$5", "true",
+                                "banana", "b"}) {
+      const std::string eq =
+          "filter_eq { all_rows ; " + c + " ; " + literal + " }";
+      ExpectLogicIdentical(t, "count { " + eq + " }");
+      ExpectLogicIdentical(t, "hop { " + eq + " ; name }");
+      ExpectLogicIdentical(t, "count { filter_not_eq { all_rows ; " + c +
+                                  " ; " + literal + " } }");
+      ExpectLogicIdentical(t, "count { filter_eq { filter_eq { all_rows ; "
+                              "flag ; 1 } ; " + c + " ; " + literal + " } }");
+    }
+    for (const char* op : {"argmax", "argmin"}) {
+      ExpectLogicIdentical(t, std::string("hop { ") + op + " { all_rows ; " +
+                                  c + " } ; name }");
+      ExpectLogicIdentical(t, std::string("hop { ") + op +
+                                  " { filter_eq { all_rows ; flag ; 1 } ; " +
+                                  c + " } ; word }");
+    }
+  }
+  // COUNT(DISTINCT) counts display strings: Apple, apple and " apple "
+  // are three, and the text-less 5 and the string "5" are one.
+  auto count = [&t](const char* col) {
+    auto r = Execute(ProgramType::kSql,
+                     std::string("SELECT COUNT(DISTINCT ") + col + ") FROM w",
+                     t);
+    return r.ok() ? r->ToDisplayString() : r.status().ToString();
+  };
+  EXPECT_EQ(count("word"), "6");
+  EXPECT_EQ(count("amount"), "5");
+  EXPECT_EQ(count("mixed"), "5");
+  EXPECT_EQ(count("flag"), "2");
+}
+
+// Row names match exactly after trimming and case folding, first row
+// first; then by a unique substring either way round. A blank name
+// matches the first null or empty cell.
+TEST(RowIndexByNameTest, DisagreeingTextRowNames) {
+  const Table t = DisagreeingTextTable();
+  auto row = [&t](const char* name) -> std::string {
+    auto r = t.RowIndexByName(name);
+    return r.ok() ? std::to_string(*r) : "none";
+  };
+  EXPECT_EQ(row("Apple"), "0");
+  EXPECT_EQ(row("APPLE"), "0");
+  EXPECT_EQ(row("  apple "), "0");
+  EXPECT_EQ(row("apple PIE"), "3");
+  EXPECT_EQ(row("5"), "6");
+  EXPECT_EQ(row(""), "4");
+  EXPECT_EQ(row("pie"), "3");           // substring of one name
+  EXPECT_EQ(row("an apple pie!"), "none");  // holds three names
+  EXPECT_EQ(row("ppl"), "none");        // in four names
+  EXPECT_EQ(row("banana"), "none");
+}
+
 // Randomized tables: mixed-type columns (numeric text like "7", currency,
 // plain words, nulls) with heavy duplication so equality and tie-breaking
 // paths all fire. Every query from a fixed suite must agree between the
