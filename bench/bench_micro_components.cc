@@ -222,6 +222,21 @@ void BM_SqlOrderByLimitPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_SqlOrderByLimitPlan)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
+// COUNT(DISTINCT) over a text column of distinct names: the walker
+// hashes display strings, the VM counts distinct display ids.
+constexpr const char* kSqlCountDistinct =
+    "SELECT COUNT(DISTINCT nation) FROM w";
+
+void BM_SqlCountDistinctScan(benchmark::State& state) {
+  RunSqlBench(state, kSqlCountDistinct, /*plan=*/false);
+}
+BENCHMARK(BM_SqlCountDistinctScan)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
+
+void BM_SqlCountDistinctPlan(benchmark::State& state) {
+  RunSqlBench(state, kSqlCountDistinct, /*plan=*/true);
+}
+BENCHMARK(BM_SqlCountDistinctPlan)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
+
 // ---------------------------------------------------------------------------
 // Compiled-plan VM vs. parse + scan walker (src/ir). The VM side holds a
 // pre-compiled plan (the plan-cache-hit regime: no parser, no AST) while

@@ -44,12 +44,6 @@ class Rng {
   /// Requires size > 0.
   size_t Index(size_t size);
 
-  /// \brief Uniformly chosen element reference.
-  template <typename Container>
-  const typename Container::value_type& Choice(const Container& c) {
-    return c[Index(c.size())];
-  }
-
   /// \brief Fisher-Yates shuffle in place.
   template <typename T>
   void Shuffle(std::vector<T>* v) {

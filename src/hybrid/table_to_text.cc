@@ -14,7 +14,7 @@ bool SentenceCoversRow(const Table& table, size_t row,
   for (size_t c = 0; c < table.num_columns(); ++c) {
     const TableIndex::Column& cache = index.column(c);
     if (cache.is_null[row]) continue;
-    if (!ContainsIgnoreCase(sentence, cache.display[row])) return false;
+    if (!ContainsIgnoreCase(sentence, cache.display(row))) return false;
   }
   return true;
 }

@@ -99,18 +99,6 @@ Result<uint32_t> ResolveColumn(const Schema& schema, std::string_view name) {
 
 }  // namespace
 
-const char* FamilyToString(Family family) {
-  switch (family) {
-    case Family::kSql:
-      return "sql";
-    case Family::kLogic:
-      return "logic";
-    case Family::kArith:
-      return "arith";
-  }
-  return "unknown";
-}
-
 uint64_t SchemaFingerprint(const Schema& schema) {
   // Canonical definition lives on Schema so TableIndex can cache it once
   // per table instead of re-hashing column names on every request.

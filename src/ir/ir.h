@@ -46,8 +46,6 @@ enum class Family : uint8_t {
   kArith = 2,
 };
 
-const char* FamilyToString(Family family);
-
 /// \brief Register bytecode opcodes. Registers are typed slots holding
 /// either a row view (ordered row-index vector) or a scalar Value; the
 /// verifier tracks types statically so the VM never checks at runtime.

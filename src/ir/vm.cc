@@ -498,7 +498,7 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table) {
       // -- logic ----------------------------------------------------------
       case Op::kFilterCmp:
         regs[insn.dst].Set(logic::internal::MatchingRows(
-            table, index, regs[insn.a].view(), insn.imm,
+            index, regs[insn.a].view(), insn.imm,
             static_cast<CmpKind>(insn.imm2), regs[insn.b].value(),
             regs[insn.b].key, &rows_scanned));
         break;
@@ -513,7 +513,7 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table) {
         }
         evidence.Mark(view);
         size_t hits =
-            logic::internal::MatchingRows(table, index, view, insn.imm,
+            logic::internal::MatchingRows(index, view, insn.imm,
                                           static_cast<CmpKind>(insn.imm2 &
                                                                0xFF),
                                           regs[insn.b].value(),

@@ -43,7 +43,7 @@ Result<CmpKind> CmpFromSuffix(std::string_view op, std::string_view prefix) {
                                  "'");
 }
 
-std::vector<size_t> MatchingRows(const Table& table, const TableIndex& index,
+std::vector<size_t> MatchingRows(const TableIndex& index,
                                  const std::vector<size_t>& view,
                                  size_t col_idx, CmpKind cmp, const Value& ref,
                                  const TableIndex::LiteralKey* pre_key,
@@ -54,22 +54,7 @@ std::vector<size_t> MatchingRows(const Table& table, const TableIndex& index,
   if (pre_key == nullptr) local.emplace(ref);
   const TableIndex::LiteralKey& key = pre_key != nullptr ? *pre_key : *local;
   if (cmp == CmpKind::kEq && !key.null && !key.numeric) {
-    auto hit = col.by_text.find(key.norm);
-    if (hit == col.by_text.end()) return out;
-    // Views are ascending subsequences of [0, num_rows) (all_rows and
-    // every filter preserve that), so a full-size view IS the identity
-    // permutation and the ascending posting list is already the answer —
-    // O(matches) instead of two O(rows) passes.
-    if (view.size() == table.num_rows()) {
-      out = hit->second;
-      return out;
-    }
-    std::vector<uint8_t> member(table.num_rows(), 0);
-    for (size_t r : hit->second) member[r] = 1;
-    for (size_t r : view) {
-      if (member[r]) out.push_back(r);
-    }
-    return out;
+    return TableIndex::EqualRows(col, key, view);
   }
   *rows_scanned += view.size();
   for (size_t r : view) {

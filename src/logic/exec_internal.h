@@ -26,13 +26,10 @@ Result<CmpKind> CmpFromSuffix(std::string_view op, std::string_view prefix);
 /// Rows of `view` whose non-null cell in `col_idx` matches `cmp ref`, in
 /// view order, with `ref` pre-analyzed as `key` (may be nullptr — computed
 /// here; the VM passes keys precomputed at plan-compile time). The
-/// equality + string-literal case probes the hash index and returns the
-/// posting list directly for a full-table view (views are ascending
-/// subsequences of [0, num_rows), so a full-size view is the identity
-/// permutation); narrowed views keep view order through a membership
-/// mask. Rows evaluated one-by-one are added to `*rows_scanned` (hash
-/// probes are not).
-std::vector<size_t> MatchingRows(const Table& table, const TableIndex& index,
+/// equality + string-literal case reads the postings of the literal's
+/// norm (TableIndex::EqualRows). Rows evaluated one-by-one are added to
+/// `*rows_scanned` (posting reads are not).
+std::vector<size_t> MatchingRows(const TableIndex& index,
                                  const std::vector<size_t>& view,
                                  size_t col_idx, CmpKind cmp, const Value& ref,
                                  const TableIndex::LiteralKey* key,

@@ -81,7 +81,7 @@ void FeatureExtractor::AddAlignment(const Sample& sample,
   size_t table_hits = 0, text_hits = 0;
   size_t num_match = 0, num_miss = 0;
   for (const std::string& t : tokens) {
-    if (table_words.Find(t) != TableIndex::TokenInventory::kNoWord) {
+    if (table_words.Find(t) != StringPool::kNotFound) {
       ++table_hits;
     }
     if (text_tokens.count(t)) ++text_hits;

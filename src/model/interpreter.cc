@@ -33,7 +33,7 @@ class Linker {
         candidates_(table.num_columns()) {
     for (const std::string& t : tokens_) {
       uint32_t id = inventory_.Find(t);
-      if (id != TableIndex::TokenInventory::kNoWord) {
+      if (id != StringPool::kNotFound) {
         sentence_ids_.push_back(id);
       }
     }
@@ -160,22 +160,22 @@ std::string NlInterpreter::ClaimedValue(const std::string& sentence) {
 namespace {
 
 /// The display string of the best-covered row of column `c` whose value is
-/// not in `used`, inserted into `used`; null when no row reaches 0.5. Ties
+/// not in `used`, inserted into `used`; none when no row reaches 0.5. Ties
 /// go to the first row.
-const std::string* BindCell(Linker* linker, size_t c,
-                            std::set<std::string>* used) {
+std::optional<std::string_view> BindCell(
+    Linker* linker, size_t c, std::set<std::string, std::less<>>* used) {
   const TableIndex::Column& cache = linker->index().column(c);
   double best = 0.0;
-  const std::string* best_value = nullptr;
+  std::string_view best_value;
   for (const Linker::Candidate& cand : linker->Candidates(c)) {
     if (cand.score <= best) continue;
-    const std::string& display = cache.display[cand.row];
+    const std::string_view display = cache.display(cand.row);
     if (used->count(display)) continue;
     best = cand.score;
-    best_value = &display;
+    best_value = display;
   }
-  if (best < 0.5) return nullptr;
-  used->insert(*best_value);
+  if (best < 0.5) return std::nullopt;
+  used->emplace(best_value);
   return best_value;
 }
 
@@ -187,7 +187,8 @@ Result<std::map<std::string, std::string>> BindTemplate(
   std::map<std::string, std::string> bindings;
   std::map<std::string, size_t> column_of;
   std::set<size_t> used_columns;
-  std::map<std::string, std::set<std::string>> used_values;  // per column id
+  // Per column id.
+  std::map<std::string, std::set<std::string, std::less<>>> used_values;
 
   for (const Placeholder& p : tmpl.placeholders) {
     switch (p.kind) {
@@ -219,9 +220,9 @@ Result<std::map<std::string, std::string>> BindTemplate(
         if (it == column_of.end()) {
           return Status::Internal("value slot before its column slot");
         }
-        const std::string* value =
+        std::optional<std::string_view> value =
             BindCell(linker, it->second, &used_values[p.column_id]);
-        if (value == nullptr) {
+        if (!value) {
           return Status::NotFound("no cell value matches slot '" + p.id +
                                   "'");
         }
@@ -229,11 +230,11 @@ Result<std::map<std::string, std::string>> BindTemplate(
         break;
       }
       case Placeholder::Kind::kRow: {
-        const std::string* name =
+        std::optional<std::string_view> name =
             table.num_columns() == 0
-                ? nullptr
+                ? std::nullopt
                 : BindCell(linker, 0, &used_values["__rows__"]);
-        if (name == nullptr) {
+        if (!name) {
           return Status::NotFound("no row name matches slot '" + p.id + "'");
         }
         bindings[p.id] = *name;

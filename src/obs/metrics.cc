@@ -9,6 +9,10 @@ namespace uctr::obs {
 
 namespace {
 
+/// About 31 years: the largest observation kept as is, so that the casts
+/// below stay defined (micros * 1000 fits in a uint64_t).
+constexpr double kMaxMicros = 1e15;
+
 size_t BucketFor(double micros) {
   if (!(micros >= 1.0)) return 0;  // underflow (and NaN) land in bucket 0
   size_t b = static_cast<size_t>(std::log2(micros)) + 1;
@@ -30,6 +34,7 @@ std::string FormatValue(double v) {
 
 void Histogram::Observe(double micros) {
   if (micros < 0.0 || std::isnan(micros)) micros = 0.0;
+  micros = std::min(micros, kMaxMicros);  // +inf lands in the overflow
   buckets_[BucketFor(micros)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_nanos_.fetch_add(static_cast<uint64_t>(micros * 1000.0),

@@ -19,7 +19,7 @@ constexpr char kDeriveSentinel[] = "__uctr_derive__";
 
 /// Strips characters that would break re-parsing when a cell value is
 /// substituted into a program as raw text.
-std::string SanitizeForProgram(ProgramType type, const std::string& text) {
+std::string SanitizeForProgram(ProgramType type, std::string_view text) {
   std::string out;
   out.reserve(text.size());
   for (char c : text) {
@@ -109,14 +109,14 @@ Result<std::map<std::string, std::string>> ProgramSampler::BindPlaceholders(
         const TableIndex::Column& names = table.index().column(0);
         std::vector<size_t> candidates;
         for (size_t r = 0; r < table.num_rows(); ++r) {
-          if (!names.display[r].empty()) candidates.push_back(r);
+          if (!names.display(r).empty()) candidates.push_back(r);
         }
         if (candidates.empty()) {
           return Status::NotFound("table has no usable row names");
         }
         bindings[p.id] = SanitizeForProgram(
             tmpl.type,
-            names.display[candidates[rng_->Index(candidates.size())]]);
+            names.display(candidates[rng_->Index(candidates.size())]));
         break;
       }
       case Placeholder::Kind::kValue: {
@@ -135,7 +135,7 @@ Result<std::map<std::string, std::string>> ProgramSampler::BindPlaceholders(
         }
         bindings[p.id] = SanitizeForProgram(
             tmpl.type,
-            cache.display[candidates[rng_->Index(candidates.size())]]);
+            cache.display(candidates[rng_->Index(candidates.size())]));
         break;
       }
       case Placeholder::Kind::kOrdinal: {
@@ -240,7 +240,7 @@ Result<SampledProgram> ProgramSampler::SampleClaim(const ProgramTemplate& tmpl,
               }
             }
             if (!options.empty()) {
-              distractor = cache.display[options[rng_->Index(options.size())]];
+              distractor = cache.display(options[rng_->Index(options.size())]);
             }
           }
         }

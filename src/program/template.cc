@@ -138,14 +138,6 @@ Result<std::string> ProgramTemplate::Fill(
   return out;
 }
 
-std::vector<std::string> ProgramTemplate::ColumnIds() const {
-  std::vector<std::string> out;
-  for (const Placeholder& p : placeholders) {
-    if (p.kind == Placeholder::Kind::kColumn) out.push_back(p.id);
-  }
-  return out;
-}
-
 bool ProgramTemplate::HasDerive() const {
   for (const Placeholder& p : placeholders) {
     if (p.kind == Placeholder::Kind::kDerive) return true;

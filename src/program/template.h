@@ -69,9 +69,6 @@ struct ProgramTemplate {
   Result<std::string> Fill(
       const std::map<std::string, std::string>& bindings) const;
 
-  /// \brief Distinct column placeholder ids, in first-appearance order.
-  std::vector<std::string> ColumnIds() const;
-
   bool HasDerive() const;
 };
 

@@ -1,9 +1,6 @@
 #include "sql/exec_internal.h"
 
-#include <algorithm>
-#include <iterator>
-#include <string_view>
-#include <unordered_set>
+#include <vector>
 
 namespace uctr::sql::internal {
 
@@ -35,27 +32,16 @@ std::vector<size_t> FilterOneIndexed(const TableIndex::Column& col, CmpOp op,
                                      const TableIndex::LiteralKey& lit,
                                      const std::vector<size_t>& rows,
                                      size_t* rows_scanned) {
-  std::vector<size_t> kept;
+  // Text equality reads the literal's postings: no per-row cell
+  // evaluation happens, so nothing is added to rows_scanned.
   if (op == CmpOp::kEq && !lit.null && !lit.numeric) {
-    auto hit = col.by_text.find(lit.norm);
-    if (hit != col.by_text.end()) {
-      // Both lists are ascending: intersect directly. No per-row cell
-      // evaluation happens, so nothing is added to rows_scanned. A
-      // full-size rows list is the identity permutation (iota narrowed
-      // by nothing yet), so the posting list is already the answer.
-      if (rows.size() == col.is_null.size()) {
-        kept = hit->second;
-      } else {
-        std::set_intersection(rows.begin(), rows.end(), hit->second.begin(),
-                              hit->second.end(), std::back_inserter(kept));
-      }
-    }
-  } else {
-    kept.reserve(rows.size());
-    *rows_scanned += rows.size();
-    for (size_t r : rows) {
-      if (EvalConditionIndexed(col, r, op, lit)) kept.push_back(r);
-    }
+    return TableIndex::EqualRows(col, lit, rows);
+  }
+  std::vector<size_t> kept;
+  kept.reserve(rows.size());
+  *rows_scanned += rows.size();
+  for (size_t r : rows) {
+    if (EvalConditionIndexed(col, r, op, lit)) kept.push_back(r);
   }
   return kept;
 }
@@ -68,11 +54,15 @@ Result<Value> EvalAggregateIndexed(AggFunc agg, bool star, bool distinct,
     if (star) return Value::Number(static_cast<double>(rows.size()));
     const TableIndex::Column& col = index.column(col_idx);
     if (distinct) {
-      std::unordered_set<std::string_view> seen;
+      // Distinct display strings are distinct display ids.
+      std::vector<bool> seen(col.displays.size());
+      size_t count = 0;
       for (size_t r : rows) {
-        if (!col.is_null[r]) seen.insert(col.display[r]);
+        if (col.is_null[r] || seen[col.display_id[r]]) continue;
+        seen[col.display_id[r]] = true;
+        ++count;
       }
-      return Value::Number(static_cast<double>(seen.size()));
+      return Value::Number(static_cast<double>(count));
     }
     size_t count = 0;
     for (size_t r : rows) {

@@ -19,11 +19,9 @@ namespace uctr::sql::internal {
 /// ascending order, as produced by the identity view + prior narrowing)
 /// narrowed to the matching subset. A null cell never matches; the rest
 /// mirrors Value::Equals/Compare exactly (see TableIndex contract).
-/// Equality against a non-null non-numeric literal intersects with the hash
-/// index posting list (no per-row work, nothing added to rows_scanned) —
-/// and when `rows` covers the whole table it is necessarily the identity
-/// permutation, so the posting list is returned outright in O(matches);
-/// every other shape tests rows one by one.
+/// Equality against a non-null non-numeric literal reads the postings of
+/// the literal's norm (TableIndex::EqualRows: no per-row work, nothing
+/// added to rows_scanned); every other shape tests rows one by one.
 std::vector<size_t> FilterOneIndexed(const TableIndex::Column& col, CmpOp op,
                                      const TableIndex::LiteralKey& lit,
                                      const std::vector<size_t>& rows,
@@ -31,7 +29,7 @@ std::vector<size_t> FilterOneIndexed(const TableIndex::Column& col, CmpOp op,
 
 /// Aggregate over `rows` of column `col` (ignored when `star`), through the
 /// numeric column cache: SUM/AVG read pre-parsed doubles, MIN/MAX compare
-/// cached keys, COUNT DISTINCT hashes cached display strings. NULLs are
+/// cached keys, COUNT DISTINCT counts distinct display ids. NULLs are
 /// skipped; SUM/AVG/MIN/MAX over no value are EmptyResult.
 Result<Value> EvalAggregateIndexed(AggFunc agg, bool star, bool distinct,
                                    size_t col, const Table& table,

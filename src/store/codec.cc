@@ -237,9 +237,12 @@ Result<ColumnarTable> Codec::Decode(std::string_view bytes) {
       if (!s.empty()) return Corrupt("pool id 0 is not empty string");
       continue;  // the pool starts out holding it
     }
+    if (s.size() > UINT32_MAX - table.pool_.chars_.size()) {
+      return Corrupt("string pool exceeds 4 GiB");
+    }
     table.pool_.Add(s);
   }
-  table.pool_.chars_.shrink_to_fit();
+  table.pool_.ShrinkToFit();
 
   const size_t reserve = std::min<size_t>(num_columns, r.remaining() / 2 + 1);
   std::vector<ColumnSpec> specs;

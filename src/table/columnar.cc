@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <utility>
 
@@ -77,26 +79,44 @@ uint64_t Schema::Fingerprint() const {
   return h;
 }
 
-const char* ColumnEncodingToString(ColumnEncoding encoding) {
-  switch (encoding) {
-    case ColumnEncoding::kInt64:
-      return "int64";
-    case ColumnEncoding::kDouble:
-      return "double";
-    case ColumnEncoding::kString:
-      return "string";
-    case ColumnEncoding::kBool:
-      return "bool";
-    case ColumnEncoding::kMixed:
-      return "mixed";
+uint32_t StringPool::Add(std::string_view text) {
+  if (text.size() > UINT32_MAX - chars_.size()) {
+    std::fprintf(stderr, "StringPool: over 4 GiB of text\n");
+    std::abort();
   }
-  return "unknown";
+  chars_.insert(chars_.end(), text.begin(), text.end());
+  offsets_.push_back(static_cast<uint32_t>(chars_.size()));
+  return size() - 1;
 }
 
-uint32_t StringPool::Add(std::string_view text) {
-  chars_.append(text);
-  offsets_.push_back(chars_.size());
-  return size() - 1;
+uint32_t StringPool::Intern(std::string_view text,
+                            std::vector<uint32_t>* slots) {
+  if (text.empty()) return 0;
+  if (slots->size() < 2 * size() + 2) {  // keep the table under half full
+    std::vector<uint32_t> old = std::exchange(
+        *slots, std::vector<uint32_t>(std::bit_ceil(4 * size() + 4), 0));
+    for (uint32_t id : old) {
+      if (id != 0) (*slots)[Probe(at(id), *slots)] = id;
+    }
+  }
+  uint32_t& slot = (*slots)[Probe(text, *slots)];
+  return slot != 0 ? slot : (slot = Add(text));
+}
+
+uint32_t StringPool::Find(std::string_view text,
+                          const std::vector<uint32_t>& slots) const {
+  if (text.empty()) return 0;
+  if (slots.empty()) return kNotFound;
+  const uint32_t id = slots[Probe(text, slots)];
+  return id != 0 ? id : kNotFound;
+}
+
+size_t StringPool::Probe(std::string_view text,
+                         const std::vector<uint32_t>& slots) const {
+  const size_t mask = slots.size() - 1;
+  size_t i = std::hash<std::string_view>()(text) & mask;
+  while (slots[i] != 0 && at(slots[i]) != text) i = (i + 1) & mask;
+  return i;
 }
 
 ColumnarTable ColumnarTable::Build(std::string name, Schema schema,
@@ -111,18 +131,11 @@ ColumnarTable ColumnarTable::Build(std::string name, Schema schema,
   const size_t bitmap_bytes = (rows + 7) / 8;
   out.columns_.reserve(width);
 
-  // Interns through an open-addressed table of pool ids, which goes with
-  // the build: the table keeps one copy of each string. Id 0, the empty
-  // string, never enters a slot, so 0 marks a free one.
+  // Interns through a table of pool ids that goes with the build: the
+  // table keeps one copy of each string.
   std::vector<uint32_t> slots(std::bit_ceil(2 * cells.size() + 2), 0);
-  auto intern = [&](std::string_view text) -> uint32_t {
-    if (text.empty()) return 0;
-    const size_t mask = slots.size() - 1;
-    for (size_t i = std::hash<std::string_view>()(text) & mask;;
-         i = (i + 1) & mask) {
-      if (slots[i] == 0) return slots[i] = out.pool_.Add(text);
-      if (out.pool_.at(slots[i]) == text) return slots[i];
-    }
+  auto intern = [&](std::string_view text) {
+    return out.pool_.Intern(text, &slots);
   };
 
   for (size_t c = 0; c < width; ++c) {
@@ -235,8 +248,7 @@ ColumnarTable ColumnarTable::Build(std::string name, Schema schema,
     }
     out.columns_.push_back(std::move(col));
   }
-  out.pool_.chars_.shrink_to_fit();
-  out.pool_.offsets_.shrink_to_fit();
+  out.pool_.ShrinkToFit();
   return out;
 }
 

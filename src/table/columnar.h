@@ -71,35 +71,54 @@ enum class ColumnEncoding : uint8_t {
   kMixed = 4,   ///< heterogeneous column: per-cell type tags
 };
 
-const char* ColumnEncodingToString(ColumnEncoding encoding);
-
-/// \brief The distinct strings of one table, packed end to end. Id 0 is
-/// always the empty string, so "no surface text" costs nothing. It keeps
-/// no reverse map: the builder interns through a map of its own and drops
-/// it when the table is built.
+/// \brief Strings packed end to end behind 32-bit offsets; id 0 is always
+/// the empty string, so "no surface text" costs nothing. Intern() adds
+/// each distinct string once through an open-addressed table of ids the
+/// caller holds, and Find() looks strings up in it. A table's pool keeps
+/// no such table: the builder drops its own when the table is built.
 class StringPool {
  public:
-  /// \brief Appends `text` and returns its id.
+  static constexpr uint32_t kNotFound = UINT32_MAX;
+
+  /// \brief Appends `text` and returns its id. A pool holds at most
+  /// 4 GiB of text.
   uint32_t Add(std::string_view text);
 
+  /// \brief The id of `text`, added if absent. `slots` holds the ids of
+  /// the strings interned so far (0 marks a free slot: "" never takes
+  /// one); it may start empty, and grows to stay under half full.
+  uint32_t Intern(std::string_view text, std::vector<uint32_t>* slots);
+
+  /// \brief The id of `text` among the strings interned through `slots`,
+  /// or kNotFound.
+  uint32_t Find(std::string_view text,
+                const std::vector<uint32_t>& slots) const;
+
   std::string_view at(uint32_t id) const {
-    return std::string_view(chars_).substr(offsets_[id],
-                                           offsets_[id + 1] - offsets_[id]);
+    return std::string_view(chars_.data() + offsets_[id],
+                            offsets_[id + 1] - offsets_[id]);
   }
   uint32_t size() const { return static_cast<uint32_t>(offsets_.size() - 1); }
   bool valid(uint32_t id) const { return id < size(); }
 
+  void ShrinkToFit() {
+    chars_.shrink_to_fit();
+    offsets_.shrink_to_fit();
+  }
   size_t ApproxBytes() const {
-    return chars_.capacity() + offsets_.capacity() * sizeof(size_t);
+    return chars_.capacity() + offsets_.capacity() * sizeof(uint32_t);
   }
 
  private:
-  friend class ColumnarTable;
   friend class store::Codec;
 
-  std::string chars_;
+  /// The slot of `text`, or the free slot where it would go.
+  size_t Probe(std::string_view text,
+               const std::vector<uint32_t>& slots) const;
+
+  std::vector<char> chars_;
   /// String i is chars_[offsets_[i], offsets_[i + 1]).
-  std::vector<size_t> offsets_{0, 0};
+  std::vector<uint32_t> offsets_{0, 0};
 };
 
 /// \brief One typed column: null bitmap plus encoding-specific arrays,

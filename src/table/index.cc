@@ -1,7 +1,9 @@
 #include "table/index.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <iterator>
 #include <numeric>
 
 #include "common/numeric.h"
@@ -54,39 +56,19 @@ const TableIndex::TokenInventory& TableIndex::tokens() const {
   return *tokens_;
 }
 
-std::string_view TableIndex::TokenInventory::word(uint32_t id) const {
-  const uint32_t begin = id == 0 ? 0 : word_end[id - 1];
-  return std::string_view(words.data() + begin, word_end[id] - begin);
-}
-
-uint32_t TableIndex::TokenInventory::Find(std::string_view w) const {
-  uint32_t lo = 0, hi = static_cast<uint32_t>(num_words());
-  while (lo < hi) {
-    const uint32_t mid = lo + (hi - lo) / 2;
-    if (word(mid) < w) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo < num_words() && word(lo) == w ? lo : kNoWord;
-}
-
 void TableIndex::BuildTokens() const {
   auto inv = std::make_unique<TokenInventory>();
   const size_t rows = cells_->num_rows();
   inv->num_rows = rows;
-  // Cell tokens in CSR order, then header tokens; ids are assigned once
-  // the words are sorted.
-  std::vector<std::string> tokens;
+  // Cell tokens in CSR order, then the header words, which need no ids.
   inv->cell_begin.reserve(num_columns_ * rows + 1);
   inv->cell_begin.push_back(0);
   for (size_t c = 0; c < num_columns_; ++c) {
     for (size_t r = 0; r < rows; ++r) {
       const Value v = cells_->CellValue(r, c);
       if (!v.is_null()) {
-        for (std::string& t : WordTokens(v.ToDisplayString())) {
-          tokens.push_back(std::move(t));
+        for (const std::string& t : WordTokens(v.ToDisplayString())) {
+          inv->ids.push_back(inv->words.Intern(t, &inv->word_slots));
         }
         // NaN would break the sorted order the number lookups rely on,
         // and NearlyEqual never matches it anyway.
@@ -94,31 +76,16 @@ void TableIndex::BuildTokens() const {
           inv->numbers.push_back(v.number());
         }
       }
-      inv->cell_begin.push_back(static_cast<uint32_t>(tokens.size()));
+      inv->cell_begin.push_back(static_cast<uint32_t>(inv->ids.size()));
     }
   }
-  const size_t cell_tokens = tokens.size();
   for (size_t c = 0; c < num_columns_; ++c) {
-    for (std::string& t : WordTokens(cells_->schema().column(c).name)) {
-      tokens.push_back(std::move(t));
+    for (const std::string& t : WordTokens(cells_->schema().column(c).name)) {
+      inv->words.Intern(t, &inv->word_slots);
     }
   }
-  std::vector<std::string_view> distinct(tokens.begin(), tokens.end());
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-  size_t bytes = 0;
-  for (std::string_view w : distinct) bytes += w.size();
-  inv->words.reserve(bytes);
-  inv->word_end.reserve(distinct.size());
-  for (std::string_view w : distinct) {
-    inv->words.append(w);
-    inv->word_end.push_back(static_cast<uint32_t>(inv->words.size()));
-  }
-  inv->ids.reserve(cell_tokens);
-  for (size_t i = 0; i < cell_tokens; ++i) {
-    inv->ids.push_back(inv->Find(tokens[i]));
-  }
+  inv->words.ShrinkToFit();
+  inv->ids.shrink_to_fit();
   std::sort(inv->numbers.begin(), inv->numbers.end());
   inv->numbers.erase(std::unique(inv->numbers.begin(), inv->numbers.end()),
                      inv->numbers.end());
@@ -132,8 +99,8 @@ void TableIndex::BuildColumn(size_t c) const {
   col->is_null.resize(n);
   col->numeric.resize(n);
   col->number.resize(n, 0.0);
-  col->display.resize(n);
-  col->norm.resize(n);
+  col->display_id.resize(n);  // null rows keep 0, the empty string
+  std::vector<uint32_t> display_slots(std::bit_ceil(2 * n + 2), 0);
   for (size_t r = 0; r < n; ++r) {
     Value v = cells_->CellValue(r, c);
     col->is_null[r] = v.is_null() ? 1 : 0;
@@ -143,9 +110,43 @@ void TableIndex::BuildColumn(size_t c) const {
       col->numeric[r] = 1;
       col->number[r] = num.ValueOrDie();
     }
-    col->display[r] = std::move(v).ToDisplayString();
-    col->norm[r] = ToLower(Trim(col->display[r]));
-    if (!col->numeric[r]) col->by_text[col->norm[r]].push_back(r);
+    col->display_id[r] =
+        col->displays.Intern(std::move(v).ToDisplayString(), &display_slots);
+  }
+  // Norms are interned in ascending order, so their ids are ranks. Every
+  // display gets one, numbers included: CompareRows compares a number
+  // with text by their norms.
+  std::vector<std::string> norm(col->displays.size());
+  std::vector<uint32_t> by_norm(norm.size());
+  for (uint32_t id = 0; id < norm.size(); ++id) {
+    norm[id] = ToLower(Trim(col->displays.at(id)));
+    by_norm[id] = id;
+  }
+  std::sort(by_norm.begin(), by_norm.end(),
+            [&norm](uint32_t a, uint32_t b) { return norm[a] < norm[b]; });
+  col->norm_rank.resize(norm.size());
+  col->norm_slots.resize(std::bit_ceil(2 * norm.size() + 2));
+  for (uint32_t id : by_norm) {
+    col->norm_rank[id] = col->norms.Intern(norm[id], &col->norm_slots);
+  }
+  col->displays.ShrinkToFit();
+  col->norms.ShrinkToFit();
+  // Postings by counting sort: posting_begin[k] counts rank k, then
+  // ends it; filling each rank back to front leaves it at its start.
+  col->posting_begin.assign(col->norms.size() + 1, 0);
+  for (size_t r = 0; r < n; ++r) {
+    if (!col->is_null[r] && !col->numeric[r]) {
+      ++col->posting_begin[col->rank(r)];
+    }
+  }
+  std::partial_sum(col->posting_begin.begin(), col->posting_begin.end(),
+                   col->posting_begin.begin());
+  col->posting_rows.resize(col->posting_begin.back());
+  for (size_t r = n; r-- > 0;) {
+    if (!col->is_null[r] && !col->numeric[r]) {
+      col->posting_rows[--col->posting_begin[col->rank(r)]] =
+          static_cast<uint32_t>(r);
+    }
   }
   col->sorted.resize(n);
   for (size_t r = 0; r < n; ++r) col->sorted[r] = r;
@@ -186,10 +187,6 @@ void TableIndex::BuildColumn(size_t c) const {
 }
 
 size_t TableIndex::ApproxBytes() const {
-  auto string_bytes = [](const std::string& s) {
-    return sizeof(std::string) +
-           (s.capacity() > sizeof(std::string) - 1 ? s.capacity() + 1 : 0);
-  };
   size_t bytes = num_columns_ * (sizeof(std::once_flag) +
                                  sizeof(std::unique_ptr<Column>));
   for (size_t c = 0; c < num_columns_; ++c) {
@@ -197,16 +194,12 @@ size_t TableIndex::ApproxBytes() const {
     bytes += sizeof(Column) + col.is_null.capacity() +
              col.numeric.capacity() +
              col.number.capacity() * sizeof(double) +
-             col.sorted.capacity() * sizeof(size_t);
-    for (const std::string& s : col.display) bytes += string_bytes(s);
-    for (const std::string& s : col.norm) bytes += string_bytes(s);
-    // Node-based map: a bucket pointer each, plus per entry a node holding
-    // the key, the row vector and the cached hash.
-    bytes += col.by_text.bucket_count() * sizeof(void*);
-    for (const auto& [norm, rows] : col.by_text) {
-      bytes += 2 * sizeof(void*) + string_bytes(norm) +
-               sizeof(std::vector<size_t>) + rows.capacity() * sizeof(size_t);
-    }
+             col.sorted.capacity() * sizeof(size_t) +
+             col.displays.ApproxBytes() + col.norms.ApproxBytes() +
+             (col.display_id.capacity() + col.norm_rank.capacity() +
+              col.norm_slots.capacity() + col.posting_begin.capacity() +
+              col.posting_rows.capacity()) *
+                 sizeof(uint32_t);
   }
   return bytes;
 }
@@ -234,7 +227,7 @@ bool TableIndex::CellEquals(const Column& col, size_t r,
     return NearlyEqual(col.number[r], lit.number);
   }
   if (col.numeric[r] != lit.numeric) return false;
-  return col.norm[r] == lit.norm;
+  return col.norm(r) == lit.norm;
 }
 
 int TableIndex::CellCompare(const Column& col, size_t r,
@@ -244,7 +237,7 @@ int TableIndex::CellCompare(const Column& col, size_t r,
     if (NearlyEqual(col.number[r], lit.number)) return 0;
     return col.number[r] < lit.number ? -1 : 1;
   }
-  int cmp = col.norm[r].compare(lit.norm);
+  int cmp = col.norm(r).compare(lit.norm);
   return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
 }
 
@@ -257,8 +250,27 @@ int TableIndex::CompareRows(const Column& col, size_t a, size_t b) {
     if (NearlyEqual(col.number[a], col.number[b])) return 0;
     return col.number[a] < col.number[b] ? -1 : 1;
   }
-  int cmp = col.norm[a].compare(col.norm[b]);
-  return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
+  const uint32_t ra = col.rank(a), rb = col.rank(b);
+  return ra < rb ? -1 : (ra > rb ? 1 : 0);
+}
+
+std::vector<size_t> TableIndex::EqualRows(const Column& col,
+                                          const LiteralKey& lit,
+                                          const std::vector<size_t>& view) {
+  std::vector<size_t> out;
+  const uint32_t k = col.FindNorm(lit.norm);
+  if (k == StringPool::kNotFound) return out;
+  const uint32_t* begin = col.posting_rows.data() + col.posting_begin[k];
+  const uint32_t* end = col.posting_rows.data() + col.posting_begin[k + 1];
+  // Views are ascending subsequences of [0, num_rows), so a full-size
+  // view is every row and the postings are already the answer.
+  if (view.size() == col.is_null.size()) {
+    out.assign(begin, end);
+  } else {
+    std::set_intersection(view.begin(), view.end(), begin, end,
+                          std::back_inserter(out));
+  }
+  return out;
 }
 
 }  // namespace uctr

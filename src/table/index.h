@@ -7,14 +7,12 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "table/columnar.h"
 #include "table/value.h"
 
 namespace uctr {
-
-class ColumnarTable;
 
 /// \brief Per-column accelerators for the executor hot path, built lazily
 /// next to a table's cells and shared by every copy of the table (see
@@ -39,17 +37,30 @@ class ColumnarTable;
 /// workers. Tables never change, so a built cache never goes stale.
 class TableIndex {
  public:
-  /// \brief One column's caches, all aligned with table row order.
+  /// \brief One column's caches. The per-row arrays are aligned with
+  /// table row order; cell text is held once per distinct string, in two
+  /// dictionaries the rows point into.
   struct Column {
     std::vector<uint8_t> is_null;   ///< cell.is_null()
     std::vector<uint8_t> numeric;   ///< cell.ToNumber().ok()
     std::vector<double> number;     ///< parsed value when numeric
-    std::vector<std::string> display;  ///< cell.ToDisplayString()
-    std::vector<std::string> norm;     ///< ToLower(Trim(display))
-    /// Hash index for equality predicates: norm -> ascending row indices.
-    /// Only rows where the cell is non-null and non-numeric appear (numeric
-    /// cells compare through NearlyEqual, which a hash key cannot express).
-    std::unordered_map<std::string, std::vector<size_t>> by_text;
+    /// Each row's id in `displays`; null rows hold 0, the empty string.
+    std::vector<uint32_t> display_id;
+    /// The distinct cell.ToDisplayString() of the column's cells.
+    StringPool displays;
+    /// Per display id, the id in `norms` of ToLower(Trim(display)).
+    std::vector<uint32_t> norm_rank;
+    /// The distinct normalized displays, added in ascending order, so an
+    /// id is a rank: comparing ranks is comparing the strings.
+    StringPool norms;
+    std::vector<uint32_t> norm_slots;  ///< norms' Intern() table
+    /// Equality postings in CSR form: the rows whose norm has rank k are
+    /// posting_rows[posting_begin[k], posting_begin[k + 1]), ascending.
+    /// Only rows where the cell is non-null and non-numeric appear
+    /// (numeric cells compare through NearlyEqual, which a key cannot
+    /// express).
+    std::vector<uint32_t> posting_begin;
+    std::vector<uint32_t> posting_rows;
     /// All rows stable-sorted by Value::Compare (nulls first, ties in row
     /// order).
     std::vector<size_t> sorted;
@@ -60,6 +71,18 @@ class TableIndex {
     /// stable order, so only then may executors read orders from `sorted`
     /// instead of sorting the view as the walkers do.
     bool strict_order = false;
+
+    /// \brief cell(r).ToDisplayString(), viewing the dictionary.
+    std::string_view display(size_t r) const {
+      return displays.at(display_id[r]);
+    }
+    /// \brief The rank of ToLower(Trim(display(r))) among the norms.
+    uint32_t rank(size_t r) const { return norm_rank[display_id[r]]; }
+    std::string_view norm(size_t r) const { return norms.at(rank(r)); }
+    /// \brief The rank of norm `text`, or StringPool::kNotFound.
+    uint32_t FindNorm(std::string_view text) const {
+      return norms.Find(text, norm_slots);
+    }
   };
 
   /// \brief Pre-analysis of a predicate literal, hoisted out of row loops.
@@ -76,12 +99,9 @@ class TableIndex {
   /// to the table (template slot binding, alignment features) costs
   /// integer lookups instead of re-tokenizing cells per request.
   struct TokenInventory {
-    static constexpr uint32_t kNoWord = UINT32_MAX;
-
-    /// Distinct WordTokens of every non-null cell and every header,
-    /// sorted and concatenated: word i is words[word_end[i-1], word_end[i]).
-    std::string words;
-    std::vector<uint32_t> word_end;
+    /// Distinct WordTokens of every non-null cell and every header.
+    StringPool words;
+    std::vector<uint32_t> word_slots;  ///< words' Intern() table
     /// Each cell's token ids in WordTokens order, duplicates kept, in CSR
     /// form: cell (r, c) owns ids[cell_begin[k], cell_begin[k + 1]) with
     /// k = c * num_rows + r, so a column's cells are contiguous. Null
@@ -92,10 +112,10 @@ class TableIndex {
     /// Distinct non-NaN numbers of kNumber cells, ascending.
     std::vector<double> numbers;
 
-    size_t num_words() const { return word_end.size(); }
-    std::string_view word(uint32_t id) const;
-    /// \brief The id of `w`, or kNoWord (binary search).
-    uint32_t Find(std::string_view w) const;
+    /// \brief The id of word `w`, or StringPool::kNotFound.
+    uint32_t Find(std::string_view w) const {
+      return words.Find(w, word_slots);
+    }
     /// \brief The token ids of cell (r, c).
     std::span<const uint32_t> cell(size_t r, size_t c) const {
       const size_t k = c * num_rows + r;
@@ -132,9 +152,9 @@ class TableIndex {
 
   size_t num_columns() const { return num_columns_; }
 
-  /// \brief Heap bytes of the column caches, building any not yet built.
-  /// The identity view and the token inventory, built on first use by a
-  /// request, are not counted.
+  /// \brief Heap bytes of the column caches, building any not yet built:
+  /// the capacities of their flat arrays. The identity view and the token
+  /// inventory, built on first use by a request, are not counted.
   size_t ApproxBytes() const;
 
   // --- comparison helpers mirroring Value semantics over cached data ---
@@ -147,6 +167,14 @@ class TableIndex {
 
   /// \brief Value::Compare(cell(a), cell(b)) within one column.
   static int CompareRows(const Column& col, size_t a, size_t b);
+
+  /// \brief The rows of `view` whose cell CellEquals the non-null,
+  /// non-numeric `lit`, ascending: the postings of the literal's norm,
+  /// whole when `view` is every row, else intersected with it. `view`
+  /// must be ascending, as every view is.
+  static std::vector<size_t> EqualRows(const Column& col,
+                                       const LiteralKey& lit,
+                                       const std::vector<size_t>& view);
 
   /// \brief All rows of `col` in descending order: `sorted`'s tie groups in
   /// reverse, rows ascending within each group, nulls last. On a

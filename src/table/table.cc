@@ -149,20 +149,22 @@ Result<size_t> Table::RowIndexByName(std::string_view row_name) const {
   if (num_columns() == 0) return Status::NotFound("table has no columns");
   // Row names live in the first column; read them from the index cache so
   // repeated lookups (arithmetic programs resolve one per operand) never
-  // re-materialize ToDisplayString() per row. Semantics are unchanged:
-  // norm[r] == ToLower(Trim(display)) makes the first loop exactly the old
-  // EqualsIgnoreCase(Trim(display), wanted) test.
+  // re-materialize ToDisplayString() per row. A row's norm is
+  // ToLower(Trim(display)), so matching it is
+  // EqualsIgnoreCase(Trim(display), wanted); null rows display "".
   const TableIndex::Column& names = index().column(0);
   const size_t rows = num_rows();
   std::string wanted = Trim(row_name);
-  std::string wanted_norm = ToLower(wanted);
-  for (size_t r = 0; r < rows; ++r) {
-    if (names.norm[r] == wanted_norm) return r;
+  if (uint32_t k = names.FindNorm(ToLower(wanted));
+      k != StringPool::kNotFound) {
+    for (size_t r = 0; r < rows; ++r) {
+      if (names.rank(r) == k) return r;
+    }
   }
   size_t found = rows;
   int hits = 0;
   for (size_t r = 0; r < rows; ++r) {
-    const std::string& display = names.display[r];
+    const std::string_view display = names.display(r);
     if (!display.empty() && (ContainsIgnoreCase(display, wanted) ||
                              ContainsIgnoreCase(wanted, display))) {
       found = r;
@@ -171,13 +173,6 @@ Result<size_t> Table::RowIndexByName(std::string_view row_name) const {
   }
   if (hits == 1) return found;
   return Status::NotFound("no row named '" + std::string(row_name) + "'");
-}
-
-Result<Value> Table::CellByNames(std::string_view row_name,
-                                 std::string_view col_name) const {
-  UCTR_ASSIGN_OR_RETURN(size_t r, RowIndexByName(row_name));
-  UCTR_ASSIGN_OR_RETURN(size_t c, ColumnIndex(col_name));
-  return cell(r, c);
 }
 
 Table Table::WithoutRow(size_t r) const {
@@ -190,14 +185,6 @@ Table Table::WithoutRow(size_t r) const {
     ++rows;
   }
   return Table(ColumnarTable::Build(name(), schema(), rows, cells));
-}
-
-std::vector<size_t> Table::ColumnsOfType(ColumnType type) const {
-  std::vector<size_t> out;
-  for (size_t c = 0; c < num_columns(); ++c) {
-    if (schema().column(c).type == type) out.push_back(c);
-  }
-  return out;
 }
 
 std::string Table::ToCsv() const {

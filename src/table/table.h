@@ -75,20 +75,12 @@ class Table {
   /// \brief The typed columns holding this table's cells.
   const ColumnarTable& columns() const { return body().columns; }
 
-  /// \brief Cell addressed by row name (matched against the first column,
-  /// case-insensitive substring fallback) and column header.
-  Result<Value> CellByNames(std::string_view row_name,
-                            std::string_view col_name) const;
-
   /// \brief Index of the row whose first-column value matches `row_name`
   /// (exact case-insensitive first, then unique-substring fallback).
   Result<size_t> RowIndexByName(std::string_view row_name) const;
 
   /// \brief A new table with row `r` removed, keeping this schema.
   Table WithoutRow(size_t r) const;
-
-  /// \brief Indices of columns with the given type.
-  std::vector<size_t> ColumnsOfType(ColumnType type) const;
 
   /// \brief Serializes back to CSV (quoting where needed).
   std::string ToCsv() const;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "datasets/benchmark.h"
@@ -48,7 +49,12 @@ TEST(CorpusTest, GeneratesWellFormedTables) {
     EXPECT_LE(entry.table.num_rows(), config.max_rows);
     EXPECT_GE(entry.table.num_columns(), 3u);
     // First column is the entity column; at least two numeric columns.
-    EXPECT_GE(entry.table.ColumnsOfType(ColumnType::kNumber).size(), 2u);
+    const std::vector<ColumnSpec>& specs = entry.table.schema().columns();
+    EXPECT_GE(std::count_if(specs.begin(), specs.end(),
+                            [](const ColumnSpec& spec) {
+                              return spec.type == ColumnType::kNumber;
+                            }),
+              2);
     EXPECT_GE(entry.paragraph.size(), 2u);
   }
 }

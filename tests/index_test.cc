@@ -340,6 +340,40 @@ TEST(RowIndexByNameTest, DisagreeingTextRowNames) {
   EXPECT_EQ(row("banana"), "none");
 }
 
+// A column holds each distinct display once, and each distinct norm once
+// with its rank; rows point at their display, and only text rows post.
+TEST(IndexLayoutTest, EachDistinctTextOncePerColumn) {
+  const Table t = DisagreeingTextTable();
+  const TableIndex::Column& word = t.index().column(1);
+  std::vector<std::string> displays, norms;
+  for (uint32_t id = 0; id < word.displays.size(); ++id) {
+    displays.emplace_back(word.displays.at(id));
+  }
+  for (uint32_t k = 0; k < word.norms.size(); ++k) {
+    norms.emplace_back(word.norms.at(k));
+  }
+  std::sort(displays.begin(), displays.end());
+  EXPECT_EQ(displays, (std::vector<std::string>{"", " apple ", "Apple",
+                                                "Banana", "apple", "banana"}));
+  EXPECT_EQ(norms, (std::vector<std::string>{"", "apple", "banana"}));
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    EXPECT_EQ(word.display(r), t.cell(r, 1).ToDisplayString()) << r;
+    EXPECT_EQ(word.norm(r), ToLower(Trim(word.display(r)))) << r;
+  }
+  const uint32_t apple = word.FindNorm("apple");
+  ASSERT_NE(apple, StringPool::kNotFound);
+  EXPECT_EQ(std::vector<uint32_t>(
+                word.posting_rows.begin() + word.posting_begin[apple],
+                word.posting_rows.begin() + word.posting_begin[apple + 1]),
+            (std::vector<uint32_t>{0, 1, 2}));
+  EXPECT_EQ(word.FindNorm("Apple"), StringPool::kNotFound);  // not a norm
+  // Numbers have ranks but never post: equal numbers may differ in text.
+  const TableIndex::Column& amount = t.index().column(2);
+  EXPECT_EQ(amount.displays.size(), 6u);  // "", 5, 5.0, $5, 7, -2
+  EXPECT_TRUE(amount.posting_rows.empty());
+  EXPECT_NE(amount.FindNorm("$5"), StringPool::kNotFound);
+}
+
 // Randomized tables: mixed-type columns (numeric text like "7", currency,
 // plain words, nulls) with heavy duplication so equality and tie-breaking
 // paths all fire. Every query from a fixed suite must agree between the
@@ -604,7 +638,8 @@ TEST(IndexConcurrencyTest, SharedConstTableAcrossThreads) {
 }
 
 // Threads each take a copy of one table nobody has warmed and race the
-// shared index's first build: the column caches and the token inventory.
+// shared index's first build: the column caches, with their dictionaries,
+// and the token inventory.
 // Every thread must see what a table with its own index answers.
 TEST(IndexConcurrencyTest, CopiesRaceTheSharedIndexFirstBuild) {
   const Table original = MedalTable();
@@ -617,7 +652,10 @@ TEST(IndexConcurrencyTest, CopiesRaceTheSharedIndexFirstBuild) {
     for (const std::string& q : queries) {
       out += DescribeOutcome(Execute(ProgramType::kSql, q, table)) + "\n";
     }
-    return out + std::to_string(table.index().tokens().num_words());
+    // Row lookups read the first column's dictionaries.
+    out += std::to_string(table.RowIndexByName(" sweden").ValueOrDie()) +
+           std::string(table.index().column(0).display(5)) + "\n";
+    return out + std::to_string(table.index().tokens().words.size());
   };
   const std::string want = run(Table(original.columns()));
 
@@ -713,15 +751,16 @@ TEST(TokenInventoryTest, SharedConstTableFirstTouchAcrossThreads) {
 // row, an appended row and an appended column.
 TEST(TokenInventoryTest, BuiltFromEditedContent) {
   using Inventory = TableIndex::TokenInventory;
-  EXPECT_EQ(MedalTable().index().tokens().Find("wakanda"), Inventory::kNoWord);
+  constexpr uint32_t kNotFound = StringPool::kNotFound;
+  EXPECT_EQ(MedalTable().index().tokens().Find("wakanda"), kNotFound);
 
   std::string csv = ReplaceAll(kMedalCsv, "Germany", "Wakanda");
   Table renamed = Table::FromCsv(csv).ValueOrDie();
   const Inventory& tokens = renamed.index().tokens();
-  EXPECT_NE(tokens.Find("wakanda"), Inventory::kNoWord);
-  EXPECT_EQ(tokens.Find("germany"), Inventory::kNoWord);
+  EXPECT_NE(tokens.Find("wakanda"), kNotFound);
+  EXPECT_EQ(tokens.Find("germany"), kNotFound);
   ASSERT_EQ(tokens.cell(1, 0).size(), 1u);
-  EXPECT_EQ(tokens.word(tokens.cell(1, 0)[0]), "wakanda");
+  EXPECT_EQ(tokens.words.at(tokens.cell(1, 0)[0]), "wakanda");
   model::NlInterpreter interp(BuiltinLogicTemplates());
   auto read = interp.Interpret(
       "The gold of the row whose nation is Wakanda is 12.", renamed,
@@ -732,7 +771,7 @@ TEST(TokenInventoryTest, BuiltFromEditedContent) {
   csv += "Atlantis,77,1,1,79\n";
   Table appended = Table::FromCsv(csv).ValueOrDie();
   const Inventory& more = appended.index().tokens();
-  EXPECT_NE(more.Find("atlantis"), Inventory::kNoWord);
+  EXPECT_NE(more.Find("atlantis"), kNotFound);
   EXPECT_TRUE(
       std::binary_search(more.numbers.begin(), more.numbers.end(), 77.0));
 
@@ -741,9 +780,10 @@ TEST(TokenInventoryTest, BuiltFromEditedContent) {
                                 "total,wombat\n", "total,mascot\n"))
           .ValueOrDie();
   const Inventory& wide = widened.index().tokens();
-  EXPECT_NE(wide.Find("mascot"), Inventory::kNoWord);  // a header word
+  EXPECT_NE(wide.Find("mascot"), kNotFound);  // a header word
   ASSERT_EQ(wide.cell(widened.num_rows() - 1, 5).size(), 1u);
-  EXPECT_EQ(wide.word(wide.cell(widened.num_rows() - 1, 5)[0]), "wombat");
+  EXPECT_EQ(wide.words.at(wide.cell(widened.num_rows() - 1, 5)[0]),
+            "wombat");
 }
 
 // Copies and moves share the inventory with the index; a table built anew
@@ -758,8 +798,10 @@ TEST(TokenInventoryTest, MovesKeepTheInventoryCopiesBuildTheirOwn) {
   Table rebuilt(t.columns());
   const TableIndex::TokenInventory& own = rebuilt.index().tokens();
   EXPECT_NE(&own, built);
-  EXPECT_EQ(own.words, built->words);
-  EXPECT_EQ(own.word_end, built->word_end);
+  ASSERT_EQ(own.words.size(), built->words.size());
+  for (uint32_t id = 0; id < own.words.size(); ++id) {
+    EXPECT_EQ(own.words.at(id), built->words.at(id)) << id;
+  }
   EXPECT_EQ(own.cell_begin, built->cell_begin);
   EXPECT_EQ(own.ids, built->ids);
   EXPECT_EQ(own.numbers, built->numbers);

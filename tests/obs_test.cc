@@ -58,6 +58,21 @@ TEST(ObsHistogramTest, NegativeAndNanObservationsClampToZeroBucket) {
   EXPECT_LE(h->QuantileMicros(0.5), 1.0);
 }
 
+// +inf and values whose nanoseconds overflow a uint64_t count in the
+// overflow bucket and add a finite amount to the sum.
+TEST(ObsHistogramTest, InfiniteAndHugeObservationsLandInLastBucket) {
+  MetricsRegistry registry;
+  Histogram* h = registry.histogram("latency_inf_us");
+  h->Observe(std::numeric_limits<double>::infinity());
+  h->Observe(1e300);
+  h->Observe(std::numeric_limits<double>::max());
+  EXPECT_EQ(h->count(), 3u);
+  EXPECT_EQ(h->QuantileMicros(0.0), h->QuantileMicros(1.0));
+  EXPECT_GT(h->QuantileMicros(0.0), 1e6);
+  EXPECT_TRUE(std::isfinite(h->sum_micros()));
+  EXPECT_GT(h->sum_micros(), 1e12);
+}
+
 TEST(ObsHistogramTest, OverflowObservationsLandInLastBucket) {
   MetricsRegistry registry;
   Histogram* h = registry.histogram("latency_huge_us");

@@ -112,12 +112,6 @@ TEST(TableTest, RowIndexByName) {
   EXPECT_FALSE(t.RowIndexByName("dividends").ok());
 }
 
-TEST(TableTest, CellByNames) {
-  Table t = MakeFinanceTable();
-  Value v = t.CellByNames("revenue", "2019").ValueOrDie();
-  EXPECT_DOUBLE_EQ(v.number(), 1200.5);
-}
-
 TEST(TableTest, SubTableAndWithoutRow) {
   Table t = MakeNationsTable();
   Table without = t.WithoutRow(0);
@@ -135,15 +129,6 @@ TEST(TableTest, SubTableAndWithoutRow) {
   EXPECT_EQ(rest.schema().Fingerprint(), finance.schema().Fingerprint());
   // Out of range removes nothing.
   EXPECT_EQ(t.WithoutRow(99).ToCsv(), t.ToCsv());
-}
-
-TEST(TableTest, ColumnsOfType) {
-  Table t = MakeNationsTable();
-  auto nums = t.ColumnsOfType(ColumnType::kNumber);
-  EXPECT_EQ(nums.size(), 4u);
-  auto texts = t.ColumnsOfType(ColumnType::kText);
-  ASSERT_EQ(texts.size(), 1u);
-  EXPECT_EQ(texts[0], 0u);
 }
 
 TEST(TableTest, LinearizeMentionsHeadersAndCells) {
