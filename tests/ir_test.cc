@@ -231,14 +231,22 @@ std::vector<std::pair<std::string, Table>> GoldenTables(Rng* rng) {
 
 // One hash per sampled program: its template, table, text, and the
 // walker's status or values (type, number bits, text) and evidence rows.
+// Each (table, template) case samples from its own Rng, seeded from 17,
+// the table's position and the template index: the sampler executes
+// programs to derive claims, so with one shared stream a single changed
+// outcome would shift the sample of every later case.
 std::vector<uint64_t> GoldenCaseHashes(std::vector<std::string>* labels) {
   static const TemplateLibrary library = TemplateLibrary::Builtin();
-  Rng rng(17);
-  ProgramSampler sampler(&rng);
+  Rng table_rng(17);
+  const std::vector<std::pair<std::string, Table>> tables =
+      GoldenTables(&table_rng);
   std::vector<uint64_t> hashes;
   bool support = true;
-  for (const auto& [name, table] : GoldenTables(&rng)) {
+  for (size_t i = 0; i < tables.size(); ++i) {
+    const auto& [name, table] = tables[i];
     for (size_t t = 0; t < library.templates().size(); ++t) {
+      Rng rng((17ull << 32) | (i << 16) | t);
+      ProgramSampler sampler(&rng);
       const ProgramTemplate& tmpl = library.templates()[t];
       Result<SampledProgram> sampled =
           HasDerive(tmpl) ? sampler.SampleClaim(tmpl, table, support)
@@ -272,70 +280,71 @@ std::vector<uint64_t> GoldenCaseHashes(std::vector<std::string>* labels) {
 // The low 16 bits of every case hash, in corpus order, so a digest
 // mismatch names the first case that changed.
 constexpr std::string_view kGoldenCaseTags =
-    "3b92fff09749ad936a28e6f0481966718e21980659bbe8a18c110f8cc7cad469"
-    "43225a70214c6360e943d20e0b01466025e6d3fb978d1e1fb0530218a2ac084b"
-    "6bb682c7e34eda1ef1e385a261ffad45e16c04b78fd16825b37e0fd019f6d833"
-    "51d219e2a5b23f561cf5d76a561e7954db3188a5e4cb6303ca7c9754148d8aa7"
-    "5824b4d7abd78760848fab19741bcf9615fad305f3c9aec146bf2aa159848922"
-    "43ade7900f9589605c0ca12523f88ba8a4107022d21f4494b20a40f077933555"
-    "c1e93101c4826e3929f2f3b2d451f5a7b7aa966af14be60ae9cbe56913bc6232"
-    "db89078bae1d596fc04c5b20b194b7d1783c5f40b4f89237f354dc59fa6ec344"
-    "df41bff2714bec0460048c1d6560ac64f96e229564c841618c4dc64df0082101"
-    "2788cf549dfba00a118441b12048710a463685142a2b24b38d1e469fb97eab50"
-    "4ffd84a56e50248051309f54fa2b3a54e7955e5cdca4a1eb0d01ececde4e0c14"
-    "060b8f0b55adfab792e134783f50358e227fa0bb9357517c1594828de7f49afc"
-    "b794339978d57f143ce6cc02a385b22bcfed0cd8297d1504749df20ed9101ade"
-    "3321787b12231eac3d3f1fcc2ba4c5d18d989964f206c4e1bb1d3c5647c8e125"
-    "d464762c05fbda063444015a6d7c6945048d216c17f0d08d3d137f0e983ebcc0"
-    "bc2656c6a8bf919ae3810c1bd7579a6189b0bd51d81667da47f365f3016c31bb"
-    "c85586a10a6d244f83ad55a00a9a6a46a5da97f6e7d614368ca8e5c34b08901d"
-    "1d309222e46cbb6955cec876133e0bb9dc70ddd49a2e2d5067e1e9d094e6f8f5"
-    "51ed4a52dd40f1a96c33f239456e942c08747b4e2e8200594321ea99822dce05"
-    "c6efc7e1313be720158925c57ddb0aed11782a23415f4a3d9063b4bcdce9a09e"
-    "4d596ccca0fb08a1e871e7a61bb55a384f8733bafff65b2732ebe4f5332a6172"
-    "b394fbcdca21d1e3f6f51a3bfbd40b85394b08f2be4c4ff4f9c60a47e1800cdf"
-    "4a1ff36041a136daa96e0ee721a1871f290a26a8fd352301d998229141224fac"
-    "351b5fc22bc56a6e824f7b8965ddcbb9d561d34416da3bd546ae068ccc55bea7"
-    "57566e455d62c6620859bcb1e675f4af7afc90693f14c01db6ef8eaade0171f7"
-    "4018538d3baf51a4e20b7deb3d23dc11806113ad95eb2e72ff3ed7e191b7d41a"
-    "d8684713e5f09ddcec0cbd4136c7dc0a57f384032516b75ca7aba4474759382f"
-    "a7af67cf8989272e4cf8b415b16467d0f73e41c5c2d4e39c1ff4f9bb2b44d8f0"
-    "f55474af35da1c68b2cbe435d033977256b074c377b92124cfd00cf0d21e88b5"
-    "4b7fcb72755f75032a7a5b39a9dd89cc1230a19e4152f0a6a1cf4059cb4c81d8"
-    "373941133f54b83d5670dd1f011b3b18b85514e2a748d0e77be19c7e94bca4fa"
-    "8ad220999e5a6f3c4f3b0e66fd9004b09f08149df8909cc5d751b43dd0ca743c"
-    "5fa7e8e5046349151f247ecb5a9b0c53ab40bf131b1700e31af582abdfe24d0a"
-    "6d423c4113eca97d2703d26706ee698830c3a96d58904fc5e37b4af0b8cec014"
-    "280902459af44d9b499e293bd02d463dd1eba627b7639f23c018c40c39da037b"
-    "b7159bdd7adaeaffaabb68f904b0ae817b8232638adfddf00544190675ea7a05"
-    "4f6e4a4909c417da025e66dc429eb5942e8be75a81a8a163b9ffa44ef4031e5e"
-    "586f72d002ce552d09da20ca6ac57b15d6c6510575b69fc803da783ab28d0ede"
-    "0ce180d0692b367e40673e55787999c8d9ccbf2c2a3d116585aa9ff50ed5a4bc"
-    "a407d026ab6eb955c56abaff365b49bb3441927b8d6ab520eff550e21e1615b9"
-    "9181690b9dd58eeadaf7df3d56e0974af0a9debb87809dc2b6cd36271aa7c578"
-    "7e5af66dbf0f54ce19c3bd0b7fc59b9583081d8ed044bc718516eef5b386531b"
-    "18b7c3330d045c45940a5c8f5e95be7f22ef2a4b9a9df4acb16c08d074c694fa"
-    "566fb3d72b5233d9d1bd1ad25052cb2882d94392c8514a40c9c2b3e6300a3bc6"
-    "5f4cd1d1716a840f178dd60083e8cb9f50193a9ca80f7e164db95a4cf3a6d29d"
-    "e5cf9c293a9ee802a216175dd6b2c2b56552a792ae1120a5cf60241d9305b212"
-    "453b416b738f352ecea319bfd54a0b2b1f4a1203655b226b465bd9db7442bd5a"
-    "9a165bdcc97c34435df95e624ebf53f12f29fb5b5c7007236241e8cd70f58f72"
-    "4a2959985b1c5dc6c31dc886cda558fe4d29a7729104b00b426969244e1a5a16"
-    "73758f26eeb3ef65bbd21dbfdebc5c40399639f4c9b3d52a26337d75f97ead57"
-    "b37c16d93dcd5d6d536e8b42bf8a7a507e629b705e6a242294789948d747842a"
-    "7fc0dfc021d5d26355d7af568a15d1615225b8de4bb58be3a1d5cd88a2e4006d"
-    "06a5b8edc81e4e19d2f2bdffb9d888780582e63e647cbcd6c24ceee072cdac43"
-    "39016c53f59d2977951fa01e5cce12d190fcb954fc442e2b3b50556784ec9380"
-    "81cce72213a16831e3b1573a02cf962ccaecf357f106dd389698d2b72172d434"
-    "d31f4e8837745c5756d7d3baff75215f6c0e7efc25b556b4a69860a0521f35e0"
-    "74dbe9e9c3895cfdc8f61f0e331e6fbdd259de3252e35e06499a2609c3dc0ca2"
-    "252b13dc89a92b9436d42099a7d6343d3b6a5d939b2bb840a4dee9dfb14f38f3"
-    "38b0dae6b8414c0029a78af82861931f5453568f3feafdc085aa5e9699631a52"
-    "8ad70a99ae17fbbcda3b4bead3e208943fefb1e73795ac1bcf9ff33186f9a90b"
-    "84a6aa9dc19afc58d379d33175c4b94bb270fa2fda3c824320817f6615ef3bc4"
-    "3f6d77645ab468425c9d8ea48ab739f662a6651b8e52e117643251e415fc31b6"
-    "8f9f0a7e479344519a2a9565e59de3f357c36f53e256c18e2a0fcc18dcb02740"
-    "3f4415abfa249c69d56cdfcb7ebb54ead6453f8b80d075f28234";
+    "0629b1e0fff0e4b15de9ce3187a6e9a9f056b19098065ea5f8a14d759d45f7e0"
+    "d5b25b971b8d6659535bd20e63fc3518b78f8d0b412e528620bc0218b9de396d"
+    "724e2fe5d130ffe9f5b6cfafa30b46ad1a22e9f626811f06008745f6dc7d8c59"
+    "c7948c5d9f978c64dda6a95d31de29b17f76a1e8eff22f0d6fd46e849767d2a3"
+    "619994a8b4d74170dd7ee19d5cf1027cb16a0ff2ab39e0bda1bc1ef49f166f4d"
+    "174f0d3ba310cb86c2a4a039b160869bcc721fd77015278b4743b7cfcc7370ff"
+    "7c6bc1e951e31db670faa6b56c9506834fd61e481d371ab9c36019de256a13bc"
+    "bf9a41da144233b853ce080b09d58873ae505d6de792a0a6148127e4f354745e"
+    "5b9d56992156f387b73ac880f145a2b9bd78f1de12e8f0838f04fca6b198e8e5"
+    "bfbefdb907d72101a039bd561cdba4d1beadee580c9d85a646360c0f2fbc1d5f"
+    "9dd7be13223124fbb610fb5c0bc382ce63699f54b58ce06c601877da0da5264d"
+    "7560da354a4a0c14095d617455adfab743118c6e8b09dd7e986cc4f495b6c922"
+    "4684bbeb98d1e40db422b7943ffb35c6ddfbc7dfdc74470c83467c6b003a7052"
+    "10ec2360274e9f3c4360b5b591c134bb53497356e86396cb2ea6cfb8aca79040"
+    "845cdad3972c47c8b8665f26762c564ab25c65841678a6916d44de83216c17f0"
+    "d08d2552a3dc7b258d213149f16c613ba12d30e9bee2e2e6a45f3c8d48b10f9c"
+    "0e9e67daa247c575cbfac6a4c85586a15f5c738b6de5dc4c7a4c95f6e2dba42d"
+    "e7d6c6112080a5ee855661f5e4d3a576faddbb694883e91de6c2fbb736c87982"
+    "28420d5c16da44855c1c5fc64cb896fda3cad6a7973df239a565942c6d31256e"
+    "1a160ec5b3a00850e4904dbb64b92e640ab9d812e720bbcaeef210eb7bbd2c0a"
+    "bd9450bcbf13d691f33cd90d2c62f247571bbd63b9ab01f5e30d9000c30473cc"
+    "2b69942cf55cbffad95d71f41145b394fbcdd111d1e300650225bc211a0f1a88"
+    "1aaea9470ac3fb1ff9c60a472aa70cdf6e8161d34564d614b236ec9762994c71"
+    "914a8a7be5d5a8b0d998230648e286c99ca8f3cd2bc57b4a5a299d655068b82a"
+    "8acd5cca17db81dac0f4d768e91d29cca76490c2b60d5cd14ce2516266413723"
+    "4596ece83f14e982e041951d0e59471bc2a48c3f15e451a420fa7deb3d2396f3"
+    "80612b642537ec04bd8a0b5e4be9f3f70fa48834c7de75f126df4168736b5dec"
+    "af20f8e2081d9c01daf3f59ad2604e2d0df9a47c0a1e60e1fd0386fbd675cc8d"
+    "df0b97f55eab84422d742eb211dc0b5d2f245c9e15e926567184e43519871151"
+    "0e8bee2a8c47ef897ce5f82fbb0732d5075e82d1ab4a0d17e1fcca4b5463d2fb"
+    "651908068ca4fa8d86f67d0240b9b4c23739e100fea1071556966622d4daca84"
+    "e11f62fc57280ace750c49cfa996b673c4681b257c32b8901c2664fcc2b9f927"
+    "7ae25ad82d67516f0337a04e095e743cc1e4e8e549f026e1491594bdf7ed57e6"
+    "9fe3f04ebf131b1700e31af5f414cade4d0a9d44b202d58fb45adc96f563bdc4"
+    "a61d6c4841aa143a378ea6cb54a3c965e43aa276d34d0c05c2866ea9d8aec392"
+    "3b49a66eb0daf27b19602d1f30cbae9c29879034a7c27888c71aaabb549ac5bd"
+    "6e706320a74ff238b9a59de9602af0907b59140f28e609c417daf05dbb16b3bd"
+    "b512f78c5c50011db30773ec49371f1d39da1b9dc2d4a1b82120259f63712571"
+    "316c927251056fcccb94bd3ca5789c4247bbb62b945bc3932b050cda10dd71db"
+    "8e148db28b68e12278c501c34761ca0725574d4d8e6dee4cdaca62d3c538b4f5"
+    "c50e6caa7b74e9fa48b4ce4b7b28e2fa6e2791816220eef82861b974abd4bd0e"
+    "4ae789d6e37b7de4120397ce8d8b35ac6db7273c2768c8f33311fa96fd844bf2"
+    "87623ef498e6a02f1808d663ecc109231d25df8ac39e91d92770637a6a2269f0"
+    "8529653e60f7ac0a22ca1552858011f5c4150c9b34204a222fcb967f2e66b4d9"
+    "ad176b9c3f52c851835ffe812bc04370c306e2cb22587890d19e7a895eae83e8"
+    "3d7f50193a9c7720df82d8d33f20c4488ce65dcd0e4c240abe782382cf70ff18"
+    "3875e8d45b424e62383785ee6c202fc55ae2cf3f7c77b5d9877cd3279a587c5f"
+    "1318f97b45767fbc559643d399ea226361c79a1674b9f469b0908e9a261ade86"
+    "06bffc08cd0c733b1d567583b32d5688388c67c04bed3722a549c65526a8fdfc"
+    "8db22d5b549f698845f10471ab6dc7be71285e6a221055843fa7f98d959f471b"
+    "bb360de07c2bf15188a95060bacbe38976862089d53baad2b69bc80986a75ecd"
+    "99b2a4be6de2f4bc5e6afc32ab2a499a2857255aa704d2f34d062d0f01676e50"
+    "aaff6a009ec8bb2a00368be3a1d5d67d1582a959895556015b7606fd95e01e1b"
+    "779f250445aa3ab1a996993cb4108f78250d8a29686ee89061ffb0f292e0e471"
+    "cdc9d7c889ce82dab17cdec76eed0bd9921b942f1caa9de0e722468a3f209236"
+    "a3240ce8d205f08547e9e447d6bbeec9d847fb8d8bd2aed893b5b9b8e8d26780"
+    "4b62aed234d4b4ff77ed930cb5e0c7e2de58482c56d8773fc3893a09c8f6abaf"
+    "bf35f70572d6d0bc525f52e3fcc6c382af5bca3c647d646b9ff1e41b52069261"
+    "bc2beb5f8084ca85b11e9b2b27d1a4a436cf56effe9688ba9299f0847f6b9ecf"
+    "b419889520f8742c016debaf748cc5882f13977c3552fe3a80cbe29ad046c76a"
+    "478b2dbe208642dde516ace4c69b5fbfed153120199e9d5d2debf6cd56a7036c"
+    "5e4a52c1bf6f4ff299b21cf7d2c4656954fe3f6d39bfcf986019ed8da8af62a6"
+    "62ba9ad4c50f190755aa15fc71d0877654c536cdc7d5d2851a7d7fd885b13d6e"
+    "e98026dac18e2a0fb7594eae91f58b57c705b09d8ff3563a15aef69679e1b1ff"
+    "c8773a87fd4d4f773d583fa92e9f";
 
 TEST(GoldenTest, WalkerExecutionDigestIsPinned) {
   std::vector<std::string> labels;
@@ -357,7 +366,7 @@ TEST(GoldenTest, WalkerExecutionDigestIsPinned) {
   EXPECT_EQ(tags, kGoldenCaseTags)
       << "first differing case #" << same << ": "
       << (same < labels.size() ? labels[same] : "(past the end)");
-  EXPECT_EQ(digest, 0x39c999ee4dedd94full);
+  EXPECT_EQ(digest, 0x4f882348377ae8b2ull);
 }
 
 // Each corpus table's CSV rendering and codec fingerprint. The -0 table's
