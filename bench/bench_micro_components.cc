@@ -207,8 +207,8 @@ void BM_LogicMajorityPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_LogicMajorityPlan)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
-// A full-table ORDER BY on a column with one stable order: the VM reads
-// the index's cached permutation instead of sorting.
+// A full-table ORDER BY: the VM reads the index's cached permutation
+// instead of sorting.
 constexpr const char* kSqlOrderByLimit =
     "SELECT nation FROM w ORDER BY total DESC LIMIT 1";
 

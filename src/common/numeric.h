@@ -1,6 +1,7 @@
 #ifndef UCTR_COMMON_NUMERIC_H_
 #define UCTR_COMMON_NUMERIC_H_
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -30,6 +31,14 @@ bool LooksNumeric(std::string_view text);
 /// \brief Renders a double compactly: integers without a decimal point,
 /// otherwise up to `max_decimals` digits with trailing zeros stripped.
 std::string FormatNumber(double value, int max_decimals = 4);
+
+/// \brief The total order cells sort numbers by: exact value, with -0
+/// tying +0, NaN after +inf and NaNs tying. Returns <0, 0, >0.
+inline int OrderNumbers(double a, double b) {
+  if (a < b) return -1;
+  if (b < a) return 1;
+  return static_cast<int>(std::isnan(a)) - static_cast<int>(std::isnan(b));
+}
 
 /// \brief Approximate equality with both absolute and relative tolerance,
 /// the comparison used by denotation accuracy and executor predicates.

@@ -431,9 +431,9 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table) {
         bool desc = insn.imm2 != 0;
         const TableIndex::Column& col = index.column(insn.imm);
         // Filters keep views ascending and duplicate-free, so a full-size
-        // view is the identity; where the column has one stable order, the
-        // cached permutation is the answer.
-        if (col.strict_order && in.size() == table.num_rows()) {
+        // view is the identity and the cached permutation is its stable
+        // sort.
+        if (in.size() == table.num_rows()) {
           if (desc) {
             regs[insn.dst].Set(TableIndex::SortedDescending(col));
           } else {

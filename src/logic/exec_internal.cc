@@ -80,11 +80,11 @@ Result<std::vector<size_t>> OrderedRows(const Table& table,
                                         size_t col_idx, bool descending) {
   const TableIndex::Column& col = index.column(col_idx);
   std::vector<size_t> rows;
-  if (col.strict_order && view.size() == table.num_rows()) {
+  if (view.size() == table.num_rows()) {
     // Views are duplicate-free subsets in ascending row order, so a
-    // full-size view is exactly 0..n-1, and on a column with one stable
-    // order the cached permutation is its order. Nulls are the first tie
-    // group ascending and the last descending.
+    // full-size view is exactly 0..n-1 and the cached permutation is its
+    // stable sort. Nulls are the first tie group ascending and the last
+    // descending.
     if (descending) {
       rows = TableIndex::SortedDescending(col);
       rows.resize(col.non_null_count);
@@ -94,8 +94,8 @@ Result<std::vector<size_t>> OrderedRows(const Table& table,
                   col.sorted.end());
     }
   } else {
-    // The walker's stable sort: the same rows in the same input order,
-    // compared the same way in the same direction.
+    // Sorting a partial view's rows is cheaper than filtering `sorted`
+    // when the view is small; the stable sort gives the same order.
     for (size_t r : view) {
       if (!col.is_null[r]) rows.push_back(r);
     }

@@ -42,10 +42,9 @@ std::vector<size_t> NonNullRows(const TableIndex& index,
 
 /// Rows of `view` ordered by column value, nulls dropped; ties keep
 /// original order. EmptyResult("superlative on empty view") when nothing
-/// survives. A full view over a strict_order column reads the cached
-/// sorted permutation (descending: TableIndex::SortedDescending); every
-/// other view is stable-sorted exactly as the walker sorts it, which on
-/// columns without a unique order is the only way to match it.
+/// survives. A full view reads the cached sorted permutation (descending:
+/// TableIndex::SortedDescending); a partial view is stable-sorted by
+/// TableIndex::CompareRows.
 Result<std::vector<size_t>> OrderedRows(const Table& table,
                                         const TableIndex& index,
                                         const std::vector<size_t>& view,

@@ -59,7 +59,7 @@ Result<std::vector<size_t>> OrderedRows(const Table& table,
   }
   if (rows.empty()) return Status::EmptyResult("superlative on empty view");
   std::stable_sort(rows.begin(), rows.end(), [&](size_t a, size_t b) {
-    int cmp = table.cell(a, col_idx).Compare(table.cell(b, col_idx));
+    int cmp = table.cell(a, col_idx).Order(table.cell(b, col_idx));
     return descending ? cmp > 0 : cmp < 0;
   });
   return rows;

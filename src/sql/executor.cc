@@ -67,8 +67,8 @@ Result<Value> EvalAggregate(AggFunc agg, bool star, bool distinct, size_t col,
       if (first) {
         best = v;
         first = false;
-      } else if (agg == AggFunc::kMin ? v.Compare(best) < 0
-                                      : v.Compare(best) > 0) {
+      } else if (agg == AggFunc::kMin ? v.Order(best) < 0
+                                      : v.Order(best) > 0) {
         best = v;
       }
     }
@@ -111,7 +111,7 @@ Result<ExecResult> Execute(const SelectStatement& stmt, const Table& table) {
     UCTR_ASSIGN_OR_RETURN(size_t c, table.ColumnIndex(stmt.order_by->column));
     bool desc = stmt.order_by->descending;
     std::stable_sort(rows.begin(), rows.end(), [&](size_t a, size_t b) {
-      int cmp = table.cell(a, c).Compare(table.cell(b, c));
+      int cmp = table.cell(a, c).Order(table.cell(b, c));
       return desc ? cmp > 0 : cmp < 0;
     });
   }

@@ -114,8 +114,7 @@ void TableIndex::BuildColumn(size_t c) const {
         col->displays.Intern(std::move(v).ToDisplayString(), &display_slots);
   }
   // Norms are interned in ascending order, so their ids are ranks. Every
-  // display gets one, numbers included: CompareRows compares a number
-  // with text by their norms.
+  // display gets one, numbers included: a row name may be a number.
   std::vector<std::string> norm(col->displays.size());
   std::vector<uint32_t> by_norm(norm.size());
   for (uint32_t id = 0; id < norm.size(); ++id) {
@@ -155,34 +154,6 @@ void TableIndex::BuildColumn(size_t c) const {
                    [&built](size_t a, size_t b) {
                      return CompareRows(built, a, b) < 0;
                    });
-  // One pass over `sorted` decides strict_order. Text compares by its
-  // normalized string, a strict weak order. Numbers compare through
-  // NearlyEqual, which is not transitive, and a number against text
-  // compares as strings. An all-number column is safe when `sorted` is
-  // non-decreasing and no two adjacent distinct numbers are NearlyEqual:
-  // were two distinct numbers anywhere NearlyEqual, so would be an
-  // adjacent pair between them (the pair holding the larger magnitude
-  // endpoint has at least their tolerance), so NearlyEqual is equality
-  // here and CompareRows exact ordering. nan and inf are not compared
-  // consistently at all.
-  bool all_text = true, all_numbers = true;
-  size_t prev = n;  // the previous non-null row in `sorted`
-  for (size_t r : col->sorted) {
-    if (col->is_null[r]) continue;
-    if (!col->numeric[r]) {
-      all_numbers = false;
-      continue;
-    }
-    all_text = false;
-    const double x = col->number[r];
-    if (!std::isfinite(x)) all_numbers = false;
-    if (prev < n) {
-      const double p = col->number[prev];
-      if (x < p || (x != p && NearlyEqual(p, x))) all_numbers = false;
-    }
-    prev = r;
-  }
-  col->strict_order = all_text || all_numbers;
   columns_[c] = std::move(col);
 }
 
@@ -232,26 +203,21 @@ bool TableIndex::CellEquals(const Column& col, size_t r,
 
 int TableIndex::CellCompare(const Column& col, size_t r,
                             const LiteralKey& lit) {
+  if (CellEquals(col, r, lit)) return 0;
   if (lit.null) return 1;  // non-null cell > null literal
-  if (col.numeric[r] && lit.numeric) {
-    if (NearlyEqual(col.number[r], lit.number)) return 0;
-    return col.number[r] < lit.number ? -1 : 1;
-  }
-  int cmp = col.norm(r).compare(lit.norm);
-  return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
+  if (col.numeric[r] != lit.numeric) return col.numeric[r] ? -1 : 1;
+  if (lit.numeric) return OrderNumbers(col.number[r], lit.number);
+  const int cmp = col.norm(r).compare(lit.norm);
+  return (cmp > 0) - (cmp < 0);
 }
 
 int TableIndex::CompareRows(const Column& col, size_t a, size_t b) {
   const bool na = col.is_null[a], nb = col.is_null[b];
-  if (na && nb) return 0;
-  if (na) return -1;
-  if (nb) return 1;
-  if (col.numeric[a] && col.numeric[b]) {
-    if (NearlyEqual(col.number[a], col.number[b])) return 0;
-    return col.number[a] < col.number[b] ? -1 : 1;
-  }
+  if (na || nb) return static_cast<int>(nb) - static_cast<int>(na);
+  if (col.numeric[a] != col.numeric[b]) return col.numeric[a] ? -1 : 1;
+  if (col.numeric[a]) return OrderNumbers(col.number[a], col.number[b]);
   const uint32_t ra = col.rank(a), rb = col.rank(b);
-  return ra < rb ? -1 : (ra > rb ? 1 : 0);
+  return (ra > rb) - (ra < rb);
 }
 
 std::vector<size_t> TableIndex::EqualRows(const Column& col,

@@ -25,7 +25,8 @@ namespace uctr {
 /// subsequent executions, TAPEX-style.
 ///
 /// Contract with the scan path: every helper here mirrors the exact
-/// semantics of Value::ToNumber / ToDisplayString / Equals / Compare, so
+/// semantics of Value::ToNumber / ToDisplayString / Equals / Order /
+/// Compare, so
 /// indexed execution is bit-identical to the reference row scan (same
 /// values, same tie-breaking row order, same EmptyResult/error behavior).
 /// tests/index_test.cc enforces this differentially.
@@ -61,16 +62,10 @@ class TableIndex {
     /// express).
     std::vector<uint32_t> posting_begin;
     std::vector<uint32_t> posting_rows;
-    /// All rows stable-sorted by Value::Compare (nulls first, ties in row
-    /// order).
+    /// All rows stable-sorted by Value::Order (nulls first, ties in row
+    /// order): the one stable order of the full view.
     std::vector<size_t> sorted;
     size_t non_null_count = 0;
-    /// True when CompareRows is a strict weak order on this column: every
-    /// non-null cell is text, or every one is a finite number and no two
-    /// distinct ones are NearlyEqual. Only then does a view have one
-    /// stable order, so only then may executors read orders from `sorted`
-    /// instead of sorting the view as the walkers do.
-    bool strict_order = false;
 
     /// \brief cell(r).ToDisplayString(), viewing the dictionary.
     std::string_view display(size_t r) const {
@@ -165,7 +160,7 @@ class TableIndex {
   /// \brief Value::Compare(cell(r), literal) for a non-null cell.
   static int CellCompare(const Column& col, size_t r, const LiteralKey& lit);
 
-  /// \brief Value::Compare(cell(a), cell(b)) within one column.
+  /// \brief Value::Order(cell(a), cell(b)) within one column.
   static int CompareRows(const Column& col, size_t a, size_t b);
 
   /// \brief The rows of `view` whose cell CellEquals the non-null,
@@ -177,8 +172,8 @@ class TableIndex {
                                        const std::vector<size_t>& view);
 
   /// \brief All rows of `col` in descending order: `sorted`'s tie groups in
-  /// reverse, rows ascending within each group, nulls last. On a
-  /// strict_order column this is the stable descending sort.
+  /// reverse, rows ascending within each group, nulls last. This is the
+  /// stable descending sort.
   static std::vector<size_t> SortedDescending(const Column& col);
 
  private:

@@ -87,22 +87,21 @@ bool Value::Equals(const Value& other) const {
                           Trim(other.ToDisplayString()));
 }
 
-int Value::Compare(const Value& other) const {
-  if (is_null() && other.is_null()) return 0;
-  if (is_null()) return -1;
-  if (other.is_null()) return 1;
+int Value::Order(const Value& other) const {
+  if (is_null() || other.is_null()) {
+    return static_cast<int>(other.is_null()) - static_cast<int>(is_null());
+  }
   auto a = ToNumber();
   auto b = other.ToNumber();
-  if (a.ok() && b.ok()) {
-    double x = a.ValueOrDie();
-    double y = b.ValueOrDie();
-    if (NearlyEqual(x, y)) return 0;
-    return x < y ? -1 : 1;
-  }
-  std::string sa = ToLower(Trim(ToDisplayString()));
-  std::string sb = ToLower(Trim(other.ToDisplayString()));
-  if (sa == sb) return 0;
-  return sa < sb ? -1 : 1;
+  if (a.ok() != b.ok()) return a.ok() ? -1 : 1;
+  if (a.ok()) return OrderNumbers(a.ValueOrDie(), b.ValueOrDie());
+  const int cmp = ToLower(Trim(ToDisplayString()))
+                      .compare(ToLower(Trim(other.ToDisplayString())));
+  return (cmp > 0) - (cmp < 0);
+}
+
+int Value::Compare(const Value& other) const {
+  return Equals(other) ? 0 : Order(other);
 }
 
 }  // namespace uctr

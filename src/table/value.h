@@ -91,10 +91,16 @@ class Value {
   /// equals a string if the string parses to the same number.
   bool Equals(const Value& other) const;
 
-  /// \brief Ordering for sorts: null < everything; numbers by value;
-  /// strings lexicographically (case-insensitive). Mixed number/string
-  /// compares numerically when possible, otherwise by display text.
-  /// Returns <0, 0, >0.
+  /// \brief The one total order of cells, used by every sort, superlative
+  /// and MIN/MAX: null < numbers < text, like SQLite's storage classes. A
+  /// number is any value ToNumber() accepts, bools and numeric text
+  /// included; numbers compare by exact value (OrderNumbers), text by
+  /// ToLower(Trim(display)). Returns <0, 0, >0.
+  int Order(const Value& other) const;
+
+  /// \brief Comparison for range predicates: 0 when Equals(other), else
+  /// Order(other), so a number NearlyEqual to `other` is neither less nor
+  /// greater and `=`, `<=` and `>=` agree. Returns <0, 0, >0.
   int Compare(const Value& other) const;
 
  private:

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -32,6 +33,7 @@
 #include "sql/executor.h"
 #include "table/index.h"
 #include "table/table.h"
+#include "tests/test_util.h"
 
 namespace uctr {
 namespace {
@@ -204,7 +206,7 @@ TEST(IndexDifferentialTest, SqlFixtureSuiteMatchesScan) {
 
 TEST(IndexDifferentialTest, SqlFinanceSuiteMatchesScan) {
   Table finance = FinanceTable();
-  for (const std::string& query : {
+  for (const char* query : {
            "SELECT fy2020 FROM w WHERE item = 'revenue'",
            "SELECT item FROM w WHERE fy2019 = 1234",
            "SELECT item FROM w WHERE fy2019 > 500 ORDER BY fy2020 DESC",
@@ -401,7 +403,7 @@ TEST(IndexDifferentialTest, RandomizedTablesMatchScan) {
     Table t =
         Table::FromStrings({"name", "score", "amount", "ratio"}, cells)
             .ValueOrDie();
-    for (const std::string& query : {
+    for (const char* query : {
              "SELECT score FROM w WHERE name = 'alpha'",
              "SELECT name FROM w WHERE score = 3",
              "SELECT name FROM w WHERE amount = 300",
@@ -417,7 +419,7 @@ TEST(IndexDifferentialTest, RandomizedTablesMatchScan) {
          }) {
       ExpectSqlIdentical(t, query);
     }
-    for (const std::string& form : {
+    for (const char* form : {
              "count { filter_eq { all_rows ; name ; alpha } }",
              "hop { argmax { all_rows ; ratio } ; name }",
              "hop { nth_argmin { all_rows ; ratio ; 2 } ; name }",
@@ -429,46 +431,51 @@ TEST(IndexDifferentialTest, RandomizedTablesMatchScan) {
   }
 }
 
-// Columns on which Value::Compare is not a strict weak order, so the
-// cached sorted permutation need not be the walker's stable sort: chains
-// of numbers each within NearlyEqual's tolerance of the next, numbers
-// beside text (numbers compare numerically with each other but as strings
-// with text), nan and inf, and integers above four million, where the
-// relative tolerance spans about four units. Each column has 10% nulls;
-// every superlative and ORDER BY runs over the full view and a filtered
-// one.
-TEST(IndexDifferentialTest, ColumnsWithoutAUniqueOrderMatchScan) {
-  Rng rng(20261017);
-  auto cell = [&rng](int kind) -> std::string {
-    if (rng.Bernoulli(0.1)) return "";
-    switch (kind) {
-      case 0: {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.7f",
-                      1.0 + static_cast<double>(rng.Index(8)) * 4e-7);
-        return buf;
-      }
-      case 1: {
-        static const char* const kText[] = {"5x", "1a", "b"};
-        return rng.Bernoulli(0.5) ? std::to_string(rng.Index(13))
-                                  : kText[rng.Index(3)];
-      }
-      case 2: {
-        static const char* const kOdd[] = {"nan", "inf", "-inf",
-                                           "1",   "2",   "3"};
-        return kOdd[rng.Index(6)];
-      }
-      default:
-        return std::to_string(4000000 + rng.Index(12));
+// One cell from one of four generators, each a shape a tolerant
+// comparison does not order: a chain of numbers each within
+// NearlyEqual's tolerance of the next (kind 0), numbers beside text (1),
+// nan and inf among small integers (2), and integers above four million,
+// where the relative tolerance spans about four units (3). One cell in
+// ten is null.
+std::string GeneratedCell(Rng* rng, int kind) {
+  if (rng->Bernoulli(0.1)) return "";
+  switch (kind) {
+    case 0: {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.7f",
+                    1.0 + static_cast<double>(rng->Index(8)) * 4e-7);
+      return buf;
     }
-  };
+    case 1: {
+      static const char* const kText[] = {"5x", "1a", "b"};
+      return rng->Bernoulli(0.5) ? std::to_string(rng->Index(13))
+                                 : kText[rng->Index(3)];
+    }
+    case 2: {
+      static const char* const kOdd[] = {"nan", "inf", "-inf",
+                                         "1",   "2",   "3"};
+      return kOdd[rng->Index(6)];
+    }
+    default:
+      return std::to_string(4000000 + rng->Index(12));
+  }
+}
+
+// Columns of each generator's cells. Cells have one order (Value::Order:
+// numbers exactly, before text), so on each the cached sorted permutation
+// must be the walker's stable sort, ascending and descending. Every
+// superlative and ORDER BY runs over the full view, which reads the
+// permutation, and a filtered one, which the VM sorts.
+TEST(IndexDifferentialTest, NearEqualMixedAndNanColumnsMatchScan) {
+  Rng rng(20261017);
   for (int kind = 0; kind < 4; ++kind) {
     for (int trial = 0; trial < 250; ++trial) {
       std::vector<std::vector<std::string>> cells;
       const size_t rows = 2 + rng.Index(8);
       for (size_t r = 0; r < rows; ++r) {
         cells.push_back({"r" + std::to_string(r),
-                         rng.Bernoulli(0.5) ? "yes" : "no", cell(kind)});
+                         rng.Bernoulli(0.5) ? "yes" : "no",
+                         GeneratedCell(&rng, kind)});
       }
       Table t = Table::FromStrings({"name", "keep", "x"}, cells).ValueOrDie();
       for (const std::string view :
@@ -496,37 +503,99 @@ TEST(IndexDifferentialTest, ColumnsWithoutAUniqueOrderMatchScan) {
   }
 }
 
-// strict_order holds exactly where CompareRows is a strict weak order:
-// all text, or finite numbers no two distinct of which are NearlyEqual.
-TEST(IndexStrictOrderTest, OnlyColumnsWithOneStableOrderQualify) {
-  auto strict = [](std::vector<std::string> column) {
-    std::vector<std::vector<std::string>> cells;
-    for (std::string& cell : column) cells.push_back({std::move(cell)});
-    Table t = Table::FromStrings({"x"}, cells).ValueOrDie();
-    return t.index().column(0).strict_order;
+// Value::Order is a strict weak order, which std::stable_sort requires of
+// every comparator it is given: irreflexive, asymmetric and transitive,
+// with transitive incomparability. The cells are the adversarial golden
+// table's, those the four generators above draw, and -0/+0, bools, empty
+// and whitespace-only text. CompareRows over a one-column table of the
+// same cells must give the order's sign for every pair.
+TEST(CellOrderTest, OrderIsAStrictWeakOrder) {
+  std::vector<Value> cells = {
+      Value::Null(),         Value::Number(0.0),
+      Value::Number(-0.0),   Value::NumberWithText(-0.0, "-0"),
+      Value::Bool(true),     Value::Bool(false),
+      Value::String(""),     Value::String("  "),
+      Value::String(" \t "), Value::String("0"),
   };
-  EXPECT_TRUE(strict({"b", "", "A", "a", "c"}));
-  EXPECT_TRUE(strict({"3", "", "1", "3", "-2.5", "$1,000"}));
-  EXPECT_TRUE(strict({"", ""}));
-  EXPECT_TRUE(strict({"4000000", "4000005", "4000010"}));
-  EXPECT_TRUE(strict({"1.0000011", "1.0"}));
-  EXPECT_FALSE(strict({"1.0000004", "1.0", "1.0000008"}));
-  EXPECT_FALSE(strict({"4000007", "4000011", "4000004"}));
-  EXPECT_FALSE(strict({"10", "9", "5x"}));
-  EXPECT_FALSE(strict({"1", "nan", "2"}));
-  EXPECT_FALSE(strict({"inf", "1"}));
-  EXPECT_FALSE(strict({"-inf"}));
+  const Table adversarial = uctr::testing::AdversarialTable(9);
+  for (size_t r = 0; r < adversarial.num_rows(); ++r) {
+    for (size_t c = 0; c < adversarial.num_columns(); ++c) {
+      cells.push_back(adversarial.cell(r, c));
+    }
+  }
+  Rng rng(20261019);
+  for (int kind = 0; kind < 4; ++kind) {
+    for (int draw = 0; draw < 200; ++draw) {
+      cells.push_back(Value::FromText(GeneratedCell(&rng, kind)));
+    }
+  }
+  // Each distinct (type, display) cell once, first appearance first.
+  std::set<std::pair<ValueType, std::string>> seen;
+  std::vector<Value> distinct;
+  for (const Value& v : cells) {
+    if (seen.emplace(v.type(), v.ToDisplayString()).second) {
+      distinct.push_back(v);
+    }
+  }
+  const size_t n = distinct.size();
+  ASSERT_GT(n, 60u);
+  std::vector<int> order(n * n);
+  for (size_t a = 0; a < n; ++a) {
+    for (size_t b = 0; b < n; ++b) {
+      const int cmp = distinct[a].Order(distinct[b]);
+      order[a * n + b] = (cmp > 0) - (cmp < 0);
+    }
+  }
+  auto text = [&distinct](size_t i) {
+    return std::string(ValueTypeToString(distinct[i].type())) + ":'" +
+           distinct[i].ToDisplayString() + "'";
+  };
+  size_t failures = 0;
+  auto fail = [&failures](const std::string& what) {
+    if (failures++ < 5) ADD_FAILURE() << what;
+  };
+  for (size_t a = 0; a < n; ++a) {
+    if (order[a * n + a] != 0) fail(text(a) + " is not equivalent to itself");
+    for (size_t b = 0; b < n; ++b) {
+      if (order[a * n + b] != -order[b * n + a]) {
+        fail(text(a) + " and " + text(b) + " order both ways");
+      }
+      for (size_t c = 0; c < n; ++c) {
+        const int ab = order[a * n + b], bc = order[b * n + c];
+        const int ac = order[a * n + c];
+        if (ab < 0 && bc < 0 && ac >= 0) {
+          fail(text(a) + " < " + text(b) + " < " + text(c) + " but not " +
+               text(a) + " < " + text(c));
+        }
+        if (ab == 0 && bc == 0 && ac != 0) {
+          fail(text(a) + " ~ " + text(b) + " ~ " + text(c) + " but not " +
+               text(a) + " ~ " + text(c));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(failures, 0u);
+  const Table column = Table::FromValues("w", {"x"}, distinct);
+  const TableIndex::Column& col = column.index().column(0);
+  for (size_t a = 0; a < n; ++a) {
+    for (size_t b = 0; b < n; ++b) {
+      const int cmp = TableIndex::CompareRows(col, a, b);
+      EXPECT_EQ((cmp > 0) - (cmp < 0), order[a * n + b])
+          << text(a) << " vs " << text(b);
+    }
+  }
 }
 
-// Two literal columns without a unique order. Within the tolerance
-// 4000007 ties both others, which do not tie each other; and 10 > 9
-// numerically while "10" < "5x" < "9" as strings. The walker's stable
-// sort answers 4000007 and 10.
+// Two literal columns a tolerant comparison does not order: 4000007 is
+// within NearlyEqual's tolerance of both others, which are not of each
+// other; and 10 > 9 as numbers while "10" < "5x" < "9" as strings. In the
+// one order numbers compare exactly and come before text, so the maxima
+// are 4000011 and 5x, and the VM still answers as the walker.
 TEST(IndexDifferentialTest, LiteralColumnsWithoutAUniqueOrder) {
   for (const auto& [csv, max] :
        {std::pair<const char*, const char*>{
-            "name,x\na,4000007\nb,4000011\nc,4000004\n", "4000007"},
-        {"name,x\na,10\nb,9\nc,5x\n", "10"}}) {
+            "name,x\na,4000007\nb,4000011\nc,4000004\n", "4000011"},
+        {"name,x\na,10\nb,9\nc,5x\n", "5x"}}) {
     Table t = Table::FromCsv(csv).ValueOrDie();
     for (const std::string form : {
              "max { all_rows ; x }",

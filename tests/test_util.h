@@ -54,6 +54,32 @@ inline Table RandomTable(Rng* rng, size_t rows = 0, size_t numeric_cols = 0) {
   return Table::FromStrings(header, data, "random").ValueOrDie();
 }
 
+/// A table whose columns hold the cell shapes executors treat specially:
+/// nulls, a near-equal chain, nan and inf, text beside numbers, currency
+/// and percent surface text, and yes/no bools.
+inline Table AdversarialTable(size_t rows) {
+  std::vector<std::vector<std::string>> cells;
+  for (size_t r = 0; r < rows; ++r) {
+    const std::string n = std::to_string(r);
+    cells.push_back({
+        r == 3 ? "n/a" : "item " + n,
+        r % 4 == 1 ? "$1,234.5" : "$" + std::to_string(100 * r + 5),
+        std::to_string(r * 7 % 40) + "%",
+        r % 9 == 4   ? "nan"
+        : r % 9 == 6 ? "inf"
+        : r % 9 == 7 ? "-inf"
+                     : "1.00000" + std::to_string(r % 10),
+        r % 5 == 2 ? "" : (r % 2 == 0 ? "yes" : "no"),
+        r % 3 == 0 ? "unknown" : std::to_string(r * 11 % 17),
+        r % 4 == 0 ? std::to_string(r) : "-",
+    });
+  }
+  return Table::FromStrings(
+             {"name", "amount", "share", "ratio", "flag", "mixed", "sparse"},
+             cells, "adversarial")
+      .ValueOrDie();
+}
+
 }  // namespace uctr::testing
 
 #endif  // UCTR_TESTS_TEST_UTIL_H_
