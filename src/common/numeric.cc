@@ -109,6 +109,10 @@ std::string FormatNumber(double value, int max_decimals) {
 }
 
 bool NearlyEqual(double a, double b, double abs_tol, double rel_tol) {
+  if (a == b) return true;
+  // inf - inf is NaN and a tolerance scaled by inf is inf, so past this
+  // point a non-finite operand would match nothing or everything.
+  if (!std::isfinite(a) || !std::isfinite(b)) return false;
   double diff = std::abs(a - b);
   if (diff <= abs_tol) return true;
   double scale = std::max(std::abs(a), std::abs(b));

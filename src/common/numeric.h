@@ -41,7 +41,9 @@ inline int OrderNumbers(double a, double b) {
 }
 
 /// \brief Approximate equality with both absolute and relative tolerance,
-/// the comparison used by denotation accuracy and executor predicates.
+/// the comparison used by denotation accuracy and executor equality
+/// predicates. Operands that are == are equal (inf equals inf);
+/// otherwise a non-finite operand equals nothing.
 bool NearlyEqual(double a, double b, double abs_tol = 1e-6,
                  double rel_tol = 1e-6);
 

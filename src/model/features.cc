@@ -14,21 +14,16 @@ namespace uctr::model {
 namespace {
 
 /// Whether some x of `sorted` (ascending, NaN-free) is
-/// NearlyEqual(n, x, 1e-6, 1e-6). For finite n and x any match lies within
-/// 1.000001e-6 * max(1, |n|) of n, so scanning twice that window is exact.
-/// An infinite operand makes the relative tolerance infinite; those rare
-/// cases scan everything.
+/// NearlyEqual(n, x, 1e-6, 1e-6). An infinite n equals only itself. For
+/// finite n any match lies within 1.000001e-6 * max(1, |n|) of n, so
+/// scanning twice that window is exact.
 bool ContainsNearly(const std::vector<double>& sorted, double n) {
-  if (sorted.empty() || std::isnan(n)) return false;
-  auto near = [n](double x) { return NearlyEqual(n, x, 1e-6, 1e-6); };
-  if (std::isinf(n) || std::isinf(sorted.front()) ||
-      std::isinf(sorted.back())) {
-    return std::any_of(sorted.begin(), sorted.end(), near);
-  }
+  if (std::isnan(n)) return false;
+  if (std::isinf(n)) return std::binary_search(sorted.begin(), sorted.end(), n);
   const double w = 2e-6 * std::max(1.0, std::abs(n));
   for (auto it = std::lower_bound(sorted.begin(), sorted.end(), n - w);
        it != sorted.end() && *it <= n + w; ++it) {
-    if (near(*it)) return true;
+    if (NearlyEqual(n, *it, 1e-6, 1e-6)) return true;
   }
   return false;
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
 
@@ -171,6 +172,22 @@ TEST(NumericTest, NearlyEqual) {
   EXPECT_TRUE(NearlyEqual(1.0, 1.0 + 1e-9));
   EXPECT_FALSE(NearlyEqual(1.0, 1.1));
   EXPECT_TRUE(NearlyEqual(1e12, 1e12 + 1.0));  // relative tolerance
+}
+
+// Equal operands are equal, infinities included; otherwise a non-finite
+// operand equals nothing. Past that test inf - inf would be NaN, and a
+// tolerance scaled by inf would admit every finite number.
+TEST(NumericTest, NearlyEqualInfinityOnlyToItself) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(NearlyEqual(inf, inf));
+  EXPECT_TRUE(NearlyEqual(-inf, -inf));
+  EXPECT_FALSE(NearlyEqual(inf, -inf));
+  EXPECT_FALSE(NearlyEqual(1.0, inf));
+  EXPECT_FALSE(NearlyEqual(-inf, -1e300));
+  EXPECT_FALSE(NearlyEqual(inf, 1.0, 0.51, 0.01));  // round_eq's tolerance
+  EXPECT_FALSE(NearlyEqual(inf, nan));
+  EXPECT_FALSE(NearlyEqual(nan, nan));
 }
 
 // ------------------------------------------------------------------- Rng

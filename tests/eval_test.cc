@@ -24,6 +24,16 @@ TEST(MetricsTest, ExactMatchToleratesFormatting) {
   EXPECT_FALSE(ExactMatch("", "8"));
 }
 
+// A gold inf is matched by the same infinity only, and a finite gold
+// never by an infinity.
+TEST(MetricsTest, ExactMatchOfInfinity) {
+  EXPECT_TRUE(ExactMatch("inf", "inf"));
+  EXPECT_TRUE(ExactMatch("-inf", "-inf"));
+  EXPECT_FALSE(ExactMatch("5", "inf"));
+  EXPECT_FALSE(ExactMatch("-inf", "inf"));
+  EXPECT_FALSE(ExactMatch("inf", "1e300"));
+}
+
 TEST(MetricsTest, NumeracyF1AllOrNothingForNumbers) {
   EXPECT_DOUBLE_EQ(NumeracyF1("8", "8"), 1.0);
   EXPECT_DOUBLE_EQ(NumeracyF1("8.01", "8"), 0.0);  // close is not credit

@@ -621,6 +621,30 @@ TEST(IndexDifferentialTest, LiteralColumnsWithoutAUniqueOrder) {
   }
 }
 
+// Infinite cells equal only the same infinity, and a range predicate
+// against inf holds for every smaller cell. Each form runs on the walker
+// and the VM; the answers and evidence rows are pinned.
+TEST(IndexDifferentialTest, InfinityEqualsOnlyItself) {
+  const Table t =
+      Table::FromCsv("name,x\na,inf\nb,1\nc,inf\nd,-inf\n").ValueOrDie();
+  for (const auto& [form, outcome] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"count { filter_eq { all_rows ; x ; inf } }",
+            "ok{values=[number:2] evidence=[0,2]}"},
+           {"hop { filter_eq { all_rows ; x ; inf } ; name }",
+            "ok{values=[string:a] evidence=[0]}"},
+           {"count { filter_less { all_rows ; x ; inf } }",
+            "ok{values=[number:2] evidence=[1,3]}"},
+           {"eq { max { all_rows ; x } ; inf }",
+            "ok{values=[bool:true] evidence=[0,1,2,3]}"},
+       }) {
+    ExpectLogicIdentical(t, form);
+    EXPECT_EQ(DescribeOutcome(Execute(ProgramType::kLogicalForm, form, t)),
+              outcome)
+        << form;
+  }
+}
+
 // Tables built with MedalTable's content after successive edits: a
 // renamed row, a new maximum, an appended row and an appended column.
 // Each is a new table with its own index, and must match the scan path.

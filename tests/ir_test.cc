@@ -309,17 +309,17 @@ constexpr std::string_view kGoldenCaseTags =
     "99b2a4be6de2f4bc5e6afc32ab2a499a2857255aa704d2f34d062d0f01676e50"
     "aaff6a009ec8bb2a00368be3a1d5d67d1582a959895556015b7606fd95e01e1b"
     "779f250445aa3ab1a996993cb4108f78250d8a29686ee89061ffb0f292e0e471"
-    "cdc9d7c889ce82dab17cdec76eed0bd9921b942f1caa9de0e722468a3f209236"
-    "a324da315f9cf08547e9e447d6bbeec9d847fb8d8bd2aed893b5b9b8e8d26780"
-    "97daaed234d4b4ff77ed930cb5e0c7e2de58482c56d8773fc3893a09c8f6abaf"
-    "bf35f70572d6d0bc525f52e3fcc6c382af5bca3c647d646b6d67a87952069261"
-    "bc2beb5f8084ca85b11e9b2b27d1a4a436cf56effe9688ba9299f0847f6b9ecf"
-    "a745889520f8742c016debaf29c6c5882f13977c3552fe3a80cbe29ad046c76a"
-    "478b2dbe208642dd70a1ace4c69b5fbfed153120199e9d5d2debf6cd56a7036c"
-    "5e4a52c1bf6f4ff299b21cf7d2c4656954fe3f6d39bfcf986019ed8da8af62a6"
-    "62ba9ad4c50f190755aa15fc71d0877654c536cdc7d5d2851a7d7fd885b13d6e"
-    "e98026dac18e2a0fb7594eae91f58b57c705b09d8ff3563a15aef69679e1b1ff"
-    "c8773a87fd4d4f773d583fa92e9f";
+    "cdc9d7c889ce82dab17cdec76eed0bd9942f1caa9de0e722468a3f209236a324"
+    "da315f9cf08547e9e447d6bbeec9d847fb8d8bd2aed893b5b9b8e8d2678097da"
+    "aed234d4b4ff77ed930cb5e0c7e2de58482c56d8773fc3893a09c8f6abafbf35"
+    "f70572d6d0bc525f52e3fcc6c382af5bca3c647d6d67a87952063b0cbc2beb5f"
+    "8084ca85b11e9b2b27d1a4a436cf56efb49388ba9299f0847f6b9ecfa7458895"
+    "20f8742c016debaf29c6c5882f13977c3552fe3a80cbe29ad046c76a478b2dbe"
+    "7a2842dd882aace4c69b5fbfed153120199e9d5d2debf6cd56a7036c5e4a52c1"
+    "bf6f4ff299b21cf7d2c4656954fe3f6d39bfcf986019ed8da8af62a662ba9ad4"
+    "c50f190755aa15fc71d0877654c536cdc7d5d2851a7d7fd885b13d6ee98026da"
+    "c18e2a0fb7594eae91f58b57c705b09d8ff3563a15aef69679e1b1ffc8773a87"
+    "fd4d4f773d583fa92e9f";
 
 TEST(GoldenTest, WalkerExecutionDigestIsPinned) {
   std::vector<std::string> labels;
@@ -341,7 +341,7 @@ TEST(GoldenTest, WalkerExecutionDigestIsPinned) {
   EXPECT_EQ(tags, kGoldenCaseTags)
       << "first differing case #" << same << ": "
       << (same < labels.size() ? labels[same] : "(past the end)");
-  EXPECT_EQ(digest, 0x3cbaf2c8c3ada660ull);
+  EXPECT_EQ(digest, 0xd6a49cac19a3f87bull);
 }
 
 // Each corpus table's CSV rendering and codec fingerprint. The -0 table's

@@ -284,11 +284,20 @@ TEST(FeatureTest, NumberMatchUsesRelativeToleranceAtScale) {
   EXPECT_FLOAT_EQ(FeatureValue(far, "align:num_miss", config), 1.0f);
 }
 
-TEST(FeatureTest, InfTokenMatchesAFiniteTableNumber) {
+// An inf token matches an inf cell, not a finite one, and an inf cell
+// matches no finite token.
+TEST(FeatureTest, InfTokenMatchesOnlyAnInfTableNumber) {
   const FeatureConfig config;
-  FeatureVector f = AlignmentOf(MakeNationsTable(), "china won inf gold");
-  EXPECT_FLOAT_EQ(FeatureValue(f, "align:num_match", config), 1.0f);
-  EXPECT_FLOAT_EQ(FeatureValue(f, "align:num_miss", config), 0.0f);
+  FeatureVector finite = AlignmentOf(MakeNationsTable(), "china won inf gold");
+  EXPECT_FLOAT_EQ(FeatureValue(finite, "align:num_match", config), 0.0f);
+  EXPECT_FLOAT_EQ(FeatureValue(finite, "align:num_miss", config), 1.0f);
+  Table t = Table::FromCsv("name,score\nalpha,inf\nbeta,5\n").ValueOrDie();
+  FeatureVector inf = AlignmentOf(t, "alpha scored inf");
+  EXPECT_FLOAT_EQ(FeatureValue(inf, "align:num_match", config), 1.0f);
+  EXPECT_FLOAT_EQ(FeatureValue(inf, "align:num_miss", config), 0.0f);
+  FeatureVector six = AlignmentOf(t, "alpha scored 6");
+  EXPECT_FLOAT_EQ(FeatureValue(six, "align:num_match", config), 0.0f);
+  EXPECT_FLOAT_EQ(FeatureValue(six, "align:num_miss", config), 1.0f);
 }
 
 // NaN must stay out of the number lists: in an ordered container it breaks

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "table/exec_result.h"
 #include "table/table.h"
 #include "table/value.h"
@@ -44,6 +46,30 @@ TEST(ValueTest, CompareNumericAndString) {
   EXPECT_LT(Value::Null().Compare(Value::Number(0)), 0);
   // String "30" vs number 24 compares numerically.
   EXPECT_GT(Value::String("30").Compare(Value::Number(24)), 0);
+}
+
+// The one order: null < numbers < text; numbers by exact value, -0
+// tying +0 and NaN after +inf; text by its trimmed lower-case form.
+// Compare, for range predicates, reads a NearlyEqual pair as equal.
+TEST(ValueTest, OrderIsOneTotalOrder) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const Value nan = Value::FromText("nan");
+  EXPECT_LT(Value::Null().Order(Value::Number(-inf)), 0);
+  EXPECT_LT(Value::Number(inf).Order(nan), 0);
+  EXPECT_EQ(nan.Order(nan), 0);
+  EXPECT_LT(nan.Order(Value::String("")), 0);
+  EXPECT_LT(Value::Number(10).Order(Value::String("5x")), 0);
+  EXPECT_LT(Value::String("9").Order(Value::Number(10)), 0);
+  EXPECT_LT(Value::Bool(true).Order(Value::String("a")), 0);
+  EXPECT_EQ(Value::Number(-0.0).Order(Value::Number(0.0)), 0);
+  EXPECT_EQ(Value::String(" Apple").Order(Value::String("apple ")), 0);
+  EXPECT_LT(Value::Number(4000004).Order(Value::Number(4000007)), 0);
+  EXPECT_EQ(Value::Number(4000004).Compare(Value::Number(4000007)), 0);
+  EXPECT_LT(Value::Number(4000004).Compare(Value::Number(4000011)), 0);
+  EXPECT_EQ(Value::Number(inf).Compare(Value::Number(inf)), 0);
+  EXPECT_LT(Value::Number(1e300).Compare(Value::Number(inf)), 0);
+  EXPECT_TRUE(Value::Number(inf).Equals(Value::FromText("inf")));
+  EXPECT_FALSE(Value::Number(1e300).Equals(Value::Number(inf)));
 }
 
 TEST(ValueTest, ToNumberConversions) {
