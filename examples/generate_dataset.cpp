@@ -7,8 +7,7 @@
 //                    [--threads T] table.csv [more.csv ...]
 //
 // Example:
-//   ./build/examples/generate_dataset --task fv --n 20 my_table.csv \
-//       > synthetic.jsonl
+//   ./build/examples/generate_dataset --task fv --n 20 my_table.csv >out.jsonl
 //
 // With --checkpoint-dir, generation is crash-safe: each finished table is
 // persisted to DIR (atomic write-rename) and a killed run resumes from the

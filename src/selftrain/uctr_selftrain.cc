@@ -1,7 +1,7 @@
 // uctr_selftrain: round-based self-training driver.
 //
 //   uctr_selftrain --rounds 3 --state-dir /tmp/st
-//   uctr_selftrain --rounds 3 --state-dir /tmp/st --task qa \
+//   uctr_selftrain --rounds 3 --state-dir /tmp/st --task qa
 //       --threshold 0.4 --temperature 0.5 --experiments EXPERIMENTS.md
 //
 // Runs (or resumes) rounds 0..N of generate -> pseudo-label -> filter ->

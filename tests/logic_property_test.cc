@@ -123,7 +123,9 @@ TEST_P(LogicPropertyTest, AllImpliesMost) {
   bool most =
       Exec("most_greater_eq { all_rows ; " + col + " ; " + v + " }", t)
           .boolean();
-  if (all && t.num_rows() >= 1) EXPECT_TRUE(most);
+  if (all && t.num_rows() >= 1) {
+    EXPECT_TRUE(most);
+  }
 }
 
 TEST_P(LogicPropertyTest, SumEqualsAvgTimesCount) {
