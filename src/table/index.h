@@ -26,9 +26,9 @@ namespace uctr {
 ///
 /// Contract with the scan path: every helper here mirrors the exact
 /// semantics of Value::ToNumber / ToDisplayString / Equals / Order /
-/// Compare, so
-/// indexed execution is bit-identical to the reference row scan (same
-/// values, same tie-breaking row order, same EmptyResult/error behavior).
+/// Compare, so indexed execution is bit-identical to the reference row
+/// scan (same values, same tie-breaking row order, same EmptyResult/error
+/// behavior).
 /// tests/index_test.cc enforces this differentially.
 ///
 /// Thread safety: column caches and the token inventory are each built
