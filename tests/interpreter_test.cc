@@ -6,16 +6,23 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdio>
+#include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/hash.h"
+#include "common/string_util.h"
 #include "datasets/corpus.h"
 #include "gen/generator.h"
 #include "model/features.h"
 #include "model/interpreter.h"
+#include "nlgen/nl_generator.h"
 #include "program/library.h"
+#include "program/sampler.h"
 #include "program/template.h"
 #include "tests/test_util.h"
 
@@ -341,43 +348,431 @@ void Fold(uint64_t* digest, std::string_view field) {
   *digest = hash::Fnv1a64(std::string_view("\0", 1), *digest);
 }
 
+std::vector<ProgramTemplate> QuestionTemplates() {
+  std::vector<ProgramTemplate> templates = BuiltinSqlTemplates();
+  for (ProgramTemplate& t : BuiltinArithTemplates()) {
+    templates.push_back(std::move(t));
+  }
+  return templates;
+}
+
+// The low 16 bits of each sweep sample's hash, in sample order, so a
+// digest mismatch names the first sample whose readings changed.
+constexpr std::string_view kSweepSampleTags =
+    "b7cc24f831adcc550f3769adcc2cd7dd653fcb8497a77f66e419274749ab6eae"
+    "4578eeac6c0f386bbf1adc253bfc0866589800562da8795f806dcd6ca75d47d0"
+    "b94ecef1e889def93e021565f0c4dbacd92c08ae26fdea765673b84d7778eb0b"
+    "d2edb5710fc3c900fac28b706742dcc30e8f80c5c86834da2e24728ac0b2fb8e"
+    "c34512198abe5437a84259bfc6b4d25c6789d500ef9fc5b4db6d665050c09eb6"
+    "b9475f2dcec8a8f9bd5818806224eb69800e36fc692edf587d6bbf6a6c7fceb3"
+    "954a4596378f0f4d31d9afc9898a6679c6f69897a0c40069bac68834d4eebee5"
+    "0e4aeb141f6fa8dd32fc5d3404ee8d789cd3407c8d6c126694966d4ff7388907"
+    "e9cb41ba785adca373df84622ed1bd5df9ef7400819f51bb07b82afc2e089029";
+
 TEST(InterpreterSweepTest, RankAllAndExtractDigestIsPinned) {
   NlInterpreter claims(BuiltinLogicTemplates());
-  std::vector<ProgramTemplate> question_templates = BuiltinSqlTemplates();
-  for (ProgramTemplate& t : BuiltinArithTemplates()) {
-    question_templates.push_back(std::move(t));
-  }
-  NlInterpreter questions(std::move(question_templates));
+  NlInterpreter questions(QuestionTemplates());
   FeatureExtractor extractor(FeatureConfig(), &claims);
 
   std::vector<Sample> samples = SweepSamples();
   ASSERT_GE(samples.size(), 100u);
   uint64_t digest = hash::kFnv64Basis;
   size_t readings = 0;
+  std::string tags;
+  std::vector<std::string> labels;
   for (const Sample& s : samples) {
     const NlInterpreter& interp =
         s.task == TaskType::kFactVerification ? claims : questions;
+    uint64_t sample_hash = hash::kFnv64Basis;
+    auto fold = [&](std::string_view field) {
+      Fold(&digest, field);
+      Fold(&sample_hash, field);
+    };
     for (const Interpretation& r :
          interp.RankAll(s.sentence, s.evidence_table(), s.task)) {
-      Fold(&digest, std::to_string(r.template_index));
-      Fold(&digest, r.program.text);
+      fold(std::to_string(r.template_index));
+      fold(r.program.text);
       for (const auto& [slot, value] : r.bindings) {
-        Fold(&digest, slot);
-        Fold(&digest, value);
+        fold(slot);
+        fold(value);
       }
-      Fold(&digest, std::to_string(std::bit_cast<uint64_t>(r.score)));
-      Fold(&digest, r.result.ToDisplayString());
+      fold(std::to_string(std::bit_cast<uint64_t>(r.score)));
+      fold(r.result.ToDisplayString());
       ++readings;
     }
     for (const Feature& f : extractor.Extract(s)) {
-      Fold(&digest, std::to_string(f.index));
-      Fold(&digest, std::to_string(std::bit_cast<uint32_t>(f.value)));
+      fold(std::to_string(f.index));
+      fold(std::to_string(std::bit_cast<uint32_t>(f.value)));
     }
+    char tag[5];
+    std::snprintf(tag, sizeof(tag), "%04x",
+                  static_cast<unsigned>(sample_hash & 0xffff));
+    tags += tag;
+    labels.push_back(s.sentence);
   }
+  size_t same = 0;
+  while (same < labels.size() && 4 * same + 4 <= kSweepSampleTags.size() &&
+         tags.compare(4 * same, 4, kSweepSampleTags.substr(4 * same, 4)) ==
+             0) {
+    ++same;
+  }
+  EXPECT_EQ(tags, kSweepSampleTags)
+      << "first differing sample #" << same << ": "
+      << (same < labels.size() ? labels[same] : "(past the end)");
   EXPECT_GT(readings, samples.size());
   EXPECT_EQ(digest, 0xc20dcfe9a09d61b1ull)
       << std::hex << digest << std::dec << " over " << samples.size()
       << " samples, " << readings << " readings";
+}
+
+// ------------------------------------------------------- text-route reference
+// RankAll as a text pipeline: bind every slot by rescanning the cells,
+// splice the bindings into program text, execute it through the plan
+// cache, re-realize it canonically and score that sentence with TokenF1.
+
+int ReferenceOrdinal(const std::vector<std::string>& tokens) {
+  static const std::pair<const char*, int> kWords[] = {
+      {"first", 1},  {"second", 2}, {"third", 3}, {"fourth", 4},
+      {"fifth", 5},  {"1st", 1},    {"2nd", 2},   {"3rd", 3},
+      {"4th", 4},    {"5th", 5},
+  };
+  for (const std::string& t : tokens) {
+    for (const auto& [word, n] : kWords) {
+      if (t == word) return n;
+    }
+  }
+  return 0;
+}
+
+class ReferenceBinder {
+ public:
+  ReferenceBinder(const std::string& sentence, const Table& table)
+      : sentence_(sentence), table_(table), tokens_(WordTokens(sentence)) {
+    words_.insert(tokens_.begin(), tokens_.end());
+  }
+
+  /// The slot bindings, or nullopt when some slot cannot be filled.
+  std::optional<std::map<std::string, std::string>> Bind(
+      const ProgramTemplate& tmpl, TaskType task) const {
+    std::map<std::string, std::string> bindings;
+    std::map<std::string, size_t> column_of;
+    std::set<size_t> used_columns;
+    std::map<std::string, std::set<std::string>> used_values;
+    for (const Placeholder& p : tmpl.placeholders) {
+      switch (p.kind) {
+        case Placeholder::Kind::kColumn: {
+          double best = 0.0;
+          size_t best_col = table_.num_columns();
+          for (size_t c = 0; c < table_.num_columns(); ++c) {
+            if (used_columns.count(c)) continue;
+            if (p.has_type_constraint &&
+                table_.schema().column(c).type != p.column_type) {
+              continue;
+            }
+            double score =
+                Coverage(WordTokens(table_.schema().column(c).name));
+            if (score > best) {
+              best = score;
+              best_col = c;
+            }
+          }
+          if (best_col == table_.num_columns()) return std::nullopt;
+          used_columns.insert(best_col);
+          column_of[p.id] = best_col;
+          bindings[p.id] = table_.schema().column(best_col).name;
+          break;
+        }
+        case Placeholder::Kind::kValue:
+        case Placeholder::Kind::kRow: {
+          bool row = p.kind == Placeholder::Kind::kRow;
+          if (row && table_.num_columns() == 0) return std::nullopt;
+          size_t c = row ? 0 : column_of.at(p.column_id);
+          std::optional<std::string> value =
+              BindCell(c, &used_values[row ? "__rows__" : p.column_id]);
+          if (!value) return std::nullopt;
+          bindings[p.id] = *value;
+          break;
+        }
+        case Placeholder::Kind::kOrdinal: {
+          int n = ReferenceOrdinal(tokens_);
+          if (n == 0) return std::nullopt;
+          bindings[p.id] = std::to_string(n);
+          break;
+        }
+        case Placeholder::Kind::kDerive: {
+          if (task != TaskType::kFactVerification) return std::nullopt;
+          std::string claimed = NlInterpreter::ClaimedValue(sentence_);
+          if (claimed.empty()) return std::nullopt;
+          bindings[p.id] = claimed;
+          break;
+        }
+      }
+    }
+    return bindings;
+  }
+
+ private:
+  double Coverage(const std::vector<std::string>& tokens) const {
+    if (tokens.empty()) return 0.0;
+    size_t hits = 0;
+    for (const std::string& t : tokens) hits += words_.count(t);
+    return static_cast<double>(hits) / static_cast<double>(tokens.size());
+  }
+
+  /// The best-covered unused display text of column `c`; the first row
+  /// wins ties, and nothing binds below half coverage.
+  std::optional<std::string> BindCell(size_t c,
+                                      std::set<std::string>* used) const {
+    double best = 0.0;
+    std::string best_value;
+    for (size_t r = 0; r < table_.num_rows(); ++r) {
+      Value v = table_.cell(r, c);
+      if (v.is_null()) continue;
+      std::string display = v.ToDisplayString();
+      double score = Coverage(WordTokens(display));
+      if (score <= best || used->count(display)) continue;
+      best = score;
+      best_value = display;
+    }
+    if (best < 0.5) return std::nullopt;
+    used->insert(best_value);
+    return best_value;
+  }
+
+  const std::string& sentence_;
+  const Table& table_;
+  std::vector<std::string> tokens_;
+  std::set<std::string> words_;
+};
+
+std::vector<Interpretation> TextRouteRankAll(
+    const std::vector<ProgramTemplate>& templates,
+    const std::string& sentence, const Table& table, TaskType task) {
+  static const nlgen::NlGenerator canonical = [] {
+    nlgen::NlGeneratorConfig config;
+    config.stochastic = false;
+    return nlgen::NlGenerator(config);
+  }();
+  ReferenceBinder binder(sentence, table);
+  std::vector<Interpretation> out;
+  for (size_t i = 0; i < templates.size(); ++i) {
+    const ProgramTemplate& tmpl = templates[i];
+    bool is_claim_template = tmpl.type == ProgramType::kLogicalForm;
+    if (is_claim_template != (task == TaskType::kFactVerification)) continue;
+    auto bindings = binder.Bind(tmpl, task);
+    if (!bindings) continue;
+    auto filled = tmpl.Fill(*bindings);
+    if (!filled.ok()) continue;
+    Interpretation interp;
+    interp.program.type = tmpl.type;
+    interp.program.text = std::move(filled).ValueOrDie();
+    interp.bindings = std::move(*bindings);
+    interp.template_index = i;
+    auto executed = interp.program.Execute(table);
+    if (!executed.ok()) continue;
+    interp.result = std::move(executed).ValueOrDie();
+    auto realized = canonical.GenerateCanonical(interp.program);
+    if (!realized.ok()) continue;
+    interp.score = TokenF1(realized.ValueOrDie(), sentence);
+    out.push_back(std::move(interp));
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const Interpretation& a, const Interpretation& b) {
+                     return a.score > b.score;
+                   });
+  return out;
+}
+
+/// Every field of a reading, as a comparable string: template, text,
+/// bindings, score bits, result values and evidence rows.
+std::string ReadingKey(const Interpretation& r) {
+  std::string key = std::to_string(r.template_index);
+  auto field = [&key](std::string_view text) {
+    key.push_back('|');
+    key.append(text);
+  };
+  field(r.program.text);
+  for (const auto& [slot, value] : r.bindings) {
+    field(slot);
+    field(value);
+  }
+  field(std::to_string(std::bit_cast<uint64_t>(r.score)));
+  for (const Value& v : r.result.values) {
+    field(ValueTypeToString(v.type()));
+    field(std::to_string(std::bit_cast<uint64_t>(v.number())));
+    field(v.text());
+  }
+  for (size_t row : r.result.evidence_rows) field(std::to_string(row));
+  return key;
+}
+
+/// Compares RankAll with the text route on one sentence; returns the
+/// number of readings compared.
+size_t ExpectMatchesTextRoute(const NlInterpreter& interp,
+                              const std::string& sentence, const Table& table,
+                              TaskType task, const std::string& label) {
+  std::vector<std::string> got;
+  for (const Interpretation& r : interp.RankAll(sentence, table, task)) {
+    got.push_back(ReadingKey(r));
+  }
+  std::vector<std::string> want;
+  for (const Interpretation& r :
+       TextRouteRankAll(interp.templates(), sentence, table, task)) {
+    want.push_back(ReadingKey(r));
+  }
+  EXPECT_EQ(got, want) << label << ": " << sentence;
+  return want.size();
+}
+
+/// A table shaped like perfbench's ref-1k tables: an entity column whose
+/// names repeat a small pool with syllable suffixes, three numeric columns
+/// (one in dollars) and a category.
+Table RefShapedTable(Rng* rng, size_t rows) {
+  static const char* kNames[] = {"amber", "birch", "cedar", "delta",
+                                 "ember", "fjord", "grove", "harbor"};
+  static const char* kSyllables[] = {"ka", "lo", "mi", "nu", "pe",
+                                     "ri", "so", "tu", "va", "ze"};
+  static const char* kRegions[] = {"north", "south", "east", "west"};
+  std::vector<std::vector<std::string>> body;
+  for (size_t i = 0; i < rows; ++i) {
+    std::string name = kNames[i % std::size(kNames)];
+    size_t k = i / std::size(kNames);
+    if (k > 0) name += " ";
+    for (; k > 0; k /= 10) name += kSyllables[k % 10];
+    char money[32];
+    std::snprintf(money, sizeof(money), "$%.1f",
+                  rng->UniformDouble(10, 5000));
+    body.push_back({name, std::to_string(rng->UniformInt(1, 900)), money,
+                    std::to_string(rng->UniformInt(1800, 2020)),
+                    kRegions[rng->Index(std::size(kRegions))]});
+  }
+  return Table::FromStrings({"station", "riders", "revenue", "opened",
+                             "region"},
+                            body, "stations")
+      .ValueOrDie();
+}
+
+TEST(InterpreterReferenceTest, SweepSamplesMatchTheTextRoute) {
+  NlInterpreter claims(BuiltinLogicTemplates());
+  NlInterpreter questions(QuestionTemplates());
+  size_t readings = 0;
+  for (const Sample& s : SweepSamples()) {
+    const NlInterpreter& interp =
+        s.task == TaskType::kFactVerification ? claims : questions;
+    readings += ExpectMatchesTextRoute(interp, s.sentence, s.evidence_table(),
+                                       s.task, "sweep");
+  }
+  EXPECT_GT(readings, 1000u);
+}
+
+TEST(InterpreterReferenceTest, SampledSentencesOverGoldenTablesMatch) {
+  NlInterpreter claims(BuiltinLogicTemplates());
+  NlInterpreter questions(QuestionTemplates());
+  static const TemplateLibrary library = TemplateLibrary::Builtin();
+  const nlgen::NlGenerator generator;
+  Rng table_rng(17);
+  const auto tables = uctr::testing::GoldenTables(&table_rng);
+  size_t sentences = 0;
+  size_t readings = 0;
+  for (size_t i = 0; i < tables.size(); ++i) {
+    const auto& [name, table] = tables[i];
+    for (size_t t = 0; t < library.templates().size(); ++t) {
+      Rng rng((23ull << 32) | (i << 16) | t);
+      ProgramSampler sampler(&rng);
+      const ProgramTemplate& tmpl = library.templates()[t];
+      Result<SampledProgram> sampled =
+          tmpl.HasDerive() ? sampler.SampleClaim(tmpl, table, t % 2 == 0)
+                           : sampler.Sample(tmpl, table);
+      if (!sampled.ok()) continue;
+      auto sentence = generator.Generate(sampled->program, &rng);
+      if (!sentence.ok()) continue;
+      bool claim = tmpl.type == ProgramType::kLogicalForm;
+      ++sentences;
+      readings += ExpectMatchesTextRoute(
+          claim ? claims : questions, *sentence, table,
+          claim ? TaskType::kFactVerification : TaskType::kQuestionAnswering,
+          name + " template " + std::to_string(t));
+    }
+  }
+  EXPECT_GT(sentences, 500u);
+  EXPECT_GT(readings, 2000u);
+}
+
+TEST(InterpreterReferenceTest, ThousandRowTableMatchesTheTextRoute) {
+  Rng rng(29);
+  std::vector<TableWithText> inputs(1);
+  inputs[0].table = RefShapedTable(&rng, 1000);
+  NlInterpreter claims(BuiltinLogicTemplates());
+  NlInterpreter questions(QuestionTemplates());
+  TemplateLibrary lib = TemplateLibrary::Builtin();
+  size_t readings = 0;
+  for (TaskType task :
+       {TaskType::kFactVerification, TaskType::kQuestionAnswering}) {
+    GenerationConfig config;
+    config.task = task;
+    config.program_types =
+        task == TaskType::kFactVerification
+            ? std::vector<ProgramType>{ProgramType::kLogicalForm}
+            : std::vector<ProgramType>{ProgramType::kSql,
+                                       ProgramType::kArithmetic};
+    config.samples_per_table = 24;
+    Generator gen(config, &lib, &rng);
+    for (const Sample& s : gen.GenerateFromTable(inputs[0])) {
+      readings += ExpectMatchesTextRoute(
+          task == TaskType::kFactVerification ? claims : questions,
+          s.sentence, s.evidence_table(), s.task, "1000 rows");
+    }
+  }
+  EXPECT_GT(readings, 100u);
+}
+
+// ------------------------------------------------------------ splice probes
+// Cell and claim text that holds program syntax, over the medal table.
+
+Table MedalsWith(const std::string& name) {
+  Table t = MakeNationsTable();
+  return Table::FromCsv(ReplaceAll(t.ToCsv(), "china", name), "medals")
+      .ValueOrDie();
+}
+
+TEST(InterpreterProbeTest, QuoteInRowName) {
+  NlInterpreter questions(QuestionTemplates());
+  auto plain = questions.RankAll(
+      "What is the gold of the row whose nation is obrien?",
+      MedalsWith("obrien"), TaskType::kQuestionAnswering);
+  auto quoted = questions.RankAll(
+      "What is the gold of the row whose nation is o'brien?",
+      MedalsWith("o'brien"), TaskType::kQuestionAnswering);
+  ASSERT_EQ(plain.size(), 14u);
+  // The quote ends the SQL literal early, so no SQL reading parses.
+  ASSERT_EQ(quoted.size(), 11u);
+  EXPECT_EQ(quoted[0].program.text, "table_max(o'brien)");
+}
+
+TEST(InterpreterProbeTest, BracesInRowName) {
+  NlInterpreter claims(BuiltinLogicTemplates());
+  auto ranked = claims.RankAll(
+      "The gold of the row whose nation is x } ; y is 8.",
+      MedalsWith("x } ; y"), TaskType::kFactVerification);
+  ASSERT_FALSE(ranked.empty());
+  EXPECT_EQ(ranked[0].program.text,
+            "eq { hop { argmax { all_rows ; gold } ; nation } ; 8 }");
+  EXPECT_FALSE(ranked[0].result.scalar().boolean());
+}
+
+TEST(InterpreterProbeTest, BraceInClaimTail) {
+  NlInterpreter claims(BuiltinLogicTemplates());
+  EXPECT_EQ(claims
+                .RankAll("The gold of the row whose nation is china is 8.",
+                         MakeNationsTable(), TaskType::kFactVerification)
+                .size(),
+            19u);
+  // The derive slot splices "8 }" into the form and closes it early.
+  EXPECT_EQ(claims
+                .RankAll("The gold of the row whose nation is china is 8 }.",
+                         MakeNationsTable(), TaskType::kFactVerification)
+                .size(),
+            8u);
 }
 
 }  // namespace

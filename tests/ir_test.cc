@@ -184,26 +184,6 @@ void Fold(uint64_t* digest, std::string_view field) {
   *digest = hash::Fnv1a64(std::string_view("\0", 1), *digest);
 }
 
-// The golden corpus: the fixtures, random tables of 3-10 rows and of 63,
-// 64, 65, 129 and 1000 rows, two adversarial tables (one crossing a
-// 64-row word) and, last, a table with one integer -0 cell.
-std::vector<std::pair<std::string, Table>> GoldenTables(Rng* rng) {
-  std::vector<std::pair<std::string, Table>> tables;
-  tables.emplace_back("nations", uctr::testing::MakeNationsTable());
-  tables.emplace_back("finance", uctr::testing::MakeFinanceTable());
-  for (size_t rows : {3, 4, 5, 6, 7, 8, 9, 10, 63, 64, 65, 129, 1000}) {
-    tables.emplace_back("random-" + std::to_string(rows),
-                        uctr::testing::RandomTable(rng, rows));
-  }
-  tables.emplace_back("adversarial-9", uctr::testing::AdversarialTable(9));
-  tables.emplace_back("adversarial-70",
-                      uctr::testing::AdversarialTable(70));
-  tables.emplace_back(
-      "negative-zero",
-      Table::FromCsv("name,b,c\nx,-0,3\ny,5,-2\nz,7,4\n", "nz").ValueOrDie());
-  return tables;
-}
-
 // One hash per sampled program: its template, table, text, and the
 // walker's status or values (type, number bits, text) and evidence rows.
 // Each (table, template) case samples from its own Rng, seeded from 17,
@@ -214,7 +194,7 @@ std::vector<uint64_t> GoldenCaseHashes(std::vector<std::string>* labels) {
   static const TemplateLibrary library = TemplateLibrary::Builtin();
   Rng table_rng(17);
   const std::vector<std::pair<std::string, Table>> tables =
-      GoldenTables(&table_rng);
+      uctr::testing::GoldenTables(&table_rng);
   std::vector<uint64_t> hashes;
   bool support = true;
   for (size_t i = 0; i < tables.size(); ++i) {
@@ -349,7 +329,7 @@ TEST(GoldenTest, WalkerExecutionDigestIsPinned) {
 TEST(GoldenTest, TableDigestIsPinned) {
   Rng rng(17);
   uint64_t digest = hash::kFnv64Basis;
-  for (const auto& [name, table] : GoldenTables(&rng)) {
+  for (const auto& [name, table] : uctr::testing::GoldenTables(&rng)) {
     Fold(&digest, name);
     Fold(&digest, table.ToCsv());
     if (name == "negative-zero") continue;

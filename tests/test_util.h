@@ -2,6 +2,7 @@
 #define UCTR_TESTS_TEST_UTIL_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -78,6 +79,25 @@ inline Table AdversarialTable(size_t rows) {
              {"name", "amount", "share", "ratio", "flag", "mixed", "sparse"},
              cells, "adversarial")
       .ValueOrDie();
+}
+
+// The golden corpus: the fixtures, random tables of 3-10 rows and of 63,
+// 64, 65, 129 and 1000 rows, two adversarial tables (one crossing a
+// 64-row word) and, last, a table with one integer -0 cell.
+inline std::vector<std::pair<std::string, Table>> GoldenTables(Rng* rng) {
+  std::vector<std::pair<std::string, Table>> tables;
+  tables.emplace_back("nations", MakeNationsTable());
+  tables.emplace_back("finance", MakeFinanceTable());
+  for (size_t rows : {3, 4, 5, 6, 7, 8, 9, 10, 63, 64, 65, 129, 1000}) {
+    tables.emplace_back("random-" + std::to_string(rows),
+                        RandomTable(rng, rows));
+  }
+  tables.emplace_back("adversarial-9", AdversarialTable(9));
+  tables.emplace_back("adversarial-70", AdversarialTable(70));
+  tables.emplace_back(
+      "negative-zero",
+      Table::FromCsv("name,b,c\nx,-0,3\ny,5,-2\nz,7,4\n", "nz").ValueOrDie());
+  return tables;
 }
 
 }  // namespace uctr::testing
