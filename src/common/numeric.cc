@@ -21,9 +21,39 @@ Result<uint64_t> ParseUint64(std::string_view text) {
   return value;
 }
 
+namespace {
+
+/// Digits with an optional fraction and exponent: "12", "1.5", ".5",
+/// "3.", "1e3", "2.5E-4".
+bool IsDecimal(std::string_view s) {
+  auto is_digit = [](char c) {
+    return std::isdigit(static_cast<unsigned char>(c)) != 0;
+  };
+  size_t i = 0;
+  size_t digits = 0;
+  for (; i < s.size() && is_digit(s[i]); ++i) ++digits;
+  if (i < s.size() && s[i] == '.') {
+    for (++i; i < s.size() && is_digit(s[i]); ++i) ++digits;
+  }
+  if (digits == 0) return false;
+  if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
+    ++i;
+    if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
+    size_t exponent = i;
+    while (i < s.size() && is_digit(s[i])) ++i;
+    if (i == exponent) return false;
+  }
+  return i == s.size();
+}
+
+}  // namespace
+
 std::optional<double> ParseNumber(std::string_view text) {
   std::string s = Trim(text);
   if (s.empty()) return std::nullopt;
+  // FormatNumber's spellings of the non-finite values; strtod's other
+  // forms (hex, "Infinity", "nan(...)", any case) are not cell numbers.
+  const bool non_finite = s == "inf" || s == "-inf" || s == "nan";
 
   bool negative = false;
   // Accounting negatives: "(123)".
@@ -70,7 +100,7 @@ std::optional<double> ParseNumber(std::string_view text) {
     }
     cleaned.push_back(s[i]);
   }
-  if (cleaned.empty()) return std::nullopt;
+  if (!non_finite && !IsDecimal(cleaned)) return std::nullopt;
 
   char* end = nullptr;
   errno = 0;

@@ -162,6 +162,27 @@ TEST(NumericTest, RejectsNonNumbers) {
   EXPECT_FALSE(ParseNumber("-$").has_value());
 }
 
+// Cells are numbers only in the decimal shapes above and in FormatNumber's
+// own spellings of the non-finite values; strtod's hex, infinity and
+// nan-payload forms are text.
+TEST(NumericTest, AcceptsOnlyDecimalAndFormattedNonFiniteSpellings) {
+  EXPECT_DOUBLE_EQ(*ParseNumber(".5"), 0.5);
+  EXPECT_DOUBLE_EQ(*ParseNumber("3."), 3.0);
+  EXPECT_DOUBLE_EQ(*ParseNumber("2.5E-2"), 0.025);
+  EXPECT_DOUBLE_EQ(*ParseNumber("-1e+2"), -100.0);
+  EXPECT_DOUBLE_EQ(*ParseNumber("$1.5e3"), 1500.0);
+  EXPECT_EQ(*ParseNumber("inf"), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(*ParseNumber("-inf"), -std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(std::isnan(*ParseNumber("nan")));
+  EXPECT_TRUE(std::isnan(*ParseNumber(FormatNumber(std::nan("")))));
+  for (const char* text :
+       {"0x10", "0X1F", "0x1p3", "nan(123)", "Nan", "NaN", "NAN", "-nan",
+        "Infinity", "infinity", "-Infinity", "Inf", "INF", "+inf", "$inf",
+        "inf%", "(inf)", "e5", "1e", "1e+", ".", "-.", "1.2.3", "1,2e3x"}) {
+    EXPECT_FALSE(ParseNumber(text).has_value()) << text;
+  }
+}
+
 TEST(NumericTest, FormatNumberCompact) {
   EXPECT_EQ(FormatNumber(42.0), "42");
   EXPECT_EQ(FormatNumber(3.14159, 2), "3.14");
