@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <utility>
 
 #include "common/numeric.h"
 #include "common/string_util.h"
@@ -148,25 +149,40 @@ std::optional<double> ParseWeightValue(const std::string& text) {
 
 }  // namespace
 
-Result<LinearModel> LinearModel::LoadFromString(std::string_view text) {
-  // Validation contract: either the whole file is well-formed and the
-  // returned model is fully populated, or a ParseError comes back and no
-  // model escapes — a truncated, corrupt, or concatenated file can never
-  // produce a silently half-loaded model.
-  std::vector<std::string> lines = Split(text, '\n');
-  size_t line = 0;
-  auto next_line = [&]() -> Result<std::string> {
-    if (line >= lines.size()) {
+namespace {
+
+/// Sparse (index, value) entries of one weight matrix, ascending.
+using Entries = std::vector<std::pair<size_t, float>>;
+
+/// A weights file validated whole: its dimensions and the non-zero
+/// entries of the weight and AdaGrad matrices.
+struct WeightsFile {
+  size_t classes = 0;
+  size_t dim = 0;
+  Entries weights;
+  Entries adagrad;
+};
+
+Result<WeightsFile> ParseWeightsFile(std::string_view text) {
+  // Validation contract: either the whole file is well-formed and every
+  // entry comes back, or a ParseError does — a truncated, corrupt, or
+  // concatenated file can never half-load a model.
+  size_t pos = 0;
+  auto next_line = [&]() -> Result<std::string_view> {
+    if (pos > text.size()) {
       return Status::ParseError("truncated model file");
     }
-    return lines[line++];
+    size_t end = std::min(text.find('\n', pos), text.size());
+    std::string_view line = text.substr(pos, end - pos);
+    pos = end + 1;
+    return line;
   };
 
-  UCTR_ASSIGN_OR_RETURN(std::string header, next_line());
+  UCTR_ASSIGN_OR_RETURN(std::string_view header, next_line());
   if (Trim(header) != "uctr_linear_model v1") {
     return Status::ParseError("not a uctr linear model file");
   }
-  UCTR_ASSIGN_OR_RETURN(std::string dims, next_line());
+  UCTR_ASSIGN_OR_RETURN(std::string_view dims, next_line());
   std::vector<std::string> parts = SplitWhitespace(dims);
   if (parts.size() != 2) return Status::ParseError("bad dimensions line");
   auto classes = ParseIndex(parts[0]);
@@ -177,26 +193,27 @@ Result<LinearModel> LinearModel::LoadFromString(std::string_view text) {
       *dim < 1 || *dim > kMaxDim) {
     return Status::ParseError("bad dimensions");
   }
-  LinearModel model(static_cast<int>(*classes), *dim);
+  WeightsFile file;
+  file.classes = *classes;
+  file.dim = *dim;
+  const size_t size = *classes * *dim;
 
-  auto load = [&](std::vector<float>* values, bool non_negative) -> Status {
-    UCTR_ASSIGN_OR_RETURN(std::string count_line, next_line());
+  auto load = [&](Entries* entries, bool non_negative) -> Status {
+    UCTR_ASSIGN_OR_RETURN(std::string_view count_line, next_line());
     auto count = ParseIndex(Trim(count_line));
     if (!count) return Status::ParseError("bad entry count");
-    if (*count > values->size()) {
+    if (*count > size) {
       return Status::ParseError("entry count exceeds weight matrix size");
     }
     // Entries are written in ascending index order; enforcing that catches
     // duplicated, reordered, or spliced-together files.
-    bool first = true;
-    size_t last_index = 0;
     for (size_t i = 0; i < *count; ++i) {
-      UCTR_ASSIGN_OR_RETURN(std::string entry, next_line());
+      UCTR_ASSIGN_OR_RETURN(std::string_view entry, next_line());
       std::vector<std::string> fields = SplitWhitespace(entry);
       if (fields.size() != 2) return Status::ParseError("bad weight entry");
       auto index = ParseIndex(fields[0]);
       auto value = ParseWeightValue(fields[1]);
-      if (!index || *index >= values->size()) {
+      if (!index || *index >= size) {
         return Status::ParseError("weight index out of range");
       }
       if (!value) {
@@ -205,25 +222,51 @@ Result<LinearModel> LinearModel::LoadFromString(std::string_view text) {
       if (non_negative && *value < 0.0) {
         return Status::ParseError("negative AdaGrad accumulator");
       }
-      if (!first && *index <= last_index) {
+      if (!entries->empty() && *index <= entries->back().first) {
         return Status::ParseError("weight indices not strictly ascending");
       }
-      first = false;
-      last_index = *index;
-      (*values)[*index] = static_cast<float>(*value);
+      entries->emplace_back(*index, static_cast<float>(*value));
     }
     return Status::OK();
   };
-  UCTR_RETURN_NOT_OK(load(&model.weights_, /*non_negative=*/false));
-  UCTR_RETURN_NOT_OK(load(&model.adagrad_, /*non_negative=*/true));
+  UCTR_RETURN_NOT_OK(load(&file.weights, /*non_negative=*/false));
+  UCTR_RETURN_NOT_OK(load(&file.adagrad, /*non_negative=*/true));
   // Anything besides trailing blank lines means the file was not produced
   // by SaveToString (e.g. two files concatenated): reject it.
-  for (; line < lines.size(); ++line) {
-    if (!Trim(lines[line]).empty()) {
+  while (pos <= text.size()) {
+    UCTR_ASSIGN_OR_RETURN(std::string_view rest, next_line());
+    if (!Trim(rest).empty()) {
       return Status::ParseError("trailing content after model data");
     }
   }
+  return file;
+}
+
+/// Overwrites `values` with `entries`, zero elsewhere.
+void Assign(const Entries& entries, std::vector<float>* values) {
+  std::fill(values->begin(), values->end(), 0.0f);
+  for (const auto& [index, value] : entries) (*values)[index] = value;
+}
+
+}  // namespace
+
+Result<LinearModel> LinearModel::LoadFromString(std::string_view text) {
+  UCTR_ASSIGN_OR_RETURN(WeightsFile file, ParseWeightsFile(text));
+  LinearModel model(static_cast<int>(file.classes), file.dim);
+  Assign(file.weights, &model.weights_);
+  Assign(file.adagrad, &model.adagrad_);
   return model;
+}
+
+Status LinearModel::LoadInPlace(std::string_view text) {
+  UCTR_ASSIGN_OR_RETURN(WeightsFile file, ParseWeightsFile(text));
+  if (file.classes != static_cast<size_t>(num_classes_) || file.dim != dim_) {
+    return Status::InvalidArgument(
+        "saved weights do not match this model's configuration");
+  }
+  Assign(file.weights, &weights_);
+  Assign(file.adagrad, &adagrad_);
+  return Status::OK();
 }
 
 double LinearModel::Evaluate(const std::vector<Example>& examples) const {

@@ -80,6 +80,13 @@ class LinearModel {
   /// file yields a ParseError and never a partially initialized model.
   static Result<LinearModel> LoadFromString(std::string_view text);
 
+  /// \brief Restores a model saved by SaveToString into this one, writing
+  /// its existing arrays instead of building a second model. The whole
+  /// file is validated first, as by LoadFromString; its dimensions must
+  /// then match this model's (InvalidArgument otherwise). On any error the
+  /// model is left untouched.
+  Status LoadInPlace(std::string_view text);
+
  private:
   void Update(const Example& example, double learning_rate, double l2,
               double weight);

@@ -183,14 +183,7 @@ std::string QaModel::SaveWeights() const {
 }
 
 Status QaModel::LoadWeights(std::string_view text) {
-  UCTR_ASSIGN_OR_RETURN(LinearModel loaded,
-                        LinearModel::LoadFromString(text));
-  if (loaded.num_classes() != template_classifier_.num_classes() ||
-      loaded.dim() != template_classifier_.dim()) {
-    return Status::InvalidArgument(
-        "saved weights do not match this model's configuration");
-  }
-  template_classifier_ = std::move(loaded);
+  UCTR_RETURN_NOT_OK(template_classifier_.LoadInPlace(text));
   trained_ = true;
   return Status::OK();
 }

@@ -128,15 +128,7 @@ std::string VerifierModel::SaveWeights() const {
 }
 
 Status VerifierModel::LoadWeights(std::string_view text) {
-  UCTR_ASSIGN_OR_RETURN(LinearModel loaded,
-                        LinearModel::LoadFromString(text));
-  if (loaded.num_classes() != model_.num_classes() ||
-      loaded.dim() != model_.dim()) {
-    return Status::InvalidArgument(
-        "saved weights do not match this model's configuration");
-  }
-  model_ = std::move(loaded);
-  return Status::OK();
+  return model_.LoadInPlace(text);
 }
 
 double VerifierModel::Accuracy(const Dataset& data) const {

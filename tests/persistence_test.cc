@@ -67,6 +67,40 @@ TEST(PersistenceTest, ContinuedTrainingAfterLoadWorks) {
   EXPECT_GE(restored.Evaluate(examples), before - 1e-9);
 }
 
+// Loading in place writes the same model LoadFromString builds, and a file
+// that fails validation anywhere leaves the loaded-into model as it was.
+TEST(PersistenceTest, LoadInPlaceMatchesLoadFromString) {
+  Rng rng(7);
+  auto examples = ToyExamples(&rng, 120);
+  LinearModel trained(2, 1u << 10);
+  trained.Train(examples, TrainConfig{}, &rng);
+  const std::string saved = trained.SaveToString();
+
+  LinearModel other(2, 1u << 10);
+  other.Train(ToyExamples(&rng, 30), TrainConfig{}, &rng);
+  const std::string before = other.SaveToString();
+  ASSERT_NE(before, saved);
+  ASSERT_TRUE(other.LoadInPlace(saved).ok());
+  EXPECT_EQ(other.SaveToString(),
+            LinearModel::LoadFromString(saved).ValueOrDie().SaveToString());
+  EXPECT_EQ(other.SaveToString(), saved);
+
+  LinearModel untouched(2, 1u << 10);
+  untouched.Train(ToyExamples(&rng, 30), TrainConfig{}, &rng);
+  const std::string kept = untouched.SaveToString();
+  std::string corrupt = saved;
+  corrupt.replace(corrupt.rfind('\n', corrupt.size() - 2) + 1,
+                  std::string::npos, "oops\n");
+  EXPECT_FALSE(untouched.LoadInPlace(corrupt).ok());
+  EXPECT_FALSE(untouched.LoadInPlace(saved + "extra\n").ok());
+  EXPECT_EQ(untouched.SaveToString(), kept);
+  // A well-formed file of another shape is refused the same way.
+  LinearModel wider(3, 1u << 10);
+  EXPECT_EQ(untouched.LoadInPlace(wider.SaveToString()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(untouched.SaveToString(), kept);
+}
+
 TEST(PersistenceTest, LoadRejectsGarbage) {
   EXPECT_FALSE(LinearModel::LoadFromString("").ok());
   EXPECT_FALSE(LinearModel::LoadFromString("hello world").ok());
@@ -142,6 +176,7 @@ TEST(PersistenceTest, FailedLoadLeavesModelUntouched) {
   std::string saved = model.SaveWeights();
   ASSERT_FALSE(model.LoadWeights(saved.substr(0, saved.size() / 2)).ok());
   ASSERT_FALSE(model.LoadWeights("garbage").ok());
+  EXPECT_EQ(model.SaveWeights(), saved);
   for (size_t i = 0; i < data.samples.size(); ++i) {
     EXPECT_EQ(model.Predict(data.samples[i]), before[i]);
   }
@@ -166,6 +201,7 @@ TEST(PersistenceTest, VerifierWeightsRoundTrip) {
 
   VerifierModel restored(verifier_config, BuiltinLogicTemplates());
   ASSERT_TRUE(restored.LoadWeights(original.SaveWeights()).ok());
+  EXPECT_EQ(restored.SaveWeights(), original.SaveWeights());
   for (const Sample& s : data.samples) {
     EXPECT_EQ(restored.Predict(s), original.Predict(s));
   }
