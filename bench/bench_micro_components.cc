@@ -511,6 +511,47 @@ void BM_RankAll(benchmark::State& state) {
 }
 BENCHMARK(BM_RankAll)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
+// Requests with fresh literals, as serving traffic has: each iteration
+// names the next row (and a claim the next claimed value), so no two
+// consecutive sentences are alike. Template plans are keyed by template
+// and column positions, so after the first request every plan is a hit.
+// Arguments: rows, then 0 for claims or 1 for questions.
+void BM_RankAllDistinctLiterals(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  const bool claims = state.range(1) == 0;
+  Table t = BenchTable(rows);
+  t.WarmIndex();
+  std::vector<ProgramTemplate> templates =
+      claims ? BuiltinLogicTemplates() : BuiltinSqlTemplates();
+  if (!claims) {
+    for (ProgramTemplate& tmpl : BuiltinArithTemplates()) {
+      templates.push_back(std::move(tmpl));
+    }
+  }
+  model::NlInterpreter interpreter(std::move(templates));
+  ir::PlanCache cache(1024, 8);
+  ExecOptions exec;
+  exec.plan_cache = &cache;
+  const TaskType task = claims ? TaskType::kFactVerification
+                               : TaskType::kQuestionAnswering;
+  size_t i = 0;
+  for (auto _ : state) {
+    const std::string row = "nation" + std::to_string(i % rows);
+    const std::string sentence =
+        claims ? "The gold of the row whose nation is " + row + " is " +
+                     std::to_string(i) + "."
+               : "What was the gold of the row whose nation is " + row + "?";
+    ++i;
+    benchmark::DoNotOptimize(interpreter.RankAll(sentence, t, task, exec));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RankAllDistinctLiterals)
+    ->Args({10, 0})
+    ->Args({10, 1})
+    ->Args({1000, 0})
+    ->Args({1000, 1});
+
 void BM_ExtractFeatures(benchmark::State& state) {
   Table t = BenchTable(static_cast<size_t>(state.range(0)));
   t.WarmIndex();

@@ -201,15 +201,20 @@ std::vector<std::string> WordTokens(std::string_view s) {
 
 double TokenF1(std::string_view a, std::string_view b) {
   std::vector<std::string> ta = WordTokens(a);
-  std::vector<std::string> tb = WordTokens(b);
-  if (ta.empty() && tb.empty()) return 1.0;
-  if (ta.empty() || tb.empty()) return 0.0;
-  // Multiset intersection size.
-  std::vector<std::string> sorted_b = tb;
+  std::vector<std::string> sorted_b = WordTokens(b);
   std::sort(sorted_b.begin(), sorted_b.end());
+  std::vector<std::string_view> views(ta.begin(), ta.end());
+  return TokenF1(views, sorted_b);
+}
+
+double TokenF1(std::span<const std::string_view> a,
+               std::span<const std::string> sorted_b) {
+  if (a.empty() && sorted_b.empty()) return 1.0;
+  if (a.empty() || sorted_b.empty()) return 0.0;
+  // Multiset intersection size.
   size_t overlap = 0;
   std::vector<bool> used(sorted_b.size(), false);
-  for (const std::string& t : ta) {
+  for (std::string_view t : a) {
     auto it = std::lower_bound(sorted_b.begin(), sorted_b.end(), t);
     while (it != sorted_b.end() && *it == t) {
       size_t idx = static_cast<size_t>(it - sorted_b.begin());
@@ -222,8 +227,8 @@ double TokenF1(std::string_view a, std::string_view b) {
     }
   }
   if (overlap == 0) return 0.0;
-  double precision = static_cast<double>(overlap) / ta.size();
-  double recall = static_cast<double>(overlap) / tb.size();
+  double precision = static_cast<double>(overlap) / a.size();
+  double recall = static_cast<double>(overlap) / sorted_b.size();
   return 2 * precision * recall / (precision + recall);
 }
 

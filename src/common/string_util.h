@@ -1,6 +1,7 @@
 #ifndef UCTR_COMMON_STRING_UTIL_H_
 #define UCTR_COMMON_STRING_UTIL_H_
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,6 +53,12 @@ std::vector<std::string> WordTokens(std::string_view s);
 /// \brief Bag-of-tokens F1 between two strings (the SQuAD-style token
 /// overlap used for answer matching and sentence similarity).
 double TokenF1(std::string_view a, std::string_view b);
+
+/// \brief TokenF1 over tokens already split by WordTokens, `sorted_b`
+/// sorted ascending: bit for bit what TokenF1 gives the strings, whatever
+/// the order of `a`.
+double TokenF1(std::span<const std::string_view> a,
+               std::span<const std::string> sorted_b);
 
 }  // namespace uctr
 

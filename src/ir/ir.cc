@@ -1,5 +1,6 @@
 #include "ir/ir.h"
 
+#include <algorithm>
 #include <iterator>
 #include <optional>
 #include <string>
@@ -30,10 +31,24 @@ constexpr size_t kMaxPool = 0xFFFF;
 /// walker's exact Status wherever it raises one without reading cells.
 /// Finish() turns such a Status into a terminating kFail after the code
 /// emitted so far, so any runtime error of an earlier operand still wins.
-/// Only budget overflows stay compile errors (`over_budget`).
+/// Only budget overflows, and in a template a column name that is no slot,
+/// stay compile errors.
+///
+/// Names resolve against `schema` for program text, or through `slots`
+/// for a template skeleton.
 struct Builder {
   Plan plan;
   bool over_budget = false;
+  const Schema* schema = nullptr;
+  const TemplateSlots* slots = nullptr;
+  Status not_a_slot;  ///< a template column name no slot matched
+
+  explicit Builder(const Schema& s) : schema(&s) {}
+  explicit Builder(const TemplateSlots& t) : slots(&t) {
+    // Open entries first, so slot i is pool entry i.
+    plan.num_slots = static_cast<uint16_t>(t.fields.size());
+    plan.pool.resize(t.fields.size());
+  }
 
   Result<uint16_t> Alloc() {
     if (plan.num_regs >= kMaxRegs) {
@@ -50,6 +65,24 @@ struct Builder {
     }
     plan.pool.push_back(std::move(v));
     return static_cast<uint16_t>(plan.pool.size() - 1);
+  }
+
+  /// A literal or name written `field`: its open slot in a template, else
+  /// `v` pooled.
+  Result<uint16_t> Constant(Value v, std::string_view field) {
+    if (slots != nullptr) {
+      for (size_t i = 0; i < slots->fields.size(); ++i) {
+        if (slots->fields[i] == field) return static_cast<uint16_t>(i);
+      }
+    }
+    return AddPool(std::move(v));
+  }
+
+  /// The position of the column named `name`.
+  Result<uint32_t> Column(std::string_view name) {
+    Result<uint32_t> c = Resolve(name);
+    if (c.ok()) plan.num_columns = std::max(plan.num_columns, *c + 1);
+    return c;
   }
 
   void Emit(Op op, uint16_t dst, uint16_t a, uint16_t b, uint32_t imm,
@@ -78,24 +111,33 @@ struct Builder {
 
   /// `lowered` is the lowering's outcome: OK when it emitted its return,
   /// else the walker error that ends the plan.
-  Result<Plan> Finish(Family family, const Schema& schema, Status lowered) {
+  Result<Plan> Finish(Family family, Status lowered) {
+    if (!not_a_slot.ok()) return not_a_slot;
     if (!lowered.ok()) {
       if (over_budget) return lowered;
       UCTR_RETURN_NOT_OK(EmitFail(lowered));
     }
     plan.family = family;
-    plan.num_columns = static_cast<uint32_t>(schema.num_columns());
-    plan.schema_fp = SchemaFingerprint(schema);
     plan.pool_keys.reserve(plan.pool.size());
     for (const Value& v : plan.pool) plan.pool_keys.emplace_back(v);
     return std::move(plan);
   }
-};
 
-Result<uint32_t> ResolveColumn(const Schema& schema, std::string_view name) {
-  UCTR_ASSIGN_OR_RETURN(size_t c, schema.ColumnIndex(name));
-  return static_cast<uint32_t>(c);
-}
+ private:
+  Result<uint32_t> Resolve(std::string_view name) {
+    if (schema != nullptr) {
+      UCTR_ASSIGN_OR_RETURN(size_t c, schema->ColumnIndex(name));
+      return static_cast<uint32_t>(c);
+    }
+    for (const auto& [marker, position] : slots->columns) {
+      if (marker == name) return position;
+    }
+    not_a_slot = Status::InvalidArgument("template column '" +
+                                         std::string(name) +
+                                         "' is not a column slot");
+    return not_a_slot;
+  }
+};
 
 }  // namespace
 
@@ -112,6 +154,21 @@ uint64_t ProgramFingerprint(Family family, std::string_view text) {
       text, hash::Fnv1a64({&tag, 1}, hash::kFnv64TruncatedBasis));
 }
 
+uint64_t TemplateFingerprint(Family family, std::string_view pattern) {
+  // Family tags are 0-2; program text never starts with this one.
+  const char tag = static_cast<char>(0x80 | static_cast<int>(family));
+  return hash::Fnv1a64(
+      pattern, hash::Fnv1a64({&tag, 1}, hash::kFnv64TruncatedBasis));
+}
+
+uint64_t ColumnsFingerprint(std::span<const uint32_t> columns) {
+  uint64_t h = hash::kFnv64Basis;
+  for (uint32_t c : columns) {
+    h = hash::Mix64(h ^ (c + hash::kGoldenGamma));
+  }
+  return h;
+}
+
 // --------------------------------------------------------------------------
 // SQL lowering
 // --------------------------------------------------------------------------
@@ -122,8 +179,7 @@ namespace {
 /// reaches it, item by item within the first row, so a bad one fails after
 /// the earlier items of row 0 ran and only when `rows` is non-empty.
 Status LowerSqlProjection(Builder* b, const sql::SelectStatement& stmt,
-                          const Schema& schema, uint16_t rows,
-                          bool any_aggregate) {
+                          uint16_t rows, bool any_aggregate) {
   if (any_aggregate) {
     for (const sql::SelectItem& item : stmt.items) {
       if (item.agg == sql::AggFunc::kNone) {
@@ -136,7 +192,7 @@ Status LowerSqlProjection(Builder* b, const sql::SelectStatement& stmt,
       }
       uint32_t c = 0;
       if (!item.star) {
-        UCTR_ASSIGN_OR_RETURN(c, ResolveColumn(schema, item.column));
+        UCTR_ASSIGN_OR_RETURN(c, b->Column(item.column));
       }
       uint32_t imm2 = static_cast<uint32_t>(item.agg) |
                       (item.star ? 1u << 8 : 0) |
@@ -153,10 +209,10 @@ Status LowerSqlProjection(Builder* b, const sql::SelectStatement& stmt,
   uint32_t resolved = 0;
   Status missing;
   for (const sql::SelectItem& item : stmt.items) {
-    Result<uint32_t> c = ResolveColumn(schema, item.column);
+    Result<uint32_t> c = b->Column(item.column);
     Result<uint32_t> rhs = uint32_t{0};
     if (c.ok() && item.arith != sql::ArithOp::kNone) {
-      rhs = ResolveColumn(schema, item.rhs_column);
+      rhs = b->Column(item.rhs_column);
     }
     if (!c.ok() || !rhs.ok()) {
       missing = !c.ok() ? c.status() : rhs.status();
@@ -179,8 +235,7 @@ Status LowerSqlProjection(Builder* b, const sql::SelectStatement& stmt,
   return Status::OK();
 }
 
-Status LowerSqlInto(Builder* b, const sql::SelectStatement& stmt,
-                    const Schema& schema) {
+Status LowerSqlInto(Builder* b, const sql::SelectStatement& stmt) {
   UCTR_ASSIGN_OR_RETURN(uint16_t rows, b->Alloc());
   b->Emit(Op::kAllRows, rows, 0, 0, 0, 0);
 
@@ -188,12 +243,13 @@ Status LowerSqlInto(Builder* b, const sql::SelectStatement& stmt,
   // fails only if rows survived the conjuncts before it, and past it the
   // view is empty, so later conjuncts are never resolved.
   for (const sql::Condition& cond : stmt.where) {
-    Result<uint32_t> c = ResolveColumn(schema, cond.column);
+    Result<uint32_t> c = b->Column(cond.column);
     if (!c.ok()) {
       UCTR_RETURN_NOT_OK(b->EmitFail(c.status(), rows));
       break;
     }
-    UCTR_ASSIGN_OR_RETURN(uint16_t lit, b->AddPool(cond.literal));
+    UCTR_ASSIGN_OR_RETURN(uint16_t lit,
+                          b->Constant(cond.literal, cond.literal.text()));
     UCTR_ASSIGN_OR_RETURN(uint16_t dst, b->Alloc());
     b->Emit(Op::kSqlFilter, dst, rows, lit, *c,
             static_cast<uint32_t>(cond.op));
@@ -201,8 +257,7 @@ Status LowerSqlInto(Builder* b, const sql::SelectStatement& stmt,
   }
 
   if (stmt.order_by) {
-    UCTR_ASSIGN_OR_RETURN(uint32_t c,
-                          ResolveColumn(schema, stmt.order_by->column));
+    UCTR_ASSIGN_OR_RETURN(uint32_t c, b->Column(stmt.order_by->column));
     UCTR_ASSIGN_OR_RETURN(uint16_t dst, b->Alloc());
     b->Emit(Op::kOrderBy, dst, rows, 0, c,
             stmt.order_by->descending ? 1 : 0);
@@ -222,15 +277,27 @@ Status LowerSqlInto(Builder* b, const sql::SelectStatement& stmt,
   for (const sql::SelectItem& item : stmt.items) {
     if (item.agg != sql::AggFunc::kNone) any_aggregate = true;
   }
-  return LowerSqlProjection(b, stmt, schema, rows, any_aggregate);
+  return LowerSqlProjection(b, stmt, rows, any_aggregate);
+}
+
+}  // namespace
+
+namespace {
+
+Result<Plan> LowerSqlWith(Builder b, const sql::SelectStatement& stmt) {
+  Status lowered = LowerSqlInto(&b, stmt);
+  return b.Finish(Family::kSql, std::move(lowered));
 }
 
 }  // namespace
 
 Result<Plan> LowerSql(const sql::SelectStatement& stmt, const Schema& schema) {
-  Builder b;
-  Status lowered = LowerSqlInto(&b, stmt, schema);
-  return b.Finish(Family::kSql, schema, std::move(lowered));
+  return LowerSqlWith(Builder(schema), stmt);
+}
+
+Result<Plan> LowerSql(const sql::SelectStatement& stmt,
+                      const TemplateSlots& slots) {
+  return LowerSqlWith(Builder(slots), stmt);
 }
 
 // --------------------------------------------------------------------------
@@ -247,7 +314,6 @@ using logic::internal::CmpKind;
 /// point the walker makes it, so errors surface in the same sequence.
 struct LogicLowerer {
   Builder* b;
-  const Schema* schema;
 
   struct Out {
     uint16_t reg = 0;
@@ -267,7 +333,7 @@ struct LogicLowerer {
     if (!node.is_literal) {
       return Status::InvalidArgument("column argument must be a literal");
     }
-    return ResolveColumn(*schema, node.name);
+    return b->Column(node.name);
   }
 
   Result<uint16_t> GenView(const logic::Node& node) {
@@ -312,8 +378,8 @@ struct LogicLowerer {
         b->Emit(Op::kAllRows, dst, 0, 0, 0, 0);
         return View(dst);
       }
-      UCTR_ASSIGN_OR_RETURN(uint16_t idx,
-                            b->AddPool(Value::FromText(node.name)));
+      UCTR_ASSIGN_OR_RETURN(
+          uint16_t idx, b->Constant(Value::FromText(node.name), node.name));
       b->Emit(Op::kLoadConst, dst, 0, 0, idx, 0);
       return Scalar(dst);
     }
@@ -444,14 +510,25 @@ struct LogicLowerer {
 
 }  // namespace
 
-Result<Plan> LowerLogic(const logic::Node& node, const Schema& schema) {
-  Builder b;
-  LogicLowerer lowerer{&b, &schema};
+namespace {
+
+Result<Plan> LowerLogicWith(Builder b, const logic::Node& node) {
+  LogicLowerer lowerer{&b};
   Result<LogicLowerer::Out> out = lowerer.Gen(node);
   if (out.ok()) {
     b.Emit(Op::kReturnLogic, 0, out->reg, 0, out->is_view ? 1 : 0, 0);
   }
-  return b.Finish(Family::kLogic, schema, out.status());
+  return b.Finish(Family::kLogic, out.status());
+}
+
+}  // namespace
+
+Result<Plan> LowerLogic(const logic::Node& node, const Schema& schema) {
+  return LowerLogicWith(Builder(schema), node);
+}
+
+Result<Plan> LowerLogic(const logic::Node& node, const TemplateSlots& slots) {
+  return LowerLogicWith(Builder(slots), node);
 }
 
 // --------------------------------------------------------------------------
@@ -477,9 +554,12 @@ Result<uint16_t> LowerArithOperand(Builder* b, const arith::Operand& op,
       return dst;
     }
     case arith::Operand::Kind::kCellRef: {
-      UCTR_ASSIGN_OR_RETURN(uint16_t pc, b->AddPool(Value::String(op.column)));
-      UCTR_ASSIGN_OR_RETURN(uint16_t pr, b->AddPool(Value::String(op.row)));
-      UCTR_ASSIGN_OR_RETURN(uint16_t pt, b->AddPool(Value::String(op.text)));
+      UCTR_ASSIGN_OR_RETURN(uint16_t pc,
+                            b->Constant(Value::String(op.column), op.column));
+      UCTR_ASSIGN_OR_RETURN(uint16_t pr,
+                            b->Constant(Value::String(op.row), op.row));
+      UCTR_ASSIGN_OR_RETURN(uint16_t pt,
+                            b->Constant(Value::String(op.text), op.text));
       uint32_t aux_start = static_cast<uint32_t>(b->plan.aux.size());
       b->plan.aux.push_back(pc);
       b->plan.aux.push_back(pr);
@@ -520,8 +600,7 @@ Result<uint16_t> LowerArithStep(Builder* b, const arith::Step& step,
                     : step.op == "table_sum"     ? 2
                     : step.op == "table_average" ? 3
                                                  : 4;
-    UCTR_ASSIGN_OR_RETURN(uint16_t idx,
-                          b->AddPool(Value::String(std::move(name))));
+    UCTR_ASSIGN_OR_RETURN(uint16_t idx, b->Constant(Value::String(name), name));
     UCTR_ASSIGN_OR_RETURN(uint16_t dst, b->Alloc());
     b->Emit(Op::kTableAgg, dst, 0, 0, idx, kind == 4 ? 0 : kind);
     if (kind == 4) {
@@ -550,12 +629,13 @@ Result<uint16_t> LowerArithStep(Builder* b, const arith::Step& step,
 
 }  // namespace
 
-Result<Plan> LowerArith(const arith::Expression& expr, const Schema& schema) {
+namespace {
+
+Result<Plan> LowerArithWith(Builder b, const arith::Expression& expr) {
   if (expr.steps.empty()) {
     // The parser never builds this (the walker has no answer to return).
     return Status::ParseError("empty arithmetic expression");
   }
-  Builder b;
   std::vector<uint16_t> step_regs;
   Status lowered;
   for (const arith::Step& step : expr.steps) {
@@ -567,7 +647,18 @@ Result<Plan> LowerArith(const arith::Expression& expr, const Schema& schema) {
     step_regs.push_back(*reg);
   }
   if (lowered.ok()) b.Emit(Op::kReturnArith, 0, step_regs.back(), 0, 0, 0);
-  return b.Finish(Family::kArith, schema, std::move(lowered));
+  return b.Finish(Family::kArith, std::move(lowered));
+}
+
+}  // namespace
+
+Result<Plan> LowerArith(const arith::Expression& expr, const Schema& schema) {
+  return LowerArithWith(Builder(schema), expr);
+}
+
+Result<Plan> LowerArith(const arith::Expression& expr,
+                        const TemplateSlots& slots) {
+  return LowerArithWith(Builder(slots), expr);
 }
 
 Result<Plan> Compile(Family family, std::string_view text,

@@ -2,8 +2,10 @@
 #define UCTR_IR_IR_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -106,16 +108,21 @@ struct Insn {
   uint32_t imm2 = 0;
 };
 
-/// \brief A compiled program: flat bytecode plus its constant pool, valid
-/// for any table whose schema fingerprint matches `schema_fp` (column
-/// names and types; cell contents are free to differ — plans are
-/// value-independent). Immutable after compilation; safe to share across
-/// threads behind shared_ptr<const Plan>.
+/// \brief A compiled program: flat bytecode plus its constant pool. It fits
+/// any table that has every column it reads — each column index in the
+/// code is below `num_columns` — so cell contents and the names of the
+/// columns it reads are free to differ. Immutable after compilation; safe
+/// to share across threads behind shared_ptr<const Plan>.
+///
+/// A template plan (LowerSql/LowerLogic/LowerArith over TemplateSlots)
+/// leaves its first `num_slots` pool entries open: each execution supplies
+/// their Values (SlotValues), so one plan serves every binding of a
+/// template at the same column positions.
 struct Plan {
   Family family = Family::kSql;
   uint16_t num_regs = 0;
-  uint32_t num_columns = 0;  ///< schema width the plan was compiled against
-  uint64_t schema_fp = 0;
+  uint16_t num_slots = 0;    ///< pool entries [0, num_slots) come per execution
+  uint32_t num_columns = 0;  ///< every column the plan reads is below this
   std::vector<Value> pool;      ///< literals, resolved at compile time
   std::vector<uint32_t> aux;    ///< variable-length operand lists
   std::vector<Insn> code;
@@ -132,12 +139,40 @@ struct Plan {
   }
 };
 
-/// \brief Schema::Fingerprint: the cache identity of a plan. Cell contents
-/// do not participate: the same plan serves every table with this shape.
+/// \brief How a template's skeleton writes its slots, for lowering it once
+/// per column positions. The skeleton is the template filled with marker
+/// texts; the lowering matches its fields against them by exact text.
+struct TemplateSlots {
+  /// Column-name markers and the column position each resolves to. Every
+  /// column name the lowering resolves must be one of them.
+  std::vector<std::pair<std::string, uint32_t>> columns;
+  /// Field texts whose Values come per execution: a literal or an
+  /// arithmetic name written exactly `fields[i]` becomes pool entry i.
+  std::vector<std::string> fields;
+};
+
+/// \brief One execution's Values for a template plan's open pool entries,
+/// with their predicate keys; both hold exactly `num_slots` entries.
+struct SlotValues {
+  std::span<const Value> values;
+  std::span<const TableIndex::LiteralKey> keys;
+};
+
+/// \brief Schema::Fingerprint: with ProgramFingerprint, the cache identity
+/// of a plan compiled from program text, whose names resolve against the
+/// schema. Cell contents do not participate.
 uint64_t SchemaFingerprint(const Schema& schema);
 
 /// \brief 64-bit FNV-1a (truncated basis) over (family tag, program text).
 uint64_t ProgramFingerprint(Family family, std::string_view text);
+
+/// \brief With ColumnsFingerprint, the cache identity of a template plan:
+/// (family, template pattern). Tagged apart from ProgramFingerprint, so a
+/// pattern never shares a key with program text.
+uint64_t TemplateFingerprint(Family family, std::string_view pattern);
+
+/// \brief The column positions a template plan was lowered for.
+uint64_t ColumnsFingerprint(std::span<const uint32_t> columns);
 
 /// \brief Parses `text` as `family` and lowers it against `schema`. Fails
 /// only on a parse error (the walker's own) or when the program exceeds the
@@ -151,6 +186,16 @@ Result<Plan> LowerSql(const sql::SelectStatement& stmt, const Schema& schema);
 Result<Plan> LowerLogic(const logic::Node& node, const Schema& schema);
 Result<Plan> LowerArith(const arith::Expression& expr, const Schema& schema);
 
+/// Lowering a template skeleton: column names resolve through
+/// `slots.columns`, and fields written as `slots.fields[i]` become open
+/// pool entry i. Fails (InvalidArgument) on a column name that is no
+/// column slot; every other outcome is as for text.
+Result<Plan> LowerSql(const sql::SelectStatement& stmt,
+                      const TemplateSlots& slots);
+Result<Plan> LowerLogic(const logic::Node& node, const TemplateSlots& slots);
+Result<Plan> LowerArith(const arith::Expression& expr,
+                        const TemplateSlots& slots);
+
 /// \brief Static checks making a plan safe to execute: register bounds and
 /// type consistency (abstract interpretation over rows/value slot types),
 /// pool/aux/column bounds, packed-flag ranges and status codes, and a
@@ -159,10 +204,12 @@ Result<Plan> LowerArith(const arith::Expression& expr, const Schema& schema);
 /// hand-built plans must pass it before they reach ExecutePlan.
 Status VerifyPlan(const Plan& plan);
 
-/// \brief Executes a verified plan over `table.index()`. The table's schema
-/// fingerprint must match the plan's (InvalidArgument otherwise — the plan
-/// cache keys on it, so a schema change can never execute a stale plan).
-Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table);
+/// \brief Executes a verified plan over `table.index()`, with `slots`
+/// filling its open pool entries. The plan must fit the table: every column
+/// it reads exists (InvalidArgument otherwise), and `slots` holds exactly
+/// `num_slots` values and keys.
+Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table,
+                               SlotValues slots = {});
 
 }  // namespace uctr::ir
 

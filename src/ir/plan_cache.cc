@@ -22,21 +22,21 @@ size_t PlanCache::KeyHash::operator()(const Key& k) const {
   // Both fingerprints are already FNV hashes; the finalizer over their
   // combination just decorrelates shard selection.
   return static_cast<size_t>(
-      hash::Mix64(k.program_fp ^ (k.schema_fp * hash::kGoldenGamma)));
+      hash::Mix64(k.program_fp ^ (k.shape_fp * hash::kGoldenGamma)));
 }
 
 std::shared_ptr<const Plan> PlanCache::Get(uint64_t program_fp,
-                                           uint64_t schema_fp) {
+                                           uint64_t shape_fp) {
   std::optional<std::shared_ptr<const Plan>> hit =
-      lru_.Get(Key{program_fp, schema_fp});
+      lru_.Get(Key{program_fp, shape_fp});
   obs::Counter* counter = hit ? hits_ : misses_;
   if (counter != nullptr) counter->Increment();
   return hit ? std::move(*hit) : nullptr;
 }
 
-void PlanCache::Put(uint64_t program_fp, uint64_t schema_fp,
+void PlanCache::Put(uint64_t program_fp, uint64_t shape_fp,
                     std::shared_ptr<const Plan> plan) {
-  size_t evicted = lru_.Put(Key{program_fp, schema_fp}, std::move(plan));
+  size_t evicted = lru_.Put(Key{program_fp, shape_fp}, std::move(plan));
   if (evictions_ != nullptr && evicted > 0) evictions_->Increment(evicted);
 }
 

@@ -10,16 +10,20 @@
 
 namespace uctr::ir {
 
-/// \brief Sharded LRU cache of compiled plans, keyed by
-/// (program fingerprint, schema fingerprint), over a count-bounded
+/// \brief Sharded LRU cache of compiled plans over a count-bounded
 /// ShardedLru. A hit hands back an immutable shared plan: execution
 /// touches neither parser nor AST. Every parseable program compiles (a
 /// program whose walker would fail holds a kFail plan), so there are no
 /// negative entries; a parse error is never cached.
 ///
-/// Keying on the *schema* fingerprint (column names + types, not cell
-/// contents) means one plan serves every table with that shape, and any
-/// schema change — renamed column, type drift — misses and recompiles.
+/// A key is two 64-bit fingerprints:
+///   - program text: (ProgramFingerprint, SchemaFingerprint). Its names
+///     resolve against the schema, so a renamed column or a type drift
+///     misses and recompiles; cell contents do not take part.
+///   - a template: (TemplateFingerprint, ColumnsFingerprint). Its plan
+///     depends only on the pattern and the column positions its slots
+///     resolve to, so one plan serves every schema and every binding that
+///     puts its columns at those positions.
 /// A first-compile race is benign: both threads compile the same
 /// deterministic plan and the second Put simply refreshes the entry.
 class PlanCache {
@@ -34,11 +38,11 @@ class PlanCache {
 
   /// \brief The cached plan, or nullptr on a miss (caller should compile
   /// and Put).
-  std::shared_ptr<const Plan> Get(uint64_t program_fp, uint64_t schema_fp);
+  std::shared_ptr<const Plan> Get(uint64_t program_fp, uint64_t shape_fp);
 
   /// \brief Inserts or refreshes an entry, evicting the shard's LRU entry
   /// when the shard is at capacity.
-  void Put(uint64_t program_fp, uint64_t schema_fp,
+  void Put(uint64_t program_fp, uint64_t shape_fp,
            std::shared_ptr<const Plan> plan);
 
   /// \brief Counts one compilation attempt toward `plan_compiles_total`.
@@ -56,9 +60,9 @@ class PlanCache {
  private:
   struct Key {
     uint64_t program_fp;
-    uint64_t schema_fp;
+    uint64_t shape_fp;  ///< schema (text) or column positions (template)
     bool operator==(const Key& o) const {
-      return program_fp == o.program_fp && schema_fp == o.schema_fp;
+      return program_fp == o.program_fp && shape_fp == o.shape_fp;
     }
   };
   struct KeyHash {

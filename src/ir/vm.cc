@@ -99,6 +99,7 @@ Status VerifyPlan(const Plan& plan) {
     return Bad("unknown family");
   }
   if (plan.code.empty()) return Bad("empty code");
+  if (plan.num_slots > plan.pool.size()) return Bad("slots outside pool");
 
   std::vector<RegState> regs(plan.num_regs, RegState::kUninit);
 
@@ -315,7 +316,7 @@ namespace {
 /// One register: a row view or a scalar, per the verifier's static typing.
 /// Both slots may be *borrowed* — ref/vref point at storage that outlives
 /// the execution (TableIndex::all_rows(), a column's sorted permutation,
-/// the plan's constant pool) — so the common claim shape — all_rows
+/// the plan's constant pool, the execution's slot values) — so the common claim shape — all_rows
 /// narrowed by one eq-filter against a pooled literal — executes without
 /// copying row ids or literal strings. Writing an owned value clears the
 /// borrow.
@@ -325,7 +326,7 @@ struct Reg {
   Value val;
   const Value* vref = nullptr;
   /// Pre-analyzed predicate key for a pool constant (kLoadConst sets it
-  /// from Plan::pool_keys); null for computed values — filters then build
+  /// from Plan::pool_keys or SlotValues::keys); null for computed values — filters then build
   /// the key on the fly.
   const TableIndex::LiteralKey* key = nullptr;
 
@@ -363,16 +364,25 @@ struct VmInstruments {
 
 }  // namespace
 
-Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table) {
+Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table,
+                               SlotValues slots) {
   const TableIndex& index = table.index();
-  // Both checks matter: the fingerprint is the cache identity, but a
-  // hand-built plan could carry a copied fingerprint with an inflated
-  // num_columns, and VerifyPlan bounds columns against the plan's own
-  // claim — so re-anchor it to the actual table here.
-  if (plan.schema_fp != index.schema_fingerprint() ||
-      plan.num_columns != static_cast<uint32_t>(table.num_columns())) {
-    return Status::InvalidArgument("plan compiled for a different schema");
+  // The one rule for a plan fitting a table: every column it reads exists.
+  // VerifyPlan bounds the plan's column operands by num_columns.
+  if (plan.num_columns > table.num_columns()) {
+    return Status::InvalidArgument("plan reads columns the table lacks");
   }
+  if (slots.values.size() != plan.num_slots ||
+      slots.keys.size() != plan.num_slots) {
+    return Status::InvalidArgument("plan slots and supplied values differ");
+  }
+  // Pool entry i: an open slot's supplied Value, else the plan's own.
+  auto pool = [&](uint32_t i) -> const Value& {
+    return i < plan.num_slots ? slots.values[i] : plan.pool[i];
+  };
+  auto pool_key = [&](uint32_t i) -> const TableIndex::LiteralKey* {
+    return i < plan.num_slots ? &slots.keys[i] : plan.KeyFor(i);
+  };
   const VmInstruments& inst = VmInstruments::Get();
   inst.exec_total->Increment();
 
@@ -393,7 +403,7 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table) {
     switch (static_cast<Op>(insn.op)) {
       case Op::kLoadConst:
         // Pool values outlive the execution; borrow, don't copy.
-        regs[insn.dst].BorrowVal(plan.pool[insn.imm], plan.KeyFor(insn.imm));
+        regs[insn.dst].BorrowVal(pool(insn.imm), pool_key(insn.imm));
         break;
       case Op::kAllRows:
         // The identity view lives on the index; borrow it instead of
@@ -405,7 +415,7 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table) {
           break;
         }
         return Status(static_cast<StatusCode>(insn.imm2 & 0xFF),
-                      plan.pool[insn.imm].text());
+                      pool(insn.imm).text());
 
       // -- sql ------------------------------------------------------------
       case Op::kSqlFilter: {
@@ -414,11 +424,11 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table) {
         std::vector<size_t> out;
         if (!in.empty()) {
           const TableIndex::Column& col = index.column(insn.imm);
-          if (const TableIndex::LiteralKey* key = plan.KeyFor(insn.b)) {
+          if (const TableIndex::LiteralKey* key = pool_key(insn.b)) {
             out = sql::internal::FilterOneIndexed(col, cmp, *key, in,
                                                   &rows_scanned);
           } else {
-            TableIndex::LiteralKey local(plan.pool[insn.b]);
+            TableIndex::LiteralKey local(pool(insn.b));
             out = sql::internal::FilterOneIndexed(col, cmp, local, in,
                                                   &rows_scanned);
           }
@@ -655,9 +665,9 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table) {
       case Op::kCellLookup: {
         UCTR_ASSIGN_OR_RETURN(
             double v, arith::internal::ResolveCellRef(
-                          table, plan.pool[plan.aux[insn.imm]].text(),
-                          plan.pool[plan.aux[insn.imm + 1]].text(),
-                          plan.pool[plan.aux[insn.imm + 2]].text(),
+                          table, pool(plan.aux[insn.imm]).text(),
+                          pool(plan.aux[insn.imm + 1]).text(),
+                          pool(plan.aux[insn.imm + 2]).text(),
                           &evidence));
         regs[insn.dst].SetVal(Value::Number(v));
         break;
@@ -696,7 +706,7 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table) {
       case Op::kTableAgg: {
         UCTR_ASSIGN_OR_RETURN(
             std::vector<double> series,
-            arith::internal::ResolveSeries(table, plan.pool[insn.imm].text(),
+            arith::internal::ResolveSeries(table, pool(insn.imm).text(),
                                            &evidence));
         double sum = 0;
         for (double x : series) sum += x;

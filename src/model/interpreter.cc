@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <optional>
-#include <set>
 #include <span>
+#include <string_view>
+#include <utility>
 
 #include "common/string_util.h"
+#include "ir/plan_cache.h"
 #include "table/index.h"
 
 namespace uctr::model {
@@ -13,9 +15,10 @@ namespace uctr::model {
 namespace {
 
 /// One RankAll call's view of its sentence against the table, shared by
-/// every template the call tries: the sentence's tokens, which inventory
-/// words they are, each header's coverage, and per column (on first use)
-/// the rows whose cells the sentence covers at all.
+/// every template the call tries: the sentence's tokens (as read, and
+/// sorted for scoring), which inventory words they are, each header's
+/// coverage, the ordinal and claimed value it mentions, and per column (on
+/// first use) the rows whose cells the sentence covers at all.
 class Linker {
  public:
   /// A non-null row whose cell shares a token with the sentence.
@@ -30,7 +33,9 @@ class Linker {
         index_(table.index()),
         inventory_(index_.tokens()),
         tokens_(WordTokens(sentence)),
+        sorted_tokens_(tokens_),
         candidates_(table.num_columns()) {
+    std::sort(sorted_tokens_.begin(), sorted_tokens_.end());
     for (const std::string& t : tokens_) {
       uint32_t id = inventory_.Find(t);
       if (id != StringPool::kNotFound) {
@@ -55,12 +60,15 @@ class Linker {
   const std::string& sentence() const { return sentence_; }
   const Table& table() const { return table_; }
   const TableIndex& index() const { return index_; }
-  const std::vector<std::string>& tokens() const { return tokens_; }
+  const std::vector<std::string>& sorted_tokens() const {
+    return sorted_tokens_;
+  }
 
   /// \brief Share of column `c`'s header tokens found in the sentence.
   double HeaderScore(size_t c) const { return header_scores_[c]; }
 
-  /// \brief The rows of column `c` with a positive cell score, ascending.
+  /// \brief The rows of column `c` with a positive cell score, best first;
+  /// tied rows stay in row order.
   const std::vector<Candidate>& Candidates(size_t c) {
     std::optional<std::vector<Candidate>>& rows = candidates_[c];
     if (!rows) {
@@ -69,8 +77,28 @@ class Linker {
         double score = Coverage(inventory_.cell(r, c));
         if (score > 0.0) rows->push_back({r, score});
       }
+      std::stable_sort(rows->begin(), rows->end(),
+                       [](const Candidate& a, const Candidate& b) {
+                         return a.score > b.score;
+                       });
     }
     return *rows;
+  }
+
+  /// \brief The ordinal the sentence mentions ("2nd", "third", ...) as
+  /// digits; empty when it mentions none.
+  std::string_view Ordinal() {
+    if (!ordinal_) {
+      int n = FindOrdinal(tokens_);
+      ordinal_ = n == 0 ? std::string() : std::to_string(n);
+    }
+    return *ordinal_;
+  }
+
+  /// \brief NlInterpreter::ClaimedValue of the sentence.
+  std::string_view Claimed() {
+    if (!claimed_) claimed_ = NlInterpreter::ClaimedValue(sentence_);
+    return *claimed_;
   }
 
  private:
@@ -86,18 +114,23 @@ class Linker {
     return static_cast<double>(hits) / static_cast<double>(ids.size());
   }
 
+  static int FindOrdinal(const std::vector<std::string>& tokens);
+
   const std::string& sentence_;
   const Table& table_;
   const TableIndex& index_;
   const TableIndex::TokenInventory& inventory_;
   std::vector<std::string> tokens_;
+  std::vector<std::string> sorted_tokens_;
   std::vector<uint32_t> sentence_ids_;  ///< sorted, distinct
   std::vector<double> header_scores_;
   std::vector<std::optional<std::vector<Candidate>>> candidates_;
+  std::optional<std::string> ordinal_;
+  std::optional<std::string> claimed_;
 };
 
 /// Ordinal mention in the sentence ("2nd", "third", ...), or 0.
-int FindOrdinal(const std::vector<std::string>& tokens) {
+int Linker::FindOrdinal(const std::vector<std::string>& tokens) {
   static const std::pair<const char*, int> kWords[] = {
       {"first", 1},  {"second", 2}, {"third", 3}, {"fourth", 4},
       {"fifth", 5},  {"1st", 1},    {"2nd", 2},   {"3rd", 3},
@@ -121,7 +154,24 @@ nlgen::NlGeneratorConfig CanonicalConfig() {
 
 NlInterpreter::NlInterpreter(std::vector<ProgramTemplate> templates)
     : templates_(std::move(templates)),
-      canonical_generator_(CanonicalConfig()) {}
+      canonical_generator_(CanonicalConfig()) {
+  prepared_.reserve(templates_.size());
+  for (const ProgramTemplate& tmpl : templates_) {
+    std::optional<Prepared>& prepared = prepared_.emplace_back();
+    Result<TemplateForm> form = TemplateForm::Make(tmpl);
+    if (!form.ok()) continue;
+    std::vector<std::string> printed;
+    for (size_t p = 0; p < tmpl.placeholders.size(); ++p) {
+      printed.push_back(form->PrintedMarker(p));
+    }
+    Result<nlgen::OpenSentence> open =
+        canonical_generator_.RealizeOpen(form->Skeleton(), printed);
+    if (!open.ok()) continue;
+    prepared.emplace(Prepared{std::move(form).ValueOrDie(),
+                              std::move(open).ValueOrDie(),
+                              std::move(printed)});
+  }
+}
 
 std::string NlInterpreter::ClaimedValue(const std::string& sentence) {
   std::string lowered = ToLower(sentence);
@@ -159,44 +209,54 @@ std::string NlInterpreter::ClaimedValue(const std::string& sentence) {
 
 namespace {
 
-/// The display string of the best-covered row of column `c` whose value is
-/// not in `used`, inserted into `used`; none when no row reaches 0.5. Ties
-/// go to the first row.
-std::optional<std::string_view> BindCell(
-    Linker* linker, size_t c, std::set<std::string, std::less<>>* used) {
+/// Slots already bound in one template: (column slot id, column) and
+/// (group, cell display) pairs. Templates have a handful of slots.
+struct Bound {
+  std::vector<std::pair<std::string_view, size_t>> columns;
+  std::vector<std::pair<std::string_view, std::string_view>> values;
+};
+
+/// The display text of the best-covered row of column `c` not yet bound in
+/// `group`, now bound there; none when that row covers less than half.
+/// Candidates come best first and tied rows in row order, so the first
+/// unbound one is the strict maximum a scan in row order would keep.
+std::optional<std::string_view> BindCell(Linker* linker, size_t c,
+                                         std::string_view group,
+                                         Bound* bound) {
   const TableIndex::Column& cache = linker->index().column(c);
-  double best = 0.0;
-  std::string_view best_value;
   for (const Linker::Candidate& cand : linker->Candidates(c)) {
-    if (cand.score <= best) continue;
     const std::string_view display = cache.display(cand.row);
-    if (used->count(display)) continue;
-    best = cand.score;
-    best_value = display;
+    std::pair<std::string_view, std::string_view> key(group, display);
+    if (std::find(bound->values.begin(), bound->values.end(), key) !=
+        bound->values.end()) {
+      continue;
+    }
+    if (cand.score < 0.5) return std::nullopt;
+    bound->values.push_back(key);
+    return display;
   }
-  if (best < 0.5) return std::nullopt;
-  used->emplace(best_value);
-  return best_value;
+  return std::nullopt;
 }
 
-/// Binds one template's slots against the linked sentence; an error when
-/// a slot cannot be filled.
-Result<std::map<std::string, std::string>> BindTemplate(
-    const ProgramTemplate& tmpl, TaskType task, Linker* linker) {
+/// Binds one template's slots against the linked sentence: `texts` gets
+/// the text bound to each placeholder, in order. False when a slot cannot
+/// be filled.
+bool BindTemplate(const ProgramTemplate& tmpl, TaskType task, Linker* linker,
+                  std::vector<std::string_view>* texts) {
   const Table& table = linker->table();
-  std::map<std::string, std::string> bindings;
-  std::map<std::string, size_t> column_of;
-  std::set<size_t> used_columns;
-  // Per column id.
-  std::map<std::string, std::set<std::string, std::less<>>> used_values;
-
+  texts->clear();
+  Bound bound;
   for (const Placeholder& p : tmpl.placeholders) {
+    std::optional<std::string_view> text;
     switch (p.kind) {
       case Placeholder::Kind::kColumn: {
         double best = 0.0;
         size_t best_col = table.num_columns();
         for (size_t c = 0; c < table.num_columns(); ++c) {
-          if (used_columns.count(c)) continue;
+          if (std::any_of(bound.columns.begin(), bound.columns.end(),
+                          [c](const auto& b) { return b.second == c; })) {
+            continue;
+          }
           if (p.has_type_constraint &&
               table.schema().column(c).type != p.column_type) {
             continue;
@@ -207,62 +267,76 @@ Result<std::map<std::string, std::string>> BindTemplate(
             best_col = c;
           }
         }
-        if (best_col == table.num_columns() || best <= 0.0) {
-          return Status::NotFound("no column matches slot '" + p.id + "'");
-        }
-        used_columns.insert(best_col);
-        column_of[p.id] = best_col;
-        bindings[p.id] = table.schema().column(best_col).name;
+        if (best_col == table.num_columns() || best <= 0.0) return false;
+        bound.columns.emplace_back(p.id, best_col);
+        text = table.schema().column(best_col).name;
         break;
       }
       case Placeholder::Kind::kValue: {
-        auto it = column_of.find(p.column_id);
-        if (it == column_of.end()) {
-          return Status::Internal("value slot before its column slot");
-        }
-        std::optional<std::string_view> value =
-            BindCell(linker, it->second, &used_values[p.column_id]);
-        if (!value) {
-          return Status::NotFound("no cell value matches slot '" + p.id +
-                                  "'");
-        }
-        bindings[p.id] = *value;
+        auto it = std::find_if(
+            bound.columns.begin(), bound.columns.end(),
+            [&p](const auto& b) { return b.first == p.column_id; });
+        if (it == bound.columns.end()) return false;  // value before column
+        text = BindCell(linker, it->second, p.column_id, &bound);
         break;
       }
-      case Placeholder::Kind::kRow: {
-        std::optional<std::string_view> name =
-            table.num_columns() == 0
-                ? std::nullopt
-                : BindCell(linker, 0, &used_values["__rows__"]);
-        if (!name) {
-          return Status::NotFound("no row name matches slot '" + p.id + "'");
+      case Placeholder::Kind::kRow:
+        if (table.num_columns() > 0) {
+          text = BindCell(linker, 0, "__rows__", &bound);
         }
-        bindings[p.id] = *name;
         break;
-      }
-      case Placeholder::Kind::kOrdinal: {
-        int n = FindOrdinal(linker->tokens());
-        if (n == 0) {
-          return Status::NotFound("no ordinal mention in the sentence");
-        }
-        bindings[p.id] = std::to_string(n);
+      case Placeholder::Kind::kOrdinal:
+        text = linker->Ordinal();
         break;
-      }
-      case Placeholder::Kind::kDerive: {
-        if (task != TaskType::kFactVerification) {
-          return Status::InvalidArgument(
-              "derive slot only binds for claims");
-        }
-        std::string claimed = NlInterpreter::ClaimedValue(linker->sentence());
-        if (claimed.empty()) {
-          return Status::NotFound("no claimed value in the sentence");
-        }
-        bindings[p.id] = claimed;
+      case Placeholder::Kind::kDerive:
+        if (task == TaskType::kFactVerification) text = linker->Claimed();
+        break;
+    }
+    if (!text || text->empty()) return false;
+    texts->push_back(*text);
+  }
+  return true;
+}
+
+/// Bag-of-tokens F1 of the candidate's canonical sentence against the
+/// request's: the open sentence's fixed tokens plus each printed slot's.
+double Score(const TemplateForm& form, const nlgen::OpenSentence& open,
+             std::span<const std::string_view> texts,
+             std::span<const std::string> sorted_sentence) {
+  std::vector<std::string> slot_tokens;
+  for (size_t p : open.slots) {
+    for (std::string& t : WordTokens(nlgen::PrintSlot(form.print(p),
+                                                      texts[p]))) {
+      slot_tokens.push_back(std::move(t));
+    }
+  }
+  std::vector<std::string_view> tokens(open.fixed_tokens.begin(),
+                                       open.fixed_tokens.end());
+  tokens.insert(tokens.end(), slot_tokens.begin(), slot_tokens.end());
+  return TokenF1(tokens, sorted_sentence);
+}
+
+/// For an arithmetic template, each placeholder's first placeholder whose
+/// bound text is the same up to case; empty when all differ. The arithmetic
+/// realizer compares rows and operands that way, so such a binding's
+/// sentence comes from the skeleton with those markers merged.
+std::vector<size_t> CaseEqualSlots(const ProgramTemplate& tmpl,
+                                   std::span<const std::string_view> texts) {
+  if (tmpl.type != ProgramType::kArithmetic) return {};
+  std::vector<size_t> merged(texts.size());
+  bool any = false;
+  for (size_t p = 0; p < texts.size(); ++p) {
+    merged[p] = p;
+    for (size_t q = 0; q < p; ++q) {
+      if (EqualsIgnoreCase(Trim(texts[q]), Trim(texts[p]))) {
+        merged[p] = q;
+        any = true;
         break;
       }
     }
   }
-  return bindings;
+  if (!any) merged.clear();
+  return merged;
 }
 
 }  // namespace
@@ -272,31 +346,45 @@ std::vector<Interpretation> NlInterpreter::RankAll(
     const ExecOptions& exec) const {
   std::vector<Interpretation> out;
   std::optional<Linker> linker;  // built by the first template that reads
+  ir::PlanCache& cache =
+      exec.plan_cache != nullptr ? *exec.plan_cache : ir::PlanCache::Default();
+  std::vector<std::string_view> texts;
   for (size_t i = 0; i < templates_.size(); ++i) {
     const ProgramTemplate& tmpl = templates_[i];
     // Claim templates only read claims, question templates only questions.
     bool is_claim_template = tmpl.type == ProgramType::kLogicalForm;
     if (is_claim_template != (task == TaskType::kFactVerification)) continue;
+    if (!prepared_[i]) continue;
+    const Prepared& prepared = *prepared_[i];
 
     if (!linker) linker.emplace(sentence, table);
-    auto bindings = BindTemplate(tmpl, task, &*linker);
-    if (!bindings.ok()) continue;
-    auto filled = tmpl.Fill(bindings.ValueOrDie());
-    if (!filled.ok()) continue;
+    if (!BindTemplate(tmpl, task, &*linker, &texts)) continue;
+    auto executed = prepared.form.Run(table, texts, cache);
+    if (!executed.ok()) continue;
+
+    double score;
+    std::vector<size_t> merged = CaseEqualSlots(tmpl, texts);
+    if (merged.empty()) {
+      score = Score(prepared.form, prepared.sentence, texts,
+                    linker->sorted_tokens());
+    } else {
+      auto open = canonical_generator_.RealizeOpen(
+          prepared.form.Skeleton(merged), prepared.printed_markers);
+      if (!open.ok()) continue;
+      score = Score(prepared.form, *open, texts, linker->sorted_tokens());
+    }
 
     Interpretation interp;
+    for (size_t p = 0; p < texts.size(); ++p) {
+      interp.bindings[tmpl.placeholders[p].id] = std::string(texts[p]);
+    }
+    auto filled = tmpl.Fill(interp.bindings);
+    if (!filled.ok()) continue;
     interp.program.type = tmpl.type;
     interp.program.text = std::move(filled).ValueOrDie();
-    interp.bindings = std::move(bindings).ValueOrDie();
     interp.template_index = i;
-
-    auto executed = interp.program.Execute(table, exec);
-    if (!executed.ok()) continue;
     interp.result = std::move(executed).ValueOrDie();
-
-    auto re_realized = canonical_generator_.GenerateCanonical(interp.program);
-    if (!re_realized.ok()) continue;
-    interp.score = TokenF1(re_realized.ValueOrDie(), sentence);
+    interp.score = score;
     out.push_back(std::move(interp));
   }
   std::stable_sort(out.begin(), out.end(),

@@ -2,6 +2,7 @@
 #define UCTR_MODEL_INTERPRETER_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -9,13 +10,15 @@
 #include "gen/sample.h"
 #include "nlgen/nl_generator.h"
 #include "program/library.h"
+#include "program/template_form.h"
 #include "table/table.h"
 
 namespace uctr::model {
 
-/// \brief One candidate reading of a sentence as an executable program.
+/// \brief One candidate reading of a sentence as an executable program:
+/// a template plus the text bound to each of its slots.
 struct Interpretation {
-  Program program;
+  Program program;  ///< the template filled with `bindings`, for output
   ExecResult result;
   std::map<std::string, std::string> bindings;
   size_t template_index = 0;  ///< into the interpreter's template list
@@ -33,11 +36,20 @@ struct Interpretation {
 /// interpretations, mirroring program-enhanced verification models and
 /// semantic-parsing QA models in the paper's related work.
 ///
-/// Binding cost per request: RankAll tokenizes the sentence once and maps
-/// its tokens to the table's token inventory (TableIndex::tokens(), built
-/// once per table). Each column a slot binds is then scored once per call
-/// by integer lookups over its cells' token ids and shared by every
-/// template; no cell is tokenized per request.
+/// Per request, RankAll reads the sentence once: its tokens, their ids in
+/// the table's token inventory (TableIndex::tokens(), built once per
+/// table), the ordinal and the claimed value. Each column a slot binds is
+/// scored once per call by integer lookups over its cells' token ids, and
+/// its candidate rows sorted once; no cell is tokenized per request.
+///
+/// Each template is parsed once, when the interpreter is built, into a
+/// TemplateForm and its canonical sentence with the slots left open. A
+/// candidate then runs the plan lowered once per (template, column
+/// positions), with its bound texts as slot values, and is scored from the
+/// open sentence's tokens plus its slots' — never by splicing the bindings
+/// into program text, so a cell or claim that holds program syntax reads
+/// as the value it is. A template whose slots do not each fill whole
+/// program fields, or whose skeleton does not realize, has no candidates.
 class NlInterpreter {
  public:
   explicit NlInterpreter(std::vector<ProgramTemplate> templates);
@@ -62,8 +74,17 @@ class NlInterpreter {
   static std::string ClaimedValue(const std::string& sentence);
 
  private:
+  /// A template prepared once: its form and open canonical sentence, or
+  /// nullopt when it has no candidates.
+  struct Prepared {
+    TemplateForm form;
+    nlgen::OpenSentence sentence;
+    std::vector<std::string> printed_markers;  ///< per placeholder
+  };
+
   std::vector<ProgramTemplate> templates_;
   nlgen::NlGenerator canonical_generator_;
+  std::vector<std::optional<Prepared>> prepared_;
 };
 
 }  // namespace uctr::model

@@ -1,13 +1,17 @@
 #ifndef UCTR_NLGEN_NL_GENERATOR_H_
 #define UCTR_NLGEN_NL_GENERATOR_H_
 
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
 #include "nlgen/lexicon.h"
 #include "nlgen/paraphraser.h"
 #include "program/program.h"
+#include "program/template_form.h"
 
 namespace uctr::nlgen {
 
@@ -18,6 +22,20 @@ struct NlGeneratorConfig {
   bool stochastic = true;
   ParaphraseConfig paraphrase;
 };
+
+/// \brief A template's canonical sentence with its slots left open: the
+/// word tokens printed around the slots, and the placeholder printed at
+/// each slot, in order. A binding's sentence has the tokens `fixed_tokens`
+/// plus WordTokens(PrintSlot(...)) of each placeholder in `slots`: those of
+/// the canonical sentence of the filled program, in another order.
+struct OpenSentence {
+  std::vector<std::string> fixed_tokens;
+  std::vector<size_t> slots;
+};
+
+/// \brief The text the canonical realizer prints for `text` bound to a
+/// slot printed as `print`.
+std::string PrintSlot(SlotPrint print, std::string_view text);
 
 /// \brief The paper's NL-Generator module: maps programs of all three types
 /// into natural-language questions (SQL, arithmetic) or claims (logical
@@ -43,6 +61,14 @@ class NlGenerator {
 
   /// \brief Deterministic (canonical) generation.
   Result<std::string> GenerateCanonical(const Program& program) const;
+
+  /// \brief Realizes a template skeleton canonically and opens it at each
+  /// printed marker (`printed_markers[p]` stands for placeholder p). Fails
+  /// when the realizer does, or when a marker does not sit between token
+  /// boundaries: its text could then merge with the words around it.
+  Result<OpenSentence> RealizeOpen(
+      const Program& skeleton,
+      std::span<const std::string> printed_markers) const;
 
  private:
   NlGeneratorConfig config_;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cstdio>
 #include <map>
@@ -12,18 +13,21 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/string_util.h"
 #include "datasets/corpus.h"
 #include "gen/generator.h"
+#include "ir/plan_cache.h"
 #include "model/features.h"
 #include "model/interpreter.h"
 #include "nlgen/nl_generator.h"
 #include "program/library.h"
 #include "program/sampler.h"
 #include "program/template.h"
+#include "program/template_form.h"
 #include "tests/test_util.h"
 
 namespace uctr::model {
@@ -357,14 +361,17 @@ std::vector<ProgramTemplate> QuestionTemplates() {
 }
 
 // The low 16 bits of each sweep sample's hash, in sample order, so a
-// digest mismatch names the first sample whose readings changed.
+// digest mismatch names the first sample whose readings changed. Binding
+// templates directly changed one sample, #91 ("What was the 2019 of the
+// row whose item is stockholders' equity?"): the three SQL readings whose
+// literal holds the quote now parse, 11 -> 14 readings.
 constexpr std::string_view kSweepSampleTags =
     "b7cc24f831adcc550f3769adcc2cd7dd653fcb8497a77f66e419274749ab6eae"
     "4578eeac6c0f386bbf1adc253bfc0866589800562da8795f806dcd6ca75d47d0"
     "b94ecef1e889def93e021565f0c4dbacd92c08ae26fdea765673b84d7778eb0b"
     "d2edb5710fc3c900fac28b706742dcc30e8f80c5c86834da2e24728ac0b2fb8e"
     "c34512198abe5437a84259bfc6b4d25c6789d500ef9fc5b4db6d665050c09eb6"
-    "b9475f2dcec8a8f9bd5818806224eb69800e36fc692edf587d6bbf6a6c7fceb3"
+    "b9475f2dcec8a8f9bd5818806224eb69800e36fc692ec8677d6bbf6a6c7fceb3"
     "954a4596378f0f4d31d9afc9898a6679c6f69897a0c40069bac68834d4eebee5"
     "0e4aeb141f6fa8dd32fc5d3404ee8d789cd3407c8d6c126694966d4ff7388907"
     "e9cb41ba785adca373df84622ed1bd5df9ef7400819f51bb07b82afc2e089029";
@@ -420,7 +427,7 @@ TEST(InterpreterSweepTest, RankAllAndExtractDigestIsPinned) {
       << "first differing sample #" << same << ": "
       << (same < labels.size() ? labels[same] : "(past the end)");
   EXPECT_GT(readings, samples.size());
-  EXPECT_EQ(digest, 0xc20dcfe9a09d61b1ull)
+  EXPECT_EQ(digest, 0x09f7d50f66d0670eull)
       << std::hex << digest << std::dec << " over " << samples.size()
       << " samples, " << readings << " readings";
 }
@@ -606,19 +613,33 @@ std::string ReadingKey(const Interpretation& r) {
   return key;
 }
 
-/// Compares RankAll with the text route on one sentence; returns the
-/// number of readings compared.
+bool BindsProgramSyntax(const Interpretation& r) {
+  for (const auto& [slot, value] : r.bindings) {
+    if (uctr::testing::HasProgramSyntax(r.program.type, value)) return true;
+  }
+  return false;
+}
+
+/// Compares RankAll with the text route on one sentence, over the readings
+/// whose bindings hold no program syntax (where splicing text changed the
+/// program, the two routes differ on purpose). Returns the number of
+/// readings compared; `spliced` counts the readings left out.
 size_t ExpectMatchesTextRoute(const NlInterpreter& interp,
                               const std::string& sentence, const Table& table,
-                              TaskType task, const std::string& label) {
+                              TaskType task, const std::string& label,
+                              size_t* spliced = nullptr) {
   std::vector<std::string> got;
   for (const Interpretation& r : interp.RankAll(sentence, table, task)) {
+    if (BindsProgramSyntax(r)) {
+      if (spliced != nullptr) ++*spliced;
+      continue;
+    }
     got.push_back(ReadingKey(r));
   }
   std::vector<std::string> want;
   for (const Interpretation& r :
        TextRouteRankAll(interp.templates(), sentence, table, task)) {
-    want.push_back(ReadingKey(r));
+    if (!BindsProgramSyntax(r)) want.push_back(ReadingKey(r));
   }
   EXPECT_EQ(got, want) << label << ": " << sentence;
   return want.size();
@@ -726,8 +747,92 @@ TEST(InterpreterReferenceTest, ThousandRowTableMatchesTheTextRoute) {
   EXPECT_GT(readings, 100u);
 }
 
+// ------------------------------------------------------------ direct route
+
+// RankAll scores a candidate from its template's canonical sentence,
+// realized once with the slots left open; that is exact only if every
+// slot sits between token boundaries. Every built-in template qualifies.
+TEST(InterpreterDirectTest, EveryBuiltinTemplateRealizesWithOpenSlots) {
+  nlgen::NlGeneratorConfig config;
+  config.stochastic = false;
+  const nlgen::NlGenerator canonical(config);
+  const TemplateLibrary library = TemplateLibrary::Builtin();
+  for (const ProgramTemplate& tmpl : library.templates()) {
+    Result<TemplateForm> form = TemplateForm::Make(tmpl);
+    ASSERT_TRUE(form.ok()) << tmpl.pattern << ": "
+                           << form.status().ToString();
+    std::vector<std::string> printed;
+    for (size_t p = 0; p < tmpl.placeholders.size(); ++p) {
+      printed.push_back(form->PrintedMarker(p));
+    }
+    Result<nlgen::OpenSentence> open =
+        canonical.RealizeOpen(form->Skeleton(), printed);
+    ASSERT_TRUE(open.ok()) << tmpl.pattern << ": "
+                           << open.status().ToString();
+    EXPECT_FALSE(open->fixed_tokens.empty()) << tmpl.pattern;
+  }
+}
+
+// Template plans are keyed by template and column positions, so a second
+// claim with other literals over the same table compiles nothing.
+TEST(InterpreterDirectTest, OtherLiteralsReuseTemplatePlans) {
+  NlInterpreter claims(BuiltinLogicTemplates());
+  obs::MetricsRegistry metrics;
+  ir::PlanCache cache(1024, 8, &metrics);
+  ExecOptions exec;
+  exec.plan_cache = &cache;
+  Table t = MakeNationsTable();
+  auto first = claims.RankAll("The gold of the row whose nation is china is 8.",
+                              t, TaskType::kFactVerification, exec);
+  const uint64_t compiles = metrics.counter("plan_compiles_total")->value();
+  EXPECT_GT(compiles, 0u);
+  auto second = claims.RankAll(
+      "The gold of the row whose nation is japan is 5.", t,
+      TaskType::kFactVerification, exec);
+  ASSERT_EQ(second.size(), first.size());
+  EXPECT_EQ(metrics.counter("plan_compiles_total")->value(), compiles);
+  EXPECT_EQ(second[0].bindings.at("v1"), "japan");
+}
+
+// One interpreter and one plan cache shared by threads: every thread
+// reads the same readings a lone call does.
+TEST(InterpreterDirectTest, ConcurrentRankAllSharesPlans) {
+  NlInterpreter claims(BuiltinLogicTemplates());
+  NlInterpreter questions(QuestionTemplates());
+  ir::PlanCache cache(64, 4);
+  ExecOptions exec;
+  exec.plan_cache = &cache;
+  std::vector<Sample> samples = SweepSamples();
+  auto readings = [&](const Sample& s) {
+    const NlInterpreter& interp =
+        s.task == TaskType::kFactVerification ? claims : questions;
+    std::vector<std::string> out;
+    for (const Interpretation& r :
+         interp.RankAll(s.sentence, s.evidence_table(), s.task, exec)) {
+      out.push_back(ReadingKey(r));
+    }
+    return out;
+  };
+  std::vector<std::vector<std::string>> want;
+  for (const Sample& s : samples) want.push_back(readings(s));
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t k = 0; k < 4; ++k) {
+    threads.emplace_back([&, k] {
+      for (size_t round = 0; round < 3; ++round) {
+        for (size_t i = k; i < samples.size(); i += 2) {
+          if (readings(samples[i]) != want[i]) ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+}
+
 // ------------------------------------------------------------ splice probes
-// Cell and claim text that holds program syntax, over the medal table.
+// Cell and claim text that holds program syntax, over the medal table: a
+// binding is a value, so it reads as the same text without the syntax.
 
 Table MedalsWith(const std::string& name) {
   Table t = MakeNationsTable();
@@ -744,9 +849,21 @@ TEST(InterpreterProbeTest, QuoteInRowName) {
       "What is the gold of the row whose nation is o'brien?",
       MedalsWith("o'brien"), TaskType::kQuestionAnswering);
   ASSERT_EQ(plain.size(), 14u);
-  // The quote ends the SQL literal early, so no SQL reading parses.
-  ASSERT_EQ(quoted.size(), 11u);
-  EXPECT_EQ(quoted[0].program.text, "table_max(o'brien)");
+  ASSERT_EQ(quoted.size(), 14u);
+  // The same readings with the same results; "o'brien" is two sentence
+  // tokens, so their scores and order differ.
+  auto readings = [](const std::vector<Interpretation>& ranked) {
+    std::set<std::pair<size_t, std::string>> out;
+    for (const Interpretation& r : ranked) {
+      out.emplace(r.template_index, r.result.ToDisplayString());
+    }
+    return out;
+  };
+  EXPECT_EQ(readings(quoted), readings(plain));
+  EXPECT_EQ(quoted[0].template_index, plain[0].template_index);
+  EXPECT_EQ(quoted[0].program.text,
+            "SELECT SUM([gold]) FROM w WHERE [nation] = 'o'brien'");
+  EXPECT_EQ(quoted[0].result.ToDisplayString(), "8");
 }
 
 TEST(InterpreterProbeTest, BracesInRowName) {
@@ -755,24 +872,22 @@ TEST(InterpreterProbeTest, BracesInRowName) {
       "The gold of the row whose nation is x } ; y is 8.",
       MedalsWith("x } ; y"), TaskType::kFactVerification);
   ASSERT_FALSE(ranked.empty());
-  EXPECT_EQ(ranked[0].program.text,
-            "eq { hop { argmax { all_rows ; gold } ; nation } ; 8 }");
-  EXPECT_FALSE(ranked[0].result.scalar().boolean());
+  EXPECT_EQ(ranked[0].template_index, 0u);  // the filter_eq lookup
+  EXPECT_EQ(ranked[0].bindings.at("v1"), "x } ; y");
+  EXPECT_TRUE(ranked[0].result.scalar().boolean());
 }
 
 TEST(InterpreterProbeTest, BraceInClaimTail) {
   NlInterpreter claims(BuiltinLogicTemplates());
-  EXPECT_EQ(claims
-                .RankAll("The gold of the row whose nation is china is 8.",
-                         MakeNationsTable(), TaskType::kFactVerification)
-                .size(),
-            19u);
-  // The derive slot splices "8 }" into the form and closes it early.
-  EXPECT_EQ(claims
-                .RankAll("The gold of the row whose nation is china is 8 }.",
-                         MakeNationsTable(), TaskType::kFactVerification)
-                .size(),
-            8u);
+  auto plain = claims.RankAll("The gold of the row whose nation is china is 8.",
+                              MakeNationsTable(), TaskType::kFactVerification);
+  auto braced =
+      claims.RankAll("The gold of the row whose nation is china is 8 }.",
+                     MakeNationsTable(), TaskType::kFactVerification);
+  EXPECT_EQ(plain.size(), 19u);
+  // The claimed value "8 }" is one literal, not the end of the form.
+  ASSERT_EQ(braced.size(), 19u);
+  EXPECT_EQ(braced[0].bindings.at("derive"), "8 }");
 }
 
 }  // namespace

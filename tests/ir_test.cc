@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -24,6 +25,7 @@
 #include "obs/metrics.h"
 #include "program/library.h"
 #include "program/sampler.h"
+#include "program/template_form.h"
 #include "sql/executor.h"
 #include "store/codec.h"
 #include "tests/test_util.h"
@@ -76,7 +78,17 @@ void ExpectSameOutcome(const std::string& text, const Result<ExecResult>& got,
     EXPECT_EQ(a.values[i].type(), b.values[i].type()) << text;
     EXPECT_EQ(a.values[i].ToDisplayString(), b.values[i].ToDisplayString())
         << text;
-    EXPECT_TRUE(a.values[i].Equals(b.values[i])) << text;
+    // NaN equals nothing, itself included: compare its bits instead.
+    bool both_nan = a.values[i].is_number() && b.values[i].is_number() &&
+                    std::isnan(a.values[i].number()) &&
+                    std::isnan(b.values[i].number());
+    if (both_nan) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(a.values[i].number()),
+                std::bit_cast<uint64_t>(b.values[i].number()))
+          << text;
+    } else {
+      EXPECT_TRUE(a.values[i].Equals(b.values[i])) << text;
+    }
   }
   EXPECT_EQ(a.evidence_rows, b.evidence_rows) << text;
 }
@@ -108,6 +120,30 @@ void ExpectDirectVmIdentical(const Program& program, const Table& table) {
                     Walk(program, table));
 }
 
+// The template route — a TemplateForm's plan for the bound columns, run
+// with the bound texts as slot values — must match the scan walker over
+// the skeleton with those texts in its fields, and, where no text holds
+// program syntax, the walker over the filled program text too.
+void ExpectTemplateIdentical(const ProgramTemplate& tmpl,
+                             const SampledProgram& sampled,
+                             const Table& table, ir::PlanCache* cache) {
+  Result<TemplateForm> form = TemplateForm::Make(tmpl);
+  ASSERT_TRUE(form.ok()) << tmpl.pattern << ": " << form.status().ToString();
+  std::vector<std::string_view> texts;
+  bool syntax = false;
+  for (const Placeholder& p : tmpl.placeholders) {
+    const std::string& text = sampled.bindings.at(p.id);
+    texts.push_back(text);
+    syntax = syntax || uctr::testing::HasProgramSyntax(tmpl.type, text);
+  }
+  Result<ExecResult> got = form->Run(table, texts, *cache);
+  ExpectSameOutcome(sampled.program.text, got, form->Walk(table, texts));
+  if (!syntax) {
+    ExpectSameOutcome(sampled.program.text, got,
+                      Walk(sampled.program, table));
+  }
+}
+
 bool HasDerive(const ProgramTemplate& tmpl) {
   for (const Placeholder& p : tmpl.placeholders) {
     if (p.kind == Placeholder::Kind::kDerive) return true;
@@ -137,6 +173,7 @@ size_t SweepLibrary(const Table& table, bool support, ProgramSampler* sampler,
     const Program& program = sampled.ValueOrDie().program;
     ExpectIdentical(program, table, cache);
     ExpectDirectVmIdentical(program, table);
+    ExpectTemplateIdentical(tmpl, sampled.ValueOrDie(), table, cache);
     ++executed;
   }
   return executed;
@@ -173,6 +210,63 @@ TEST_P(IrDifferentialTest, AllBuiltinTemplatesMatchTreeWalkOnTallTables) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IrDifferentialTest,
                          ::testing::Values(1, 7, 42, 1234, 99991));
+
+// The template route over the golden corpus: adversarial cells (nulls,
+// nan and inf, currency and percent text, yes/no), the finance table's
+// quoted and " of " names, and 1000 rows.
+TEST(IrTemplatePlanTest, GoldenTablesMatchTreeWalk) {
+  static const TemplateLibrary library = TemplateLibrary::Builtin();
+  Rng table_rng(17);
+  const auto tables = uctr::testing::GoldenTables(&table_rng);
+  ir::PlanCache cache(256, 4);
+  size_t executed = 0;
+  for (size_t i = 0; i < tables.size(); ++i) {
+    const Table& table = tables[i].second;
+    for (size_t t = 0; t < library.templates().size(); ++t) {
+      Rng rng((31ull << 32) | (i << 16) | t);
+      ProgramSampler sampler(&rng);
+      const ProgramTemplate& tmpl = library.templates()[t];
+      Result<SampledProgram> sampled =
+          HasDerive(tmpl) ? sampler.SampleClaim(tmpl, table, t % 2 == 0)
+                          : sampler.Sample(tmpl, table);
+      if (!sampled.ok()) continue;
+      ExpectTemplateIdentical(tmpl, sampled.ValueOrDie(), table, &cache);
+      ++executed;
+    }
+  }
+  EXPECT_GT(executed, 500u);
+}
+
+// A template plan is keyed by the template and the column positions its
+// slots resolve to: other literals, other rows and other column names at
+// the same positions reuse it.
+TEST(IrTemplatePlanTest, PlansAreSharedAcrossBindingsAtOnePosition) {
+  auto tmpl = ProgramTemplate::Make(
+                  ProgramType::kLogicalForm,
+                  "eq { hop { filter_eq { all_rows ; {c1} ; {v1@c1} } ; {c2} "
+                  "} ; {derive} }")
+                  .ValueOrDie();
+  TemplateForm form = TemplateForm::Make(tmpl).ValueOrDie();
+  obs::MetricsRegistry metrics;
+  ir::PlanCache cache(16, 1, &metrics);
+  Table nations = uctr::testing::MakeNationsTable();
+  Table renamed = Table::FromCsv(
+                      "country,medals,x,y,z\nnarnia,3,1,1,1\noz,4,1,1,1\n",
+                      "renamed")
+                      .ValueOrDie();
+  std::vector<std::string_view> china = {"nation", "china", "gold", "8"};
+  std::vector<std::string_view> japan = {"nation", "japan", "gold", "4"};
+  std::vector<std::string_view> oz = {"country", "oz", "medals", "4"};
+  EXPECT_TRUE(form.Run(nations, china, cache)->scalar().boolean());
+  EXPECT_FALSE(form.Run(nations, japan, cache)->scalar().boolean());
+  EXPECT_TRUE(form.Run(renamed, oz, cache)->scalar().boolean());
+  EXPECT_EQ(metrics.counter("plan_compiles_total")->value(), 1u);
+  EXPECT_EQ(metrics.counter("plan_cache_hits_total")->value(), 2u);
+  // Other positions lower another plan.
+  std::vector<std::string_view> by_gold = {"gold", "8", "nation", "china"};
+  EXPECT_TRUE(form.Run(nations, by_gold, cache)->scalar().boolean());
+  EXPECT_EQ(metrics.counter("plan_compiles_total")->value(), 2u);
+}
 
 // ---------------------------------------------------------- golden digests
 // The scan walkers' outcomes over a fixed corpus, folded into one pinned
@@ -513,15 +607,26 @@ TEST(IrPlanTest, PlanIsValueIndependent) {
   EXPECT_EQ(r2.ValueOrDie().ToDisplayString(), "5");
 }
 
-TEST(IrPlanTest, SchemaMismatchIsRejectedAtExecution) {
+// The one rule for a plan fitting a table: every column it reads exists.
+// A plan reading only leading columns runs on any table that has them.
+TEST(IrPlanTest, PlanReadingAMissingColumnIsRejected) {
   Table nations = uctr::testing::MakeNationsTable();
   Table finance = uctr::testing::MakeFinanceTable();
-  auto plan = ir::Compile(ir::Family::kSql, "SELECT COUNT(*) FROM w",
+  auto wide = ir::Compile(ir::Family::kSql, "SELECT SUM([total]) FROM w",
                           nations.schema());
-  ASSERT_TRUE(plan.ok());
-  auto r = ir::ExecutePlan(plan.ValueOrDie(), finance);
+  ASSERT_TRUE(wide.ok());
+  EXPECT_EQ(wide->num_columns, 5u);
+  auto r = ir::ExecutePlan(wide.ValueOrDie(), finance);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+
+  auto narrow = ir::Compile(ir::Family::kSql, "SELECT COUNT(*) FROM w",
+                            nations.schema());
+  ASSERT_TRUE(narrow.ok());
+  EXPECT_EQ(narrow->num_columns, 0u);
+  auto n = ir::ExecutePlan(narrow.ValueOrDie(), finance);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(n->ToDisplayString(), "4");
 }
 
 // Hand-built malformed plans: the verifier must reject each one (these

@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/string_util.h"
+#include "program/program.h"
 #include "table/table.h"
 
 namespace uctr::testing {
@@ -98,6 +100,26 @@ inline std::vector<std::pair<std::string, Table>> GoldenTables(Rng* rng) {
       "negative-zero",
       Table::FromCsv("name,b,c\nx,-0,3\ny,5,-2\nz,7,4\n", "nz").ValueOrDie());
   return tables;
+}
+
+/// Whether `text`, spliced into a program of `type`, can change its
+/// structure: quotes and brackets in SQL, braces and semicolons in logical
+/// forms, and in arithmetic parentheses, commas, " of " (which splits a
+/// cell reference) and a leading '#' or "const_" (a step or a constant).
+inline bool HasProgramSyntax(ProgramType type, std::string_view text) {
+  switch (type) {
+    case ProgramType::kSql:
+      return text.find_first_of("'[]") != std::string_view::npos;
+    case ProgramType::kLogicalForm:
+      return text.find_first_of("{};") != std::string_view::npos;
+    case ProgramType::kArithmetic: {
+      std::string name = ToLower(Trim(text));
+      return name.find_first_of("(),") != std::string::npos ||
+             (" " + name + " ").find(" of ") != std::string::npos ||
+             StartsWith(name, "#") || StartsWith(name, "const_");
+    }
+  }
+  return false;
 }
 
 }  // namespace uctr::testing
