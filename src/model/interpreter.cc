@@ -14,6 +14,21 @@ namespace uctr::model {
 
 namespace {
 
+/// Ordinal mention in the sentence ("2nd", "third", ...), or 0.
+int FindOrdinal(const std::vector<std::string>& tokens) {
+  static const std::pair<const char*, int> kWords[] = {
+      {"first", 1},  {"second", 2}, {"third", 3}, {"fourth", 4},
+      {"fifth", 5},  {"1st", 1},    {"2nd", 2},   {"3rd", 3},
+      {"4th", 4},    {"5th", 5},
+  };
+  for (const std::string& t : tokens) {
+    for (const auto& [word, n] : kWords) {
+      if (t == word) return n;
+    }
+  }
+  return 0;
+}
+
 /// One RankAll call's view of its sentence against the table, shared by
 /// every template the call tries: the sentence's tokens (as read, and
 /// sorted for scoring), which inventory words they are, each header's
@@ -114,8 +129,6 @@ class Linker {
     return static_cast<double>(hits) / static_cast<double>(ids.size());
   }
 
-  static int FindOrdinal(const std::vector<std::string>& tokens);
-
   const std::string& sentence_;
   const Table& table_;
   const TableIndex& index_;
@@ -128,21 +141,6 @@ class Linker {
   std::optional<std::string> ordinal_;
   std::optional<std::string> claimed_;
 };
-
-/// Ordinal mention in the sentence ("2nd", "third", ...), or 0.
-int Linker::FindOrdinal(const std::vector<std::string>& tokens) {
-  static const std::pair<const char*, int> kWords[] = {
-      {"first", 1},  {"second", 2}, {"third", 3}, {"fourth", 4},
-      {"fifth", 5},  {"1st", 1},    {"2nd", 2},   {"3rd", 3},
-      {"4th", 4},    {"5th", 5},
-  };
-  for (const std::string& t : tokens) {
-    for (const auto& [word, n] : kWords) {
-      if (t == word) return n;
-    }
-  }
-  return 0;
-}
 
 nlgen::NlGeneratorConfig CanonicalConfig() {
   nlgen::NlGeneratorConfig config;
@@ -160,16 +158,10 @@ NlInterpreter::NlInterpreter(std::vector<ProgramTemplate> templates)
     std::optional<Prepared>& prepared = prepared_.emplace_back();
     Result<TemplateForm> form = TemplateForm::Make(tmpl);
     if (!form.ok()) continue;
-    std::vector<std::string> printed;
-    for (size_t p = 0; p < tmpl.placeholders.size(); ++p) {
-      printed.push_back(form->PrintedMarker(p));
-    }
-    Result<nlgen::OpenSentence> open =
-        canonical_generator_.RealizeOpen(form->Skeleton(), printed);
+    Result<nlgen::OpenSentence> open = canonical_generator_.RealizeOpen(*form);
     if (!open.ok()) continue;
     prepared.emplace(Prepared{std::move(form).ValueOrDie(),
-                              std::move(open).ValueOrDie(),
-                              std::move(printed)});
+                              std::move(open).ValueOrDie()});
   }
 }
 
@@ -368,8 +360,7 @@ std::vector<Interpretation> NlInterpreter::RankAll(
       score = Score(prepared.form, prepared.sentence, texts,
                     linker->sorted_tokens());
     } else {
-      auto open = canonical_generator_.RealizeOpen(
-          prepared.form.Skeleton(merged), prepared.printed_markers);
+      auto open = canonical_generator_.RealizeOpen(prepared.form, merged);
       if (!open.ok()) continue;
       score = Score(prepared.form, *open, texts, linker->sorted_tokens());
     }

@@ -79,7 +79,6 @@ class NlInterpreter {
   struct Prepared {
     TemplateForm form;
     nlgen::OpenSentence sentence;
-    std::vector<std::string> printed_markers;  ///< per placeholder
   };
 
   std::vector<ProgramTemplate> templates_;

@@ -96,9 +96,13 @@ Result<std::string> NlGenerator::GenerateCanonical(
 }
 
 Result<OpenSentence> NlGenerator::RealizeOpen(
-    const Program& skeleton,
-    std::span<const std::string> printed_markers) const {
-  UCTR_ASSIGN_OR_RETURN(std::string sentence, GenerateCanonical(skeleton));
+    const TemplateForm& form, std::span<const size_t> merged) const {
+  UCTR_ASSIGN_OR_RETURN(std::string sentence,
+                        GenerateCanonical(form.Skeleton(merged)));
+  std::vector<std::string> printed_markers;
+  for (size_t p = 0; p < form.tmpl().placeholders.size(); ++p) {
+    printed_markers.push_back(form.PrintedMarker(p));
+  }
   OpenSentence out;
   auto fixed = [&](std::string_view segment) {
     for (std::string& t : WordTokens(segment)) {

@@ -62,13 +62,13 @@ class NlGenerator {
   /// \brief Deterministic (canonical) generation.
   Result<std::string> GenerateCanonical(const Program& program) const;
 
-  /// \brief Realizes a template skeleton canonically and opens it at each
-  /// printed marker (`printed_markers[p]` stands for placeholder p). Fails
-  /// when the realizer does, or when a marker does not sit between token
-  /// boundaries: its text could then merge with the words around it.
-  Result<OpenSentence> RealizeOpen(
-      const Program& skeleton,
-      std::span<const std::string> printed_markers) const;
+  /// \brief Realizes `form`'s skeleton (with `merged` as for
+  /// TemplateForm::Skeleton) canonically and opens it at each printed
+  /// slot. Fails when the realizer does, or when a slot does not sit
+  /// between token boundaries: its text could then merge with the words
+  /// around it.
+  Result<OpenSentence> RealizeOpen(const TemplateForm& form,
+                                   std::span<const size_t> merged = {}) const;
 
  private:
   NlGeneratorConfig config_;

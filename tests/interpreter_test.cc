@@ -761,12 +761,7 @@ TEST(InterpreterDirectTest, EveryBuiltinTemplateRealizesWithOpenSlots) {
     Result<TemplateForm> form = TemplateForm::Make(tmpl);
     ASSERT_TRUE(form.ok()) << tmpl.pattern << ": "
                            << form.status().ToString();
-    std::vector<std::string> printed;
-    for (size_t p = 0; p < tmpl.placeholders.size(); ++p) {
-      printed.push_back(form->PrintedMarker(p));
-    }
-    Result<nlgen::OpenSentence> open =
-        canonical.RealizeOpen(form->Skeleton(), printed);
+    Result<nlgen::OpenSentence> open = canonical.RealizeOpen(*form);
     ASSERT_TRUE(open.ok()) << tmpl.pattern << ": "
                            << open.status().ToString();
     EXPECT_FALSE(open->fixed_tokens.empty()) << tmpl.pattern;
