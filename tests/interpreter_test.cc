@@ -789,6 +789,29 @@ TEST(InterpreterDirectTest, OtherLiteralsReuseTemplatePlans) {
   EXPECT_EQ(second[0].bindings.at("v1"), "japan");
 }
 
+// The arithmetic realizer compares row names up to case, so two rows
+// named alike up to case phrase a change between them differently; the
+// candidate's sentence then comes from the skeleton with their slots
+// merged, and still scores as the text route does.
+TEST(InterpreterDirectTest, CaseEqualRowsScoreAsTheTextRoute) {
+  Table t = Table::FromCsv(
+                "item,2019,2018\nRevenue,10,8\nrevenue,7,6\ncost,3,2\n",
+                "finance")
+                .ValueOrDie();
+  NlInterpreter questions = SingleTemplate(
+      "subtract({c1:num} of {r1}, {c1:num} of {r2})", "arithmetic",
+      ProgramType::kArithmetic);
+  const std::string question =
+      "What is the difference in the revenue from 2019 to 2019?";
+  size_t readings = ExpectMatchesTextRoute(
+      questions, question, t, TaskType::kQuestionAnswering, "case-equal");
+  EXPECT_EQ(readings, 1u);
+  auto ranked = questions.RankAll(question, t, TaskType::kQuestionAnswering);
+  ASSERT_EQ(ranked.size(), 1u);
+  EXPECT_EQ(ranked[0].bindings.at("r1"), "Revenue");
+  EXPECT_EQ(ranked[0].bindings.at("r2"), "revenue");
+}
+
 // One interpreter and one plan cache shared by threads: every thread
 // reads the same readings a lone call does.
 TEST(InterpreterDirectTest, ConcurrentRankAllSharesPlans) {
