@@ -382,6 +382,21 @@ TEST(SelfTrainerTest, UninterruptedRunCompletesAndReports) {
   EXPECT_EQ(rerun->DeltaTable(), report->DeltaTable());
 }
 
+// uctr_selftrain's default configuration (fv, seed 42, 3 rounds): the
+// last round's held-out accuracy is at least round 0's. Ties pass.
+TEST(SelfTrainerTest, DefaultRunEndsNoWorseThanRoundZero) {
+  FaultGuard clean;
+  ScratchDir dir("default");
+  SelfTrainConfig config;
+  config.state_dir = dir.path();
+  auto report = SelfTrainer(config).Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(report->complete);
+  ASSERT_EQ(report->rounds.size(), config.rounds + 1);
+  EXPECT_GE(report->rounds.back().accuracy, report->rounds.front().accuracy)
+      << report->DeltaTable();
+}
+
 TEST(SelfTrainerTest, KillAtEveryPhaseBoundaryResumesByteIdentically) {
   FaultGuard clean;
   ScratchDir ref_dir("boundary_ref");

@@ -256,6 +256,42 @@ TEST(SchedulerTest, ExpiresJobsWhoseDeadlinePassedInQueue) {
   EXPECT_EQ(metrics.counter("jobs_expired_total")->value(), 1u);
 }
 
+// The pool overlaps waiting jobs: N workers hold N blocked jobs at once.
+// Each job waits on a shared latch until all N have entered; a pool that
+// ran fewer at a time would leave the latch short, and the shared
+// deadline fails the test instead of hanging it.
+TEST(SchedulerTest, NWorkersHoldNBlockedJobsAtOnce) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (size_t workers : {1u, 2u, 4u, 8u}) {
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t entered = 0;
+    size_t released = 0;
+    SchedulerConfig config;
+    config.num_workers = workers;
+    config.queue_capacity = workers;
+    Scheduler scheduler(config);
+    for (size_t i = 0; i < workers; ++i) {
+      ASSERT_TRUE(scheduler
+                      .Submit({[&] {
+                                 std::unique_lock<std::mutex> lock(mu);
+                                 ++entered;
+                                 cv.notify_all();
+                                 if (cv.wait_until(lock, deadline, [&] {
+                                       return entered == workers;
+                                     })) {
+                                   ++released;
+                                 }
+                               },
+                               nullptr})
+                      .ok());
+    }
+    scheduler.Drain();
+    EXPECT_EQ(released, workers) << workers << " workers";
+  }
+}
+
 TEST(SchedulerTest, SubmitAfterShutdownIsRejected) {
   Scheduler scheduler({1, 4});
   scheduler.Shutdown();

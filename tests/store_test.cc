@@ -14,6 +14,7 @@
 
 #include "fault/fault.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "program/program.h"
 #include "serve/engine.h"
 #include "serve/server.h"
@@ -531,6 +532,60 @@ TEST(ServerStoreTest, TableRefServesByteIdenticalAnswers) {
   EXPECT_EQ(ref_answer, inline_answer);
 
   EXPECT_EQ(metrics.counter("store_hits_total")->value(), 2u);
+}
+
+// A registered table is parsed and warmed once, at put_table: every
+// cache-missing inline request records one table-parse and one
+// index-warm span, and table_ref requests record none. A count, not a
+// timing.
+TEST(ServerStoreTest, TableRefRequestsSkipParseAndWarm) {
+  obs::Tracer tracer;
+  tracer.set_enabled(true);
+  ServerConfig config;
+  config.scheduler.num_workers = 2;
+  obs::MetricsRegistry metrics;
+  config.metrics = &metrics;
+  config.tracer = &tracer;
+  Server server(&SharedEngine(), config);
+  // Spans close as their job returns, so count only after a Drain.
+  auto spans = [&](const std::string& name) {
+    server.Drain();
+    size_t count = 0;
+    for (const obs::TraceEvent& event : tracer.Snapshot()) {
+      if (event.name == name) ++count;
+    }
+    return count;
+  };
+
+  // Distinct claims, so no request is a result-cache hit.
+  constexpr size_t kRequests = 8;
+  auto claim = [](size_t i) {
+    return "The gold of the row whose nation is japan is " +
+           std::to_string(i) + ".";
+  };
+  std::vector<std::string> inline_responses;
+  for (size_t i = 0; i < kRequests; ++i) {
+    inline_responses.push_back(server.HandleLine(
+        InlineRequest(i + 1, "verify", kMedalsCsv, claim(i))));
+  }
+  EXPECT_EQ(spans("serve.request"), kRequests);
+  EXPECT_EQ(spans("serve.table_parse"), kRequests);
+  EXPECT_EQ(spans("serve.index_warm"), kRequests);
+
+  std::string fp =
+      ExtractFingerprint(server.HandleLine(PutTableRequest(0, kMedalsCsv)));
+  ASSERT_EQ(fp.size(), 16u);
+  server.Drain();
+  tracer.Clear();
+  std::vector<std::string> ref_responses;
+  for (size_t i = 0; i < kRequests; ++i) {
+    ref_responses.push_back(
+        server.HandleLine(RefRequest(i + 1, "verify", fp, claim(i))));
+  }
+  EXPECT_EQ(spans("serve.request"), kRequests);
+  EXPECT_EQ(spans("serve.table_parse"), 0u);
+  EXPECT_EQ(spans("serve.index_warm"), 0u);
+  EXPECT_EQ(ref_responses, inline_responses);
 }
 
 TEST(ServerStoreTest, RegistryMissFallsBackToInlineDegraded) {
