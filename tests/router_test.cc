@@ -479,10 +479,12 @@ TEST_F(RouterTest, ReadRepairRestoresRestartedOwnerToFullService) {
   EXPECT_NE(routed.find("\"status\":\"ok\""), std::string::npos) << routed;
 
   // Convergence: the owner ends up holding the table again and serves the
-  // ref directly, non-degraded — full ownership restored.
-  EXPECT_TRUE(wait_for([&] { return holds(owner); }))
-      << "read-repair must restore the owner's copy";
-  EXPECT_GE(RouterCounter("router_read_repair_total"), 1u);
+  // ref directly, non-degraded — full ownership restored. The router
+  // counts the repair only once the repair put's reply returns, which can
+  // be after the owner already holds the table, so wait for both.
+  EXPECT_TRUE(wait_for([&] {
+    return holds(owner) && RouterCounter("router_read_repair_total") >= 1;
+  })) << "read-repair must restore the owner's copy";
   EXPECT_EQ(RouterCounter("router_read_repair_failures_total"), 0u);
   std::string after = CallRouter(router_.get(), ref_request);
   EXPECT_NE(after.find("\"status\":\"ok\""), std::string::npos) << after;
