@@ -281,14 +281,6 @@ std::string GetStringOr(const Value::Object& obj, const std::string& key,
   return it->second.as_string();
 }
 
-Result<double> GetNumber(const Value::Object& obj, const std::string& key) {
-  auto it = obj.find(key);
-  if (it == obj.end() || !it->second.is_number()) {
-    return Status::ParseError("missing numeric field '" + key + "'");
-  }
-  return it->second.as_number();
-}
-
 double GetNumberOr(const Value::Object& obj, const std::string& key,
                    double fallback) {
   auto it = obj.find(key);

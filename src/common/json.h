@@ -60,9 +60,6 @@ Result<std::string> GetString(const Value::Object& obj,
 std::string GetStringOr(const Value::Object& obj, const std::string& key,
                         std::string fallback);
 
-/// \brief Required numeric field of an object, or ParseError.
-Result<double> GetNumber(const Value::Object& obj, const std::string& key);
-
 /// \brief Optional numeric field with a fallback.
 double GetNumberOr(const Value::Object& obj, const std::string& key,
                    double fallback);

@@ -141,12 +141,6 @@ struct Builder {
 
 }  // namespace
 
-uint64_t SchemaFingerprint(const Schema& schema) {
-  // Canonical definition lives on Schema so TableIndex can cache it once
-  // per table instead of re-hashing column names on every request.
-  return schema.Fingerprint();
-}
-
 uint64_t ProgramFingerprint(Family family, std::string_view text) {
   // Streamed, allocation-free: this runs on every program execution.
   const char tag = static_cast<char>(family);

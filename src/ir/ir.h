@@ -158,12 +158,9 @@ struct SlotValues {
   std::span<const TableIndex::LiteralKey> keys;
 };
 
-/// \brief Schema::Fingerprint: with ProgramFingerprint, the cache identity
-/// of a plan compiled from program text, whose names resolve against the
-/// schema. Cell contents do not participate.
-uint64_t SchemaFingerprint(const Schema& schema);
-
 /// \brief 64-bit FNV-1a (truncated basis) over (family tag, program text).
+/// With Schema::Fingerprint, the cache identity of a plan compiled from
+/// program text, whose names resolve against the schema.
 uint64_t ProgramFingerprint(Family family, std::string_view text);
 
 /// \brief With ColumnsFingerprint, the cache identity of a template plan:

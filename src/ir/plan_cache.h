@@ -17,7 +17,7 @@ namespace uctr::ir {
 /// negative entries; a parse error is never cached.
 ///
 /// A key is two 64-bit fingerprints:
-///   - program text: (ProgramFingerprint, SchemaFingerprint). Its names
+///   - program text: (ProgramFingerprint, Schema::Fingerprint). Its names
 ///     resolve against the schema, so a renamed column or a type drift
 ///     misses and recompiles; cell contents do not take part.
 ///   - a template: (TemplateFingerprint, ColumnsFingerprint). Its plan

@@ -1,7 +1,6 @@
 #include "net/socket_util.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -78,14 +77,6 @@ Result<int> ConnectTcp(const std::string& host, uint16_t port) {
   int one = 1;
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return fd;
-}
-
-Status SetNonBlocking(int fd) {
-  int flags = fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) {
-    return ErrnoStatus("fcntl(O_NONBLOCK)");
-  }
-  return Status::OK();
 }
 
 }  // namespace uctr::net

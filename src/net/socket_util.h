@@ -27,9 +27,6 @@ Result<std::string> ResolveIPv4(const std::string& host);
 /// Returns the connected fd.
 Result<int> ConnectTcp(const std::string& host, uint16_t port);
 
-/// \brief Sets O_NONBLOCK on `fd`.
-Status SetNonBlocking(int fd);
-
 /// \brief errno as a "prefix: strerror" Status.
 Status ErrnoStatus(const std::string& prefix);
 

@@ -12,8 +12,6 @@
 
 namespace uctr {
 
-namespace {
-
 ir::Family FamilyOf(ProgramType type) {
   switch (type) {
     case ProgramType::kSql:
@@ -25,8 +23,6 @@ ir::Family FamilyOf(ProgramType type) {
   }
   return ir::Family::kSql;
 }
-
-}  // namespace
 
 const char* ProgramTypeToString(ProgramType type) {
   switch (type) {

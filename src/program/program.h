@@ -1,6 +1,7 @@
 #ifndef UCTR_PROGRAM_PROGRAM_H_
 #define UCTR_PROGRAM_PROGRAM_H_
 
+#include <cstdint>
 #include <string>
 
 #include "common/result.h"
@@ -10,6 +11,7 @@
 namespace uctr {
 
 namespace ir {
+enum class Family : uint8_t;
 class PlanCache;
 }
 
@@ -21,6 +23,10 @@ enum class ProgramType {
 };
 
 const char* ProgramTypeToString(ProgramType type);
+
+/// \brief The IR family a program type lowers to (ir::Family is kept
+/// apart from ProgramType so uctr_ir does not depend on uctr_program).
+ir::Family FamilyOf(ProgramType type);
 
 /// \brief Where a Program's compiled plans are cached.
 struct ExecOptions {

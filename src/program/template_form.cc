@@ -26,18 +26,6 @@ namespace {
 constexpr std::string_view kMarkerPrefix = "zqx";
 constexpr int kOrdinalMarkerBase = 1000000007;
 
-ir::Family FamilyOf(ProgramType type) {
-  switch (type) {
-    case ProgramType::kSql:
-      return ir::Family::kSql;
-    case ProgramType::kLogicalForm:
-      return ir::Family::kLogic;
-    case ProgramType::kArithmetic:
-      return ir::Family::kArith;
-  }
-  return ir::Family::kSql;
-}
-
 /// Operators whose argument 1 the lowering resolves as a column.
 bool TakesColumnAtArg1(const std::string& op) {
   return StartsWith(op, "filter_") || StartsWith(op, "most_") ||

@@ -47,9 +47,9 @@ class Schema {
   bool HasColumn(std::string_view name) const;
 
   /// \brief 64-bit FNV-1a (truncated basis) over column names and types,
-  /// the canonical shape identity used to key compiled plans
-  /// (ir::SchemaFingerprint delegates here). Cell contents do not
-  /// participate. Allocation-free: the hash is streamed, not buffered.
+  /// the canonical shape identity used to key plans compiled from program
+  /// text. Cell contents do not participate. Allocation-free: the hash is
+  /// streamed, not buffered.
   uint64_t Fingerprint() const;
 
   void AddColumn(ColumnSpec spec) { columns_.push_back(std::move(spec)); }

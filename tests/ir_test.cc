@@ -33,18 +33,6 @@
 namespace uctr {
 namespace {
 
-ir::Family FamilyOf(ProgramType type) {
-  switch (type) {
-    case ProgramType::kSql:
-      return ir::Family::kSql;
-    case ProgramType::kLogicalForm:
-      return ir::Family::kLogic;
-    case ProgramType::kArithmetic:
-      return ir::Family::kArith;
-  }
-  return ir::Family::kSql;
-}
-
 // The reference: parse, then the family tree-walker's row scan.
 Result<ExecResult> Walk(const Program& program, const Table& table) {
   switch (program.type) {
@@ -594,8 +582,7 @@ TEST(IrPlanTest, PlanIsValueIndependent) {
                  "oz,4,5,6,15\n",
                  "medals2")
                  .ValueOrDie();
-  ASSERT_EQ(ir::SchemaFingerprint(t1.schema()),
-            ir::SchemaFingerprint(t2.schema()));
+  ASSERT_EQ(t1.schema().Fingerprint(), t2.schema().Fingerprint());
   auto plan = ir::Compile(ir::Family::kSql, "SELECT SUM([gold]) FROM w",
                           t1.schema());
   ASSERT_TRUE(plan.ok());
@@ -828,9 +815,9 @@ TEST(PlanCacheTest, SchemaChangeInvalidates) {
                          "narnia,1,2,3,6\n",
                          "medals")
                          .ValueOrDie();
-  uint64_t fp1 = ir::SchemaFingerprint(t1.schema());
-  EXPECT_NE(fp1, ir::SchemaFingerprint(renamed.schema()));
-  EXPECT_EQ(fp1, ir::SchemaFingerprint(same_shape.schema()));
+  uint64_t fp1 = t1.schema().Fingerprint();
+  EXPECT_NE(fp1, renamed.schema().Fingerprint());
+  EXPECT_EQ(fp1, same_shape.schema().Fingerprint());
   // Pinned: the plan-cache key values.
   EXPECT_EQ(fp1, 0xf6c479e011a3d2dcull);
   EXPECT_EQ(ir::ProgramFingerprint(ir::Family::kSql,
