@@ -39,10 +39,10 @@ struct ServerConfig {
   /// Trace sink; null = obs::Tracer::Default(). Spans are recorded only
   /// while the tracer is enabled.
   obs::Tracer* tracer = nullptr;
-  /// Invoked on the worker thread before each cache-miss execution.
-  /// Hook for benches and tests: inject a simulated evidence-fetch stall
-  /// (bench_serving uses this to measure worker overlap independently of
-  /// core count) or tracing. Never called on the cache-hit path.
+  /// Invoked on the worker thread before each cache-miss execution or
+  /// put_table. perfbench's traced replay stamps worker pickup with it,
+  /// and net_test stalls workers with it to hold requests in flight.
+  /// Never called on the cache-hit path.
   std::function<void()> pre_execute_hook;
   /// Byte budget of the content-addressed table registry behind
   /// `put_table`/`table_ref` (store::TableRegistry). The registry is
@@ -196,8 +196,8 @@ class Server : public LineBackend {
   Status recovery_status_;
   Scheduler scheduler_;
   /// Compiled-plan cache shared by every request this server executes:
-  /// keyed by (program fingerprint, schema fingerprint), so a request whose
-  /// interpreted programs hit it executes without touching parser or AST.
+  /// the interpreter's template plans key on (template, column positions),
+  /// so a hit runs without touching parser or AST.
   ir::PlanCache plan_cache_;
   std::atomic<bool> draining_{false};
 

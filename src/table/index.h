@@ -141,8 +141,9 @@ class TableIndex {
   /// valid as long as the index.
   const std::vector<size_t>& all_rows() const;
 
-  /// \brief Schema::Fingerprint() computed once and cached — the plan-cache
-  /// key and the VM's schema guard read it on every request. Thread-safe.
+  /// \brief Schema::Fingerprint() computed once and cached: the plan-cache
+  /// key of the text route (Program::Execute) reads it on every
+  /// execution. Thread-safe.
   uint64_t schema_fingerprint() const;
 
   size_t num_columns() const { return num_columns_; }
