@@ -3,9 +3,8 @@
 //
 //   uctr_load --connect HOST:PORT [--connections N] [--requests N]
 //             [--qps Q] [--pipeline D] [--tables T] [--put-table]
-//             [--put-retries N] [--distinct-tables]
-//             [--op verify|answer|mixed]
-//             [--timeout-ms N] [--report-json FILE]
+//             [--put-retries N] [--op verify|answer|mixed]
+//             [--timeout-ms N]
 //   uctr_load --router HOST:PORT[,HOST:PORT...] [same flags]
 //
 // --router is the horizontal-scaling mode: connections are spread
@@ -13,12 +12,6 @@
 // several for router redundancy). The protocol and every check below are
 // identical — a router is indistinguishable from a single backend on the
 // wire, so the ordering check doubles as the router's correctness gate.
-//
-// --distinct-tables makes every request carry a unique table variant
-// (inline-CSV modes only): each request then misses the result cache, so
-// the measured throughput is the execute path, not cache hits. This is
-// what the router scaling benchmark uses — cache hits are answered at the
-// backend's front door and would hide the per-shard work being scaled.
 //
 // Drives the TCP serving front end with N concurrent connections:
 //
@@ -48,10 +41,6 @@
 // with jittered backoff before the run counts a put failure — chaos
 // drills should measure serving, not one unlucky registration.
 //
-// --report-json FILE writes the same numbers the console report prints as
-// a single machine-readable JSON object, so soak scripts and CI can gate
-// on throughput or tail latency without scraping stdout.
-//
 // Exit status: 0 iff every request got an in-order response and no
 // connection failed.
 
@@ -60,7 +49,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <deque>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
@@ -88,9 +76,7 @@ struct Options {
   size_t pipeline = 1;
   size_t tables = 16;
   bool put_table = false;  // register fixtures once, then table_ref traffic
-  bool distinct_tables = false;  // unique table per request (cache busting)
   std::string op = "mixed";
-  std::string report_json;  // empty = console report only
   int timeout_ms = 30000;
   int connect_retries = 50;  // the soak starts server + load concurrently
   /// Attempts per put_table registration (1 = no retries). Transient
@@ -344,11 +330,6 @@ void RunConnection(const Options& options, size_t conn_index,
   uint64_t next_recv_id = id0 + 1;
   auto build = [&](uint64_t id) {
     size_t variant = (conn_index + id) % options.tables;
-    if (options.distinct_tables && !options.put_table) {
-      // Globally unique variant: no two requests in the whole run share a
-      // table, so every one is a result-cache miss.
-      variant = conn_index * my_requests + static_cast<size_t>(id - id0);
-    }
     bool verify = WantVerify(options, id);
     return options.put_table
                ? BuildRefRequest(id, variant, fingerprints[variant], verify)
@@ -442,9 +423,8 @@ int main(int argc, char** argv) {
         "usage: uctr_load --connect HOST:PORT | "
         "--router HOST:PORT[,HOST:PORT...] [--connections N] "
         "[--requests N] [--qps Q] [--pipeline D] [--tables T] "
-        "[--put-table] [--put-retries N] [--distinct-tables] "
-        "[--op verify|answer|mixed] "
-        "[--timeout-ms N] [--report-json FILE]");
+        "[--put-table] [--put-retries N] [--op verify|answer|mixed] "
+        "[--timeout-ms N]");
   }
   std::string endpoint_list = connect_it != flags.end() ? connect_it->second
                                                         : router_it->second;
@@ -471,11 +451,7 @@ int main(int argc, char** argv) {
   if (flags.count("pipeline")) options.pipeline = std::stoul(flags["pipeline"]);
   if (flags.count("tables")) options.tables = std::stoul(flags["tables"]);
   if (flags.count("put-table")) options.put_table = flags["put-table"] != "0";
-  if (flags.count("distinct-tables")) {
-    options.distinct_tables = flags["distinct-tables"] != "0";
-  }
   if (flags.count("op")) options.op = flags["op"];
-  if (flags.count("report-json")) options.report_json = flags["report-json"];
   if (flags.count("timeout-ms")) options.timeout_ms = std::stoi(flags["timeout-ms"]);
   if (flags.count("put-retries")) {
     options.put_retries = std::stoi(flags["put-retries"]);
@@ -549,46 +525,5 @@ int main(int argc, char** argv) {
                tally.put_failures.load() == 0 &&
                received == options.requests;
   std::cout << (clean ? "RESULT: clean" : "RESULT: FAILED") << "\n";
-
-  if (!options.report_json.empty()) {
-    std::ofstream out(options.report_json, std::ios::trunc);
-    if (!out) return Fail("cannot write " + options.report_json);
-    out << "{\n"
-        << "  \"endpoints\": " << options.endpoints.size() << ",\n"
-        << "  \"connections\": " << options.connections << ",\n"
-        << "  \"requests\": " << options.requests << ",\n"
-        << "  \"qps\": " << Fixed(options.qps, 1) << ",\n"
-        << "  \"pipeline\": " << options.pipeline << ",\n"
-        << "  \"op\": \"" << options.op << "\",\n"
-        << "  \"put_table\": " << (options.put_table ? "true" : "false")
-        << ",\n"
-        << "  \"sent\": " << sent << ",\n"
-        << "  \"responses\": " << received << ",\n"
-        << "  \"ok\": " << tally.ok.load() << ",\n"
-        << "  \"error\": " << tally.error.load() << ",\n"
-        << "  \"rejected\": " << tally.rejected.load() << ",\n"
-        << "  \"timeout\": " << tally.timeout.load() << ",\n"
-        << "  \"other_status\": " << tally.other_status.load() << ",\n"
-        << "  \"lost\": " << lost << ",\n"
-        << "  \"reordered\": " << tally.reordered.load() << ",\n"
-        << "  \"connect_failures\": " << tally.connect_failures.load()
-        << ",\n"
-        << "  \"put_failures\": " << tally.put_failures.load() << ",\n"
-        << "  \"wall_s\": " << Fixed(wall_s, 3) << ",\n"
-        << "  \"achieved_rps\": "
-        << Fixed(received / (wall_s > 0 ? wall_s : 1.0), 1) << ",\n"
-        << "  \"latency_us\": {\"mean\": " << Fixed(h.mean_micros(), 1)
-        << ", \"p50\": " << Fixed(h.QuantileMicros(0.50), 1)
-        << ", \"p90\": " << Fixed(h.QuantileMicros(0.90), 1)
-        << ", \"p99\": " << Fixed(h.QuantileMicros(0.99), 1)
-        << ", \"p999\": " << Fixed(h.QuantileMicros(0.999), 1) << "},\n";
-    const obs::Histogram& r = tally.registry_us;
-    out << "  \"registry_us\": {\"count\": " << r.count()
-        << ", \"mean\": " << Fixed(r.mean_micros(), 1)
-        << ", \"p50\": " << Fixed(r.QuantileMicros(0.50), 1)
-        << ", \"p99\": " << Fixed(r.QuantileMicros(0.99), 1) << "},\n"
-        << "  \"clean\": " << (clean ? "true" : "false") << "\n"
-        << "}\n";
-  }
   return clean ? 0 : 1;
 }

@@ -380,7 +380,7 @@ class Runner {
           report.complete = false;
           return report;
         }
-        UCTR_RETURN_NOT_OK(RunPhase(round, phase, &report));
+        UCTR_RETURN_NOT_OK(RunPhase(round, phase));
         ++report.phases_run;
         manifest_.MarkDone(round, phase);
         UCTR_RETURN_NOT_OK(manifest_.Store(ManifestPath()));
@@ -447,7 +447,7 @@ class Runner {
   /// an injected transient fault (or one from deeper layers) re-runs the
   /// phase — safe, because phases regenerate identical artifacts — while
   /// a permanent fault aborts the run with all durable state intact.
-  Status RunPhase(size_t round, RoundPhase phase, SelfTrainReport* report) {
+  Status RunPhase(size_t round, RoundPhase phase) {
     const char* site = nullptr;
     switch (phase) {
       case RoundPhase::kGenerate:
@@ -487,8 +487,6 @@ class Runner {
         .histogram(std::string("latency_selftrain_") + RoundPhaseName(phase) +
                    "_us")
         ->Observe(micros);
-    report->phase_ms["round-" + std::to_string(round) + "/" +
-                     RoundPhaseName(phase)] = micros / 1000.0;
     return status;
   }
 

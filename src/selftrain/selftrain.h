@@ -2,7 +2,6 @@
 #define UCTR_SELFTRAIN_SELFTRAIN_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -110,9 +109,6 @@ struct SelfTrainReport {
   bool complete = false;
   /// Phases executed (not resumed) by this run.
   size_t phases_run = 0;
-  /// Wall time per phase executed this run, keyed "round-<r>/<phase>".
-  /// Monitoring only — never part of the deterministic artifacts.
-  std::map<std::string, double> phase_ms;
 
   /// \brief Markdown per-round delta table (the EXPERIMENTS.md block):
   /// deterministic — equal state directories yield equal tables.

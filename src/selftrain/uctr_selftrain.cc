@@ -9,8 +9,7 @@
 // can be killed at any moment and re-invoked with the same flags to
 // resume to a byte-identical result. --fault-spec/--fault-seed arm the
 // fault injector (sites selftrain.generate/label/train/eval plus
-// everything deeper); --trace-out dumps spans; --report-json captures
-// this run's per-phase wall times for the bench harness.
+// everything deeper); --trace-out dumps spans.
 
 #include <cstring>
 #include <iostream>
@@ -89,37 +88,6 @@ Status AppendExperiments(const std::string& path, const std::string& header,
   return WriteFileAtomic(path, updated);
 }
 
-std::string ReportJson(const selftrain::SelfTrainReport& report) {
-  char buf[256];
-  std::string out = "{\"complete\":";
-  out += report.complete ? "true" : "false";
-  out += ",\"phases_run\":" + std::to_string(report.phases_run);
-  out += ",\"rounds\":[";
-  for (size_t i = 0; i < report.rounds.size(); ++i) {
-    const auto& r = report.rounds[i];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"round\":%zu,\"generated\":%zu,\"kept\":%zu,"
-                  "\"dropped\":%zu,\"kept_ratio\":%.6f,\"accuracy\":%.6f}",
-                  i > 0 ? "," : "", r.round, r.generated, r.kept, r.dropped,
-                  r.generated > 0
-                      ? static_cast<double>(r.kept) /
-                            static_cast<double>(r.generated)
-                      : 0.0,
-                  r.accuracy);
-    out += buf;
-  }
-  out += "],\"phase_ms\":{";
-  bool first = true;
-  for (const auto& [key, ms] : report.phase_ms) {
-    std::snprintf(buf, sizeof(buf), "%s\"%s\":%.3f", first ? "" : ",",
-                  key.c_str(), ms);
-    out += buf;
-    first = false;
-  }
-  out += "}}";
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -131,7 +99,7 @@ int main(int argc, char** argv) {
            "  [--seed N] [--tables N] [--samples-per-table N]\n"
            "  [--eval-tables N] [--threshold X] [--temperature X]\n"
            "  [--no-agreement] [--threads N] [--max-phase-steps N]\n"
-           "  [--experiments FILE] [--report-json FILE]\n"
+           "  [--experiments FILE]\n"
            "  [--fault-spec SPEC] [--fault-seed N] [--trace-out FILE]\n";
     return 0;
   }
@@ -190,12 +158,6 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(config.seed),
                   config.rounds);
     if (Status s = AppendExperiments(it->second, header, table); !s.ok()) {
-      return Fail(s.ToString());
-    }
-  }
-  if (auto it = flags.find("report-json"); it != flags.end()) {
-    if (Status s = WriteFileAtomic(it->second, ReportJson(report) + "\n");
-        !s.ok()) {
       return Fail(s.ToString());
     }
   }
