@@ -9,7 +9,8 @@
 // can be killed at any moment and re-invoked with the same flags to
 // resume to a byte-identical result. --fault-spec/--fault-seed arm the
 // fault injector (sites selftrain.generate/label/train/eval plus
-// everything deeper); --trace-out dumps spans.
+// everything deeper); --trace-out dumps spans; --metrics prints the
+// metrics registry, per-phase latency histograms included, to stderr.
 
 #include <cstring>
 #include <iostream>
@@ -99,7 +100,7 @@ int main(int argc, char** argv) {
            "  [--seed N] [--tables N] [--samples-per-table N]\n"
            "  [--eval-tables N] [--threshold X] [--temperature X]\n"
            "  [--no-agreement] [--threads N] [--max-phase-steps N]\n"
-           "  [--experiments FILE]\n"
+           "  [--experiments FILE] [--metrics]\n"
            "  [--fault-spec SPEC] [--fault-seed N] [--trace-out FILE]\n";
     return 0;
   }
