@@ -98,7 +98,9 @@ void TemplateInventoryAblation(const datasets::Benchmark& bench, Rng* rng) {
   TablePrinter table({"Inventory", "#templates", "Accuracy"});
   auto run = [&](const char* name, std::vector<ProgramTemplate> templates) {
     TemplateLibrary library;
-    for (auto& t : templates) library.Add(std::move(t));
+    // Each has a form: a built-in, or an auto-generated template that
+    // sampled on the corpus.
+    for (const ProgramTemplate& t : templates) (void)library.Add(t);
     GenerationConfig config;
     config.task = bench.task;
     config.program_types = bench.program_types;

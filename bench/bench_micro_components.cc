@@ -445,14 +445,34 @@ void BM_TemplateSample(benchmark::State& state) {
   Table t = BenchTable(32);
   Rng rng(1);
   ProgramSampler sampler(&rng);
-  auto templates = BuiltinSqlTemplates();
+  std::vector<TemplateForm> forms =
+      TemplateLibrary::Builtin().OfType(ProgramType::kSql);
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sampler.Sample(templates[i++ % templates.size()], t));
+    benchmark::DoNotOptimize(sampler.Sample(forms[i++ % forms.size()], t));
   }
 }
 BENCHMARK(BM_TemplateSample);
+
+// Claims from every {derive} template: the sibling's plan, then the
+// claim's.
+void BM_TemplateSampleClaim(benchmark::State& state) {
+  Table t = BenchTable(32);
+  Rng rng(1);
+  ProgramSampler sampler(&rng);
+  std::vector<TemplateForm> forms;
+  for (TemplateForm& form :
+       TemplateLibrary::Builtin().OfType(ProgramType::kLogicalForm)) {
+    if (form.tmpl().HasDerive()) forms.push_back(std::move(form));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sampler.SampleClaim(forms[i % forms.size()], t, i % 2 == 0));
+    ++i;
+  }
+}
+BENCHMARK(BM_TemplateSampleClaim);
 
 void BM_NlGenerate(benchmark::State& state) {
   Program p{ProgramType::kLogicalForm,

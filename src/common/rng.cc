@@ -54,13 +54,6 @@ bool Rng::Bernoulli(double p) {
   return UniformDouble() < p;
 }
 
-double Rng::Gaussian() {
-  // Irwin-Hall approximation: sum of 12 uniforms minus 6.
-  double sum = 0.0;
-  for (int i = 0; i < 12; ++i) sum += UniformDouble();
-  return sum - 6.0;
-}
-
 size_t Rng::Index(size_t size) {
   if (size <= 1) return 0;
   return static_cast<size_t>(UniformInt(0, static_cast<int64_t>(size) - 1));

@@ -37,9 +37,6 @@ class Rng {
   /// \brief True with probability p (clamped to [0,1]).
   bool Bernoulli(double p);
 
-  /// \brief Approximate standard normal (sum of uniforms, CLT).
-  double Gaussian();
-
   /// \brief Uniformly chosen index into a container of `size` elements.
   /// Requires size > 0.
   size_t Index(size_t size);

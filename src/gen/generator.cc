@@ -22,7 +22,6 @@ double MicrosSince(std::chrono::steady_clock::time_point start) {
 Generator::Generator(GenerationConfig config, const TemplateLibrary* library,
                      Rng* rng)
     : config_(std::move(config)),
-      library_(library),
       rng_(rng),
       sampler_(rng),
       nl_generator_(config_.nl, config_.lexicon != nullptr
@@ -30,11 +29,11 @@ Generator::Generator(GenerationConfig config, const TemplateLibrary* library,
                                     : &nlgen::Lexicon::Default()),
       tracer_(&obs::Tracer::Default()) {
   for (ProgramType type : config_.program_types) {
-    for (auto& tmpl : library_->OfType(type)) {
-      auto it = config_.reasoning_weights.find(tmpl.reasoning_type);
+    for (TemplateForm& form : library->OfType(type)) {
+      auto it = config_.reasoning_weights.find(form.tmpl().reasoning_type);
       template_weights_.push_back(
           it == config_.reasoning_weights.end() ? 1.0 : it->second);
-      active_templates_.push_back(std::move(tmpl));
+      active_templates_.push_back(std::move(form));
     }
   }
 
@@ -48,10 +47,10 @@ Generator::Generator(GenerationConfig config, const TemplateLibrary* library,
   inst_.sample_us = registry.histogram("latency_gen_sample_us");
   inst_.table_us = registry.histogram("latency_gen_table_us");
   inst_.template_attempts.reserve(active_templates_.size());
-  for (const ProgramTemplate& tmpl : active_templates_) {
+  for (const TemplateForm& form : active_templates_) {
     inst_.template_attempts.push_back(registry.counter(
         "gen_template_attempts_total{reasoning_type=\"" +
-        tmpl.reasoning_type + "\"}"));
+        form.tmpl().reasoning_type + "\"}"));
   }
   // One discard counter per Status code; indexed by the code's numeric
   // value so a failed attempt is a single array lookup + relaxed add.
@@ -66,26 +65,29 @@ Generator::Generator(GenerationConfig config, const TemplateLibrary* library,
 }
 
 Result<SampledProgram> Generator::SampleProgram(const Table& table,
-                                                const ProgramTemplate& tmpl) {
+                                                const TemplateForm& form) {
   obs::Span span = tracer_->StartSpan("gen.program");
   if (config_.task == TaskType::kFactVerification) {
-    if (tmpl.type != ProgramType::kLogicalForm) {
+    if (form.tmpl().type != ProgramType::kLogicalForm) {
       return Status::InvalidArgument(
           "fact verification requires logical-form templates");
     }
     bool target_true = rng_->Bernoulli(config_.supported_fraction);
-    return sampler_.SampleClaim(tmpl, table, target_true);
+    return sampler_.SampleClaim(form, table, target_true);
   }
-  if (tmpl.type == ProgramType::kLogicalForm) {
+  if (form.tmpl().type == ProgramType::kLogicalForm) {
     return Status::InvalidArgument(
         "question answering uses SQL / arithmetic programs");
   }
-  return sampler_.Sample(tmpl, table);
+  return sampler_.Sample(form, table);
 }
 
-Result<std::string> Generator::RealizeSentence(const Program& program) {
+Result<std::string> Generator::RealizeSentence(const TemplateForm& form,
+                                               const SampledProgram& sampled) {
   obs::Span span = tracer_->StartSpan("gen.nl");
-  return nl_generator_.Generate(program, rng_);
+  std::vector<std::string_view> texts(sampled.texts.begin(),
+                                      sampled.texts.end());
+  return nl_generator_.Realize(form.Bind(texts), rng_);
 }
 
 Result<Sample> Generator::TryGenerate(const TableWithText& input,
@@ -111,7 +113,8 @@ Result<Sample> Generator::TryGenerate(const TableWithText& input,
     tmpl_index = rng_->WeightedIndex(masked);
   }
   if (used_template != nullptr) *used_template = tmpl_index;
-  const ProgramTemplate& tmpl = active_templates_[tmpl_index];
+  const TemplateForm& form = active_templates_[tmpl_index];
+  const ProgramTemplate& tmpl = form.tmpl();
   inst_.attempts->Increment();
   inst_.template_attempts[tmpl_index]->Increment();
   obs::Span attempt_span = tracer_->StartSpan("gen.attempt");
@@ -142,7 +145,7 @@ Result<Sample> Generator::TryGenerate(const TableWithText& input,
                          ? expanded.RowIndexByName(record.row_name)
                                .ValueOr(expanded.num_rows() - 1)
                          : expanded.num_rows() - 1;
-    UCTR_ASSIGN_OR_RETURN(SampledProgram sp, SampleProgram(expanded, tmpl));
+    UCTR_ASSIGN_OR_RETURN(SampledProgram sp, SampleProgram(expanded, form));
     // The sample must actually need the textual evidence.
     if (std::find(sp.result.evidence_rows.begin(),
                   sp.result.evidence_rows.end(),
@@ -150,14 +153,14 @@ Result<Sample> Generator::TryGenerate(const TableWithText& input,
       return Status::EmptyResult(
           "expanded row not involved in the reasoning");
     }
-    UCTR_ASSIGN_OR_RETURN(std::string sentence, RealizeSentence(sp.program));
+    UCTR_ASSIGN_OR_RETURN(std::string sentence, RealizeSentence(form, sp));
     Sample sample;
     sample.task = config_.task;
     sample.table = input.table;       // original table...
     sample.paragraph = input.paragraph;  // ...plus original text (Alg. 1)
     sample.sentence = std::move(sentence);
     sample.program = sp.program;
-    sample.reasoning_type = sp.reasoning_type;
+    sample.reasoning_type = tmpl.reasoning_type;
     sample.source = EvidenceSource::kTableExpand;
     sample.evidence_rows = sp.result.evidence_rows;
     sample.answer_values = sp.result.values;
@@ -170,14 +173,14 @@ Result<Sample> Generator::TryGenerate(const TableWithText& input,
   }
 
   // --- Program over the full table (shared by table-only and splitting).
-  UCTR_ASSIGN_OR_RETURN(SampledProgram sp, SampleProgram(input.table, tmpl));
-  UCTR_ASSIGN_OR_RETURN(std::string sentence, RealizeSentence(sp.program));
+  UCTR_ASSIGN_OR_RETURN(SampledProgram sp, SampleProgram(input.table, form));
+  UCTR_ASSIGN_OR_RETURN(std::string sentence, RealizeSentence(form, sp));
 
   Sample sample;
   sample.task = config_.task;
   sample.sentence = std::move(sentence);
   sample.program = sp.program;
-  sample.reasoning_type = sp.reasoning_type;
+  sample.reasoning_type = tmpl.reasoning_type;
   sample.evidence_rows = sp.result.evidence_rows;
   sample.answer_values = sp.result.values;
   sample.answer = sp.result.ToDisplayString();

@@ -88,7 +88,8 @@ void AppendUnknownSamples(const std::vector<TableWithText>& corpus,
 /// components into the table-splitting and table-expansion pipelines.
 class Generator {
  public:
-  /// \param library,rng not owned; must outlive the generator.
+  /// \param library read once, for its forms; rng not owned, must outlive
+  /// the generator.
   Generator(GenerationConfig config, const TemplateLibrary* library,
             Rng* rng);
 
@@ -114,10 +115,12 @@ class Generator {
 
   /// Builds the program (+answer/label) on `table`.
   Result<SampledProgram> SampleProgram(const Table& table,
-                                       const ProgramTemplate& tmpl);
+                                       const TemplateForm& form);
 
-  /// NL-Generator call wrapped in a "gen.nl" span.
-  Result<std::string> RealizeSentence(const Program& program);
+  /// NL-Generator call wrapped in a "gen.nl" span: realizes `form` with
+  /// `sampled`'s texts bound.
+  Result<std::string> RealizeSentence(const TemplateForm& form,
+                                      const SampledProgram& sampled);
 
   /// Pipeline instruments, resolved once from obs::DefaultRegistry() at
   /// construction so the per-attempt hot path is pointer chases and
@@ -137,8 +140,7 @@ class Generator {
   };
 
   GenerationConfig config_;
-  const TemplateLibrary* library_;
-  std::vector<ProgramTemplate> active_templates_;
+  std::vector<TemplateForm> active_templates_;
   std::vector<double> template_weights_;
   Rng* rng_;
   ProgramSampler sampler_;

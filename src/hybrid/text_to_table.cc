@@ -95,23 +95,6 @@ std::string ExtractSubject(const std::string& sentence,
 
 }  // namespace
 
-std::vector<size_t> TextToTable::FilterRelevantSentences(
-    const Table& table, const std::vector<std::string>& sentences,
-    size_t min_headers) const {
-  std::vector<size_t> out;
-  for (size_t i = 0; i < sentences.size(); ++i) {
-    size_t hits = 0;
-    for (size_t c = 1; c < table.num_columns(); ++c) {
-      if (FindCi(sentences[i], table.schema().column(c).name) !=
-          std::string::npos) {
-        ++hits;
-      }
-    }
-    if (hits >= min_headers) out.push_back(i);
-  }
-  return out;
-}
-
 Result<ExtractedRecord> TextToTable::ExtractRecord(
     const Table& table, const std::vector<std::string>& sentences) const {
   if (table.num_columns() < 2) {

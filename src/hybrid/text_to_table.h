@@ -30,12 +30,6 @@ class TextToTable {
  public:
   TextToTable() = default;
 
-  /// \brief Indices of sentences that mention at least `min_headers` of the
-  /// table's column headers (the row-name/header filter of the paper).
-  std::vector<size_t> FilterRelevantSentences(
-      const Table& table, const std::vector<std::string>& sentences,
-      size_t min_headers = 1) const;
-
   /// \brief Extracts the best-supported record from the sentences:
   /// the sentence matching the most column headers wins; its subject
   /// becomes the row name and each mentioned header is paired with the

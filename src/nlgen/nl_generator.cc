@@ -2,15 +2,12 @@
 
 #include <cctype>
 
-#include "arith/parser.h"
 #include "common/numeric.h"
 #include "common/string_util.h"
-#include "logic/parser.h"
 #include "nlgen/arith_realizer.h"
 #include "nlgen/logic_realizer.h"
 #include "nlgen/realize_util.h"
 #include "nlgen/sql_realizer.h"
-#include "sql/parser.h"
 
 namespace uctr::nlgen {
 
@@ -59,35 +56,29 @@ std::string PrintSlot(SlotPrint print, std::string_view text) {
   return std::string(text);
 }
 
-Result<std::string> NlGenerator::Generate(const Program& program,
-                                          Rng* rng) const {
+Result<std::string> NlGenerator::Realize(const ProgramTree& tree,
+                                         Rng* rng) const {
   Rng* effective = config_.stochastic ? rng : nullptr;
   RealizeContext ctx(lexicon_, effective);
 
   std::string sentence;
-  switch (program.type) {
-    case ProgramType::kSql: {
-      UCTR_ASSIGN_OR_RETURN(sql::SelectStatement stmt,
-                            sql::Parse(program.text));
-      UCTR_ASSIGN_OR_RETURN(sentence, RealizeSql(stmt, ctx));
-      break;
-    }
-    case ProgramType::kLogicalForm: {
-      UCTR_ASSIGN_OR_RETURN(auto node, logic::Parse(program.text));
-      UCTR_ASSIGN_OR_RETURN(sentence, RealizeLogic(*node, ctx));
-      break;
-    }
-    case ProgramType::kArithmetic: {
-      UCTR_ASSIGN_OR_RETURN(arith::Expression expr,
-                            arith::Parse(program.text));
-      UCTR_ASSIGN_OR_RETURN(sentence, RealizeArith(expr, ctx));
-      break;
-    }
+  if (tree.type == ProgramType::kSql) {
+    UCTR_ASSIGN_OR_RETURN(sentence, RealizeSql(tree.sql, ctx));
+  } else if (tree.type == ProgramType::kLogicalForm) {
+    UCTR_ASSIGN_OR_RETURN(sentence, RealizeLogic(*tree.logic, ctx));
+  } else {
+    UCTR_ASSIGN_OR_RETURN(sentence, RealizeArith(tree.arith, ctx));
   }
   if (effective != nullptr) {
     sentence = paraphraser_.Apply(sentence, effective);
   }
   return sentence;
+}
+
+Result<std::string> NlGenerator::Generate(const Program& program,
+                                          Rng* rng) const {
+  UCTR_ASSIGN_OR_RETURN(ProgramTree tree, ParseProgram(program));
+  return Realize(tree, rng);
 }
 
 Result<std::string> NlGenerator::GenerateCanonical(
@@ -97,12 +88,14 @@ Result<std::string> NlGenerator::GenerateCanonical(
 
 Result<OpenSentence> NlGenerator::RealizeOpen(
     const TemplateForm& form, std::span<const size_t> merged) const {
-  UCTR_ASSIGN_OR_RETURN(std::string sentence,
-                        GenerateCanonical(form.Skeleton(merged)));
+  std::vector<std::string_view> markers;
   std::vector<std::string> printed_markers;
   for (size_t p = 0; p < form.tmpl().placeholders.size(); ++p) {
+    markers.push_back(form.marker(merged.empty() ? p : merged[p]));
     printed_markers.push_back(form.PrintedMarker(p));
   }
+  UCTR_ASSIGN_OR_RETURN(std::string sentence,
+                        Realize(form.Bind(markers), nullptr));
   OpenSentence out;
   auto fixed = [&](std::string_view segment) {
     for (std::string& t : WordTokens(segment)) {

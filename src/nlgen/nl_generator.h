@@ -55,18 +55,22 @@ class NlGenerator {
         lexicon_(lexicon),
         paraphraser_(config.paraphrase, lexicon) {}
 
-  /// \brief Generates the sentence for `program`. `rng` supplies the
-  /// stochastic choices and may be null (forces deterministic output).
+  /// \brief Realizes `tree` as a sentence: the one entry point of every
+  /// generation. `rng` supplies the stochastic choices and may be null
+  /// (forces deterministic output).
+  Result<std::string> Realize(const ProgramTree& tree, Rng* rng) const;
+
+  /// \brief Parses `program` and realizes it.
   Result<std::string> Generate(const Program& program, Rng* rng) const;
 
   /// \brief Deterministic (canonical) generation.
   Result<std::string> GenerateCanonical(const Program& program) const;
 
-  /// \brief Realizes `form`'s skeleton (with `merged` as for
-  /// TemplateForm::Skeleton) canonically and opens it at each printed
-  /// slot. Fails when the realizer does, or when a slot does not sit
-  /// between token boundaries: its text could then merge with the words
-  /// around it.
+  /// \brief Realizes `form`'s skeleton canonically and opens it at each
+  /// printed slot. With `merged` (one entry per placeholder), placeholder
+  /// p holds the marker of placeholder merged[p]. Fails when the realizer
+  /// does, or when a slot does not sit between token boundaries: its text
+  /// could then merge with the words around it.
   Result<OpenSentence> RealizeOpen(const TemplateForm& form,
                                    std::span<const size_t> merged = {}) const;
 

@@ -225,6 +225,8 @@ ProgramTemplate AutoTemplateGenerator::Propose() {
 double AutoTemplateGenerator::SuccessRate(const ProgramTemplate& tmpl,
                                           const std::vector<Table>& corpus) {
   if (corpus.empty()) return 0.0;
+  Result<TemplateForm> form = TemplateForm::Make(tmpl);
+  if (!form.ok()) return 0.0;  // no instantiation can be sampled
   ProgramSampler sampler(rng_);
   size_t attempts = 0, successes = 0;
   bool target = true;
@@ -233,8 +235,8 @@ double AutoTemplateGenerator::SuccessRate(const ProgramTemplate& tmpl,
       ++attempts;
       Result<SampledProgram> r =
           tmpl.type == ProgramType::kLogicalForm
-              ? sampler.SampleClaim(tmpl, table, target)
-              : sampler.Sample(tmpl, table);
+              ? sampler.SampleClaim(*form, table, target)
+              : sampler.Sample(*form, table);
       target = !target;  // validate both supported and refuted derivation
       if (r.ok()) ++successes;
     }

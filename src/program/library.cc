@@ -217,31 +217,30 @@ std::vector<ProgramTemplate> BuiltinArithTemplates() {
 }
 
 TemplateLibrary TemplateLibrary::Builtin() {
+  std::vector<ProgramTemplate> templates = BuiltinSqlTemplates();
+  for (auto& t : BuiltinLogicTemplates()) templates.push_back(std::move(t));
+  for (auto& t : BuiltinArithTemplates()) templates.push_back(std::move(t));
   TemplateLibrary lib;
-  for (auto& t : BuiltinSqlTemplates()) lib.Add(std::move(t));
-  for (auto& t : BuiltinLogicTemplates()) lib.Add(std::move(t));
-  for (auto& t : BuiltinArithTemplates()) lib.Add(std::move(t));
-  lib.templates_ = DeduplicateTemplates(std::move(lib.templates_));
+  for (const ProgramTemplate& t : DeduplicateTemplates(std::move(templates))) {
+    if (Status added = lib.Add(t); !added.ok()) {
+      std::fprintf(stderr, "builtin template has no form: %s (%s)\n",
+                   t.pattern.c_str(), added.ToString().c_str());
+      std::abort();
+    }
+  }
   return lib;
 }
 
-void TemplateLibrary::Add(ProgramTemplate tmpl) {
-  templates_.push_back(std::move(tmpl));
+Status TemplateLibrary::Add(const ProgramTemplate& tmpl) {
+  UCTR_ASSIGN_OR_RETURN(TemplateForm form, TemplateForm::Make(tmpl));
+  forms_.push_back(std::move(form));
+  return Status::OK();
 }
 
-std::vector<ProgramTemplate> TemplateLibrary::OfType(ProgramType type) const {
-  std::vector<ProgramTemplate> out;
-  for (const auto& t : templates_) {
-    if (t.type == type) out.push_back(t);
-  }
-  return out;
-}
-
-std::vector<ProgramTemplate> TemplateLibrary::OfReasoningType(
-    const std::string& tag) const {
-  std::vector<ProgramTemplate> out;
-  for (const auto& t : templates_) {
-    if (t.reasoning_type == tag) out.push_back(t);
+std::vector<TemplateForm> TemplateLibrary::OfType(ProgramType type) const {
+  std::vector<TemplateForm> out;
+  for (const TemplateForm& form : forms_) {
+    if (form.tmpl().type == type) out.push_back(form);
   }
   return out;
 }

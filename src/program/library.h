@@ -4,7 +4,9 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "program/template.h"
+#include "program/template_form.h"
 
 namespace uctr {
 
@@ -22,9 +24,10 @@ std::vector<ProgramTemplate> BuiltinLogicTemplates();
 /// numeric comparison.
 std::vector<ProgramTemplate> BuiltinArithTemplates();
 
-/// \brief The full template collection with per-type and per-reasoning-type
-/// access — the repo's stand-in for the paper's template collection step
-/// over SQUALL / LOGIC2TEXT / FinQA.
+/// \brief The full template collection, one TemplateForm per template —
+/// the repo's stand-in for the paper's template collection step over
+/// SQUALL / LOGIC2TEXT / FinQA. A template is instantiated only through
+/// its form.
 class TemplateLibrary {
  public:
   /// \brief Library preloaded with all built-in templates (deduplicated).
@@ -33,20 +36,19 @@ class TemplateLibrary {
   /// \brief Empty library to be populated via Add (e.g. by the templatizer).
   TemplateLibrary() = default;
 
-  void Add(ProgramTemplate tmpl);
+  /// \brief Adds `tmpl`'s form; adds nothing and fails as
+  /// TemplateForm::Make does when `tmpl` has no form.
+  Status Add(const ProgramTemplate& tmpl);
 
-  const std::vector<ProgramTemplate>& templates() const { return templates_; }
+  const std::vector<TemplateForm>& forms() const { return forms_; }
 
-  /// \brief Templates of one program family.
-  std::vector<ProgramTemplate> OfType(ProgramType type) const;
+  /// \brief The forms of one program family's templates.
+  std::vector<TemplateForm> OfType(ProgramType type) const;
 
-  /// \brief Templates whose reasoning_type matches.
-  std::vector<ProgramTemplate> OfReasoningType(const std::string& tag) const;
-
-  size_t size() const { return templates_.size(); }
+  size_t size() const { return forms_.size(); }
 
  private:
-  std::vector<ProgramTemplate> templates_;
+  std::vector<TemplateForm> forms_;
 };
 
 }  // namespace uctr

@@ -59,16 +59,17 @@ Result<ExecResult> Program::Execute(const Table& table,
   return ir::ExecutePlan(*plan, table);
 }
 
-Status Program::Validate() const {
-  switch (type) {
-    case ProgramType::kSql:
-      return sql::Parse(text).status();
-    case ProgramType::kLogicalForm:
-      return logic::Parse(text).status();
-    case ProgramType::kArithmetic:
-      return arith::Parse(text).status();
+Result<ProgramTree> ParseProgram(const Program& program) {
+  ProgramTree tree;
+  tree.type = program.type;
+  if (program.type == ProgramType::kSql) {
+    UCTR_ASSIGN_OR_RETURN(tree.sql, sql::Parse(program.text));
+  } else if (program.type == ProgramType::kLogicalForm) {
+    UCTR_ASSIGN_OR_RETURN(tree.logic, logic::Parse(program.text));
+  } else {
+    UCTR_ASSIGN_OR_RETURN(tree.arith, arith::Parse(program.text));
   }
-  return Status::Internal("unknown program type");
+  return tree;
 }
 
 }  // namespace uctr

@@ -2,9 +2,13 @@
 #define UCTR_PROGRAM_PROGRAM_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
+#include "arith/ast.h"
 #include "common/result.h"
+#include "logic/ast.h"
+#include "sql/ast.h"
 #include "table/exec_result.h"
 #include "table/table.h"
 
@@ -53,10 +57,21 @@ struct Program {
   /// the plan up by (program, schema), compile on a miss, run the VM. A
   /// parse error is returned as is; every other error comes from the plan.
   Result<ExecResult> Execute(const Table& table, const ExecOptions& opts) const;
-
-  /// \brief Syntax check without execution.
-  Status Validate() const;
 };
+
+/// \brief A program as its family's syntax tree: what the parsers read
+/// from text and what TemplateForm::Bind builds from a template's skeleton
+/// and bound texts. The realizers and the scan walkers read it. Only the
+/// member of `type`'s family is set.
+struct ProgramTree {
+  ProgramType type = ProgramType::kSql;
+  sql::SelectStatement sql;
+  std::unique_ptr<logic::Node> logic;
+  arith::Expression arith;
+};
+
+/// \brief Parses `program.text` in its family's syntax.
+Result<ProgramTree> ParseProgram(const Program& program);
 
 }  // namespace uctr
 

@@ -2,65 +2,36 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 
 #include "common/numeric.h"
-#include "common/string_util.h"
-#include "ir/ir.h"
-#include "logic/ast.h"
-#include "logic/parser.h"
+#include "ir/plan_cache.h"
 #include "table/index.h"
 
 namespace uctr {
 
 namespace {
 
-constexpr char kDeriveSentinel[] = "__uctr_derive__";
-
-/// Strips characters that would break re-parsing when a cell value is
-/// substituted into a program as raw text.
-std::string SanitizeForProgram(ProgramType type, std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (type == ProgramType::kLogicalForm &&
-        (c == '{' || c == '}' || c == ';')) {
-      continue;
-    }
-    if (type == ProgramType::kArithmetic && (c == '(' || c == ')' || c == ',')) {
-      continue;
-    }
-    if (type == ProgramType::kSql && (c == '[' || c == ']')) {
-      continue;  // would close/open a bracketed identifier early
-    }
-    if (type == ProgramType::kSql && c == '\'') {
-      out += "''";
-      continue;
-    }
-    out.push_back(c);
-  }
-  return Trim(out);
-}
-
-/// Finds the parent of the literal node named `sentinel`; returns the
-/// parent and the argument index, or nullptr when absent.
-logic::Node* FindDeriveParent(logic::Node* node, size_t* arg_index) {
-  for (size_t i = 0; i < node->args.size(); ++i) {
-    logic::Node* child = node->args[i].get();
-    if (child->is_literal && child->name == kDeriveSentinel) {
-      *arg_index = i;
-      return node;
-    }
-    if (logic::Node* found = FindDeriveParent(child, arg_index)) return found;
-  }
-  return nullptr;
+/// Runs `form` with `texts` bound, and renders the program.
+Result<SampledProgram> RunBound(const TemplateForm& form, const Table& table,
+                                std::vector<std::string> texts) {
+  std::vector<std::string_view> views(texts.begin(), texts.end());
+  SampledProgram out;
+  UCTR_ASSIGN_OR_RETURN(out.result,
+                        form.Run(table, views, ir::PlanCache::Default()));
+  out.program.type = form.tmpl().type;
+  out.program.text = form.tmpl().Fill(views);
+  out.texts = std::move(texts);
+  return out;
 }
 
 }  // namespace
 
-Result<std::map<std::string, std::string>> ProgramSampler::BindPlaceholders(
+Result<std::vector<std::string>> ProgramSampler::BindPlaceholders(
     const ProgramTemplate& tmpl, const Table& table) {
-  std::map<std::string, std::string> bindings;
+  const std::vector<Placeholder>& slots = tmpl.placeholders;
+  std::vector<std::string> texts(slots.size());
   std::map<std::string, size_t> column_of;  // placeholder id -> column index
   std::set<size_t> used_columns;
 
@@ -69,7 +40,8 @@ Result<std::map<std::string, std::string>> ProgramSampler::BindPlaceholders(
   }
 
   // Pass 1: columns (values depend on them).
-  for (const Placeholder& p : tmpl.placeholders) {
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const Placeholder& p = slots[i];
     if (p.kind != Placeholder::Kind::kColumn) continue;
     std::vector<size_t> candidates;
     for (size_t c = 0; c < table.num_columns(); ++c) {
@@ -94,12 +66,12 @@ Result<std::map<std::string, std::string>> ProgramSampler::BindPlaceholders(
     size_t chosen = candidates[rng_->Index(candidates.size())];
     used_columns.insert(chosen);
     column_of[p.id] = chosen;
-    bindings[p.id] =
-        SanitizeForProgram(tmpl.type, table.schema().column(chosen).name);
+    texts[i] = table.schema().column(chosen).name;
   }
 
-  // Pass 2: rows, values, ordinals.
-  for (const Placeholder& p : tmpl.placeholders) {
+  // Pass 2: rows, values, ordinals; {derive} is bound by SampleClaim.
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const Placeholder& p = slots[i];
     switch (p.kind) {
       case Placeholder::Kind::kColumn:
         break;
@@ -114,9 +86,7 @@ Result<std::map<std::string, std::string>> ProgramSampler::BindPlaceholders(
         if (candidates.empty()) {
           return Status::NotFound("table has no usable row names");
         }
-        bindings[p.id] = SanitizeForProgram(
-            tmpl.type,
-            names.display(candidates[rng_->Index(candidates.size())]));
+        texts[i] = names.display(candidates[rng_->Index(candidates.size())]);
         break;
       }
       case Placeholder::Kind::kValue: {
@@ -133,76 +103,49 @@ Result<std::map<std::string, std::string>> ProgramSampler::BindPlaceholders(
           return Status::NotFound("column has no non-null values for '" +
                                   p.id + "'");
         }
-        bindings[p.id] = SanitizeForProgram(
-            tmpl.type,
-            cache.display(candidates[rng_->Index(candidates.size())]));
+        texts[i] = cache.display(candidates[rng_->Index(candidates.size())]);
         break;
       }
       case Placeholder::Kind::kOrdinal: {
         size_t hi = std::min<size_t>(5, std::max<size_t>(1, table.num_rows()));
-        bindings[p.id] = std::to_string(rng_->UniformInt(1, hi));
+        texts[i] = std::to_string(rng_->UniformInt(1, hi));
         break;
       }
       case Placeholder::Kind::kDerive:
-        bindings[p.id] = kDeriveSentinel;
         break;
     }
   }
-  return bindings;
+  return texts;
 }
 
-Result<SampledProgram> ProgramSampler::Sample(const ProgramTemplate& tmpl,
+Result<SampledProgram> ProgramSampler::Sample(const TemplateForm& form,
                                               const Table& table) {
-  if (tmpl.HasDerive()) {
+  if (form.tmpl().HasDerive()) {
     return Status::InvalidArgument(
         "template has {derive}; use SampleClaim for verification templates");
   }
-  UCTR_ASSIGN_OR_RETURN(auto bindings, BindPlaceholders(tmpl, table));
-  SampledProgram out;
-  out.program.type = tmpl.type;
-  UCTR_ASSIGN_OR_RETURN(out.program.text, tmpl.Fill(bindings));
-  UCTR_ASSIGN_OR_RETURN(out.result, out.program.Execute(table));
-  out.bindings = std::move(bindings);
-  out.reasoning_type = tmpl.reasoning_type;
-  return out;
+  UCTR_ASSIGN_OR_RETURN(auto texts, BindPlaceholders(form.tmpl(), table));
+  return RunBound(form, table, std::move(texts));
 }
 
-Result<SampledProgram> ProgramSampler::SampleClaim(const ProgramTemplate& tmpl,
+Result<SampledProgram> ProgramSampler::SampleClaim(const TemplateForm& form,
                                                    const Table& table,
                                                    bool target_true) {
+  const ProgramTemplate& tmpl = form.tmpl();
   if (tmpl.type != ProgramType::kLogicalForm) {
     return Status::InvalidArgument(
         "claim sampling only applies to logical forms");
   }
-  UCTR_ASSIGN_OR_RETURN(auto bindings, BindPlaceholders(tmpl, table));
-  UCTR_ASSIGN_OR_RETURN(std::string filled, tmpl.Fill(bindings));
+  UCTR_ASSIGN_OR_RETURN(auto texts, BindPlaceholders(tmpl, table));
+  // Without a derived slot the truth value is whatever the form evaluates
+  // to.
+  if (!tmpl.HasDerive()) return RunBound(form, table, std::move(texts));
 
-  if (!tmpl.HasDerive()) {
-    // No derived slot: the truth value is whatever the form evaluates to.
-    SampledProgram out;
-    out.program.type = tmpl.type;
-    out.program.text = std::move(filled);
-    UCTR_ASSIGN_OR_RETURN(out.result, out.program.Execute(table));
-    out.bindings = std::move(bindings);
-    out.reasoning_type = tmpl.reasoning_type;
-    return out;
-  }
-
-  UCTR_ASSIGN_OR_RETURN(auto node, logic::Parse(filled));
-  size_t arg_index = 0;
-  logic::Node* parent = FindDeriveParent(node.get(), &arg_index);
-  if (parent == nullptr) {
-    return Status::Internal("derive sentinel vanished from parsed form");
-  }
-  if (parent->args.size() != 2) {
-    return Status::InvalidArgument(
-        "{derive} must sit in a binary comparison operator");
-  }
-  // Execute the sibling sub-expression to learn the true value.
-  const logic::Node& sibling = *parent->args[1 - arg_index];
-  UCTR_ASSIGN_OR_RETURN(ir::Plan plan,
-                        ir::LowerLogic(sibling, table.schema()));
-  UCTR_ASSIGN_OR_RETURN(ExecResult inner, ir::ExecutePlan(plan, table));
+  // Run the sibling sub-expression to learn the true value.
+  std::vector<std::string_view> views(texts.begin(), texts.end());
+  UCTR_ASSIGN_OR_RETURN(
+      ExecResult inner,
+      form.RunDerive(table, views, ir::PlanCache::Default()));
   Value truth = inner.scalar();
   if (truth.is_null()) {
     return Status::EmptyResult("derived value is null");
@@ -224,26 +167,26 @@ Result<SampledProgram> ProgramSampler::SampleClaim(const ProgramTemplate& tmpl,
     } else {
       // Distractor string from the derive column.
       std::string distractor;
-      if (!tmpl.derive_column_id.empty()) {
-        auto col_binding = bindings.find(tmpl.derive_column_id);
-        if (col_binding != bindings.end()) {
-          auto c = table.ColumnIndex(col_binding->second);
-          if (c.ok()) {
-            const TableIndex::Column& cache =
-                table.index().column(c.ValueOrDie());
-            TableIndex::LiteralKey truth_key(truth);
-            std::vector<size_t> options;
-            for (size_t r = 0; r < table.num_rows(); ++r) {
-              if (!cache.is_null[r] &&
-                  !TableIndex::CellEquals(cache, r, truth_key)) {
-                options.push_back(r);
-              }
-            }
-            if (!options.empty()) {
-              distractor = cache.display(options[rng_->Index(options.size())]);
-            }
+      for (size_t i = 0; i < texts.size(); ++i) {
+        if (tmpl.derive_column_id.empty() ||
+            tmpl.placeholders[i].id != tmpl.derive_column_id) {
+          continue;
+        }
+        auto c = table.ColumnIndex(texts[i]);
+        if (!c.ok()) break;
+        const TableIndex::Column& cache = table.index().column(*c);
+        TableIndex::LiteralKey truth_key(truth);
+        std::vector<size_t> options;
+        for (size_t r = 0; r < table.num_rows(); ++r) {
+          if (!cache.is_null[r] &&
+              !TableIndex::CellEquals(cache, r, truth_key)) {
+            options.push_back(r);
           }
         }
+        if (!options.empty()) {
+          distractor = cache.display(options[rng_->Index(options.size())]);
+        }
+        break;
       }
       if (distractor.empty()) {
         return Status::NotFound(
@@ -252,18 +195,12 @@ Result<SampledProgram> ProgramSampler::SampleClaim(const ProgramTemplate& tmpl,
       derived_text = std::move(distractor);
     }
   }
-
-  parent->args[arg_index] = logic::Node::Literal(
-      SanitizeForProgram(ProgramType::kLogicalForm, derived_text));
-  bindings["derive"] = derived_text;
-
-  SampledProgram out;
-  out.program.type = ProgramType::kLogicalForm;
-  out.program.text = node->ToString();
-  UCTR_ASSIGN_OR_RETURN(out.result, out.program.Execute(table));
-  out.bindings = std::move(bindings);
-  out.reasoning_type = tmpl.reasoning_type;
-  return out;
+  for (size_t i = 0; i < texts.size(); ++i) {
+    if (tmpl.placeholders[i].kind == Placeholder::Kind::kDerive) {
+      texts[i] = derived_text;
+    }
+  }
+  return RunBound(form, table, std::move(texts));
 }
 
 }  // namespace uctr

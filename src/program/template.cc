@@ -126,15 +126,35 @@ Result<ProgramTemplate> ProgramTemplate::Make(ProgramType type,
 
 Result<std::string> ProgramTemplate::Fill(
     const std::map<std::string, std::string>& bindings) const {
-  std::string out = pattern;
+  std::vector<std::string_view> texts;
   for (const Placeholder& p : placeholders) {
     auto it = bindings.find(p.id);
     if (it == bindings.end()) {
       return Status::InvalidArgument("missing binding for placeholder '" +
                                      p.id + "'");
     }
-    out = ReplaceAll(out, p.spelling, it->second);
+    texts.push_back(it->second);
   }
+  return Fill(texts);
+}
+
+std::string ProgramTemplate::Fill(
+    std::span<const std::string_view> texts) const {
+  std::string out;
+  size_t done = 0;  // pattern[0, done) is written
+  // A spelling's body holds no '{', so the next '{' lies past a match.
+  for (size_t open = pattern.find('{'); open != std::string::npos;
+       open = pattern.find('{', open + 1)) {
+    for (size_t p = 0; p < placeholders.size(); ++p) {
+      const std::string& spelling = placeholders[p].spelling;
+      if (pattern.compare(open, spelling.size(), spelling) == 0) {
+        out.append(pattern, done, open - done).append(texts[p]);
+        done = open + spelling.size();
+        break;
+      }
+    }
+  }
+  out.append(pattern, done);
   return out;
 }
 

@@ -2,6 +2,7 @@
 #define UCTR_PROGRAM_TEMPLATE_H_
 
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -68,6 +69,10 @@ struct ProgramTemplate {
   /// Every placeholder must be bound.
   Result<std::string> Fill(
       const std::map<std::string, std::string>& bindings) const;
+
+  /// \brief The pattern with `texts[p]` written at each occurrence of
+  /// placeholder p, in one pass: bound text is never read as a slot.
+  std::string Fill(std::span<const std::string_view> texts) const;
 
   bool HasDerive() const;
 };

@@ -1,20 +1,16 @@
 #include "program/template_form.h"
 
+#include <numeric>
 #include <utility>
 
-#include "arith/ast.h"
 #include "arith/executor.h"
-#include "arith/parser.h"
+#include "common/hash.h"
 #include "common/numeric.h"
 #include "common/string_util.h"
 #include "ir/ir.h"
 #include "ir/plan_cache.h"
-#include "logic/ast.h"
 #include "logic/executor.h"
-#include "logic/parser.h"
-#include "sql/ast.h"
 #include "sql/executor.h"
-#include "sql/parser.h"
 
 namespace uctr {
 
@@ -74,63 +70,45 @@ Result<TemplateForm> TemplateForm::Make(const ProgramTemplate& tmpl) {
     }
     form.markers_.push_back(std::move(marker));
   }
-  const std::string skeleton = form.Skeleton().text;
-  switch (tmpl.type) {
-    case ProgramType::kSql: {
-      UCTR_ASSIGN_OR_RETURN(sql::SelectStatement stmt, sql::Parse(skeleton));
-      form.sql_ = std::make_shared<const sql::SelectStatement>(std::move(stmt));
-      break;
-    }
-    case ProgramType::kLogicalForm: {
-      UCTR_ASSIGN_OR_RETURN(std::unique_ptr<logic::Node> node,
-                            logic::Parse(skeleton));
-      form.logic_ = std::shared_ptr<const logic::Node>(std::move(node));
-      break;
-    }
-    case ProgramType::kArithmetic: {
-      UCTR_ASSIGN_OR_RETURN(arith::Expression expr, arith::Parse(skeleton));
-      form.arith_ = std::make_shared<const arith::Expression>(std::move(expr));
-      break;
-    }
-  }
+  UCTR_ASSIGN_OR_RETURN(ProgramTree skeleton, ParseProgram(form.Skeleton()));
+  form.skeleton_ = std::make_shared<const ProgramTree>(std::move(skeleton));
   UCTR_RETURN_NOT_OK(form.Classify());
 
   // Every slot field must have reached the plan as a slot: lower once with
   // placeholder positions and look for markers left in the pool (a marker
   // in an error message means the lowering read it as something else).
-  ir::TemplateSlots trial;
-  for (size_t i = 0; i < form.column_slots_.size(); ++i) {
-    trial.columns.emplace_back(form.markers_[form.column_slots_[i]],
-                               static_cast<uint32_t>(i));
-  }
-  for (const Field& f : form.fields_) trial.fields.push_back(f.marker_text);
-  Result<ir::Plan> plan = Status::Internal("unset");
-  if (form.sql_) plan = ir::LowerSql(*form.sql_, trial);
-  if (form.logic_) plan = ir::LowerLogic(*form.logic_, trial);
-  if (form.arith_) plan = ir::LowerArith(*form.arith_, trial);
-  UCTR_RETURN_NOT_OK(plan.status());
-  for (size_t i = plan->num_slots; i < plan->pool.size(); ++i) {
+  std::vector<uint32_t> trial(form.column_slots_.size());
+  std::iota(trial.begin(), trial.end(), 0u);
+  UCTR_ASSIGN_OR_RETURN(ir::Plan plan,
+                        form.Lower(form.Slots(trial), /*derive=*/false));
+  for (size_t i = plan.num_slots; i < plan.pool.size(); ++i) {
     for (const std::string& marker : form.markers_) {
-      if (plan->pool[i].text().find(marker) != std::string::npos) {
-        return NotWhole(plan->pool[i].text());
+      if (plan.pool[i].text().find(marker) != std::string::npos) {
+        return NotWhole(plan.pool[i].text());
       }
     }
   }
   form.fingerprint_ =
       ir::TemplateFingerprint(FamilyOf(tmpl.type), tmpl.pattern);
+  // The pattern's fingerprint continued past a NUL, which no pattern holds.
+  form.derive_fingerprint_ =
+      hash::Fnv1a64(std::string_view("\0derive", 7), form.fingerprint_);
   return form;
 }
 
-Program TemplateForm::Skeleton(std::span<const size_t> merged) const {
-  std::map<std::string, std::string> bindings;
-  for (size_t p = 0; p < markers_.size(); ++p) {
-    bindings[tmpl_.placeholders[p].id] =
-        markers_[merged.empty() ? p : merged[p]];
-  }
+Program TemplateForm::Skeleton() const {
   Program program;
   program.type = tmpl_.type;
-  program.text = tmpl_.Fill(bindings).ValueOrDie();
+  std::vector<std::string_view> markers(markers_.begin(), markers_.end());
+  program.text = tmpl_.Fill(markers);
   return program;
+}
+
+int TemplateForm::SlotOf(std::string_view text) const {
+  for (size_t p = 0; p < markers_.size(); ++p) {
+    if (markers_[p] == text) return static_cast<int>(p);
+  }
+  return -1;
 }
 
 std::string TemplateForm::PrintedMarker(size_t p) const {
@@ -143,12 +121,6 @@ Status TemplateForm::Classify() {
   const std::vector<Placeholder>& slots = tmpl_.placeholders;
   prints_.assign(slots.size(), SlotPrint::kVerbatim);
   std::vector<size_t> seen(slots.size(), 0);
-  auto slot_of = [&](std::string_view text) -> int {
-    for (size_t p = 0; p < markers_.size(); ++p) {
-      if (markers_[p] == text) return static_cast<int>(p);
-    }
-    return -1;
-  };
   auto has_marker = [&](std::string_view text) {
     for (const std::string& m : markers_) {
       if (text.find(m) != std::string_view::npos) return true;
@@ -172,7 +144,7 @@ Status TemplateForm::Classify() {
     fields_.push_back(std::move(field));
   };
   auto column = [&](const std::string& name) -> Status {
-    int p = slot_of(name);
+    int p = SlotOf(name);
     if (p < 0 || !is_column(p)) return NotWhole(name);
     UCTR_RETURN_NOT_OK(note(p, SlotPrint::kVerbatim));
     for (size_t c : column_slots_) {
@@ -183,7 +155,7 @@ Status TemplateForm::Classify() {
   };
   auto literal = [&](const std::string& text, SlotPrint print) -> Status {
     if (!has_marker(text)) return Status::OK();
-    int p = slot_of(text);
+    int p = SlotOf(text);
     if (p < 0 || is_column(p)) return NotWhole(text);
     bool ordinal = slots[p].kind == Placeholder::Kind::kOrdinal;
     if ((print == SlotPrint::kOrdinal) != ordinal &&
@@ -195,20 +167,23 @@ Status TemplateForm::Classify() {
     return Status::OK();
   };
 
-  if (sql_) {
-    for (const sql::SelectItem& item : sql_->items) {
+  const ProgramTree& tree = *skeleton_;
+  if (tree.type == ProgramType::kSql) {
+    for (const sql::SelectItem& item : tree.sql.items) {
       if (!item.star) UCTR_RETURN_NOT_OK(column(item.column));
       if (item.arith != sql::ArithOp::kNone) {
         UCTR_RETURN_NOT_OK(column(item.rhs_column));
       }
     }
-    if (sql_->order_by) UCTR_RETURN_NOT_OK(column(sql_->order_by->column));
-    for (const sql::Condition& cond : sql_->where) {
+    if (tree.sql.order_by) {
+      UCTR_RETURN_NOT_OK(column(tree.sql.order_by->column));
+    }
+    for (const sql::Condition& cond : tree.sql.where) {
       UCTR_RETURN_NOT_OK(column(cond.column));
       UCTR_RETURN_NOT_OK(literal(cond.literal.text(), SlotPrint::kSqlLiteral));
     }
   }
-  if (logic_) {
+  if (tree.type == ProgramType::kLogicalForm) {
     auto walk = [&](auto&& self, const logic::Node& node) -> Status {
       if (has_marker(node.name) && !node.is_literal) return NotWhole(node.name);
       for (size_t i = 0; i < node.args.size(); ++i) {
@@ -222,21 +197,28 @@ Status TemplateForm::Classify() {
           bool ordinal = i == 2 && TakesOrdinalAtArg2(node.name);
           UCTR_RETURN_NOT_OK(literal(
               arg.name, ordinal ? SlotPrint::kOrdinal : SlotPrint::kVerbatim));
+          // The first {derive} in a binary operator is compared with the
+          // other operand.
+          int p = SlotOf(arg.name);
+          if (p >= 0 && slots[p].kind == Placeholder::Kind::kDerive &&
+              node.args.size() == 2 && derive_sibling_ == nullptr) {
+            derive_sibling_ = node.args[1 - i].get();
+          }
         }
       }
       return Status::OK();
     };
-    if (logic_->is_literal) return NotWhole(logic_->name);
-    UCTR_RETURN_NOT_OK(walk(walk, *logic_));
+    if (tree.logic->is_literal) return NotWhole(tree.logic->name);
+    UCTR_RETURN_NOT_OK(walk(walk, *tree.logic));
   }
-  if (arith_) {
-    for (const arith::Step& step : arith_->steps) {
+  if (tree.type == ProgramType::kArithmetic) {
+    for (const arith::Step& step : tree.arith.steps) {
       bool series = StartsWith(step.op, "table_");
       for (const arith::Operand& arg : step.args) {
         if (arg.kind == arith::Operand::Kind::kCellRef &&
             has_marker(arg.text)) {
-          int c = slot_of(arg.column);
-          int r = slot_of(arg.row);
+          int c = SlotOf(arg.column);
+          int r = SlotOf(arg.row);
           if (c < 0 || !is_column(c) || r < 0 || is_column(r)) {
             return NotWhole(arg.text);
           }
@@ -249,7 +231,7 @@ Status TemplateForm::Classify() {
                      static_cast<size_t>(r), arg.text});
         } else if (series && arg.kind == arith::Operand::Kind::kText &&
                    has_marker(arg.text)) {
-          int p = slot_of(arg.text);
+          int p = SlotOf(arg.text);
           if (p < 0 || is_column(p)) return NotWhole(arg.text);
           UCTR_RETURN_NOT_OK(note(p, SlotPrint::kOperand));
           add_field({Field::Kind::kName, static_cast<size_t>(p), 0, arg.text});
@@ -280,18 +262,60 @@ Value TemplateForm::FieldValue(const Field& field,
   return Value();
 }
 
+ir::TemplateSlots TemplateForm::Slots(
+    std::span<const uint32_t> positions) const {
+  ir::TemplateSlots slots;
+  for (size_t i = 0; i < column_slots_.size(); ++i) {
+    slots.columns.emplace_back(markers_[column_slots_[i]], positions[i]);
+  }
+  for (const Field& f : fields_) slots.fields.push_back(f.marker_text);
+  return slots;
+}
+
+Result<ir::Plan> TemplateForm::Lower(const ir::TemplateSlots& slots,
+                                     bool derive) const {
+  if (skeleton_->logic) {
+    return ir::LowerLogic(derive ? *derive_sibling_ : *skeleton_->logic,
+                          slots);
+  }
+  if (skeleton_->type == ProgramType::kSql) {
+    return ir::LowerSql(skeleton_->sql, slots);
+  }
+  return ir::LowerArith(skeleton_->arith, slots);
+}
+
 Result<ExecResult> TemplateForm::Run(
     const Table& table, std::span<const std::string_view> texts,
     ir::PlanCache& cache) const {
+  return Execute(table, texts, cache, /*derive=*/false);
+}
+
+Result<ExecResult> TemplateForm::RunDerive(
+    const Table& table, std::span<const std::string_view> texts,
+    ir::PlanCache& cache) const {
+  return Execute(table, texts, cache, /*derive=*/true);
+}
+
+Result<ExecResult> TemplateForm::Execute(
+    const Table& table, std::span<const std::string_view> texts,
+    ir::PlanCache& cache, bool derive) const {
+  if (derive && derive_sibling_ == nullptr) {
+    return Status::InvalidArgument(
+        "{derive} must sit in a binary comparison operator");
+  }
   std::vector<Value> values;
   std::vector<TableIndex::LiteralKey> keys;
   values.reserve(fields_.size());
   keys.reserve(fields_.size());
   for (const Field& f : fields_) {
-    values.push_back(FieldValue(f, texts));
+    // The {derive} sibling never reads the {derive} field.
+    bool unread =
+        derive && tmpl_.placeholders[f.slot].kind == Placeholder::Kind::kDerive;
+    values.push_back(unread ? Value() : FieldValue(f, texts));
     // A logic literal named all_rows lowers to a row view, which no
     // literal position takes.
-    if (logic_ && EqualsIgnoreCase(Trim(texts[f.slot]), "all_rows")) {
+    if (!unread && skeleton_->logic &&
+        EqualsIgnoreCase(Trim(texts[f.slot]), "all_rows")) {
       return Status::TypeError("expected scalar, got view from '" +
                                Trim(texts[f.slot]) + "'");
     }
@@ -304,73 +328,54 @@ Result<ExecResult> TemplateForm::Run(
                           table.schema().ColumnIndex(Trim(texts[p])));
     positions.push_back(static_cast<uint32_t>(c));
   }
+  const uint64_t fingerprint = derive ? derive_fingerprint_ : fingerprint_;
   const uint64_t shape = ir::ColumnsFingerprint(positions);
-  std::shared_ptr<const ir::Plan> plan = cache.Get(fingerprint_, shape);
+  std::shared_ptr<const ir::Plan> plan = cache.Get(fingerprint, shape);
   if (plan == nullptr) {
     cache.NoteCompile();
-    ir::TemplateSlots slots;
-    for (size_t i = 0; i < column_slots_.size(); ++i) {
-      slots.columns.emplace_back(markers_[column_slots_[i]], positions[i]);
-    }
-    for (const Field& f : fields_) slots.fields.push_back(f.marker_text);
-    Result<ir::Plan> lowered = Status::Internal("unset");
-    if (sql_) lowered = ir::LowerSql(*sql_, slots);
-    if (logic_) lowered = ir::LowerLogic(*logic_, slots);
-    if (arith_) lowered = ir::LowerArith(*arith_, slots);
-    UCTR_RETURN_NOT_OK(lowered.status());
-    plan = std::make_shared<const ir::Plan>(std::move(lowered).ValueOrDie());
-    cache.Put(fingerprint_, shape, plan);
+    UCTR_ASSIGN_OR_RETURN(ir::Plan lowered, Lower(Slots(positions), derive));
+    plan = std::make_shared<const ir::Plan>(std::move(lowered));
+    cache.Put(fingerprint, shape, plan);
   }
   return ir::ExecutePlan(*plan, table, ir::SlotValues{values, keys});
 }
 
-Result<ExecResult> TemplateForm::Walk(
-    const Table& table, std::span<const std::string_view> texts) const {
-  auto slot_of = [&](std::string_view text) -> int {
-    for (size_t p = 0; p < markers_.size(); ++p) {
-      if (markers_[p] == text) return static_cast<int>(p);
-    }
-    return -1;
-  };
+ProgramTree TemplateForm::Bind(std::span<const std::string_view> texts) const {
   // A name or logic literal field: the bound text as the parser trims it.
   auto name = [&](std::string* field) {
-    if (int p = slot_of(*field); p >= 0) *field = Trim(texts[p]);
+    if (int p = SlotOf(*field); p >= 0) *field = Trim(texts[p]);
   };
-  if (sql_) {
-    sql::SelectStatement stmt = *sql_;
-    for (sql::SelectItem& item : stmt.items) {
-      name(&item.column);
-      name(&item.rhs_column);
-    }
-    if (stmt.order_by) name(&stmt.order_by->column);
-    for (sql::Condition& cond : stmt.where) {
-      name(&cond.column);
-      if (int p = slot_of(cond.literal.text()); p >= 0) {
-        cond.literal = Value::FromText(texts[p]);
-      }
-    }
-    return sql::Execute(stmt, table);
+  // Only the family's own member of the skeleton is non-empty.
+  ProgramTree tree{skeleton_->type, skeleton_->sql, nullptr, skeleton_->arith};
+  for (sql::SelectItem& item : tree.sql.items) {
+    name(&item.column);
+    name(&item.rhs_column);
   }
-  if (logic_) {
-    std::unique_ptr<logic::Node> root = logic_->Clone();
+  if (tree.sql.order_by) name(&tree.sql.order_by->column);
+  for (sql::Condition& cond : tree.sql.where) {
+    name(&cond.column);
+    if (int p = SlotOf(cond.literal.text()); p >= 0) {
+      cond.literal = Value::FromText(texts[p]);
+    }
+  }
+  if (skeleton_->logic) {
+    tree.logic = skeleton_->logic->Clone();
     auto bind = [&](auto&& self, logic::Node* node) -> void {
       if (node->is_literal) name(&node->name);
       for (auto& arg : node->args) self(self, arg.get());
     };
-    bind(bind, root.get());
-    return logic::Execute(*root, table);
+    bind(bind, tree.logic.get());
   }
-  arith::Expression expr = *arith_;
-  for (arith::Step& step : expr.steps) {
+  for (arith::Step& step : tree.arith.steps) {
     for (arith::Operand& arg : step.args) {
       if (arg.kind == arith::Operand::Kind::kCellRef) {
-        int c = slot_of(arg.column);
-        int r = slot_of(arg.row);
+        int c = SlotOf(arg.column);
+        int r = SlotOf(arg.row);
         if (c < 0 || r < 0) continue;
         arg.text = Trim(std::string(texts[c]) + " of " + std::string(texts[r]));
         arg.column = Trim(texts[c]);
         arg.row = Trim(texts[r]);
-      } else if (int p = slot_of(arg.text); p >= 0) {
+      } else if (int p = SlotOf(arg.text); p >= 0) {
         // A series name; the parser reads a number as a constant.
         arg.text = Trim(texts[p]);
         if (std::optional<double> n = ParseNumber(arg.text)) {
@@ -380,7 +385,21 @@ Result<ExecResult> TemplateForm::Walk(
       }
     }
   }
-  return arith::Execute(expr, table);
+  return tree;
+}
+
+Result<ExecResult> TemplateForm::Walk(
+    const Table& table, std::span<const std::string_view> texts) const {
+  ProgramTree tree = Bind(texts);
+  switch (tree.type) {
+    case ProgramType::kSql:
+      return sql::Execute(tree.sql, table);
+    case ProgramType::kLogicalForm:
+      return logic::Execute(*tree.logic, table);
+    case ProgramType::kArithmetic:
+      return arith::Execute(tree.arith, table);
+  }
+  return Status::Internal("unknown program type");
 }
 
 }  // namespace uctr

@@ -16,15 +16,10 @@
 
 namespace uctr {
 
-namespace sql {
-struct SelectStatement;
-}
-namespace logic {
-struct Node;
-}
-namespace arith {
-struct Expression;
-}
+namespace ir {
+struct Plan;
+struct TemplateSlots;
+}  // namespace ir
 
 /// \brief How the canonical realizer prints the text bound to a slot.
 enum class SlotPrint : uint8_t {
@@ -39,7 +34,8 @@ enum class SlotPrint : uint8_t {
 /// with each slot filled by a marker text — so that a candidate is the
 /// template plus the text bound to each slot. Run executes the plan
 /// lowered once per (template, column positions), with the bound texts
-/// supplied as slot Values; nothing is spliced into program text.
+/// supplied as slot Values, and Bind puts them in the skeleton's tree for
+/// the realizer; nothing is spliced into program text.
 ///
 /// Make accepts a template only if each slot fills whole program fields:
 /// a column slot names columns, and every other slot is a whole SQL or
@@ -54,10 +50,8 @@ class TemplateForm {
 
   const ProgramTemplate& tmpl() const { return tmpl_; }
 
-  /// \brief The skeleton program. With `merged` (one entry per
-  /// placeholder), placeholder p is written with the marker of
-  /// placeholder merged[p].
-  Program Skeleton(std::span<const size_t> merged = {}) const;
+  /// \brief The text the skeleton holds at placeholder p's fields.
+  const std::string& marker(size_t p) const { return markers_[p]; }
 
   /// \brief Placeholder p's marker as the canonical realizer prints it.
   std::string PrintedMarker(size_t p) const;
@@ -74,8 +68,22 @@ class TemplateForm {
                          std::span<const std::string_view> texts,
                          ir::PlanCache& cache) const;
 
-  /// \brief The scan walker over the skeleton with the bound texts put in
-  /// its fields: the reference Run is tested against.
+  /// \brief Runs the subtree a {derive} slot is compared with, whose value
+  /// a true claim states, as Run runs the template; its plans are cached
+  /// apart from the template's. The {derive} slot's text is not read.
+  /// InvalidArgument when no {derive} slot sits in a binary operator.
+  Result<ExecResult> RunDerive(const Table& table,
+                               std::span<const std::string_view> texts,
+                               ir::PlanCache& cache) const;
+
+  /// \brief The skeleton's tree with `texts[p]` in placeholder p's fields,
+  /// as the parser reads text that holds no program syntax: a name or a
+  /// logic literal trimmed, a SQL literal as Value::FromText, and an
+  /// arithmetic series name that reads as a number as a constant.
+  ProgramTree Bind(std::span<const std::string_view> texts) const;
+
+  /// \brief The scan walker over Bind(texts): the reference Run is tested
+  /// against.
   Result<ExecResult> Walk(const Table& table,
                           std::span<const std::string_view> texts) const;
 
@@ -93,9 +101,18 @@ class TemplateForm {
 
   TemplateForm() = default;
 
+  Program Skeleton() const;
+  /// The placeholder whose marker is `text`, or -1.
+  int SlotOf(std::string_view text) const;
   Status Classify();
   Value FieldValue(const Field& field,
                    std::span<const std::string_view> texts) const;
+  /// The plan of the skeleton, or of the {derive} sibling, for `slots`.
+  Result<ir::Plan> Lower(const ir::TemplateSlots& slots, bool derive) const;
+  ir::TemplateSlots Slots(std::span<const uint32_t> positions) const;
+  Result<ExecResult> Execute(const Table& table,
+                             std::span<const std::string_view> texts,
+                             ir::PlanCache& cache, bool derive) const;
 
   ProgramTemplate tmpl_;
   std::vector<std::string> markers_;  ///< per placeholder
@@ -103,9 +120,10 @@ class TemplateForm {
   std::vector<Field> fields_;
   std::vector<size_t> column_slots_;  ///< placeholders the plan resolves
   uint64_t fingerprint_ = 0;          ///< ir::TemplateFingerprint
-  std::shared_ptr<const sql::SelectStatement> sql_;
-  std::shared_ptr<const logic::Node> logic_;
-  std::shared_ptr<const arith::Expression> arith_;
+  uint64_t derive_fingerprint_ = 0;   ///< the {derive} sibling's plans
+  std::shared_ptr<const ProgramTree> skeleton_;
+  /// The subtree of `skeleton_` the {derive} slot is compared with.
+  const logic::Node* derive_sibling_ = nullptr;
 };
 
 }  // namespace uctr

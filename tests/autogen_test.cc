@@ -52,10 +52,11 @@ TEST(AutoGenTest, GeneratedTemplatesExecuteOnCorpus) {
   ProgramSampler sampler(&rng);
   size_t working = 0;
   for (const auto& tmpl : templates) {
+    TemplateForm form = TemplateForm::Make(tmpl).ValueOrDie();
     for (int trial = 0; trial < 6; ++trial) {
       auto r = tmpl.HasDerive() || tmpl.type == ProgramType::kLogicalForm
-                   ? sampler.SampleClaim(tmpl, corpus[0], trial % 2 == 0)
-                   : sampler.Sample(tmpl, corpus[0]);
+                   ? sampler.SampleClaim(form, corpus[0], trial % 2 == 0)
+                   : sampler.Sample(form, corpus[0]);
       if (r.ok()) {
         ++working;
         break;

@@ -292,19 +292,6 @@ TEST(RngTest, ShuffleIsPermutation) {
   EXPECT_EQ(v, sorted);
 }
 
-TEST(RngTest, GaussianRoughlyStandard) {
-  Rng rng(19);
-  double sum = 0, sq = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    double g = rng.Gaussian();
-    sum += g;
-    sq += g * g;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.05);
-  EXPECT_NEAR(sq / n, 1.0, 0.05);
-}
-
 
 // ------------------------------------------------------------------ JSON
 

@@ -199,7 +199,7 @@ TEST(BenchmarkTest, GoldSamplesHaveExecutableProvenance) {
   for (const Sample& s : bench.gold_test.samples) {
     EXPECT_FALSE(s.sentence.empty());
     EXPECT_FALSE(s.answer.empty());
-    EXPECT_TRUE(s.program.Validate().ok()) << s.program.text;
+    EXPECT_TRUE(ParseProgram(s.program).ok()) << s.program.text;
   }
 }
 

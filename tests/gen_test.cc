@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string_view>
+#include <vector>
 
+#include "common/string_util.h"
 #include "gen/generator.h"
 #include "gen/sample.h"
+#include "ir/plan_cache.h"
+#include "nlgen/nl_generator.h"
 #include "program/library.h"
+#include "program/sampler.h"
 #include "tests/test_util.h"
 
 namespace uctr {
@@ -234,6 +240,71 @@ TEST(GeneratorTest, MismatchedTaskAndProgramTypeYieldsNothing) {
   TableWithText input;
   input.table = MakeNationsTable();
   EXPECT_TRUE(gen.GenerateFromTable(input).empty());
+}
+
+// ------------------------------------------------------ program syntax
+
+// Headers and cells that hold each family's program syntax: a SQL quote
+// and brackets, logic braces and semicolons, arithmetic parentheses and
+// commas.
+Table SyntaxTable() {
+  return Table::FromStrings(
+             {"name", "o'brien", "[x]", "x } ; y", "a (b), c"},
+             {{"o'brien", "3", "7", "a (b), c", "1"},
+              {"[x]", "5", "2", "x } ; y", "4"},
+              {"x } ; y", "8", "9", "[x]", "6"},
+              {"a (b), c", "1", "4", "o'brien", "2"}},
+             "syntax")
+      .ValueOrDie();
+}
+
+// Every built-in template samples on the syntax table as the headers and
+// cells it binds: its result is the walker's over the tree with those
+// texts in it, and its canonical sentence prints each of them.
+TEST(SamplerSyntaxTest, ValuesWithProgramSyntaxSampleAsThemselves) {
+  const Table table = SyntaxTable();
+  const TemplateLibrary library = TemplateLibrary::Builtin();
+  nlgen::NlGeneratorConfig canonical_config;
+  canonical_config.stochastic = false;
+  const nlgen::NlGenerator canonical(canonical_config);
+  std::set<ProgramType> with_syntax;
+  size_t sampled = 0;
+  for (const TemplateForm& form : library.forms()) {
+    const ProgramTemplate& tmpl = form.tmpl();
+    auto open = canonical.RealizeOpen(form);
+    ASSERT_TRUE(open.ok()) << tmpl.pattern;
+    for (int trial = 0; trial < 12; ++trial) {
+      Rng rng(1000 * trial + sampled);
+      ProgramSampler sampler(&rng);
+      Result<SampledProgram> s =
+          tmpl.type == ProgramType::kLogicalForm
+              ? sampler.SampleClaim(form, table, trial % 2 == 0)
+              : sampler.Sample(form, table);
+      if (!s.ok()) continue;
+      ++sampled;
+      std::vector<std::string_view> texts(s->texts.begin(), s->texts.end());
+      for (std::string_view text : texts) {
+        if (uctr::testing::HasProgramSyntax(tmpl.type, text)) {
+          with_syntax.insert(tmpl.type);
+        }
+      }
+      Result<ExecResult> walked = form.Walk(table, texts);
+      ASSERT_TRUE(walked.ok()) << s->program.text;
+      EXPECT_EQ(s->result.ToDisplayString(), walked->ToDisplayString())
+          << s->program.text;
+      EXPECT_EQ(s->result.evidence_rows, walked->evidence_rows)
+          << s->program.text;
+      auto sentence = canonical.Realize(form.Bind(texts), nullptr);
+      ASSERT_TRUE(sentence.ok()) << s->program.text;
+      for (size_t p : open->slots) {
+        std::string printed = nlgen::PrintSlot(form.print(p), texts[p]);
+        EXPECT_TRUE(ContainsIgnoreCase(*sentence, printed))
+            << "'" << printed << "' missing from: " << *sentence;
+      }
+    }
+  }
+  EXPECT_GT(sampled, 200u);
+  EXPECT_EQ(with_syntax.size(), 3u);  // every family bound syntax
 }
 
 }  // namespace

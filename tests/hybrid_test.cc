@@ -67,19 +67,6 @@ TEST(TableToTextTest, FinanceRowKeepsMoneyFormatting) {
 
 // ----------------------------------------------------------- TextToTable
 
-TEST(TextToTableTest, FilterFindsHeaderMentions) {
-  Table t = MakeFinanceTable();
-  TextToTable op;
-  std::vector<std::string> sentences = {
-      "The company performed well.",
-      "In 2019, results improved again.",
-      "Nothing to see here.",
-  };
-  auto relevant = op.FilterRelevantSentences(t, sentences);
-  ASSERT_EQ(relevant.size(), 1u);
-  EXPECT_EQ(relevant[0], 1u);
-}
-
 TEST(TextToTableTest, ExtractsRecordFromDescribeEntShape) {
   Table t = MakeNationsTable();
   TextToTable op;

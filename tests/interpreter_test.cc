@@ -697,15 +697,18 @@ TEST(InterpreterReferenceTest, SampledSentencesOverGoldenTablesMatch) {
   size_t readings = 0;
   for (size_t i = 0; i < tables.size(); ++i) {
     const auto& [name, table] = tables[i];
-    for (size_t t = 0; t < library.templates().size(); ++t) {
+    for (size_t t = 0; t < library.forms().size(); ++t) {
       Rng rng((23ull << 32) | (i << 16) | t);
       ProgramSampler sampler(&rng);
-      const ProgramTemplate& tmpl = library.templates()[t];
+      const TemplateForm& form = library.forms()[t];
+      const ProgramTemplate& tmpl = form.tmpl();
       Result<SampledProgram> sampled =
-          tmpl.HasDerive() ? sampler.SampleClaim(tmpl, table, t % 2 == 0)
-                           : sampler.Sample(tmpl, table);
+          tmpl.HasDerive() ? sampler.SampleClaim(form, table, t % 2 == 0)
+                           : sampler.Sample(form, table);
       if (!sampled.ok()) continue;
-      auto sentence = generator.Generate(sampled->program, &rng);
+      std::vector<std::string_view> texts(sampled->texts.begin(),
+                                          sampled->texts.end());
+      auto sentence = generator.Realize(form.Bind(texts), &rng);
       if (!sentence.ok()) continue;
       bool claim = tmpl.type == ProgramType::kLogicalForm;
       ++sentences;
@@ -757,15 +760,70 @@ TEST(InterpreterDirectTest, EveryBuiltinTemplateRealizesWithOpenSlots) {
   config.stochastic = false;
   const nlgen::NlGenerator canonical(config);
   const TemplateLibrary library = TemplateLibrary::Builtin();
-  for (const ProgramTemplate& tmpl : library.templates()) {
-    Result<TemplateForm> form = TemplateForm::Make(tmpl);
-    ASSERT_TRUE(form.ok()) << tmpl.pattern << ": "
-                           << form.status().ToString();
-    Result<nlgen::OpenSentence> open = canonical.RealizeOpen(*form);
-    ASSERT_TRUE(open.ok()) << tmpl.pattern << ": "
+  for (const TemplateForm& form : library.forms()) {
+    Result<nlgen::OpenSentence> open = canonical.RealizeOpen(form);
+    ASSERT_TRUE(open.ok()) << form.tmpl().pattern << ": "
                            << open.status().ToString();
-    EXPECT_FALSE(open->fixed_tokens.empty()) << tmpl.pattern;
+    EXPECT_FALSE(open->fixed_tokens.empty()) << form.tmpl().pattern;
   }
+}
+
+// A {derive} claim's true value comes from its sibling subtree's own plan,
+// cached apart from the template's plan for the same column positions:
+// sampling claims and then reading them back through the one cache the
+// sampler uses never serves either plan for the other.
+TEST(InterpreterDirectTest, DeriveSiblingNeverSharesATemplatePlan) {
+  std::vector<ProgramTemplate> templates;
+  for (ProgramTemplate& tmpl : BuiltinLogicTemplates()) {
+    if (tmpl.HasDerive()) templates.push_back(std::move(tmpl));
+  }
+  NlInterpreter claims(templates);
+  std::vector<TemplateForm> forms;
+  for (const ProgramTemplate& tmpl : templates) {
+    forms.push_back(TemplateForm::Make(tmpl).ValueOrDie());
+  }
+  nlgen::NlGeneratorConfig config;
+  config.stochastic = false;
+  const nlgen::NlGenerator canonical(config);
+  ExecOptions shared;
+  shared.plan_cache = &ir::PlanCache::Default();  // the sampler's cache
+  Rng rng(41);
+  ProgramSampler sampler(&rng);
+  size_t readings = 0;
+  for (const Table& table :
+       {MakeNationsTable(), uctr::testing::RandomTable(&rng, 9, 3)}) {
+    for (const TemplateForm& form : forms) {
+      for (bool target : {true, false}) {
+        Result<SampledProgram> s = sampler.SampleClaim(form, table, target);
+        if (!s.ok()) continue;
+        std::vector<std::string_view> texts(s->texts.begin(),
+                                            s->texts.end());
+        Result<ExecResult> walked = form.Walk(table, texts);
+        ASSERT_TRUE(walked.ok()) << s->program.text;
+        EXPECT_EQ(s->result.ToDisplayString(), walked->ToDisplayString())
+            << s->program.text;
+        auto sentence = canonical.Realize(form.Bind(texts), nullptr);
+        ASSERT_TRUE(sentence.ok()) << s->program.text;
+        for (const Interpretation& r :
+             claims.RankAll(*sentence, table, TaskType::kFactVerification,
+                            shared)) {
+          const TemplateForm& read = forms[r.template_index];
+          std::vector<std::string_view> bound;
+          for (const Placeholder& p : read.tmpl().placeholders) {
+            bound.push_back(r.bindings.at(p.id));
+          }
+          Result<ExecResult> want = read.Walk(table, bound);
+          ASSERT_TRUE(want.ok()) << r.program.text;
+          EXPECT_EQ(r.result.ToDisplayString(), want->ToDisplayString())
+              << r.program.text << " read from: " << *sentence;
+          EXPECT_EQ(r.result.evidence_rows, want->evidence_rows)
+              << r.program.text;
+          ++readings;
+        }
+      }
+    }
+  }
+  EXPECT_GT(readings, 50u);
 }
 
 // Template plans are keyed by template and column positions, so a second

@@ -158,8 +158,9 @@ TEST_P(LogicPropertyTest, RandomClaimsRoundTripThroughToString) {
   ProgramSampler sampler(&rng_);
   int checked = 0;
   for (int i = 0; i < 30 && checked < 8; ++i) {
-    ProgramTemplate tmpl = gen.Propose();
-    auto sampled = sampler.SampleClaim(tmpl, t, i % 2 == 0);
+    auto form = TemplateForm::Make(gen.Propose());
+    if (!form.ok()) continue;
+    auto sampled = sampler.SampleClaim(*form, t, i % 2 == 0);
     if (!sampled.ok()) continue;
     ++checked;
     auto node = Parse(sampled->program.text).ValueOrDie();

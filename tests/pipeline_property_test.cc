@@ -50,7 +50,7 @@ TEST_P(PipelinePropertyTest, EverySampleSatisfiesCoreInvariants) {
     EXPECT_FALSE(s.program.text.empty());
     EXPECT_GT(s.table.num_rows(), 0u);
     // Program provenance is syntactically valid.
-    EXPECT_TRUE(s.program.Validate().ok()) << s.program.text;
+    EXPECT_TRUE(ParseProgram(s.program).ok()) << s.program.text;
     // Labels are execution-consistent for samples whose evidence table is
     // the one the program ran on (table-only pipeline).
     if (s.source == EvidenceSource::kTableOnly) {
@@ -166,14 +166,16 @@ TEST_P(PipelinePropertyTest, TemplatizerRoundTripOnSampledPrograms) {
   TemplateLibrary lib = TemplateLibrary::Builtin();
   ProgramSampler sampler(&rng_);
   int round_trips = 0;
-  for (const auto& tmpl : lib.OfType(ProgramType::kSql)) {
-    auto sampled = sampler.Sample(tmpl, t);
+  for (const TemplateForm& form : lib.OfType(ProgramType::kSql)) {
+    auto sampled = sampler.Sample(form, t);
     if (!sampled.ok()) continue;
     auto abstracted = AbstractSql(sampled->program.text, t);
     ASSERT_TRUE(abstracted.ok()) << sampled->program.text;
+    auto abstracted_form = TemplateForm::Make(*abstracted);
+    ASSERT_TRUE(abstracted_form.ok()) << abstracted->pattern;
     bool ok = false;
     for (int trial = 0; trial < 8 && !ok; ++trial) {
-      ok = sampler.Sample(abstracted.ValueOrDie(), t).ok();
+      ok = sampler.Sample(*abstracted_form, t).ok();
     }
     if (ok) ++round_trips;
   }
@@ -224,15 +226,22 @@ TEST_P(PipelinePropertyTest, GenerationPreservesBoundValuesWithoutNoise) {
   nlgen::NlGenerator generator;  // stochastic synonyms, no drops
 
   int checked = 0;
-  for (const auto& tmpl : lib.OfType(ProgramType::kLogicalForm)) {
-    auto sampled = sampler.SampleClaim(tmpl, t, rng_.Bernoulli(0.5));
+  for (const TemplateForm& form : lib.OfType(ProgramType::kLogicalForm)) {
+    auto sampled = sampler.SampleClaim(form, t, rng_.Bernoulli(0.5));
     if (!sampled.ok()) continue;
-    auto sentence = generator.Generate(sampled->program, &rng_);
+    std::vector<std::string_view> texts(sampled->texts.begin(),
+                                        sampled->texts.end());
+    auto sentence = generator.Realize(form.Bind(texts), &rng_);
     ASSERT_TRUE(sentence.ok());
     ++checked;
-    for (const auto& [slot, value] : sampled->bindings) {
-      if (slot.empty() || value.empty()) continue;
-      if (slot[0] != 'v' && slot != "derive") continue;
+    for (size_t p = 0; p < texts.size(); ++p) {
+      const Placeholder& slot = form.tmpl().placeholders[p];
+      const std::string& value = sampled->texts[p];
+      if (value.empty()) continue;
+      if (slot.kind != Placeholder::Kind::kValue &&
+          slot.kind != Placeholder::Kind::kDerive) {
+        continue;
+      }
       EXPECT_TRUE(ContainsIgnoreCase(*sentence, value))
           << "'" << value << "' missing from: " << *sentence;
     }

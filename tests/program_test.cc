@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <string>
 
+#include "obs/metrics.h"
 #include "program/library.h"
 #include "program/program.h"
 #include "program/sampler.h"
@@ -32,9 +36,9 @@ TEST(ProgramTest, DispatchesByType) {
 
 TEST(ProgramTest, ValidateChecksSyntaxOnly) {
   Program good{ProgramType::kSql, "SELECT no_such_col FROM w"};
-  EXPECT_TRUE(good.Validate().ok());  // parses; execution would fail
+  EXPECT_TRUE(ParseProgram(good).ok());  // parses; execution would fail
   Program bad{ProgramType::kSql, "SELEC nation FROM w"};
-  EXPECT_FALSE(bad.Validate().ok());
+  EXPECT_FALSE(ParseProgram(bad).ok());
 }
 
 // -------------------------------------------------------------- Template
@@ -73,7 +77,8 @@ TEST(TemplateTest, FillSubstitutesEverySlot) {
   auto filled = t.Fill({{"c1", "nation"}, {"c2", "gold"}, {"v1", "10"}})
                     .ValueOrDie();
   EXPECT_EQ(filled, "SELECT [nation] FROM w WHERE [gold] = '10'");
-  EXPECT_FALSE(t.Fill({{"c1", "nation"}}).ok());  // missing bindings
+  EXPECT_FALSE(t.Fill(std::map<std::string, std::string>{{"c1", "nation"}})
+                   .ok());  // missing bindings
 }
 
 TEST(TemplateTest, RejectsUnknownValueColumn) {
@@ -88,6 +93,19 @@ TEST(TemplateTest, DeduplicateDropsRepeats) {
                .ValueOrDie();
   auto dedup = DeduplicateTemplates({a, a, a});
   EXPECT_EQ(dedup.size(), 1u);
+}
+
+// Fill substitutes in one pass: a bound text that spells a placeholder is
+// written as is, never read as that placeholder.
+TEST(TemplateTest, FillNeverRescansBoundText) {
+  auto t = ProgramTemplate::Make(
+               ProgramType::kSql,
+               "SELECT [{c1}] FROM w WHERE [{c2}] = '{v1@c2}'")
+               .ValueOrDie();
+  std::map<std::string, std::string> bindings = {
+      {"c1", "{c2}"}, {"c2", "team"}, {"v1", "{v1@c2}"}};
+  EXPECT_EQ(t.Fill(bindings).ValueOrDie(),
+            "SELECT [{c2}] FROM w WHERE [team] = '{v1@c2}'");
 }
 
 // --------------------------------------------------------------- Library
@@ -105,7 +123,11 @@ TEST(LibraryTest, CoversPaperReasoningTypes) {
   for (const char* tag :
        {"count", "superlative", "comparative", "aggregation", "majority",
         "unique", "ordinal", "arithmetic", "span", "conjunction"}) {
-    EXPECT_FALSE(lib.OfReasoningType(tag).empty()) << tag;
+    EXPECT_TRUE(std::any_of(lib.forms().begin(), lib.forms().end(),
+                            [tag](const TemplateForm& form) {
+                              return form.tmpl().reasoning_type == tag;
+                            }))
+        << tag;
   }
 }
 
@@ -123,7 +145,7 @@ TEST(SamplerTest, SqlSamplingProducesExecutablePrograms) {
       if (s.ok()) {
         ++successes;
         EXPECT_FALSE(s->result.values.empty());
-        EXPECT_TRUE(s->program.Validate().ok()) << s->program.text;
+        EXPECT_TRUE(ParseProgram(s->program).ok()) << s->program.text;
       }
     }
   }
@@ -158,9 +180,10 @@ TEST(SamplerTest, ClaimSamplingDerivesTrueClaims) {
                   "{c2} } ; {derive} }",
                   "unique", "c2")
                   .ValueOrDie();
+  TemplateForm form = TemplateForm::Make(tmpl).ValueOrDie();
   int trues = 0, total = 0;
   for (int i = 0; i < 30; ++i) {
-    auto s = sampler.SampleClaim(tmpl, t, /*target_true=*/true);
+    auto s = sampler.SampleClaim(form, t, /*target_true=*/true);
     if (!s.ok()) continue;
     ++total;
     if (s->result.scalar().boolean()) ++trues;
@@ -179,9 +202,10 @@ TEST(SamplerTest, ClaimSamplingCorruptsToFalse) {
                   "{derive} }",
                   "count")
                   .ValueOrDie();
+  TemplateForm form = TemplateForm::Make(tmpl).ValueOrDie();
   int falses = 0, total = 0;
   for (int i = 0; i < 30; ++i) {
-    auto s = sampler.SampleClaim(tmpl, t, /*target_true=*/false);
+    auto s = sampler.SampleClaim(form, t, /*target_true=*/false);
     if (!s.ok()) continue;
     ++total;
     if (!s->result.scalar().boolean()) ++falses;
@@ -200,9 +224,10 @@ TEST(SamplerTest, StringDeriveCorruptionUsesDistractors) {
                   "{derive} }",
                   "superlative", "c2")
                   .ValueOrDie();
+  TemplateForm form = TemplateForm::Make(tmpl).ValueOrDie();
   int falses = 0, total = 0;
   for (int i = 0; i < 30; ++i) {
-    auto s = sampler.SampleClaim(tmpl, t, /*target_true=*/false);
+    auto s = sampler.SampleClaim(form, t, /*target_true=*/false);
     if (!s.ok()) continue;
     ++total;
     if (!s->result.scalar().boolean()) ++falses;
@@ -218,13 +243,48 @@ TEST(SamplerTest, RespectsTypeConstraints) {
   auto tmpl = ProgramTemplate::Make(ProgramType::kSql,
                                     "SELECT SUM([{c1:num}]) FROM w")
                   .ValueOrDie();
+  TemplateForm form = TemplateForm::Make(tmpl).ValueOrDie();
   for (int i = 0; i < 20; ++i) {
-    auto s = sampler.Sample(tmpl, t);
+    auto s = sampler.Sample(form, t);
     ASSERT_TRUE(s.ok());
     // Bound column must be one of the numeric ones.
-    std::string col = s->bindings.at("c1");
-    EXPECT_NE(col, "nation");
+    EXPECT_NE(s->texts[0], "nation");
   }
+}
+
+// The sampler lowers one plan per (template, column positions), and a
+// {derive} claim one more for its sibling: other rows and values at the
+// same columns reuse them.
+TEST(SamplerTest, CompilesOncePerTemplateAndColumns) {
+  Table t = Table::FromCsv("nation,gold\nchina,8\njapan,5\nfrance,2\n")
+                .ValueOrDie();
+  TemplateForm lookup =
+      TemplateForm::Make(ProgramTemplate::Make(
+                             ProgramType::kSql,
+                             "SELECT [{c1}] FROM w WHERE [{c2}] = '{v1@c2}'")
+                             .ValueOrDie())
+          .ValueOrDie();
+  TemplateForm count =
+      TemplateForm::Make(
+          ProgramTemplate::Make(ProgramType::kLogicalForm,
+                                "eq { count { filter_eq { all_rows ; {c1} ; "
+                                "{v1@c1} } } ; {derive} }")
+              .ValueOrDie())
+          .ValueOrDie();
+  const obs::Counter* compiles =
+      obs::DefaultRegistry().counter("plan_compiles_total");
+  const uint64_t before = compiles->value();
+  Rng rng(5);
+  ProgramSampler sampler(&rng);
+  size_t sampled = 0;
+  for (int i = 0; i < 40; ++i) {
+    sampled += sampler.Sample(lookup, t).ok();
+    sampled += sampler.SampleClaim(count, t, i % 2 == 0).ok();
+  }
+  EXPECT_GT(sampled, 60u);
+  // Two column orders for the lookup; two columns for the claim, each
+  // with its sibling's plan.
+  EXPECT_LE(compiles->value() - before, 6u);
 }
 
 TEST(SamplerTest, FailsOnEmptyTable) {
@@ -234,7 +294,8 @@ TEST(SamplerTest, FailsOnEmptyTable) {
   auto tmpl = ProgramTemplate::Make(ProgramType::kSql,
                                     "SELECT [{c1}] FROM w")
                   .ValueOrDie();
-  EXPECT_FALSE(sampler.Sample(tmpl, empty).ok());
+  EXPECT_FALSE(
+      sampler.Sample(TemplateForm::Make(tmpl).ValueOrDie(), empty).ok());
 }
 
 // ----------------------------------------------------------- Templatizer
@@ -253,8 +314,9 @@ TEST(TemplatizerTest, AbstractsSqlToTemplate) {
   // The abstracted template re-instantiates on the same table.
   Rng rng(3);
   ProgramSampler sampler(&rng);
+  TemplateForm form = TemplateForm::Make(tmpl).ValueOrDie();
   bool any = false;
-  for (int i = 0; i < 20 && !any; ++i) any = sampler.Sample(tmpl, t).ok();
+  for (int i = 0; i < 20 && !any; ++i) any = sampler.Sample(form, t).ok();
   EXPECT_TRUE(any);
 }
 
