@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+
+#include "common/hash.h"
+#include "datasets/corpus.h"
 #include "gen/generator.h"
 #include "model/linear_model.h"
 #include "model/qa_model.h"
@@ -13,7 +18,6 @@
 namespace uctr::model {
 namespace {
 
-using uctr::testing::MakeFinanceTable;
 using uctr::testing::MakeNationsTable;
 
 std::vector<Example> ToyExamples(Rng* rng, int n) {
@@ -232,10 +236,116 @@ TEST(PersistenceTest, QaWeightsRoundTrip) {
 
   QaModel restored(qa_config, BuiltinSqlTemplates());
   ASSERT_TRUE(restored.LoadWeights(original.SaveWeights()).ok());
-  Table eval_table = MakeFinanceTable();
+  EXPECT_EQ(restored.SaveWeights(), original.SaveWeights());
   for (const Sample& s : data.samples) {
     EXPECT_EQ(restored.Predict(s), original.Predict(s));
   }
+}
+
+// ------------------------------------------------------------ pins
+
+/// Folds a double's bits into `digest`.
+void FoldBits(uint64_t* digest, double value) {
+  char bytes[sizeof(value)];
+  std::memcpy(bytes, &value, sizeof(value));
+  *digest = hash::Fnv1a64(std::string_view(bytes, sizeof(bytes)), *digest);
+}
+
+std::string Hex(uint64_t value) {
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(value));
+  return buf;
+}
+
+/// Synthetic samples of `task` over a seeded corpus of tables with
+/// paragraphs, so split and expanded evidence both appear: tables 0-7
+/// train, tables 8-11 are held out.
+struct PinSplit {
+  Dataset train;
+  Dataset held_out;
+};
+
+PinSplit PinDataset(TaskType task) {
+  Rng corpus_rng(29);
+  datasets::CorpusConfig corpus_config;
+  corpus_config.num_tables = 12;
+  std::vector<TableWithText> corpus =
+      datasets::CorpusGenerator(corpus_config, &corpus_rng).Generate();
+  GenerationConfig config;
+  config.task = task;
+  config.program_types =
+      task == TaskType::kFactVerification
+          ? std::vector<ProgramType>{ProgramType::kLogicalForm}
+          : std::vector<ProgramType>{ProgramType::kSql,
+                                     ProgramType::kArithmetic};
+  config.samples_per_table = 12;
+  TemplateLibrary lib = TemplateLibrary::Builtin();
+  Rng rng(task == TaskType::kFactVerification ? 31 : 37);
+  Generator gen(config, &lib, &rng);
+  PinSplit split;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    Dataset& into = i < 8 ? split.train : split.held_out;
+    for (Sample& s : gen.GenerateFromTable(corpus[i])) {
+      into.samples.push_back(std::move(s));
+    }
+  }
+  return split;
+}
+
+// The verifier's weights file, per-epoch losses and held-out probabilities,
+// bit for bit: how the weights are laid out in memory must not move any of
+// them.
+TEST(LinearModelPinTest, VerifierWeightsAndProbabilitiesArePinned) {
+  PinSplit data = PinDataset(TaskType::kFactVerification);
+  ASSERT_GE(data.train.size(), 60u);
+  ASSERT_GE(data.held_out.size(), 30u);
+  VerifierModel model(VerifierConfig{}, BuiltinLogicTemplates());
+  Rng rng(41);
+  std::vector<double> losses, continued;
+  model.Train(data.train, &rng, &losses);
+  model.Train(data.train, &rng, &continued);
+
+  const std::string weights = model.SaveWeights();
+  uint64_t outputs = hash::kFnv64Basis;
+  for (double loss : losses) FoldBits(&outputs, loss);
+  for (double loss : continued) FoldBits(&outputs, loss);
+  for (const Sample& s : data.held_out.samples) {
+    for (double p : model.Probabilities(s)) FoldBits(&outputs, p);
+  }
+  EXPECT_EQ(weights.size(), 52941u);
+  EXPECT_EQ(Hex(hash::Fnv1a64(weights)), "0x2e17bfa17eec2c5a");
+  EXPECT_EQ(Hex(outputs), "0xc6bfca9bab102471");
+}
+
+// The QA template classifier (34 SQL and arithmetic templates): its weights
+// file, per-epoch losses, and each held-out answer with its margin, which
+// the classifier's probabilities decide.
+TEST(LinearModelPinTest, QaWeightsAndMarginsArePinned) {
+  PinSplit data = PinDataset(TaskType::kQuestionAnswering);
+  ASSERT_GE(data.train.size(), 60u);
+  ASSERT_GE(data.held_out.size(), 30u);
+  std::vector<ProgramTemplate> templates = BuiltinSqlTemplates();
+  for (ProgramTemplate& t : BuiltinArithTemplates()) {
+    templates.push_back(std::move(t));
+  }
+  ASSERT_EQ(templates.size(), 34u);
+  QaModel model(QaConfig{}, std::move(templates));
+  Rng rng(43);
+  std::vector<double> losses;
+  model.Train(data.train, &rng, &losses);
+
+  const std::string weights = model.SaveWeights();
+  uint64_t outputs = hash::kFnv64Basis;
+  for (double loss : losses) FoldBits(&outputs, loss);
+  for (const Sample& s : data.held_out.samples) {
+    QaModel::Prediction p = model.PredictWithMargin(s);
+    outputs = hash::Fnv1a64(p.answer, outputs);
+    FoldBits(&outputs, p.margin);
+  }
+  EXPECT_EQ(weights.size(), 753493u);
+  EXPECT_EQ(Hex(hash::Fnv1a64(weights)), "0x34d83cabbb0e31e6");
+  EXPECT_EQ(Hex(outputs), "0x86cfdc2581d42647");
 }
 
 }  // namespace
