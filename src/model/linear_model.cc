@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -13,19 +14,38 @@
 
 namespace uctr::model {
 
+namespace {
+
+/// row_of_ entry of a slot that has no row yet.
+constexpr uint32_t kNoRow = std::numeric_limits<uint32_t>::max();
+
+}  // namespace
+
 LinearModel::LinearModel(int num_classes, size_t dim)
-    : num_classes_(num_classes),
-      dim_(dim),
-      weights_(static_cast<size_t>(num_classes) * dim, 0.0f),
-      adagrad_(static_cast<size_t>(num_classes) * dim, 0.0f) {}
+    : num_classes_(num_classes), dim_(dim), row_of_(dim, kNoRow) {}
+
+size_t LinearModel::Row(size_t slot) {
+  uint32_t& row = row_of_[slot];
+  if (row == kNoRow) {
+    row = static_cast<uint32_t>(weights_.size() / num_classes_);
+    weights_.resize(weights_.size() + num_classes_, 0.0f);
+    adagrad_.resize(adagrad_.size() + num_classes_, 0.0f);
+  }
+  return static_cast<size_t>(row) * num_classes_;
+}
 
 std::vector<double> LinearModel::Scores(const FeatureVector& features) const {
   std::vector<double> scores(num_classes_, 0.0);
   for (const Feature& f : features) {
-    size_t idx = f.index % dim_;
-    for (int c = 0; c < num_classes_; ++c) {
-      scores[c] += weights_[static_cast<size_t>(c) * dim_ + idx] * f.value;
+    const uint32_t row = row_of_[f.index % dim_];
+    if (row == kNoRow) {
+      // A zero weight: it still adds 0 * value, NaN for an infinite value.
+      const double zero = 0.0f * f.value;
+      for (double& s : scores) s += zero;
+      continue;
     }
+    const float* w = &weights_[static_cast<size_t>(row) * num_classes_];
+    for (int c = 0; c < num_classes_; ++c) scores[c] += w[c] * f.value;
   }
   return scores;
 }
@@ -49,20 +69,21 @@ int LinearModel::Predict(const FeatureVector& features) const {
       std::max_element(scores.begin(), scores.end()) - scores.begin());
 }
 
-void LinearModel::Update(const Example& example, double learning_rate,
-                         double l2, double weight) {
-  std::vector<double> probs = Probabilities(example.features);
+void LinearModel::Update(const Example& example,
+                         const std::vector<double>& probs,
+                         double learning_rate, double l2, double weight) {
   for (const Feature& f : example.features) {
-    size_t idx = f.index % dim_;
+    const size_t row = Row(f.index % dim_);
+    float* w = &weights_[row];
+    float* g = &adagrad_[row];
     for (int c = 0; c < num_classes_; ++c) {
       double target = (c == example.label) ? 1.0 : 0.0;
       double grad = (probs[c] - target) * f.value * weight;
-      size_t w = static_cast<size_t>(c) * dim_ + idx;
-      grad += l2 * weights_[w];
-      adagrad_[w] += static_cast<float>(grad * grad);
+      grad += l2 * w[c];
+      g[c] += static_cast<float>(grad * grad);
       double step =
-          learning_rate / (1e-6 + std::sqrt(static_cast<double>(adagrad_[w])));
-      weights_[w] -= static_cast<float>(step * grad);
+          learning_rate / (1e-6 + std::sqrt(static_cast<double>(g[c])));
+      w[c] -= static_cast<float>(step * grad);
     }
   }
 }
@@ -89,7 +110,7 @@ double LinearModel::Train(const std::vector<Example>& examples,
       std::vector<double> probs = Probabilities(ex.features);
       loss += w * -std::log(std::max(1e-12, probs[ex.label]));
       total_weight += w;
-      Update(ex, config.learning_rate, config.l2, w);
+      Update(ex, probs, config.learning_rate, config.l2, w);
     }
     last_loss = total_weight > 0.0 ? loss / total_weight : 0.0;
     if (epoch_losses != nullptr) epoch_losses->push_back(last_loss);
@@ -100,6 +121,12 @@ double LinearModel::Train(const std::vector<Example>& examples,
 std::string LinearModel::SaveToString() const {
   std::string out = "uctr_linear_model v1\n";
   out += std::to_string(num_classes_) + " " + std::to_string(dim_) + "\n";
+  // The slots that have rows, ascending: with classes outer, entries come
+  // out in flat index order, class * dim + slot.
+  std::vector<size_t> slots;
+  for (size_t slot = 0; slot < dim_; ++slot) {
+    if (row_of_[slot] != kNoRow) slots.push_back(slot);
+  }
   char buf[64];
   auto dump = [&](const std::vector<float>& values) {
     size_t nonzero = 0;
@@ -107,11 +134,15 @@ std::string LinearModel::SaveToString() const {
       if (v != 0.0f) ++nonzero;
     }
     out += std::to_string(nonzero) + "\n";
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (values[i] == 0.0f) continue;
-      std::snprintf(buf, sizeof(buf), "%zu %.9g\n", i,
-                    static_cast<double>(values[i]));
-      out += buf;
+    for (int c = 0; c < num_classes_; ++c) {
+      for (size_t slot : slots) {
+        float v = values[static_cast<size_t>(row_of_[slot]) * num_classes_ + c];
+        if (v == 0.0f) continue;
+        std::snprintf(buf, sizeof(buf), "%zu %.9g\n",
+                      static_cast<size_t>(c) * dim_ + slot,
+                      static_cast<double>(v));
+        out += buf;
+      }
     }
   };
   dump(weights_);
@@ -146,10 +177,6 @@ std::optional<double> ParseWeightValue(const std::string& text) {
   }
   return value;
 }
-
-}  // namespace
-
-namespace {
 
 /// Sparse (index, value) entries of one weight matrix, ascending.
 using Entries = std::vector<std::pair<size_t, float>>;
@@ -242,21 +269,7 @@ Result<WeightsFile> ParseWeightsFile(std::string_view text) {
   return file;
 }
 
-/// Overwrites `values` with `entries`, zero elsewhere.
-void Assign(const Entries& entries, std::vector<float>* values) {
-  std::fill(values->begin(), values->end(), 0.0f);
-  for (const auto& [index, value] : entries) (*values)[index] = value;
-}
-
 }  // namespace
-
-Result<LinearModel> LinearModel::LoadFromString(std::string_view text) {
-  UCTR_ASSIGN_OR_RETURN(WeightsFile file, ParseWeightsFile(text));
-  LinearModel model(static_cast<int>(file.classes), file.dim);
-  Assign(file.weights, &model.weights_);
-  Assign(file.adagrad, &model.adagrad_);
-  return model;
-}
 
 Status LinearModel::LoadInPlace(std::string_view text) {
   UCTR_ASSIGN_OR_RETURN(WeightsFile file, ParseWeightsFile(text));
@@ -264,18 +277,16 @@ Status LinearModel::LoadInPlace(std::string_view text) {
     return Status::InvalidArgument(
         "saved weights do not match this model's configuration");
   }
-  Assign(file.weights, &weights_);
-  Assign(file.adagrad, &adagrad_);
-  return Status::OK();
-}
-
-double LinearModel::Evaluate(const std::vector<Example>& examples) const {
-  if (examples.empty()) return 0.0;
-  size_t correct = 0;
-  for (const Example& ex : examples) {
-    if (Predict(ex.features) == ex.label) ++correct;
+  // A slot gets a row if either matrix has an entry for it.
+  LinearModel loaded(num_classes_, dim_);
+  for (const auto& [index, value] : file.weights) {
+    loaded.weights_[loaded.Row(index % dim_) + index / dim_] = value;
   }
-  return static_cast<double>(correct) / static_cast<double>(examples.size());
+  for (const auto& [index, value] : file.adagrad) {
+    loaded.adagrad_[loaded.Row(index % dim_) + index / dim_] = value;
+  }
+  *this = std::move(loaded);
+  return Status::OK();
 }
 
 }  // namespace uctr::model

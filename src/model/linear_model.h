@@ -41,6 +41,11 @@ struct TrainConfig {
 /// trained with AdaGrad SGD — the trainable core of every reasoning model
 /// in this repo (the linear stand-in for the paper's fine-tuned
 /// transformers; see DESIGN.md).
+///
+/// Weights are held per feature slot: a slot gets one row of
+/// `num_classes` weights and one of AdaGrad sums the first time training
+/// or a load touches it, so memory follows the slots in use, not `dim`.
+/// A slot without a row weighs 0 in every class.
 class LinearModel {
  public:
   /// \param num_classes >= 2, \param dim hashed feature space size.
@@ -67,34 +72,34 @@ class LinearModel {
   double Train(const std::vector<Example>& examples, const TrainConfig& config,
                Rng* rng, std::vector<double>* epoch_losses = nullptr);
 
-  /// \brief Mean accuracy of Predict over `examples`.
-  double Evaluate(const std::vector<Example>& examples) const;
-
   /// \brief Serializes dimensions, non-zero weights, and AdaGrad state to
   /// a compact line-oriented text format (stable across builds), so a
-  /// trained model can be stored and later resumed or served.
+  /// trained model can be stored and later resumed or served. Entries are
+  /// flat indices `class * dim + slot`, ascending.
   std::string SaveToString() const;
 
-  /// \brief Restores a model saved by SaveToString. All-or-nothing: a
-  /// truncated, corrupt, out-of-order, non-finite, or trailing-garbage
-  /// file yields a ParseError and never a partially initialized model.
-  static Result<LinearModel> LoadFromString(std::string_view text);
-
-  /// \brief Restores a model saved by SaveToString into this one, writing
-  /// its existing arrays instead of building a second model. The whole
-  /// file is validated first, as by LoadFromString; its dimensions must
-  /// then match this model's (InvalidArgument otherwise). On any error the
-  /// model is left untouched.
+  /// \brief Restores a model saved by SaveToString into this one. All or
+  /// nothing: the whole file is validated first, and a truncated,
+  /// corrupt, out-of-order, non-finite, or trailing-garbage file yields a
+  /// ParseError; a well-formed file whose dimensions differ from this
+  /// model's yields InvalidArgument. On any error the model is left
+  /// untouched.
   Status LoadInPlace(std::string_view text);
 
  private:
-  void Update(const Example& example, double learning_rate, double l2,
-              double weight);
+  /// Offset of `slot`'s row in weights_ and adagrad_, appending a row of
+  /// zeros the first time the slot is used. Appending may move both
+  /// arrays, so no pointer into them outlives the next call.
+  size_t Row(size_t slot);
+
+  void Update(const Example& example, const std::vector<double>& probs,
+              double learning_rate, double l2, double weight);
 
   int num_classes_;
   size_t dim_;
-  std::vector<float> weights_;     // num_classes x dim, row-major
-  std::vector<float> adagrad_;     // accumulated squared gradients
+  std::vector<uint32_t> row_of_;  // per slot: its row, or kNoRow
+  std::vector<float> weights_;    // rows x num_classes, row-major
+  std::vector<float> adagrad_;    // accumulated squared gradients, same rows
 };
 
 }  // namespace uctr::model

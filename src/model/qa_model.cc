@@ -174,10 +174,6 @@ QaModel::Prediction QaModel::PredictWithMargin(const Sample& sample) const {
   return out;
 }
 
-bool QaModel::PredictCorrect(const Sample& sample) const {
-  return AnswersMatch(Predict(sample), sample.answer);
-}
-
 std::string QaModel::SaveWeights() const {
   return template_classifier_.SaveToString();
 }

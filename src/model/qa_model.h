@@ -42,7 +42,7 @@ struct QaConfig {
 /// covers questions whose answer lives in the paragraph.
 ///
 /// Thread safety (audited for the serving subsystem): Predict and
-/// PredictCorrect are const over state written only by the constructor,
+/// PredictWithMargin are const over state written only by the constructor,
 /// Train, and LoadWeights; there are no mutable members or lazy caches on
 /// the inference path, so concurrent Predict calls are data-race-free.
 /// (Unlike VerifierModel, the extractor here never points back into this
@@ -80,10 +80,6 @@ class QaModel {
   };
 
   Prediction PredictWithMargin(const Sample& sample) const;
-
-  /// \brief True if the prediction matches the gold answer of `sample`
-  /// (numeric-tolerant comparison).
-  bool PredictCorrect(const Sample& sample) const;
 
   /// \brief Serializes the trained template classifier; restore with
   /// LoadWeights on a model built with the same templates and config.

@@ -19,6 +19,16 @@ using uctr::testing::MakeNationsTable;
 
 // ------------------------------------------------------------ LinearModel
 
+/// Share of `examples` whose label the model predicts.
+double Accuracy(const LinearModel& model,
+                const std::vector<Example>& examples) {
+  size_t correct = 0;
+  for (const Example& ex : examples) {
+    if (model.Predict(ex.features) == ex.label) ++correct;
+  }
+  return static_cast<double>(correct) / static_cast<double>(examples.size());
+}
+
 TEST(LinearModelTest, LearnsSeparableProblem) {
   // Class = which of two indicator features is on.
   Rng rng(5);
@@ -35,7 +45,7 @@ TEST(LinearModelTest, LearnsSeparableProblem) {
   LinearModel model(2, 1u << 12);
   TrainConfig config;
   model.Train(train, config, &rng);
-  EXPECT_GT(model.Evaluate(train), 0.95);
+  EXPECT_GT(Accuracy(model, train), 0.95);
 }
 
 TEST(LinearModelTest, MulticlassProbabilitiesSumToOne) {
@@ -62,9 +72,93 @@ TEST(LinearModelTest, ContinuedTrainingImproves) {
   TrainConfig config;
   config.epochs = 1;
   model.Train(train, config, &rng);
-  double acc1 = model.Evaluate(train);
+  double acc1 = Accuracy(model, train);
   model.Train(train, config, &rng);  // continue
-  EXPECT_GE(model.Evaluate(train), acc1);
+  EXPECT_GE(Accuracy(model, train), acc1);
+}
+
+// A slot no example has touched weighs 0 in every class: it leaves finite
+// scores as they are, and an infinite value on it makes every score NaN,
+// as a stored 0 weight does (0 * inf).
+TEST(LinearModelTest, UntrainedSlotScoresAsZeroWeight) {
+  LinearModel model(3, 1u << 10);
+  std::vector<Example> train = {{{{1, 1.0f}, {2, 0.5f}}, 0, 1.0f},
+                                {{{3, 1.0f}}, 2, 1.0f}};
+  model.Train(train, TrainConfig{}, nullptr);
+  const FeatureVector trained = {{1, 1.0f}, {3, -2.0f}};
+  const std::vector<double> scores = model.Scores(trained);
+  ASSERT_NE(scores, std::vector<double>(3, 0.0));
+  for (float value : {1.0f, -3.0f, 0.0f}) {
+    FeatureVector with_untrained = trained;
+    with_untrained.push_back({7, value});
+    EXPECT_EQ(model.Scores(with_untrained), scores) << value;
+  }
+  for (const LinearModel& m : {model, LinearModel(3, 1u << 10)}) {
+    for (double s : m.Scores({{1, 1.0f}, {7, INFINITY}})) {
+      EXPECT_TRUE(std::isnan(s));
+    }
+  }
+}
+
+// An example holding one slot twice updates that slot's row twice, in the
+// order of its features: the second update reads the first's weight and
+// AdaGrad sum.
+TEST(LinearModelTest, RepeatedSlotUpdatesItsRowTwiceInOrder) {
+  TrainConfig config;
+  config.epochs = 1;
+  // The same update rule by hand, for class `c` of a 2-class model whose
+  // probabilities start at 1/2 (all weights zero).
+  auto expected = [&](int c, int label, std::vector<float> values) {
+    float w = 0.0f, sum = 0.0f;
+    for (float v : values) {
+      double grad = (0.5 - (c == label ? 1.0 : 0.0)) * v * 1.0;
+      grad += config.l2 * w;
+      sum += static_cast<float>(grad * grad);
+      double step = config.learning_rate /
+                    (1e-6 + std::sqrt(static_cast<double>(sum)));
+      w -= static_cast<float>(step * grad);
+    }
+    return static_cast<double>(w);
+  };
+  for (std::vector<float> values :
+       {std::vector<float>{1.0f, 2.0f}, std::vector<float>{2.0f, 1.0f}}) {
+    LinearModel model(2, 16);
+    Example ex{{{5, values[0]}, {21, values[1]}}, 1, 1.0f};  // 21 % 16 == 5
+    model.Train({ex}, config, nullptr);
+    EXPECT_EQ(model.Scores({{5, 1.0f}}),
+              (std::vector<double>{expected(0, 1, values),
+                                   expected(1, 1, values)}));
+  }
+  EXPECT_NE(expected(0, 1, {1.0f, 2.0f}), expected(0, 1, {2.0f, 1.0f}));
+}
+
+// Copies share nothing: training a model on after copying it, into slots
+// it had no rows for, leaves the copy's weights as they were, and the
+// other way round.
+TEST(LinearModelTest, CopyIsUnchangedByFurtherTraining) {
+  Rng rng(19);
+  auto batch = [&](int first_slot) {
+    std::vector<Example> out;
+    for (int i = 0; i < 40; ++i) {
+      Example ex;
+      ex.label = static_cast<int>(rng.UniformInt(0, 2));
+      ex.features = {{static_cast<uint32_t>(first_slot + ex.label), 1.0f},
+                     {static_cast<uint32_t>(first_slot + 3 + i % 5), 0.5f}};
+      out.push_back(std::move(ex));
+    }
+    return out;
+  };
+  LinearModel model(3, 1u << 12);
+  model.Train(batch(0), TrainConfig{}, &rng);
+  LinearModel copy = model;
+  const std::string saved = copy.SaveToString();
+  model.Train(batch(100), TrainConfig{}, &rng);
+  EXPECT_NE(model.SaveToString(), saved);
+  EXPECT_EQ(copy.SaveToString(), saved);
+
+  const std::string trained = model.SaveToString();
+  copy.Train(batch(2000), TrainConfig{}, &rng);
+  EXPECT_EQ(model.SaveToString(), trained);
 }
 
 // ------------------------------------------------------------ Interpreter
@@ -402,7 +496,7 @@ TEST(QaModelTest, AnswersHeldOutQuestions) {
   model.Train(train, &rng);
   size_t correct = 0;
   for (const Sample& s : test.samples) {
-    if (model.PredictCorrect(s)) ++correct;
+    if (AnswersMatch(model.Predict(s), s.answer)) ++correct;
   }
   double acc = static_cast<double>(correct) / test.size();
   EXPECT_GE(acc, 0.35) << "denotation accuracy " << acc;
@@ -418,8 +512,8 @@ TEST(QaModelTest, TextOnlyBaselineIsWeaker) {
 
   size_t table_correct = 0, text_correct = 0;
   for (const Sample& s : test.samples) {
-    if (table_model.PredictCorrect(s)) ++table_correct;
-    if (text_model.PredictCorrect(s)) ++text_correct;
+    if (AnswersMatch(table_model.Predict(s), s.answer)) ++table_correct;
+    if (AnswersMatch(text_model.Predict(s), s.answer)) ++text_correct;
   }
   EXPECT_GT(table_correct, text_correct);
 }

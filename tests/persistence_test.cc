@@ -35,6 +35,22 @@ std::vector<Example> ToyExamples(Rng* rng, int n) {
   return out;
 }
 
+/// Share of `examples` whose label the model predicts.
+double Accuracy(const LinearModel& model,
+                const std::vector<Example>& examples) {
+  size_t correct = 0;
+  for (const Example& ex : examples) {
+    if (model.Predict(ex.features) == ex.label) ++correct;
+  }
+  return static_cast<double>(correct) / static_cast<double>(examples.size());
+}
+
+/// Loads `text` into a fresh model of the given shape.
+Status LoadInto(int classes, size_t dim, std::string_view text) {
+  LinearModel model(classes, dim);
+  return model.LoadInPlace(text);
+}
+
 TEST(PersistenceTest, LinearModelRoundTripsExactly) {
   Rng rng(3);
   auto examples = ToyExamples(&rng, 150);
@@ -43,9 +59,9 @@ TEST(PersistenceTest, LinearModelRoundTripsExactly) {
   model.Train(examples, config, &rng);
 
   std::string saved = model.SaveToString();
-  LinearModel restored = LinearModel::LoadFromString(saved).ValueOrDie();
-  EXPECT_EQ(restored.num_classes(), model.num_classes());
-  EXPECT_EQ(restored.dim(), model.dim());
+  LinearModel restored(2, 1u << 12);
+  ASSERT_TRUE(restored.LoadInPlace(saved).ok());
+  EXPECT_EQ(restored.SaveToString(), saved);
   for (const Example& ex : examples) {
     EXPECT_EQ(restored.Predict(ex.features), model.Predict(ex.features));
     auto p1 = model.Probabilities(ex.features);
@@ -63,17 +79,17 @@ TEST(PersistenceTest, ContinuedTrainingAfterLoadWorks) {
   TrainConfig config;
   config.epochs = 2;
   model.Train(examples, config, &rng);
-  LinearModel restored =
-      LinearModel::LoadFromString(model.SaveToString()).ValueOrDie();
+  LinearModel restored(2, 1u << 10);
+  ASSERT_TRUE(restored.LoadInPlace(model.SaveToString()).ok());
   // AdaGrad state survived, so continued training behaves sensibly.
-  double before = restored.Evaluate(examples);
+  double before = Accuracy(restored, examples);
   restored.Train(examples, config, &rng);
-  EXPECT_GE(restored.Evaluate(examples), before - 1e-9);
+  EXPECT_GE(Accuracy(restored, examples), before - 1e-9);
 }
 
-// Loading in place writes the same model LoadFromString builds, and a file
-// that fails validation anywhere leaves the loaded-into model as it was.
-TEST(PersistenceTest, LoadInPlaceMatchesLoadFromString) {
+// Loading into a trained model replaces its weights with the file's, and a
+// file that fails validation anywhere leaves the model as it was.
+TEST(PersistenceTest, LoadInPlaceReplacesTrainedModel) {
   Rng rng(7);
   auto examples = ToyExamples(&rng, 120);
   LinearModel trained(2, 1u << 10);
@@ -85,9 +101,10 @@ TEST(PersistenceTest, LoadInPlaceMatchesLoadFromString) {
   const std::string before = other.SaveToString();
   ASSERT_NE(before, saved);
   ASSERT_TRUE(other.LoadInPlace(saved).ok());
-  EXPECT_EQ(other.SaveToString(),
-            LinearModel::LoadFromString(saved).ValueOrDie().SaveToString());
   EXPECT_EQ(other.SaveToString(), saved);
+  for (const Example& ex : examples) {
+    EXPECT_EQ(other.Scores(ex.features), trained.Scores(ex.features));
+  }
 
   LinearModel untouched(2, 1u << 10);
   untouched.Train(ToyExamples(&rng, 30), TrainConfig{}, &rng);
@@ -106,13 +123,14 @@ TEST(PersistenceTest, LoadInPlaceMatchesLoadFromString) {
 }
 
 TEST(PersistenceTest, LoadRejectsGarbage) {
-  EXPECT_FALSE(LinearModel::LoadFromString("").ok());
-  EXPECT_FALSE(LinearModel::LoadFromString("hello world").ok());
-  EXPECT_FALSE(
-      LinearModel::LoadFromString("uctr_linear_model v1\n2\n").ok());
-  EXPECT_FALSE(LinearModel::LoadFromString(
-                   "uctr_linear_model v1\n2 16\n1\n99 1.0\n0\n")
-                   .ok());  // in range? 99 >= 2*16 -> out of range
+  EXPECT_EQ(LoadInto(2, 16, "").code(), StatusCode::kParseError);
+  EXPECT_EQ(LoadInto(2, 16, "hello world").code(), StatusCode::kParseError);
+  EXPECT_EQ(LoadInto(2, 16, "uctr_linear_model v1\n2\n").code(),
+            StatusCode::kParseError);
+  // 99 >= 2 * 16: out of range.
+  EXPECT_EQ(
+      LoadInto(2, 16, "uctr_linear_model v1\n2 16\n1\n99 1.0\n0\n").code(),
+      StatusCode::kParseError);
 }
 
 // Every corruption mode of the hardened loader: the result is an error
@@ -122,23 +140,24 @@ TEST(PersistenceTest, LoadRejectsCorruptAndTruncatedFiles) {
   LinearModel model(2, 16);
   model.Train(ToyExamples(&rng, 40), TrainConfig{}, &rng);
   std::string saved = model.SaveToString();
+  auto loads = [](std::string_view text) {
+    return LoadInto(2, 16, text).ok();
+  };
 
   // Truncation anywhere: drop the last line, or cut mid-file.
   std::string truncated = saved.substr(0, saved.rfind('\n', saved.size() - 2));
-  EXPECT_FALSE(LinearModel::LoadFromString(truncated).ok());
-  EXPECT_FALSE(LinearModel::LoadFromString(saved.substr(0, 40)).ok());
+  EXPECT_FALSE(loads(truncated));
+  EXPECT_FALSE(loads(saved.substr(0, 40)));
 
   // Trailing garbage / two files concatenated.
-  EXPECT_FALSE(LinearModel::LoadFromString(saved + "extra\n").ok());
-  EXPECT_FALSE(LinearModel::LoadFromString(saved + saved).ok());
+  EXPECT_FALSE(loads(saved + "extra\n"));
+  EXPECT_FALSE(loads(saved + saved));
   // Trailing blank lines are fine (editors add them).
-  EXPECT_TRUE(LinearModel::LoadFromString(saved + "\n\n").ok());
+  EXPECT_TRUE(loads(saved + "\n\n"));
 
   // Non-finite or malformed weight values.
-  const char* kPrefix = "uctr_linear_model v1\n2 16\n";
-  auto bad = [&](const std::string& body) {
-    return LinearModel::LoadFromString(kPrefix + body).ok();
-  };
+  const std::string kPrefix = "uctr_linear_model v1\n2 16\n";
+  auto bad = [&](const std::string& body) { return loads(kPrefix + body); };
   EXPECT_FALSE(bad("1\n3 nan\n0\n"));
   EXPECT_FALSE(bad("1\n3 inf\n0\n"));
   EXPECT_FALSE(bad("1\n3 1e999\n0\n"));
@@ -151,10 +170,29 @@ TEST(PersistenceTest, LoadRejectsCorruptAndTruncatedFiles) {
   EXPECT_FALSE(bad("1\n3 0.5\n1\n7 -0.5\n"));  // negative AdaGrad state
   EXPECT_TRUE(bad("1\n3 0.5\n1\n7 0.5\n"));    // well-formed control
   // Absurd dimensions are rejected before any allocation.
-  EXPECT_FALSE(
-      LinearModel::LoadFromString(
-          "uctr_linear_model v1\n2 99999999999999\n0\n0\n")
-          .ok());
+  EXPECT_EQ(LoadInto(2, 16, "uctr_linear_model v1\n2 99999999999999\n0\n0\n")
+                .code(),
+            StatusCode::kParseError);
+  // Large dimensions within the limits are refused by shape, without
+  // building a model of that size.
+  EXPECT_EQ(
+      LoadInto(2, 16, "uctr_linear_model v1\n65536 268435456\n0\n0\n").code(),
+      StatusCode::kInvalidArgument);
+}
+
+// A slot gets a row when either matrix has an entry for it: an AdaGrad sum
+// beside a zero weight (slot 9) and a weight beside a zero sum (slot 5,
+// class 0) both survive a round trip, byte for byte.
+TEST(PersistenceTest, EntriesOfEitherMatrixRoundTrip) {
+  const std::string text =
+      "uctr_linear_model v1\n3 16\n"
+      "2\n5 0.5\n37 -1.25\n"
+      "2\n9 0.75\n21 2\n";
+  LinearModel model(3, 16);
+  ASSERT_TRUE(model.LoadInPlace(text).ok());
+  EXPECT_EQ(model.SaveToString(), text);
+  EXPECT_EQ(model.Scores({{5, 2.0f}}), (std::vector<double>{1.0, 0.0, -2.5}));
+  EXPECT_EQ(model.Scores({{9, 2.0f}}), (std::vector<double>{0.0, 0.0, 0.0}));
 }
 
 TEST(PersistenceTest, FailedLoadLeavesModelUntouched) {
