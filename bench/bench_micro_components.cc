@@ -1,7 +1,8 @@
 // Microbenchmarks of the core components (google-benchmark): program
 // executors, template sampling, NL generation, interpretation, linking a
 // sentence to a table (RankAll, feature extraction), building, decoding
-// and copying tables, and the end-to-end generation pipeline.
+// and copying tables, training and building the models, and the
+// end-to-end generation pipeline.
 
 #include <benchmark/benchmark.h>
 
@@ -24,6 +25,8 @@
 #include "logic/parser.h"
 #include "model/features.h"
 #include "model/interpreter.h"
+#include "model/linear_model.h"
+#include "model/qa_model.h"
 #include "nlgen/nl_generator.h"
 #include "program/library.h"
 #include "program/sampler.h"
@@ -587,6 +590,54 @@ void BM_ExtractFeatures(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ExtractFeatures)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
+
+// AdaGrad SGD as the QA template classifier runs it: 34 classes over 2^18
+// hashed slots, 8 epochs of 300 examples with 27 features each (perfbench's
+// synthetic QA sets hold about that many). A fresh model per iteration, its
+// construction untimed.
+void BM_LinearTrain(benchmark::State& state) {
+  constexpr int kClasses = 34;
+  constexpr size_t kDim = size_t{1} << 18;
+  Rng rng(9);
+  std::vector<model::Example> examples(300);
+  for (model::Example& ex : examples) {
+    ex.label = static_cast<int>(rng.UniformInt(0, kClasses - 1));
+    for (int j = 0; j < 27; ++j) {
+      // Two thirds of the words follow the label, the rest are shared.
+      const std::string word =
+          j % 3 == 2 ? "w" + std::to_string(rng.UniformInt(0, 799))
+                     : "c" + std::to_string(ex.label) + "_" +
+                           std::to_string(rng.UniformInt(0, 19));
+      ex.features.push_back({model::HashFeature(word), 1.0f});
+    }
+  }
+  const model::TrainConfig config;
+  for (auto _ : state) {
+    state.PauseTiming();
+    model::LinearModel linear(kClasses, kDim);
+    Rng train_rng(11);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(linear.Train(examples, config, &train_rng));
+  }
+  state.SetItemsProcessed(state.iterations() * examples.size() *
+                          config.epochs);
+}
+BENCHMARK(BM_LinearTrain)->Unit(benchmark::kMillisecond);
+
+// Building and freeing the QA model with the 34 question templates: the
+// interpreter's template forms and an untrained classifier, as each
+// training run and each serving backend does.
+void BM_QaModelConstruct(benchmark::State& state) {
+  std::vector<ProgramTemplate> templates = BuiltinSqlTemplates();
+  for (ProgramTemplate& t : BuiltinArithTemplates()) {
+    templates.push_back(std::move(t));
+  }
+  for (auto _ : state) {
+    model::QaModel qa(model::QaConfig{}, templates);
+    benchmark::DoNotOptimize(&qa);
+  }
+}
+BENCHMARK(BM_QaModelConstruct)->Unit(benchmark::kMicrosecond);
 
 void BM_GeneratePipeline(benchmark::State& state) {
   Rng rng(3);
