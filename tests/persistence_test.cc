@@ -156,7 +156,7 @@ TEST(PersistenceTest, LoadRejectsCorruptAndTruncatedFiles) {
   EXPECT_TRUE(loads(saved + "\n\n"));
 
   // Non-finite or malformed weight values.
-  const std::string kPrefix = "uctr_linear_model v1\n2 16\n";
+  const char* kPrefix = "uctr_linear_model v1\n2 16\n";
   auto bad = [&](const std::string& body) { return loads(kPrefix + body); };
   EXPECT_FALSE(bad("1\n3 nan\n0\n"));
   EXPECT_FALSE(bad("1\n3 inf\n0\n"));
