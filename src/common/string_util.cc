@@ -44,15 +44,6 @@ std::vector<std::string> SplitWhitespace(std::string_view s) {
   return out;
 }
 
-std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(parts[i]);
-  }
-  return out;
-}
-
 std::string Trim(std::string_view s) {
   size_t begin = 0;
   size_t end = s.size();
@@ -79,11 +70,6 @@ std::string ToUpper(std::string_view s) {
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
 }
 
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
@@ -134,25 +120,6 @@ std::string Capitalize(std::string_view s) {
     out[0] = static_cast<char>(std::toupper(static_cast<unsigned char>(out[0])));
   }
   return out;
-}
-
-size_t EditDistance(std::string_view a, std::string_view b) {
-  const size_t n = a.size();
-  const size_t m = b.size();
-  if (n == 0) return m;
-  if (m == 0) return n;
-  std::vector<size_t> prev(m + 1);
-  std::vector<size_t> cur(m + 1);
-  for (size_t j = 0; j <= m; ++j) prev[j] = j;
-  for (size_t i = 1; i <= n; ++i) {
-    cur[0] = i;
-    for (size_t j = 1; j <= m; ++j) {
-      size_t cost = (a[i - 1] == b[j - 1]) ? 0 : 1;
-      cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost});
-    }
-    std::swap(prev, cur);
-  }
-  return prev[m];
 }
 
 std::vector<std::string> WordTokens(std::string_view s) {

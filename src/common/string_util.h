@@ -14,9 +14,6 @@ std::vector<std::string> Split(std::string_view s, char sep);
 /// \brief Splits `s` on any amount of ASCII whitespace, dropping empties.
 std::vector<std::string> SplitWhitespace(std::string_view s);
 
-/// \brief Joins `parts` with `sep`.
-std::string Join(const std::vector<std::string>& parts, std::string_view sep);
-
 /// \brief Removes leading/trailing ASCII whitespace.
 std::string Trim(std::string_view s);
 
@@ -27,7 +24,6 @@ std::string ToLower(std::string_view s);
 std::string ToUpper(std::string_view s);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// \brief Case-insensitive ASCII equality.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
@@ -41,9 +37,6 @@ bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle);
 
 /// \brief Uppercases the first character (used by sentence realizers).
 std::string Capitalize(std::string_view s);
-
-/// \brief Levenshtein edit distance (used by fuzzy matching in extraction).
-size_t EditDistance(std::string_view a, std::string_view b);
 
 /// \brief Lowercased word tokens: alphanumeric runs; punctuation dropped
 /// except that numbers keep '.', '-', '%', '$' and ',' inside digits so that

@@ -145,20 +145,6 @@ void CircuitBreaker::RecordFailure() {
   }
 }
 
-Status CircuitBreaker::Run(const std::function<Status()>& op) {
-  if (!Allow()) {
-    return Status::Unavailable("circuit '" + name_ +
-                               "' open (dependency cooling down)");
-  }
-  Status status = op();
-  if (status.ok()) {
-    RecordSuccess();
-  } else {
-    RecordFailure();
-  }
-  return status;
-}
-
 CircuitBreaker::State CircuitBreaker::state() const {
   std::lock_guard<std::mutex> lock(mu_);
   return state_;

@@ -81,10 +81,10 @@ struct CircuitBreakerOptions {
 /// everything for a cooldown after repeated failures) -> half-open (one
 /// probe at a time; success closes, failure re-opens).
 ///
-/// Use Allow()/RecordSuccess()/RecordFailure() around a dependency call,
-/// or the Run() convenience wrapper. A rejected call costs one mutex
-/// acquisition and no dependency work — that is the point: a dependency
-/// that is down stops being hammered and gets its cooldown.
+/// Use Allow()/RecordSuccess()/RecordFailure() around a dependency call.
+/// A rejected call costs one mutex acquisition and no dependency work —
+/// that is the point: a dependency that is down stops being hammered and
+/// gets its cooldown.
 ///
 /// Metrics (per breaker `name`): `circuit_open_total{breaker="..."}` on
 /// each close->open / half-open->open transition and
@@ -103,11 +103,6 @@ class CircuitBreaker {
   bool Allow();
   void RecordSuccess();
   void RecordFailure();
-
-  /// \brief Allow -> op -> Record in one call. When the circuit is open,
-  /// returns kUnavailable tagged "circuit '<name>' open" without invoking
-  /// `op`.
-  Status Run(const std::function<Status()>& op);
 
   State state() const;
   const std::string& name() const { return name_; }

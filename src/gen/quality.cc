@@ -3,7 +3,6 @@
 #include <cmath>
 #include <set>
 
-#include "common/numeric.h"
 #include "common/string_util.h"
 
 namespace uctr {
@@ -59,24 +58,6 @@ QualityReport AnalyzeDataset(const Dataset& dataset) {
     report.label_balance = std::min(ps, pr) / 0.5;
   }
   return report;
-}
-
-std::string QualityReport::ToString() const {
-  std::string out;
-  out += "samples:                 " + std::to_string(samples) + "\n";
-  out += "distinct sentence ratio: " +
-         FormatNumber(distinct_sentence_ratio, 3) + "\n";
-  out += "mean sentence tokens:    " +
-         FormatNumber(mean_sentence_tokens, 1) + "\n";
-  out += "type/token ratio:        " + FormatNumber(type_token_ratio, 3) +
-         "\n";
-  out += "reasoning entropy:       " + FormatNumber(reasoning_entropy, 2) +
-         " bits over " + std::to_string(reasoning_counts.size()) +
-         " types\n";
-  out += "label balance:           " + FormatNumber(label_balance, 2) + "\n";
-  out += "hybrid evidence share:   " + FormatNumber(hybrid_fraction, 2) +
-         "\n";
-  return out;
 }
 
 }  // namespace uctr

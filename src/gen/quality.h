@@ -31,9 +31,6 @@ struct QualityReport {
   double hybrid_fraction = 0.0;
 
   std::map<std::string, size_t> reasoning_counts;
-
-  /// \brief Multi-line human-readable rendering.
-  std::string ToString() const;
 };
 
 /// \brief Computes the report over `dataset`.

@@ -1,7 +1,5 @@
 #include "gen/sample.h"
 
-#include <map>
-
 namespace uctr {
 
 const char* TaskTypeToString(TaskType task) {
@@ -62,33 +60,6 @@ size_t Dataset::CountReasoningType(const std::string& tag) const {
     if (s.reasoning_type == tag) ++n;
   }
   return n;
-}
-
-std::string Dataset::Summary() const {
-  std::string out = "samples: " + std::to_string(samples.size()) + "\n";
-  std::map<std::string, size_t> by_source, by_reasoning, by_label;
-  for (const Sample& s : samples) {
-    by_source[EvidenceSourceToString(s.source)]++;
-    if (!s.reasoning_type.empty()) by_reasoning[s.reasoning_type]++;
-    if (s.task == TaskType::kFactVerification) {
-      by_label[LabelToString(s.label)]++;
-    }
-  }
-  out += "by evidence source:\n";
-  for (const auto& [k, v] : by_source) {
-    out += "  " + k + ": " + std::to_string(v) + "\n";
-  }
-  if (!by_label.empty()) {
-    out += "by label:\n";
-    for (const auto& [k, v] : by_label) {
-      out += "  " + k + ": " + std::to_string(v) + "\n";
-    }
-  }
-  out += "by reasoning type:\n";
-  for (const auto& [k, v] : by_reasoning) {
-    out += "  " + k + ": " + std::to_string(v) + "\n";
-  }
-  return out;
 }
 
 }  // namespace uctr

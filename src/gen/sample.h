@@ -93,9 +93,6 @@ struct Dataset {
   size_t CountLabel(Label label) const;
   size_t CountSource(EvidenceSource source) const;
   size_t CountReasoningType(const std::string& tag) const;
-
-  /// \brief Multi-line human-readable statistics block (Table II style).
-  std::string Summary() const;
 };
 
 }  // namespace uctr

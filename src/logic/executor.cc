@@ -385,28 +385,4 @@ Result<ExecResult> ExecuteLogicalForm(std::string_view text,
   return Execute(*node, table);
 }
 
-bool IsKnownOperator(std::string_view op) {
-  static const char* kOps[] = {
-      "filter_eq",      "filter_not_eq",  "filter_greater",
-      "filter_less",    "filter_greater_eq", "filter_less_eq",
-      "filter_all",     "argmax",         "argmin",
-      "nth_argmax",     "nth_argmin",     "hop",
-      "num_hop",        "str_hop",        "count",
-      "max",            "min",            "nth_max",
-      "nth_min",        "sum",            "avg",
-      "average",        "diff",           "eq",
-      "not_eq",         "round_eq",       "greater",
-      "less",           "and",            "or",
-      "not",            "only",           "most_eq",
-      "most_not_eq",    "most_greater",   "most_less",
-      "most_greater_eq", "most_less_eq",  "all_eq",
-      "all_not_eq",     "all_greater",    "all_less",
-      "all_greater_eq", "all_less_eq",
-  };
-  for (const char* k : kOps) {
-    if (op == k) return true;
-  }
-  return false;
-}
-
 }  // namespace uctr::logic

@@ -33,9 +33,6 @@ Result<ExecResult> Execute(const Node& node, const Table& table);
 Result<ExecResult> ExecuteLogicalForm(std::string_view text,
                                       const Table& table);
 
-/// \brief True if `op` is a known logical-form operator name.
-bool IsKnownOperator(std::string_view op);
-
 }  // namespace uctr::logic
 
 #endif  // UCTR_LOGIC_EXECUTOR_H_

@@ -37,27 +37,6 @@ void VerifierModel::RelinkExtractor() {
                                                           : nullptr);
 }
 
-VerifierModel::VerifierModel(const VerifierModel& other)
-    : config_(other.config_),
-      interpreter_(other.interpreter_),
-      extractor_(other.extractor_),
-      text_to_table_(other.text_to_table_),
-      model_(other.model_) {
-  RelinkExtractor();
-}
-
-VerifierModel& VerifierModel::operator=(const VerifierModel& other) {
-  if (this != &other) {
-    config_ = other.config_;
-    interpreter_ = other.interpreter_;
-    extractor_ = other.extractor_;
-    text_to_table_ = other.text_to_table_;
-    model_ = other.model_;
-    RelinkExtractor();
-  }
-  return *this;
-}
-
 VerifierModel::VerifierModel(VerifierModel&& other) noexcept
     : config_(std::move(other.config_)),
       interpreter_(std::move(other.interpreter_)),
@@ -65,18 +44,6 @@ VerifierModel::VerifierModel(VerifierModel&& other) noexcept
       text_to_table_(std::move(other.text_to_table_)),
       model_(std::move(other.model_)) {
   RelinkExtractor();
-}
-
-VerifierModel& VerifierModel::operator=(VerifierModel&& other) noexcept {
-  if (this != &other) {
-    config_ = std::move(other.config_);
-    interpreter_ = std::move(other.interpreter_);
-    extractor_ = std::move(other.extractor_);
-    text_to_table_ = std::move(other.text_to_table_);
-    model_ = std::move(other.model_);
-    RelinkExtractor();
-  }
-  return *this;
 }
 
 std::optional<Sample> VerifierModel::WithTextEvidence(

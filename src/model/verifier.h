@@ -48,12 +48,13 @@ class VerifierModel {
                 std::vector<ProgramTemplate> claim_templates);
 
   // The extractor holds a pointer to this object's interpreter, so the
-  // compiler-generated copy/move would leave it aimed at the source
-  // object (dangling once the source dies). These overloads re-link it.
-  VerifierModel(const VerifierModel& other);
-  VerifierModel& operator=(const VerifierModel& other);
+  // compiler-generated move would leave it aimed at the source object
+  // (dangling once the source dies). The move constructor re-links it;
+  // nothing copies or assigns a model.
+  VerifierModel(const VerifierModel&) = delete;
+  VerifierModel& operator=(const VerifierModel&) = delete;
   VerifierModel(VerifierModel&& other) noexcept;
-  VerifierModel& operator=(VerifierModel&& other) noexcept;
+  VerifierModel& operator=(VerifierModel&&) = delete;
 
   /// \brief Trains (or continues training) on `data`. Sample weights
   /// scale each example's gradient/loss contribution (1.0 = classic

@@ -65,10 +65,6 @@ void Lexicon::Add(const std::string& key,
   entries_[key] = std::move(variants);
 }
 
-bool Lexicon::Has(const std::string& key) const {
-  return entries_.count(key) > 0;
-}
-
 std::string Lexicon::Canonical(const std::string& key) const {
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second.empty()) return key;
@@ -79,13 +75,6 @@ std::string Lexicon::Pick(const std::string& key, Rng* rng) const {
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second.empty()) return key;
   return it->second[rng->Index(it->second.size())];
-}
-
-const std::vector<std::string>& Lexicon::Variants(
-    const std::string& key) const {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return empty_;
-  return it->second;
 }
 
 void Lexicon::BuildSynonymIndex(

@@ -25,16 +25,11 @@ class Lexicon {
 
   void Add(const std::string& key, std::vector<std::string> variants);
 
-  bool Has(const std::string& key) const;
-
   /// \brief First variant; `key` itself when unknown.
   std::string Canonical(const std::string& key) const;
 
   /// \brief Uniformly random variant; `key` itself when unknown.
   std::string Pick(const std::string& key, Rng* rng) const;
-
-  /// \brief All variants (empty when unknown).
-  const std::vector<std::string>& Variants(const std::string& key) const;
 
   /// \brief Word-level synonym groups used by the paraphraser: for a
   /// surface word, the group of words it may be swapped with (empty when

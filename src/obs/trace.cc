@@ -22,26 +22,6 @@ Span::Span(Tracer* tracer, std::string_view name, uint64_t span_id,
   tls_current_span = span_id;
 }
 
-Span::Span(Span&& other) noexcept
-    : tracer_(other.tracer_),
-      event_(std::move(other.event_)),
-      start_(other.start_),
-      restore_parent_(other.restore_parent_) {
-  other.tracer_ = nullptr;
-}
-
-Span& Span::operator=(Span&& other) noexcept {
-  if (this != &other) {
-    End();
-    tracer_ = other.tracer_;
-    event_ = std::move(other.event_);
-    start_ = other.start_;
-    restore_parent_ = other.restore_parent_;
-    other.tracer_ = nullptr;
-  }
-  return *this;
-}
-
 void Span::AddAttr(std::string key, std::string value) {
   if (tracer_ == nullptr) return;
   event_.attrs.emplace_back(std::move(key), std::move(value));
@@ -86,18 +66,11 @@ void Tracer::Record(TraceEvent event) {
     ring_[next_slot_] = std::move(event);
   }
   next_slot_ = (next_slot_ + 1) % capacity_;
-  size_ = ring_.size();
-  ++total_recorded_;
 }
 
 size_t Tracer::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return size_;
-}
-
-uint64_t Tracer::total_recorded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_recorded_;
+  return ring_.size();
 }
 
 std::vector<TraceEvent> Tracer::Snapshot() const {
@@ -132,13 +105,6 @@ std::string Tracer::ToLdjson() const {
     out += "}\n";
   }
   return out;
-}
-
-void Tracer::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
-  next_slot_ = 0;
-  size_ = 0;
 }
 
 Tracer& Tracer::Default() {

@@ -27,15 +27,15 @@ class Tracer;
 
 /// \brief RAII span handle returned by Tracer::StartSpan. Records a
 /// TraceEvent into the tracer's ring buffer when destroyed (or ended
-/// explicitly). Move-only; a default-constructed or moved-from span is
-/// inactive and every operation on it is a no-op — which is also what
-/// StartSpan returns while the tracer is disabled, so instrumentation
-/// sites pay one relaxed atomic load when tracing is off.
+/// explicitly). Neither copyable nor movable: StartSpan returns a
+/// prvalue, which initializes the caller's span in place. A
+/// default-constructed span is inactive and every operation on it is a
+/// no-op — which is also what StartSpan returns while the tracer is
+/// disabled, so instrumentation sites pay one relaxed atomic load when
+/// tracing is off.
 class Span {
  public:
   Span() = default;
-  Span(Span&& other) noexcept;
-  Span& operator=(Span&& other) noexcept;
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
   ~Span() { End(); }
@@ -90,9 +90,6 @@ class Tracer {
   size_t capacity() const { return capacity_; }
   /// \brief Finished spans currently buffered (<= capacity()).
   size_t size() const;
-  /// \brief Total spans recorded since construction, including those the
-  /// ring has since overwritten.
-  uint64_t total_recorded() const;
 
   /// \brief Buffered events, oldest first.
   std::vector<TraceEvent> Snapshot() const;
@@ -101,9 +98,6 @@ class Tracer {
   ///   {"name":"serve.execute","span":7,"parent":5,"start_us":120,
   ///    "dur_us":3142,"attrs":{"op":"verify"}}
   std::string ToLdjson() const;
-
-  /// \brief Discards all buffered events (total_recorded keeps counting).
-  void Clear();
 
   /// \brief The process-wide tracer that instrumented library code
   /// records into; disabled until a front end opts in (e.g. uctr_serve
@@ -122,8 +116,6 @@ class Tracer {
   mutable std::mutex mu_;
   std::vector<TraceEvent> ring_;
   size_t next_slot_ = 0;
-  size_t size_ = 0;
-  uint64_t total_recorded_ = 0;
 };
 
 }  // namespace uctr::obs

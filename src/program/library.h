@@ -33,7 +33,7 @@ class TemplateLibrary {
   /// \brief Library preloaded with all built-in templates (deduplicated).
   static TemplateLibrary Builtin();
 
-  /// \brief Empty library to be populated via Add (e.g. by the templatizer).
+  /// \brief Empty library to be populated via Add.
   TemplateLibrary() = default;
 
   /// \brief Adds `tmpl`'s form; adds nothing and fails as

@@ -40,8 +40,7 @@ enum class SlotPrint : uint8_t {
 /// Make accepts a template only if each slot fills whole program fields:
 /// a column slot names columns, and every other slot is a whole SQL or
 /// logic literal, or a whole row name in an arithmetic cell reference or
-/// series. Every built-in template, and every template the templatizer
-/// makes, qualifies.
+/// series. Every built-in template qualifies.
 ///
 /// Immutable after Make; copies share the parsed skeleton.
 class TemplateForm {

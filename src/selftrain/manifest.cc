@@ -47,10 +47,6 @@ Result<Manifest> Manifest::From(Result<CheckpointManifest> parsed) {
   return manifest;
 }
 
-Result<Manifest> Manifest::Parse(const std::string& text) {
-  return From(CheckpointManifest::Parse(Layout(), text));
-}
-
 Result<Manifest> Manifest::LoadOrCreate(const std::string& path,
                                         uint64_t seed,
                                         uint64_t config_fingerprint) {

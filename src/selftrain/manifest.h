@@ -52,8 +52,6 @@ class Manifest : public CheckpointManifest {
   /// \brief True when every phase of `round` is recorded.
   bool RoundComplete(size_t round) const;
 
-  static Result<Manifest> Parse(const std::string& text);
-
   /// \brief Loads `path` and validates it against (seed, fingerprint).
   /// A missing file yields a fresh manifest for that key; a present file
   /// with a mismatched key or unparseable content is an error — never a

@@ -105,7 +105,7 @@ class Scheduler {
 
   /// \brief EMA of recent job run durations in microseconds (0 until the
   /// first job completes). Drives deadline-aware admission; exposed for
-  /// tests and stats.
+  /// tests.
   double EstimatedJobMicros() const;
 
  private:

@@ -36,8 +36,6 @@ std::string QuoteLiteral(const Value& v) {
   return "'" + v.ToDisplayString() + "'";
 }
 
-}  // namespace
-
 const char* AggFuncToString(AggFunc f) {
   switch (f) {
     case AggFunc::kNone:
@@ -73,6 +71,8 @@ const char* CmpOpToString(CmpOp op) {
   }
   return "?";
 }
+
+}  // namespace
 
 std::string SelectStatement::ToString() const {
   std::string out = "SELECT ";

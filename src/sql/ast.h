@@ -19,8 +19,6 @@ enum class AggFunc {
   kMax,
 };
 
-const char* AggFuncToString(AggFunc f);
-
 /// \brief Binary arithmetic inside a select item (the paper's sum(+) and
 /// diff(-) reasoning types): `col_a + col_b` / `col_a - col_b`.
 enum class ArithOp {
@@ -48,8 +46,6 @@ enum class CmpOp {
   kLe,
   kGe,
 };
-
-const char* CmpOpToString(CmpOp op);
 
 /// \brief One conjunct: `column op literal`.
 struct Condition {

@@ -355,19 +355,6 @@ TEST(CircuitBreakerTest, HalfOpenProbeClosesOnSuccessReopensOnFailure) {
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
 }
 
-TEST(CircuitBreakerTest, RunWrapsAllowAndRecord) {
-  CircuitBreakerOptions options;
-  options.failure_threshold = 1;
-  options.open_duration_ms = 10000.0;
-  CircuitBreaker breaker("model", options);
-  EXPECT_FALSE(
-      breaker.Run([] { return Status::Internal("dependency blew up"); })
-          .ok());
-  Status rejected = breaker.Run([] { return Status::OK(); });
-  EXPECT_EQ(rejected.code(), StatusCode::kUnavailable);
-  EXPECT_NE(rejected.message().find("circuit"), std::string::npos);
-}
-
 // ------------------------------------------------- Scheduler resilience
 
 // A job that blocks until released, to hold a worker busy.

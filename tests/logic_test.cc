@@ -178,12 +178,5 @@ TEST(LogicExecTest, ErrorsOnBadPrograms) {
           .ok());
 }
 
-TEST(LogicExecTest, KnownOperatorRegistry) {
-  EXPECT_TRUE(IsKnownOperator("filter_eq"));
-  EXPECT_TRUE(IsKnownOperator("nth_argmax"));
-  EXPECT_TRUE(IsKnownOperator("most_less_eq"));
-  EXPECT_FALSE(IsKnownOperator("bogus"));
-}
-
 }  // namespace
 }  // namespace uctr::logic

@@ -127,7 +127,7 @@ TEST(TracerTest, DisabledTracerYieldsInactiveSpans) {
   span.AddAttr("k", "v");  // no-ops, no crash
   span.End();
   EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_EQ(tracer.total_recorded(), 0u);
+  EXPECT_TRUE(tracer.Snapshot().empty());
 }
 
 TEST(TracerTest, SpansNestViaThreadLocalParent) {
@@ -178,17 +178,12 @@ TEST(TracerTest, RingBufferBoundsMemory) {
   }
   EXPECT_EQ(tracer.size(), 16u);
   EXPECT_EQ(tracer.capacity(), 16u);
-  EXPECT_EQ(tracer.total_recorded(), 100u);
   // Oldest events were overwritten: the snapshot is the newest 16,
   // oldest first.
   std::vector<TraceEvent> events = tracer.Snapshot();
   ASSERT_EQ(events.size(), 16u);
   EXPECT_EQ(events.front().name, "s84");
   EXPECT_EQ(events.back().name, "s99");
-
-  tracer.Clear();
-  EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_EQ(tracer.total_recorded(), 100u);
 }
 
 TEST(TracerTest, ToLdjsonEmitsOneObjectPerSpan) {
@@ -206,19 +201,6 @@ TEST(TracerTest, ToLdjsonEmitsOneObjectPerSpan) {
   EXPECT_EQ(ldjson.back(), '\n');
 }
 
-TEST(TracerTest, MovedFromSpanDoesNotDoubleRecord) {
-  Tracer tracer;
-  tracer.set_enabled(true);
-  {
-    Span a = tracer.StartSpan("moved");
-    Span b = std::move(a);
-    a.End();  // moved-from: no-op
-    EXPECT_FALSE(a.active());
-    EXPECT_TRUE(b.active());
-  }
-  EXPECT_EQ(tracer.total_recorded(), 1u);
-}
-
 TEST(TracerTest, ConcurrentSpansRecordWithoutCorruption) {
   Tracer tracer(/*capacity=*/64);
   tracer.set_enabled(true);
@@ -232,8 +214,20 @@ TEST(TracerTest, ConcurrentSpansRecordWithoutCorruption) {
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(tracer.total_recorded(), 4u * 100u * 2u);
   EXPECT_EQ(tracer.size(), 64u);
+  // The ring wrapped many times; each surviving event is whole: an outer
+  // span is a root and an inner span has a parent.
+  for (const TraceEvent& e : tracer.Snapshot()) {
+    ASSERT_EQ(e.name.size(), 6u) << e.name;
+    const char thread = e.name.back();
+    EXPECT_TRUE(thread >= '0' && thread <= '3') << e.name;
+    if (e.name.starts_with("outer")) {
+      EXPECT_EQ(e.parent_id, 0u);
+    } else {
+      EXPECT_TRUE(e.name.starts_with("inner")) << e.name;
+      EXPECT_NE(e.parent_id, 0u);
+    }
+  }
 }
 
 }  // namespace

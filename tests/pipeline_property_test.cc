@@ -14,7 +14,6 @@
 #include "model/interpreter.h"
 #include "nlgen/nl_generator.h"
 #include "program/library.h"
-#include "program/templatizer.h"
 #include "tests/test_util.h"
 
 namespace uctr {
@@ -157,29 +156,6 @@ TEST_P(PipelinePropertyTest, SerializationRoundTripsWholeDatasets) {
     EXPECT_EQ(restored.samples[i].table.ToCsv(),
               original.samples[i].table.ToCsv());
   }
-}
-
-TEST_P(PipelinePropertyTest, TemplatizerRoundTripOnSampledPrograms) {
-  // Abstracting a concrete sampled program must yield a template that
-  // re-instantiates successfully on the same table.
-  Table t = uctr::testing::RandomTable(&rng_, 8, 3);
-  TemplateLibrary lib = TemplateLibrary::Builtin();
-  ProgramSampler sampler(&rng_);
-  int round_trips = 0;
-  for (const TemplateForm& form : lib.OfType(ProgramType::kSql)) {
-    auto sampled = sampler.Sample(form, t);
-    if (!sampled.ok()) continue;
-    auto abstracted = AbstractSql(sampled->program.text, t);
-    ASSERT_TRUE(abstracted.ok()) << sampled->program.text;
-    auto abstracted_form = TemplateForm::Make(*abstracted);
-    ASSERT_TRUE(abstracted_form.ok()) << abstracted->pattern;
-    bool ok = false;
-    for (int trial = 0; trial < 8 && !ok; ++trial) {
-      ok = sampler.Sample(*abstracted_form, t).ok();
-    }
-    if (ok) ++round_trips;
-  }
-  EXPECT_GE(round_trips, 8);
 }
 
 TEST_P(PipelinePropertyTest, CanonicalClaimsInterpretConsistently) {

@@ -10,7 +10,6 @@
 #include "program/program.h"
 #include "program/sampler.h"
 #include "program/template.h"
-#include "program/templatizer.h"
 #include "tests/test_util.h"
 
 namespace uctr {
@@ -296,70 +295,6 @@ TEST(SamplerTest, FailsOnEmptyTable) {
                   .ValueOrDie();
   EXPECT_FALSE(
       sampler.Sample(TemplateForm::Make(tmpl).ValueOrDie(), empty).ok());
-}
-
-// ----------------------------------------------------------- Templatizer
-
-TEST(TemplatizerTest, AbstractsSqlToTemplate) {
-  Table t = MakeNationsTable();
-  auto tmpl = AbstractSql(
-                  "SELECT nation FROM w WHERE gold = '10' ORDER BY silver "
-                  "DESC LIMIT 1",
-                  t)
-                  .ValueOrDie();
-  EXPECT_EQ(tmpl.type, ProgramType::kSql);
-  EXPECT_NE(tmpl.pattern.find("{c1"), std::string::npos);
-  EXPECT_NE(tmpl.pattern.find("{v1@"), std::string::npos);
-  EXPECT_EQ(tmpl.reasoning_type, "superlative");
-  // The abstracted template re-instantiates on the same table.
-  Rng rng(3);
-  ProgramSampler sampler(&rng);
-  TemplateForm form = TemplateForm::Make(tmpl).ValueOrDie();
-  bool any = false;
-  for (int i = 0; i < 20 && !any; ++i) any = sampler.Sample(form, t).ok();
-  EXPECT_TRUE(any);
-}
-
-TEST(TemplatizerTest, AbstractsLogicalFormWithDerive) {
-  Table t = MakeNationsTable();
-  auto tmpl = AbstractLogicalForm(
-                  "eq { count { filter_eq { all_rows ; nation ; china } } ; "
-                  "1 }",
-                  t)
-                  .ValueOrDie();
-  EXPECT_TRUE(tmpl.HasDerive());
-  EXPECT_EQ(tmpl.reasoning_type, "count");
-  EXPECT_NE(tmpl.pattern.find("{v1@c1}"), std::string::npos);
-}
-
-TEST(TemplatizerTest, AbstractsArithmetic) {
-  Table t = MakeFinanceTable();
-  auto tmpl = AbstractArithmetic(
-                  "subtract(2019 of revenue, 2018 of revenue), "
-                  "divide(#0, 2018 of revenue)",
-                  t)
-                  .ValueOrDie();
-  EXPECT_EQ(tmpl.type, ProgramType::kArithmetic);
-  EXPECT_NE(tmpl.pattern.find("{c1:num} of {r1}"), std::string::npos);
-  EXPECT_NE(tmpl.pattern.find("#0"), std::string::npos);
-}
-
-TEST(TemplatizerTest, CollectDeduplicates) {
-  Table t = MakeNationsTable();
-  Program p1{ProgramType::kSql, "SELECT nation FROM w WHERE gold = '10'"};
-  Program p2{ProgramType::kSql, "SELECT nation FROM w WHERE silver = '3'"};
-  auto templates = CollectTemplates({{p1, &t}, {p2, &t}});
-  // Both abstract to the same pattern.
-  EXPECT_EQ(templates.size(), 1u);
-}
-
-TEST(TemplatizerTest, SampledPlaceholdersTypeTagged) {
-  Table t = MakeNationsTable();
-  auto tmpl =
-      AbstractSql("SELECT SUM(gold) FROM w", t).ValueOrDie();
-  ASSERT_EQ(tmpl.placeholders.size(), 1u);
-  EXPECT_TRUE(tmpl.placeholders[0].has_type_constraint);
-  EXPECT_EQ(tmpl.placeholders[0].column_type, ColumnType::kNumber);
 }
 
 }  // namespace

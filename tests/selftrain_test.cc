@@ -106,12 +106,16 @@ std::vector<std::string> ArtifactsOf(const SelfTrainConfig& config) {
 // ----------------------------------------------------------- manifest
 
 TEST(SelfTrainManifestTest, SerializeParseRoundTrip) {
+  ScratchDir dir("manifest_round_trip");
+  std::filesystem::create_directories(dir.path());
+  std::string path = dir.path() + "/MANIFEST";
   Manifest manifest(99, 0xDEADBEEF);
   manifest.MarkDone(0, RoundPhase::kGenerate);
   manifest.MarkDone(0, RoundPhase::kLabel);
   manifest.MarkDone(1, RoundPhase::kGenerate);
+  ASSERT_TRUE(manifest.Store(path).ok());
 
-  auto parsed = Manifest::Parse(manifest.Serialize());
+  auto parsed = Manifest::LoadOrCreate(path, 99, 0xDEADBEEF);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->seed(), 99u);
   EXPECT_EQ(parsed->config_fingerprint(), 0xDEADBEEFu);
@@ -123,14 +127,18 @@ TEST(SelfTrainManifestTest, SerializeParseRoundTrip) {
 }
 
 TEST(SelfTrainManifestTest, RejectsCorruptInput) {
-  EXPECT_FALSE(Manifest::Parse("not a manifest").ok());
-  EXPECT_FALSE(Manifest::Parse("uctr-selftrain v1\nseed 1\n").ok());  // no config
-  EXPECT_FALSE(
-      Manifest::Parse("uctr-selftrain v1\nseed 1\nconfig 2\ndone 0 9\n")
-          .ok());  // phase out of range
-  EXPECT_FALSE(
-      Manifest::Parse("uctr-selftrain v1\nseed 1\nconfig 2\nbogus line\n")
-          .ok());
+  ScratchDir dir("manifest_corrupt");
+  std::filesystem::create_directories(dir.path());
+  std::string path = dir.path() + "/MANIFEST";
+  for (const char* text : {
+           "not a manifest",
+           "uctr-selftrain v1\nseed 1\n",                    // no config
+           "uctr-selftrain v1\nseed 1\nconfig 2\ndone 0 9\n",  // bad phase
+           "uctr-selftrain v1\nseed 1\nconfig 2\nbogus line\n",
+       }) {
+    ASSERT_TRUE(WriteFileAtomic(path, text).ok());
+    EXPECT_FALSE(Manifest::LoadOrCreate(path, 1, 2).ok()) << text;
+  }
 }
 
 TEST(SelfTrainManifestTest, LoadRejectsMismatchedKey) {

@@ -131,8 +131,6 @@ TEST(QualityTest, UctrDataIsDiverseAndBalanced) {
   EXPECT_GT(report.mean_sentence_tokens, 5.0);
   EXPECT_GT(report.reasoning_entropy, 1.5);  // many reasoning types
   EXPECT_GT(report.label_balance, 0.4);
-  std::string rendered = report.ToString();
-  EXPECT_NE(rendered.find("reasoning entropy"), std::string::npos);
 }
 
 TEST(QualityTest, MqaQgDataHasZeroReasoningEntropy) {
