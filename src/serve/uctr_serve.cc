@@ -6,7 +6,8 @@
 //       Generates synthetic training data with the existing unsupervised
 //       pipeline (Generator over built-in demo tables), trains the
 //       verifier and QA models with the existing training path, and
-//       writes <out_dir>/verifier.weights.txt + <out_dir>/qa.weights.txt.
+//       writes <out_dir>/verifier.weights.txt + <out_dir>/qa.weights.txt,
+//       creating <out_dir> first if it is missing.
 //
 //   uctr_serve serve [--verifier_weights F] [--qa_weights F]
 //                    [--workers N] [--queue N] [--cache N]
@@ -49,6 +50,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -189,6 +191,13 @@ int RunTrain(const std::map<std::string, std::string>& flags) {
     return Fail("train requires --out_dir <directory>");
   }
   const std::string out_dir = out_it->second;
+  // Create the directory before training, so a path that cannot hold the
+  // weights fails in milliseconds instead of after both models trained.
+  std::error_code ec;
+  std::filesystem::create_directories(out_dir, ec);
+  if (ec) {
+    return Fail("cannot create --out_dir " + out_dir + ": " + ec.message());
+  }
   std::string trace_path = MaybeEnableTracing(flags);
   Rng rng(FlagSize(flags, "seed", 42));
   size_t samples_per_table = FlagSize(flags, "samples_per_table", 60);
