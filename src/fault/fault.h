@@ -127,16 +127,11 @@ class FaultInjector {
 }  // namespace uctr::fault
 
 /// \brief Declares a named injection site. Evaluates to a Status: OK in
-/// normal operation (and always OK when compiled out with
-/// -DUCTR_DISABLE_FAULT_INJECTION), or the injected error while a matching
-/// rule is armed. Disarmed cost: one relaxed atomic load.
-#ifdef UCTR_DISABLE_FAULT_INJECTION
-#define UCTR_FAULT_POINT(site) ::uctr::Status::OK()
-#else
+/// normal operation, or the injected error while a matching rule is
+/// armed. Disarmed cost: one relaxed atomic load.
 #define UCTR_FAULT_POINT(site)                                \
   (::uctr::fault::FaultInjector::Global().armed()             \
        ? ::uctr::fault::FaultInjector::Global().Check(site)   \
        : ::uctr::Status::OK())
-#endif
 
 #endif  // UCTR_FAULT_FAULT_H_
