@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -201,8 +202,8 @@ TEST(TracerTest, ToLdjsonEmitsOneObjectPerSpan) {
   EXPECT_EQ(ldjson.back(), '\n');
 }
 
-TEST(TracerTest, ConcurrentSpansRecordWithoutCorruption) {
-  Tracer tracer(/*capacity=*/64);
+// Four threads each record 100 "outerN" spans, each holding one "innerN".
+void RecordConcurrentSpans(Tracer& tracer) {
   tracer.set_enabled(true);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
@@ -214,6 +215,23 @@ TEST(TracerTest, ConcurrentSpansRecordWithoutCorruption) {
     });
   }
   for (std::thread& t : threads) t.join();
+}
+
+TEST(TracerTest, ConcurrentSpansRecordWithoutCorruption) {
+  // With room for all 800, every span is recorded exactly once.
+  Tracer roomy(/*capacity=*/1024);
+  RecordConcurrentSpans(roomy);
+  EXPECT_EQ(roomy.size(), 800u);
+  std::map<std::string, int> counts;
+  for (const TraceEvent& e : roomy.Snapshot()) ++counts[e.name];
+  ASSERT_EQ(counts.size(), 8u);
+  for (int t = 0; t < 4; ++t) {
+    EXPECT_EQ(counts["outer" + std::to_string(t)], 100) << t;
+    EXPECT_EQ(counts["inner" + std::to_string(t)], 100) << t;
+  }
+
+  Tracer tracer(/*capacity=*/64);
+  RecordConcurrentSpans(tracer);
   EXPECT_EQ(tracer.size(), 64u);
   // The ring wrapped many times; each surviving event is whole: an outer
   // span is a root and an inner span has a parent.

@@ -137,7 +137,11 @@ TEST(SelfTrainManifestTest, RejectsCorruptInput) {
            "uctr-selftrain v1\nseed 1\nconfig 2\nbogus line\n",
        }) {
     ASSERT_TRUE(WriteFileAtomic(path, text).ok());
-    EXPECT_FALSE(Manifest::LoadOrCreate(path, 1, 2).ok()) << text;
+    // kParseError, not the kInvalidArgument of a key mismatch: a text
+    // whose missing key parsed as 0 would otherwise pass as rejected.
+    EXPECT_EQ(Manifest::LoadOrCreate(path, 1, 2).status().code(),
+              StatusCode::kParseError)
+        << text;
   }
 }
 
