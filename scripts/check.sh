@@ -71,7 +71,25 @@ JOBS="${JOBS:-$(nproc)}"
 
 cmake -B "$BUILD_DIR" -S . -DUCTR_SANITIZE="$SANITIZE" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD_DIR" -j "$JOBS"
+# Build only what the mode runs: a drill's test binary plus the tools it
+# drives, or the named test binaries. No argument builds everything, for
+# ctest.
+case "${1:-}" in
+  "")         targets=() ;;
+  faults)     targets=(fault_test fuzz_test uctr_serve_bin) ;;
+  net)        targets=(net_test uctr_serve_bin uctr_load) ;;
+  store)      targets=(store_test uctr_serve_bin uctr_load) ;;
+  durability) targets=(durable_test uctr_serve_bin uctr_load uctr_router) ;;
+  router)     targets=(router_test uctr_serve_bin uctr_load uctr_router) ;;
+  plan)       targets=(ir_test uctr_serve_bin) ;;
+  selftrain)  targets=(selftrain_test uctr_selftrain_bin) ;;
+  *)          targets=("$@") ;;
+esac
+if [[ ${#targets[@]} -eq 0 ]]; then
+  cmake --build "$BUILD_DIR" -j "$JOBS"
+else
+  cmake --build "$BUILD_DIR" -j "$JOBS" --target "${targets[@]}"
+fi
 
 if [[ "$SANITIZE" == thread ]]; then
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"

@@ -48,6 +48,21 @@ bool IsDecimal(std::string_view s) {
 
 }  // namespace
 
+Result<double> ParseDoubleStrict(std::string_view text) {
+  std::string s(text);
+  std::string_view digits = s;
+  if (!digits.empty() && digits.front() == '-') digits.remove_prefix(1);
+  if (!IsDecimal(digits)) {
+    return Status::ParseError("malformed float '" + s + "'");
+  }
+  errno = 0;
+  double value = std::strtod(s.c_str(), nullptr);
+  if (errno == ERANGE || !std::isfinite(value)) {
+    return Status::ParseError("float out of range '" + s + "'");
+  }
+  return value;
+}
+
 std::optional<double> ParseNumber(std::string_view text) {
   std::string s = Trim(text);
   if (s.empty()) return std::nullopt;

@@ -21,9 +21,16 @@ namespace uctr {
 /// financial tables (TAT-QA) behave consistently everywhere.
 std::optional<double> ParseNumber(std::string_view text);
 
-/// \brief Strict decimal u64 for machine-written files: digits only (no
-/// sign, space or separator); ParseError otherwise or on overflow.
+/// \brief Strict decimal u64 for machine-written files and flags: digits
+/// only (no sign, space or separator); ParseError otherwise or on
+/// overflow.
 Result<uint64_t> ParseUint64(std::string_view text);
+
+/// \brief Strict finite double for machine-written files and flags: an
+/// optional '-' and decimal digits with an optional fraction and exponent
+/// ("0.3", "-2", "1e-05"); ParseError on anything else (space, '+', hex,
+/// "inf", "nan") and on a value outside the finite doubles' range.
+Result<double> ParseDoubleStrict(std::string_view text);
 
 /// \brief True when ParseNumber(text) succeeds.
 bool LooksNumeric(std::string_view text);

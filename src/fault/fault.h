@@ -95,7 +95,10 @@ class FaultInjector {
   /// \brief Clears every rule and disarms the injector.
   void Disarm();
 
-  /// \brief Reseeds the probability stream (default seed: 0xFA17).
+  /// \brief The probability stream's seed until Seed() is called.
+  static constexpr uint64_t kDefaultSeed = 0xFA17;
+
+  /// \brief Reseeds the probability stream.
   void Seed(uint64_t seed);
 
   /// \brief True when at least one rule is armed (the fast-path gate).
@@ -120,7 +123,7 @@ class FaultInjector {
   std::atomic<uint64_t> injected_total_{0};
   mutable std::mutex mu_;
   std::vector<FaultRule> rules_;
-  Rng rng_{0xFA17ULL};
+  Rng rng_{kDefaultSeed};
   obs::MetricsRegistry* metrics_ = nullptr;  // null = DefaultRegistry()
 };
 

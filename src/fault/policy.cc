@@ -75,7 +75,6 @@ CircuitBreaker::CircuitBreaker(std::string name,
                                obs::MetricsRegistry* metrics)
     : name_(std::move(name)), options_(options) {
   options_.failure_threshold = std::max(options_.failure_threshold, 1);
-  options_.half_open_successes = std::max(options_.half_open_successes, 1);
   if (metrics != nullptr) {
     opened_ =
         metrics->counter("circuit_open_total{breaker=\"" + name_ + "\"}");
@@ -104,7 +103,6 @@ bool CircuitBreaker::Allow() {
         return false;
       }
       state_ = State::kHalfOpen;
-      half_open_successes_ = 0;
       probe_in_flight_ = true;  // this caller is the probe
       return true;
     case State::kHalfOpen:
@@ -121,13 +119,9 @@ bool CircuitBreaker::Allow() {
 void CircuitBreaker::RecordSuccess() {
   std::lock_guard<std::mutex> lock(mu_);
   probe_in_flight_ = false;
-  if (state_ == State::kHalfOpen) {
-    if (++half_open_successes_ >= options_.half_open_successes) {
-      state_ = State::kClosed;
-      consecutive_failures_ = 0;
-    }
-    return;
-  }
+  // A half-open probe's success closes the circuit; a straggler that
+  // succeeds after the circuit opened does not.
+  if (state_ == State::kHalfOpen) state_ = State::kClosed;
   consecutive_failures_ = 0;
 }
 

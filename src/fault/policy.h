@@ -73,8 +73,6 @@ struct CircuitBreakerOptions {
   int failure_threshold = 5;
   /// Cooldown before an open circuit lets a half-open probe through.
   double open_duration_ms = 250.0;
-  /// Consecutive half-open probe successes required to close again.
-  int half_open_successes = 1;
 };
 
 /// \brief Per-dependency circuit breaker: closed (normal) -> open (reject
@@ -118,7 +116,6 @@ class CircuitBreaker {
   mutable std::mutex mu_;
   State state_ = State::kClosed;
   int consecutive_failures_ = 0;
-  int half_open_successes_ = 0;
   bool probe_in_flight_ = false;
   Clock::time_point reopen_at_{};
   std::function<Clock::time_point()> clock_fn_;

@@ -1,9 +1,6 @@
 #include "net/router.h"
 
-#include <poll.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 
 #include "common/hash.h"
@@ -16,6 +13,9 @@
 namespace uctr::net {
 
 namespace {
+
+/// Idle pooled connections kept per backend; excess check-ins close.
+constexpr size_t kPoolSize = 32;
 
 std::string ErrorLine(uint64_t id, const std::string& status,
                       const std::string& message) {
@@ -120,7 +120,6 @@ Router::Router(RouterConfig config)
       retry_(config_.retry, 0x5EEDULL, metrics_) {
   config_.workers = std::max<size_t>(config_.workers, 1);
   config_.queue_capacity = std::max<size_t>(config_.queue_capacity, 1);
-  config_.replicas = std::max<size_t>(config_.replicas, 1);
   config_.put_replicas = std::max<size_t>(config_.put_replicas, 1);
   for (const HostPort& ep : config_.backends) {
     backends_.push_back(
@@ -132,8 +131,6 @@ Router::Router(RouterConfig config)
   unrouted_total_ = metrics_->counter("router_unrouted_total");
   failover_attempts_total_ =
       metrics_->counter("router_failover_attempts_total");
-  hedged_total_ = metrics_->counter("router_hedged_total");
-  hedge_wins_total_ = metrics_->counter("router_hedge_wins_total");
   ref_miss_failover_total_ =
       metrics_->counter("router_ref_miss_failover_total");
   put_replica_total_ = metrics_->counter("router_put_replica_total");
@@ -332,21 +329,6 @@ std::vector<uint32_t> Router::KeylessOrder() {
   return order;
 }
 
-bool Router::NoteKeyIsHot(const std::string& key) {
-  uint64_t h = ConsistentRing::Hash(key);
-  auto now = std::chrono::steady_clock::now();
-  std::lock_guard<std::mutex> lock(hot_mu_);
-  if (now >= hot_window_end_) {
-    hot_counts_.clear();
-    hot_window_end_ =
-        now + std::chrono::milliseconds(config_.hot_window_ms);
-  }
-  // Defensive bound: a hostile key stream must not grow this map without
-  // limit inside one window.
-  if (hot_counts_.size() > 65536) hot_counts_.clear();
-  return ++hot_counts_[h] > config_.hot_threshold;
-}
-
 void Router::HandleJob(Job job) {
   auto started = std::chrono::steady_clock::now();
   RouteInfo& info = job.info;
@@ -368,8 +350,6 @@ void Router::HandleJob(Job job) {
     // Undecodable hex keeps the raw text as key; the shard answers.
   }
 
-  bool hot = !info.key.empty() && config_.replicas > 1 &&
-             NoteKeyIsHot(info.key);
   std::vector<uint32_t> prefer =
       info.key.empty() ? KeylessOrder() : ring_.Preference(info.key);
 
@@ -398,13 +378,9 @@ void Router::HandleJob(Job job) {
     }
     if (attempt > 0) failover_attempts_total_->Increment();
     BackendState* primary = eligible[attempt % eligible.size()];
-    BackendState* hedge = nullptr;
-    if (hot && attempt == 0 && eligible.size() > 1) hedge = eligible[1];
     ++attempt;
 
-    Status s = hedge != nullptr
-                   ? CallHedged(primary, hedge, job.line, &response)
-                   : CallOne(primary, job.line, &response);
+    Status s = CallOne(primary, job.line, &response);
     if (!s.ok()) return s;
     if (info.ref_only && IsRefMissResponse(response)) {
       ref_miss_failover_total_->Increment();
@@ -548,7 +524,7 @@ Result<Client> Router::CheckOut(BackendState* backend) {
 
 void Router::CheckIn(BackendState* backend, Client client) {
   std::lock_guard<std::mutex> lock(backend->pool_mu);
-  if (backend->pool.size() < config_.pool_size) {
+  if (backend->pool.size() < kPoolSize) {
     backend->pool.push_back(std::move(client));
   }
   // else: dropped; the Client destructor closes the fd.
@@ -588,123 +564,6 @@ Status Router::CallOne(BackendState* backend, const std::string& line,
   backend->breaker.RecordSuccess();
   *response = std::move(*got);
   CheckIn(backend, std::move(client));
-  return Status::OK();
-}
-
-Status Router::CallHedged(BackendState* primary, BackendState* hedge,
-                          const std::string& line, std::string* response) {
-  // The hedge leg is opportunistic: any problem setting it up falls back
-  // to a plain call on the primary rather than failing the request.
-  if (!hedge->breaker.Allow()) return CallOne(primary, line, response);
-  auto hedge_conn = CheckOut(hedge);
-  if (!hedge_conn.ok()) {
-    hedge->breaker.RecordFailure();
-    return CallOne(primary, line, response);
-  }
-  if (!primary->breaker.Allow()) {
-    // Pool the untouched hedge connection back; its breaker saw a
-    // successful checkout.
-    hedge->breaker.RecordSuccess();
-    CheckIn(hedge, std::move(*hedge_conn));
-    return Status::Unavailable("circuit '" + primary->breaker.name() +
-                               "' open");
-  }
-  auto primary_conn = CheckOut(primary);
-  if (!primary_conn.ok()) {
-    primary->breaker.RecordFailure();
-    hedge->breaker.RecordSuccess();
-    CheckIn(hedge, std::move(*hedge_conn));
-    return primary_conn.status();
-  }
-
-  hedged_total_->Increment();
-  struct Leg {
-    BackendState* backend;
-    Client client;
-    bool alive = true;
-  };
-  Leg legs[2] = {{primary, std::move(*primary_conn)},
-                 {hedge, std::move(*hedge_conn)}};
-  for (Leg& leg : legs) {
-    Status sent = UCTR_FAULT_POINT("router.send");
-    if (sent.ok()) sent = leg.client.Send(line);
-    if (!sent.ok()) {
-      leg.backend->breaker.RecordFailure();
-      leg.alive = false;  // client closed when the Leg goes out of scope
-    }
-  }
-  if (!legs[0].alive && !legs[1].alive) {
-    return Status::Unavailable("hedged send failed on both replicas");
-  }
-
-  // First complete frame wins. Poll both fds against one shared deadline;
-  // RecvTimeout(0) on a readable fd makes progress without blocking
-  // (kDeadlineExceeded there just means "frame still incomplete").
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(config_.call_timeout_ms);
-  int winner = -1;
-  Result<std::string> got = Status::Unavailable("hedged recv never ran");
-  while (winner < 0) {
-    auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) break;
-    int left_ms = static_cast<int>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
-            .count() +
-        1);
-    struct pollfd pfds[2];
-    int map[2] = {-1, -1};
-    nfds_t n = 0;
-    for (int i = 0; i < 2; ++i) {
-      if (!legs[i].alive) continue;
-      pfds[n].fd = legs[i].client.fd();
-      pfds[n].events = POLLIN;
-      pfds[n].revents = 0;
-      map[n] = i;
-      ++n;
-    }
-    if (n == 0) break;
-    int ready = ::poll(pfds, n, left_ms);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (ready == 0) break;  // deadline
-    for (nfds_t p = 0; p < n && winner < 0; ++p) {
-      if (pfds[p].revents == 0) continue;
-      int i = map[p];
-      auto r = legs[i].client.RecvTimeout(0);
-      if (r.ok()) {
-        winner = i;
-        got = std::move(r);
-      } else if (r.status().code() != StatusCode::kDeadlineExceeded) {
-        legs[i].backend->breaker.RecordFailure();
-        legs[i].alive = false;
-      }
-    }
-    if (!legs[0].alive && !legs[1].alive) break;
-  }
-
-  if (winner < 0) {
-    for (Leg& leg : legs) {
-      if (leg.alive) leg.backend->breaker.RecordFailure();
-    }
-    return Status::DeadlineExceeded("hedged call timed out on " +
-                                    primary->label + " and " + hedge->label);
-  }
-
-  hedge_wins_total_->Increment();
-  legs[winner].backend->breaker.RecordSuccess();
-  CheckIn(legs[winner].backend, std::move(legs[winner].client));
-  int loser = 1 - winner;
-  if (legs[loser].alive) {
-    // Suppress the duplicate: if the loser's response already arrived,
-    // drain it and pool the connection; otherwise drop the connection —
-    // a client with an unread frame in flight must never be pooled.
-    auto dup = legs[loser].client.RecvTimeout(0);
-    legs[loser].backend->breaker.RecordSuccess();
-    if (dup.ok()) CheckIn(legs[loser].backend, std::move(legs[loser].client));
-  }
-  *response = std::move(*got);
   return Status::OK();
 }
 

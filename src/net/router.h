@@ -10,7 +10,6 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -45,7 +44,7 @@ class ConsistentRing {
 
   /// \brief Distinct backend indices in ring-successor order starting at
   /// `key`'s hash. The first entry is the key's owner; the rest are its
-  /// failover siblings (and hedged-replica targets), in order.
+  /// failover siblings (and put-replica targets), in order.
   std::vector<uint32_t> Preference(std::string_view key) const;
 
   /// \brief Ring position of `text`: hash::Mix64 over 64-bit FNV-1a
@@ -91,14 +90,6 @@ struct RouterConfig {
   size_t vnodes = 64;           ///< Ring points per backend.
   int call_timeout_ms = 30000;  ///< Per-attempt send+recv budget.
 
-  /// Hedged replica fan-out width for hot keys: a key seen more than
-  /// `hot_threshold` times inside `hot_window_ms` is sent to this many
-  /// ring-successive backends at once, first complete response wins, the
-  /// duplicate is suppressed. 1 disables hedging.
-  size_t replicas = 1;
-  uint64_t hot_threshold = 64;
-  int hot_window_ms = 1000;
-
   /// Durability fan-out for `put_table`: after the ring owner acks, the
   /// same registration is forwarded to this many minus one ring
   /// successors, so a table survives its owner's crash without waiting
@@ -117,9 +108,6 @@ struct RouterConfig {
   int probe_interval_ms = 100;
   int probe_timeout_ms = 500;
   int probe_failures_out = 2;
-
-  /// Idle pooled connections kept per backend; excess check-ins close.
-  size_t pool_size = 32;
 
   /// Transient retry-with-failover shape (src/fault/): each retry
   /// advances to the next eligible backend in ring order.
@@ -156,9 +144,9 @@ struct RouterConfig {
 ///     (it restarted and lost its registry) fails over to the siblings
 ///     before giving up, and returns the shard's own error bytes if none
 ///     of them holds the table;
-///   - hot keys (RouterConfig::replicas > 1) are hedged: sent to R ring
-///     successors at once, first complete response wins, the loser's
-///     duplicate is drained or its connection dropped — never forwarded;
+///   - an acked `put_table` is copied to the next put_replicas-1 ring
+///     successors, and a ref served by a sibling is re-planted on the
+///     backends that missed it (read-repair);
 ///   - the health probe loop drives ring membership (see RouterConfig).
 ///
 /// Responses are forwarded byte-for-byte: the router adds nothing to a
@@ -247,12 +235,8 @@ class Router : public serve::LineBackend {
   /// One forwarding attempt against one backend (breaker-gated).
   Status CallOne(BackendState* backend, const std::string& line,
                  std::string* response);
-  /// Hedged attempt: both legs sent, first complete frame wins.
-  Status CallHedged(BackendState* primary, BackendState* hedge,
-                    const std::string& line, std::string* response);
   Result<Client> CheckOut(BackendState* backend);
   void CheckIn(BackendState* backend, Client client);
-  bool NoteKeyIsHot(const std::string& key);
   void ProbeLoop();
   void ProbeBackend(BackendState* backend);
   std::vector<uint32_t> KeylessOrder();
@@ -278,11 +262,6 @@ class Router : public serve::LineBackend {
   std::condition_variable probe_cv_;
   std::thread prober_;
 
-  /// Sliding-window key popularity for hedging (hashes, not strings).
-  std::mutex hot_mu_;
-  std::unordered_map<uint64_t, uint64_t> hot_counts_;
-  std::chrono::steady_clock::time_point hot_window_end_{};
-
   /// Fingerprints with a read-repair already in flight (dedup: a storm of
   /// ref-misses on one hot table must not fan out N repair round-trips).
   std::mutex repair_mu_;
@@ -293,8 +272,6 @@ class Router : public serve::LineBackend {
   obs::Counter* rejected_total_;
   obs::Counter* unrouted_total_;
   obs::Counter* failover_attempts_total_;
-  obs::Counter* hedged_total_;
-  obs::Counter* hedge_wins_total_;
   obs::Counter* ref_miss_failover_total_;
   obs::Counter* put_replica_total_;
   obs::Counter* put_replica_failures_total_;

@@ -22,6 +22,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Pending-connection queue length passed to listen(2).
+constexpr int kListenBacklog = 128;
+
 double MicrosSince(Clock::time_point start) {
   return std::chrono::duration<double, std::micro>(Clock::now() - start)
       .count();
@@ -137,7 +140,7 @@ Status Server::Start() {
     listen_fd_ = -1;
     return s;
   }
-  if (listen(listen_fd_, config_.backlog) != 0) {
+  if (listen(listen_fd_, kListenBacklog) != 0) {
     Status s = ErrnoStatus("listen");
     close(listen_fd_);
     listen_fd_ = -1;

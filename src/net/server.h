@@ -23,7 +23,6 @@ struct NetServerConfig {
   /// (see Server::port()).
   std::string host = "127.0.0.1";
   uint16_t port = 0;
-  int backlog = 128;
   size_t max_connections = 1024;
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
 

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -38,6 +39,28 @@ Result<HostPort> ParseHostPort(const std::string& spec) {
   }
   out.port = static_cast<uint16_t>(port);
   return out;
+}
+
+Result<std::vector<HostPort>> ParseHostPortList(const std::string& list) {
+  std::vector<HostPort> endpoints;
+  size_t pos = 0;
+  while (pos <= list.size()) {
+    size_t comma = std::min(list.find(',', pos), list.size());
+    std::string piece = list.substr(pos, comma - pos);
+    pos = comma + 1;
+    if (piece.empty()) continue;
+    HostPort endpoint;
+    UCTR_ASSIGN_OR_RETURN(endpoint, ParseHostPort(piece));
+    if (endpoint.port == 0) {
+      return Status::InvalidArgument("endpoint '" + piece +
+                                     "' needs an explicit port");
+    }
+    endpoints.push_back(std::move(endpoint));
+  }
+  if (endpoints.empty()) {
+    return Status::InvalidArgument("no HOST:PORT in '" + list + "'");
+  }
+  return endpoints;
 }
 
 Result<std::string> ResolveIPv4(const std::string& host) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -18,6 +19,11 @@ struct HostPort {
 /// \brief Parses "HOST:PORT" (e.g. "127.0.0.1:8080", "localhost:0").
 /// The port may be 0 (bind-time ephemeral); the host may not be empty.
 Result<HostPort> ParseHostPort(const std::string& spec);
+
+/// \brief Parses a comma-separated list of endpoints to connect to
+/// ("HOST:PORT[,HOST:PORT...]"); empty pieces are skipped. Each endpoint
+/// needs an explicit nonzero port, and the list at least one endpoint.
+Result<std::vector<HostPort>> ParseHostPortList(const std::string& list);
 
 /// \brief Resolves `host` to an IPv4 dotted-quad string via getaddrinfo
 /// (accepts dotted quads and names like "localhost").

@@ -42,7 +42,8 @@
 // drills should measure serving, not one unlucky registration.
 //
 // Exit status: 0 iff every request got an in-order response and no
-// connection failed.
+// connection failed; 2 on a usage error (an unknown flag, a stray
+// argument, a missing value, a malformed number), before any connection.
 
 #include <atomic>
 #include <chrono>
@@ -50,11 +51,11 @@
 #include <cstdio>
 #include <deque>
 #include <iostream>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/json.h"
 #include "fault/policy.h"
 #include "net/client.h"
@@ -403,22 +404,23 @@ std::string Fixed(double v, int decimals = 1) {
 
 int main(int argc, char** argv) {
   Options options;
-  std::map<std::string, std::string> flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) return Fail("unexpected argument " + arg);
-    std::string key = arg.substr(2), value = "1";
-    if (auto eq = key.find('='); eq != std::string::npos) {
-      value = key.substr(eq + 1);
-      key = key.substr(0, eq);
-    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      value = argv[++i];  // bare flags (--put-table) stay "1"
-    }
-    flags[key] = value;
+  std::string connect, router;
+  FlagSet flags;
+  flags.String("connect", &connect);
+  flags.String("router", &router);
+  flags.Uint("connections", &options.connections);
+  flags.Uint("requests", &options.requests);
+  flags.Double("qps", &options.qps);
+  flags.Uint("pipeline", &options.pipeline);
+  flags.Uint("tables", &options.tables);
+  flags.Bool("put-table", &options.put_table);
+  flags.Uint("put-retries", &options.put_retries);
+  flags.String("op", &options.op);
+  flags.Uint("timeout-ms", &options.timeout_ms);
+  if (Status s = flags.Parse(argc, argv, 1); !s.ok()) {
+    return Fail(s.ToString());
   }
-  auto connect_it = flags.find("connect");
-  auto router_it = flags.find("router");
-  if ((connect_it == flags.end()) == (router_it == flags.end())) {
+  if (connect.empty() == router.empty()) {
     return Fail(
         "usage: uctr_load --connect HOST:PORT | "
         "--router HOST:PORT[,HOST:PORT...] [--connections N] "
@@ -426,37 +428,14 @@ int main(int argc, char** argv) {
         "[--put-table] [--put-retries N] [--op verify|answer|mixed] "
         "[--timeout-ms N]");
   }
-  std::string endpoint_list = connect_it != flags.end() ? connect_it->second
-                                                        : router_it->second;
-  for (size_t pos = 0; pos <= endpoint_list.size();) {
-    size_t comma = endpoint_list.find(',', pos);
-    std::string piece = endpoint_list.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    if (!piece.empty()) {
-      auto host_port = net::ParseHostPort(piece);
-      if (!host_port.ok()) return Fail(host_port.status().ToString());
-      options.endpoints.push_back(*host_port);
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+  auto endpoints =
+      net::ParseHostPortList(connect.empty() ? router : connect);
+  if (!endpoints.ok()) {
+    return Fail((connect.empty() ? "--router: " : "--connect: ") +
+                endpoints.status().ToString());
   }
-  if (options.endpoints.empty()) {
-    return Fail("no endpoint in '" + endpoint_list + "'");
-  }
-  if (flags.count("connections")) {
-    options.connections = std::stoul(flags["connections"]);
-  }
-  if (flags.count("requests")) options.requests = std::stoul(flags["requests"]);
-  if (flags.count("qps")) options.qps = std::stod(flags["qps"]);
-  if (flags.count("pipeline")) options.pipeline = std::stoul(flags["pipeline"]);
-  if (flags.count("tables")) options.tables = std::stoul(flags["tables"]);
-  if (flags.count("put-table")) options.put_table = flags["put-table"] != "0";
-  if (flags.count("op")) options.op = flags["op"];
-  if (flags.count("timeout-ms")) options.timeout_ms = std::stoi(flags["timeout-ms"]);
-  if (flags.count("put-retries")) {
-    options.put_retries = std::stoi(flags["put-retries"]);
-    if (options.put_retries < 1) return Fail("--put-retries must be >= 1");
-  }
+  options.endpoints = std::move(*endpoints);
+  if (options.put_retries < 1) return Fail("--put-retries must be >= 1");
   if (options.connections == 0 || options.pipeline == 0 ||
       options.tables == 0) {
     return Fail("--connections, --pipeline, and --tables must be positive");

@@ -1,11 +1,9 @@
 #include "selftrain/selftrain.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <optional>
 #include <sstream>
@@ -52,18 +50,6 @@ std::string FormatDouble(double value) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", value);
   return buf;
-}
-
-Result<double> ParseDoubleStrict(const std::string& text) {
-  if (text.empty()) return Status::ParseError("empty float field");
-  char* end = nullptr;
-  errno = 0;
-  double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size() || errno == ERANGE ||
-      !std::isfinite(value)) {
-    return Status::ParseError("malformed float '" + text + "'");
-  }
-  return value;
 }
 
 // --------------------------------------------------- derived generation

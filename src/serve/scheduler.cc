@@ -6,12 +6,18 @@
 
 namespace uctr::serve {
 
+namespace {
+
+/// EMA smoothing for the per-job duration estimate behind
+/// deadline-aware admission.
+constexpr double kDurationEmaAlpha = 0.2;
+
+}  // namespace
+
 Scheduler::Scheduler(SchedulerConfig config, MetricsRegistry* metrics)
     : config_(config) {
   config_.num_workers = std::max<size_t>(config_.num_workers, 1);
   config_.queue_capacity = std::max<size_t>(config_.queue_capacity, 1);
-  config_.duration_ema_alpha =
-      std::clamp(config_.duration_ema_alpha, 0.01, 1.0);
   if (metrics != nullptr) {
     submitted_ = metrics->counter("jobs_submitted_total");
     rejected_ = metrics->counter("jobs_rejected_total");
@@ -50,8 +56,7 @@ Status Scheduler::Submit(Job job) {
     // jobs that can still make their deadlines. Conservative: only sheds
     // once an EMA exists, and only counts jobs *ahead in the queue* (the
     // in-flight ones are already partially done).
-    if (config_.deadline_admission &&
-        job.deadline != Clock::time_point::max() && job_ema_us_ > 0.0 &&
+    if (job.deadline != Clock::time_point::max() && job_ema_us_ > 0.0 &&
         !queue_.empty()) {
       double wait_us = job_ema_us_ * (static_cast<double>(queue_.size()) /
                                       static_cast<double>(workers_.size()));
@@ -114,9 +119,8 @@ void Scheduler::WorkerLoop() {
                             .count();
         job_ema_us_ = job_ema_us_ == 0.0
                           ? run_us
-                          : config_.duration_ema_alpha * run_us +
-                                (1.0 - config_.duration_ema_alpha) *
-                                    job_ema_us_;
+                          : kDurationEmaAlpha * run_us +
+                                (1.0 - kDurationEmaAlpha) * job_ema_us_;
       }
       --in_flight_;
     }

@@ -26,15 +26,6 @@ struct SchedulerConfig {
   size_t num_workers = 4;
   /// Maximum queued (not yet running) jobs; Submit rejects above this.
   size_t queue_capacity = 256;
-  /// Deadline-aware admission control: when true, Submit sheds a job whose
-  /// deadline would already be blown by the projected queue wait
-  /// (estimated from an EMA of recent job durations) instead of letting it
-  /// queue up and expire unserved. Returns kDeadlineExceeded — distinct
-  /// from kUnavailable backpressure — so callers answer "timeout", not
-  /// "rejected".
-  bool deadline_admission = true;
-  /// EMA smoothing for the per-job duration estimate (0 < alpha <= 1).
-  double duration_ema_alpha = 0.2;
 };
 
 /// \brief A fixed worker pool over a bounded FIFO queue with backpressure
@@ -46,10 +37,12 @@ struct SchedulerConfig {
 ///   also kUnavailable but with a "scheduler shut down" message and its
 ///   own counter (`jobs_rejected_shutdown_total`), so dashboards can tell
 ///   load shedding from teardown.
-/// - Deadline-aware admission (SchedulerConfig::deadline_admission): a job
-///   whose deadline is provably inside the projected queue wait is shed at
-///   Submit with kDeadlineExceeded (`jobs_shed_deadline_total`) — cheaper
-///   than queueing it only to expire it later.
+/// - Deadline-aware admission: a job whose deadline is provably inside the
+///   projected queue wait (queued jobs times an EMA of recent job
+///   durations) is shed at Submit with kDeadlineExceeded
+///   (`jobs_shed_deadline_total`) — distinct from kUnavailable
+///   backpressure, so callers answer "timeout", not "rejected", and
+///   cheaper than queueing the job only to expire it later.
 /// - A job whose deadline has passed by the time a worker picks it up is
 ///   not run; its `on_expired` callback fires instead (the backstop half
 ///   of deadline handling; jobs are not preempted mid-run).

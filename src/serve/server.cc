@@ -16,6 +16,15 @@ namespace {
 /// Compiled-plan cache sizing (entries, shards) of every server.
 constexpr size_t kPlanCacheCapacity = 1024;
 constexpr size_t kPlanCacheShards = 8;
+/// Lock shards of the result cache (its capacity is a ServerConfig knob).
+constexpr size_t kResultCacheShards = 8;
+/// Byte budget and shards of the content-addressed table registry behind
+/// `put_table`/`table_ref`. The registry is always on; the budget only
+/// bounds how many registered tables stay resident before LRU eviction.
+constexpr size_t kStoreCapacityBytes = 64ull << 20;
+constexpr size_t kStoreShards = 8;
+/// WAL size at which a durable store compacts into a snapshot.
+constexpr uint64_t kStoreCompactWalBytes = 32ull << 20;
 
 std::string ResponseLine(uint64_t id, const std::string& status,
                          const std::string& field_name,
@@ -79,9 +88,8 @@ Server::Server(const InferenceEngine* engine, ServerConfig config)
                                          : &obs::DefaultRegistry()),
       tracer_(config.tracer != nullptr ? config.tracer
                                        : &obs::Tracer::Default()),
-      cache_(config.cache_capacity, config.cache_shards, metrics_),
-      registry_(store::RegistryConfig{config.store_capacity_bytes,
-                                      config.store_shards},
+      cache_(config.cache_capacity, kResultCacheShards, metrics_),
+      registry_(store::RegistryConfig{kStoreCapacityBytes, kStoreShards},
                 metrics_),
       scheduler_(config.scheduler, metrics_),
       plan_cache_(kPlanCacheCapacity, kPlanCacheShards, metrics_),
@@ -101,7 +109,7 @@ Server::Server(const InferenceEngine* engine, ServerConfig config)
     durable_config.dir = config_.store_dir;
     durable_config.fsync = config_.store_fsync;
     durable_config.fsync_interval_ms = config_.store_fsync_interval_ms;
-    durable_config.compact_wal_bytes = config_.store_compact_wal_bytes;
+    durable_config.compact_wal_bytes = kStoreCompactWalBytes;
     durable_config.metrics = metrics_;
     durable_ =
         std::make_unique<store::DurableStore>(&registry_, durable_config);

@@ -25,7 +25,6 @@ namespace uctr::serve {
 struct ServerConfig {
   SchedulerConfig scheduler;
   size_t cache_capacity = 4096;
-  size_t cache_shards = 8;
   /// Applied when a request carries no `timeout_ms`; 0 = no deadline.
   int64_t default_timeout_ms = 0;
   /// Requests may not extend their deadline beyond this; larger (or
@@ -44,12 +43,6 @@ struct ServerConfig {
   /// and net_test stalls workers with it to hold requests in flight.
   /// Never called on the cache-hit path.
   std::function<void()> pre_execute_hook;
-  /// Byte budget of the content-addressed table registry behind
-  /// `put_table`/`table_ref` (store::TableRegistry). The registry is
-  /// always on; the budget only bounds how many registered tables stay
-  /// resident before LRU eviction.
-  size_t store_capacity_bytes = 64ull << 20;
-  size_t store_shards = 8;
   /// Durability: when non-empty, the table registry persists to this
   /// directory (store::DurableStore — WAL + snapshot). Startup replays
   /// the directory before serving; `put_table` is acknowledged only after
@@ -59,7 +52,6 @@ struct ServerConfig {
   std::string store_dir;
   store::FsyncMode store_fsync = store::FsyncMode::kInterval;
   int store_fsync_interval_ms = 50;
-  uint64_t store_compact_wal_bytes = 32ull << 20;
 };
 
 /// \brief The request/response front of the serving subsystem.

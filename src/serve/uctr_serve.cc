@@ -2,6 +2,7 @@
 // UCTR models.
 //
 //   uctr_serve train --out_dir /tmp/uctr_weights [--seed 42]
+//                    [--samples_per_table 60]
 //                    [--metrics] [--trace-out FILE]
 //       Generates synthetic training data with the existing unsupervised
 //       pipeline (Generator over built-in demo tables), trains the
@@ -36,7 +37,9 @@
 //
 // Exit status: nonzero on bind/listen failure and whenever a flush write
 // (responses to stdout, metrics exposition, trace dump) fails — exit 0
-// guarantees every requested byte made it out.
+// guarantees every requested byte made it out. A usage error (a flag the
+// mode does not take, a stray argument, a missing value, a malformed
+// number) exits 1 before any model, worker or listener exists.
 //
 // Either mode with --trace-out FILE enables the process-wide tracer and
 // dumps the recorded spans as ldjson to FILE on exit (most recent
@@ -49,22 +52,18 @@
 // See README.md "Serving" and "Observability" for schemas.
 
 #include <atomic>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/file_util.h"
+#include "common/flags.h"
 #include "common/rng.h"
-#include "fault/fault.h"
+#include "fault/tool_flags.h"
 #include "gen/generator.h"
 #include "net/server.h"
 #include "net/socket_util.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "program/library.h"
 #include "serve/engine.h"
 #include "serve/server.h"
@@ -77,32 +76,6 @@ using namespace uctr;
 int Fail(const std::string& message) {
   std::cerr << "uctr_serve: " << message << "\n";
   return 1;
-}
-
-std::map<std::string, std::string> ParseFlags(int argc, char** argv,
-                                              int first) {
-  std::map<std::string, std::string> flags;
-  for (int i = first; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    std::string key = arg.substr(2);
-    std::string value = "1";
-    if (auto eq = key.find('='); eq != std::string::npos) {
-      value = key.substr(eq + 1);
-      key = key.substr(0, eq);
-    } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      value = argv[++i];
-    }
-    flags[key] = value;
-  }
-  return flags;
-}
-
-size_t FlagSize(const std::map<std::string, std::string>& flags,
-                const std::string& key, size_t fallback) {
-  auto it = flags.find(key);
-  if (it == flags.end()) return fallback;
-  return static_cast<size_t>(std::stoul(it->second));
 }
 
 /// The unlabeled demo corpus `train` mode generates from: one medal-style
@@ -139,58 +112,21 @@ std::vector<TableWithText> DemoCorpus() {
   return corpus;
 }
 
-Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-Status WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::ExecutionError("cannot write " + path);
-  out << content;
-  out.close();
-  if (!out) return Status::ExecutionError("short write to " + path);
-  return Status::OK();
-}
-
-/// --fault-spec SPEC [--fault-seed N]: arm the process-wide fault
-/// injector before any work starts. Returns non-OK on a malformed spec.
-Status MaybeArmFaults(const std::map<std::string, std::string>& flags) {
-  auto it = flags.find("fault-spec");
-  if (it == flags.end()) return Status::OK();
-  if (auto seed = flags.find("fault-seed"); seed != flags.end()) {
-    fault::FaultInjector::Global().Seed(std::stoull(seed->second));
+int RunTrain(int argc, char** argv) {
+  std::string out_dir;
+  uint64_t seed = 42;
+  size_t samples_per_table = 60;
+  fault::ToolFlags tool;
+  FlagSet flags;
+  flags.String("out_dir", &out_dir);
+  flags.Uint("seed", &seed);
+  flags.Uint("samples_per_table", &samples_per_table);
+  tool.Declare(&flags);
+  if (Status s = flags.Parse(argc, argv, 2); !s.ok()) {
+    return Fail(s.ToString());
   }
-  return fault::FaultInjector::Global().ArmSpec(it->second);
-}
-
-/// --trace-out FILE: switch on the process-wide tracer up front. Returns
-/// the dump path ("" = tracing off).
-std::string MaybeEnableTracing(
-    const std::map<std::string, std::string>& flags) {
-  auto it = flags.find("trace-out");
-  if (it == flags.end()) return "";
-  obs::Tracer::Default().set_enabled(true);
-  return it->second;
-}
-
-int DumpTrace(const std::string& path) {
-  Status s = WriteFile(path, obs::Tracer::Default().ToLdjson());
-  if (!s.ok()) return Fail(s.ToString());
-  std::cerr << "wrote " << obs::Tracer::Default().size() << " spans to "
-            << path << "\n";
-  return 0;
-}
-
-int RunTrain(const std::map<std::string, std::string>& flags) {
-  auto out_it = flags.find("out_dir");
-  if (out_it == flags.end()) {
-    return Fail("train requires --out_dir <directory>");
-  }
-  const std::string out_dir = out_it->second;
+  if (out_dir.empty()) return Fail("train requires --out_dir <directory>");
+  if (Status s = tool.Start(); !s.ok()) return Fail(s.ToString());
   // Create the directory before training, so a path that cannot hold the
   // weights fails in milliseconds instead of after both models trained.
   std::error_code ec;
@@ -198,9 +134,7 @@ int RunTrain(const std::map<std::string, std::string>& flags) {
   if (ec) {
     return Fail("cannot create --out_dir " + out_dir + ": " + ec.message());
   }
-  std::string trace_path = MaybeEnableTracing(flags);
-  Rng rng(FlagSize(flags, "seed", 42));
-  size_t samples_per_table = FlagSize(flags, "samples_per_table", 60);
+  Rng rng(seed);
   static const TemplateLibrary& library = TemplateLibrary::Builtin();
   std::vector<TableWithText> corpus = DemoCorpus();
 
@@ -231,48 +165,70 @@ int RunTrain(const std::map<std::string, std::string>& flags) {
   std::cerr << "trained qa model on " << questions.size()
             << " synthetic questions\n";
 
-  Status s = WriteFile(out_dir + "/verifier.weights.txt",
-                       verifier.SaveWeights());
+  Status s = WriteFileAtomic(out_dir + "/verifier.weights.txt",
+                             verifier.SaveWeights());
   if (!s.ok()) return Fail(s.ToString());
-  s = WriteFile(out_dir + "/qa.weights.txt", qa.SaveWeights());
+  s = WriteFileAtomic(out_dir + "/qa.weights.txt", qa.SaveWeights());
   if (!s.ok()) return Fail(s.ToString());
   std::cerr << "wrote " << out_dir << "/verifier.weights.txt and "
             << out_dir << "/qa.weights.txt\n";
-  if (flags.count("metrics") != 0) {
-    std::cerr << obs::DefaultRegistry().ExpositionText();
-  }
-  if (!trace_path.empty()) return DumpTrace(trace_path);
-  return 0;
+  s = tool.Finish();
+  return s.ok() ? 0 : Fail(s.ToString());
 }
 
 /// Shared serve-mode epilogue: flush responses, then metrics, then trace.
 /// Any failed flush write is a nonzero exit — exit 0 must mean every byte
 /// the caller asked for actually made it out.
-int FinishServe(serve::Server& server,
-                const std::map<std::string, std::string>& flags,
-                const std::string& trace_path) {
+int FinishServe(const fault::ToolFlags& tool) {
   std::cout.flush();
   if (!std::cout) {
     return Fail("stdout flush failed; responses may have been lost");
   }
-  if (flags.count("metrics") != 0) {
-    std::cerr << server.metrics()->ExpositionText();
-    std::cerr.flush();
-    if (!std::cerr) return 1;  // cerr is gone; Fail() could not report it
-  }
-  if (!trace_path.empty()) return DumpTrace(trace_path);
-  return 0;
+  Status s = tool.Finish();
+  return s.ok() ? 0 : Fail(s.ToString());
 }
 
-int RunServe(const std::map<std::string, std::string>& flags) {
+int RunServe(int argc, char** argv) {
+  std::string verifier_path, qa_path, listen, store_fsync;
+  serve::ServerConfig server_config;
+  fault::ToolFlags tool;
+  FlagSet flags;
+  flags.String("verifier_weights", &verifier_path);
+  flags.String("qa_weights", &qa_path);
+  flags.Uint("workers", &server_config.scheduler.num_workers);
+  flags.Uint("queue", &server_config.scheduler.queue_capacity);
+  flags.Uint("cache", &server_config.cache_capacity);
+  flags.Uint("timeout_ms", &server_config.default_timeout_ms);
+  flags.String("listen", &listen);
+  flags.String("store-dir", &server_config.store_dir);
+  flags.String("store-fsync", &store_fsync);
+  flags.Uint("store-fsync-interval-ms",
+             &server_config.store_fsync_interval_ms);
+  tool.Declare(&flags);
+  if (Status s = flags.Parse(argc, argv, 2); !s.ok()) {
+    return Fail(s.ToString());
+  }
+  net::HostPort host_port;
+  if (!listen.empty()) {
+    auto parsed = net::ParseHostPort(listen);
+    if (!parsed.ok()) return Fail("--listen: " + parsed.status().ToString());
+    host_port = *parsed;
+  }
+  if (!store_fsync.empty()) {
+    auto mode = store::ParseFsyncMode(store_fsync);
+    if (!mode.ok()) return Fail(mode.status().ToString());
+    server_config.store_fsync = *mode;
+  }
+  if (Status s = tool.Start(); !s.ok()) return Fail(s.ToString());
+
   std::string verifier_weights, qa_weights;
-  if (auto it = flags.find("verifier_weights"); it != flags.end()) {
-    auto text = ReadFile(it->second);
+  if (!verifier_path.empty()) {
+    auto text = ReadFileText(verifier_path);
     if (!text.ok()) return Fail(text.status().ToString());
     verifier_weights = std::move(text).ValueOrDie();
   }
-  if (auto it = flags.find("qa_weights"); it != flags.end()) {
-    auto text = ReadFile(it->second);
+  if (!qa_path.empty()) {
+    auto text = ReadFileText(qa_path);
     if (!text.ok()) return Fail(text.status().ToString());
     qa_weights = std::move(text).ValueOrDie();
   }
@@ -282,27 +238,6 @@ int RunServe(const std::map<std::string, std::string>& flags) {
                                                verifier_weights, qa_weights);
   if (!engine.ok()) return Fail(engine.status().ToString());
 
-  std::string trace_path = MaybeEnableTracing(flags);
-  serve::ServerConfig server_config;
-  server_config.scheduler.num_workers = FlagSize(flags, "workers", 4);
-  server_config.scheduler.queue_capacity = FlagSize(flags, "queue", 256);
-  server_config.cache_capacity = FlagSize(flags, "cache", 4096);
-  server_config.default_timeout_ms =
-      static_cast<int64_t>(FlagSize(flags, "timeout_ms", 0));
-  if (auto it = flags.find("store-dir"); it != flags.end()) {
-    if (it->second.empty()) {
-      return Fail("--store-dir requires a directory path");
-    }
-    server_config.store_dir = it->second;
-  }
-  if (auto it = flags.find("store-fsync"); it != flags.end()) {
-    auto mode = store::ParseFsyncMode(it->second);
-    if (!mode.ok()) return Fail(mode.status().ToString());
-    server_config.store_fsync = *mode;
-  }
-  server_config.store_fsync_interval_ms = static_cast<int>(
-      FlagSize(flags, "store-fsync-interval-ms",
-               static_cast<size_t>(server_config.store_fsync_interval_ms)));
   serve::Server server(&*engine, server_config);
   if (!server.recovery_status().ok()) {
     // Refuse to serve rather than run with durability silently broken.
@@ -318,23 +253,21 @@ int RunServe(const std::map<std::string, std::string>& flags) {
 
   const std::atomic<bool>& shutdown_requested = net::InstallShutdownHandlers();
 
-  if (auto it = flags.find("listen"); it != flags.end()) {
-    auto host_port = net::ParseHostPort(it->second);
-    if (!host_port.ok()) return Fail(host_port.status().ToString());
+  if (!listen.empty()) {
     net::NetServerConfig net_config;
-    net_config.host = host_port->host;
-    net_config.port = host_port->port;
+    net_config.host = host_port.host;
+    net_config.port = host_port.port;
     net::Server net_server(&server, net_config);
     if (Status s = net_server.Start(); !s.ok()) {
       return Fail(s.ToString());  // bind/listen failure: nonzero exit
     }
     net_server.set_shutdown_flag(&shutdown_requested);
     // Announced on stderr so scripts can recover an ephemeral port.
-    std::cerr << "uctr_serve: listening on " << host_port->host << ":"
+    std::cerr << "uctr_serve: listening on " << host_port.host << ":"
               << net_server.port() << "\n";
     net_server.Run();
     std::cerr << "uctr_serve: drained, shutting down\n";
-    return FinishServe(server, flags, trace_path);
+    return FinishServe(tool);
   }
 
   serve::OrderedResponseWriter writer(
@@ -355,7 +288,7 @@ int RunServe(const std::map<std::string, std::string>& flags) {
     std::cerr << "uctr_serve: shutdown signal received, draining\n";
   }
   server.Drain();
-  return FinishServe(server, flags, trace_path);
+  return FinishServe(tool);
 }
 
 }  // namespace
@@ -365,9 +298,7 @@ int main(int argc, char** argv) {
     return Fail("usage: uctr_serve <train|serve> [flags]");
   }
   std::string mode = argv[1];
-  auto flags = ParseFlags(argc, argv, 2);
-  if (Status s = MaybeArmFaults(flags); !s.ok()) return Fail(s.ToString());
-  if (mode == "train") return RunTrain(flags);
-  if (mode == "serve") return RunServe(flags);
+  if (mode == "train") return RunTrain(argc, argv);
+  if (mode == "serve") return RunServe(argc, argv);
   return Fail("unknown mode '" + mode + "' (expected train or serve)");
 }

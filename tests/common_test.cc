@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/flags.h"
 #include "common/json.h"
 #include "common/numeric.h"
 #include "common/result.h"
@@ -199,6 +204,21 @@ TEST(NumericTest, NearlyEqualInfinityOnlyToItself) {
   EXPECT_FALSE(NearlyEqual(nan, nan));
 }
 
+// What FormatDouble-style "%.17g" writes reads back; anything else, and
+// every non-finite value, is an error rather than a silent guess.
+TEST(NumericTest, ParseDoubleStrictTakesDecimalsOnly) {
+  EXPECT_DOUBLE_EQ(*ParseDoubleStrict("0.3"), 0.3);
+  EXPECT_DOUBLE_EQ(*ParseDoubleStrict("-2"), -2.0);
+  EXPECT_DOUBLE_EQ(*ParseDoubleStrict("1e-05"), 1e-5);
+  EXPECT_DOUBLE_EQ(*ParseDoubleStrict("1.5E+3"), 1500.0);
+  for (const char* text : {"", " 1", "1 ", "+1", "--1", "0x1p3", "inf",
+                           "-inf", "nan", "1e400", "-1e400", "1,5", "e5"}) {
+    EXPECT_EQ(ParseDoubleStrict(text).status().code(),
+              StatusCode::kParseError)
+        << text;
+  }
+}
+
 // ------------------------------------------------------------------- Rng
 
 TEST(RngTest, DeterministicFromSeed) {
@@ -350,6 +370,159 @@ TEST(JsonTest, QuoteEscapesControlCharacters) {
                               json::Quote("v\t\x01z") + "}")
                       .ValueOrDie();
   EXPECT_EQ(json::GetStringOr(v.as_object(), "k", ""), "v\t\x01z");
+}
+
+// ----------------------------------------------------------------- Flags
+
+struct Parsed {
+  Status status;
+  std::string name = "default";
+  bool metrics = false;
+  size_t workers = 4;
+  int timeout_ms = 50;
+  uint64_t seed = 42;
+  double threshold = 0.3;
+};
+
+Parsed ParseArgs(std::vector<const char*> args) {
+  Parsed p;
+  FlagSet flags;
+  flags.String("name", &p.name);
+  flags.Bool("metrics", &p.metrics);
+  flags.Uint("workers", &p.workers);
+  flags.Uint("timeout-ms", &p.timeout_ms);
+  flags.Uint("seed", &p.seed);
+  flags.Double("threshold", &p.threshold);
+  args.insert(args.begin(), "tool");
+  p.status = flags.Parse(static_cast<int>(args.size()), args.data(), 1);
+  return p;
+}
+
+/// The refusal for `args`: InvalidArgument, its message naming `names`.
+void ExpectRefused(std::vector<const char*> args, const std::string& names) {
+  Parsed p = ParseArgs(args);
+  std::string joined;
+  for (const char* a : args) joined += std::string(a) + " ";
+  EXPECT_EQ(p.status.code(), StatusCode::kInvalidArgument) << joined;
+  EXPECT_NE(p.status.message().find(names), std::string::npos)
+      << joined << "-> " << p.status.ToString();
+}
+
+TEST(FlagSetTest, UnsetFlagsKeepTheirDefaults) {
+  Parsed p = ParseArgs({});
+  ASSERT_TRUE(p.status.ok());
+  EXPECT_EQ(p.name, "default");
+  EXPECT_FALSE(p.metrics);
+  EXPECT_EQ(p.workers, 4u);
+  EXPECT_EQ(p.timeout_ms, 50);
+  EXPECT_EQ(p.seed, 42u);
+  EXPECT_DOUBLE_EQ(p.threshold, 0.3);
+}
+
+TEST(FlagSetTest, EachKindTakesBothValueForms) {
+  Parsed spaced = ParseArgs({"--name", "a b", "--workers", "8", "--timeout-ms",
+                             "2147483647", "--seed", "18446744073709551615",
+                             "--threshold", "0.25", "--metrics"});
+  Parsed joined = ParseArgs({"--name=a b", "--workers=8",
+                             "--timeout-ms=2147483647",
+                             "--seed=18446744073709551615",
+                             "--threshold=0.25", "--metrics"});
+  for (const Parsed& p : {spaced, joined}) {
+    ASSERT_TRUE(p.status.ok()) << p.status.ToString();
+    EXPECT_EQ(p.name, "a b");
+    EXPECT_TRUE(p.metrics);
+    EXPECT_EQ(p.workers, 8u);
+    EXPECT_EQ(p.timeout_ms, INT_MAX);
+    EXPECT_EQ(p.seed, std::numeric_limits<uint64_t>::max());
+    EXPECT_DOUBLE_EQ(p.threshold, 0.25);
+  }
+  // Only the first '=' splits: the rest belongs to the value.
+  EXPECT_EQ(ParseArgs({"--name=k=v"}).name, "k=v");
+  EXPECT_DOUBLE_EQ(ParseArgs({"--threshold", "0"}).threshold, 0.0);
+  EXPECT_DOUBLE_EQ(ParseArgs({"--threshold", "1e-3"}).threshold, 0.001);
+}
+
+TEST(FlagSetTest, BoolFlagIsBareAndTakesNoValue) {
+  Parsed p = ParseArgs({"--metrics", "--workers", "2"});
+  ASSERT_TRUE(p.status.ok());
+  EXPECT_TRUE(p.metrics);
+  EXPECT_EQ(p.workers, 2u);
+  ExpectRefused({"--metrics=1"}, "--metrics takes no value");
+  // A bool never swallows the next word: "0" here is a stray argument.
+  ExpectRefused({"--metrics", "0"}, "unexpected argument '0'");
+}
+
+TEST(FlagSetTest, RepeatedFlagKeepsItsLastValue) {
+  Parsed p = ParseArgs({"--seed", "11", "--workers=3", "--seed", "12",
+                        "--metrics", "--metrics"});
+  ASSERT_TRUE(p.status.ok());
+  EXPECT_EQ(p.seed, 12u);
+  EXPECT_EQ(p.workers, 3u);
+  EXPECT_TRUE(p.metrics);
+}
+
+TEST(FlagSetTest, RefusesUnknownFlagsAndStrayArguments) {
+  ExpectRefused({"--wokers", "8"}, "unknown flag --wokers");
+  ExpectRefused({"--wokers=8"}, "unknown flag --wokers");
+  ExpectRefused({"--workers", "8", "extra"}, "unexpected argument 'extra'");
+  ExpectRefused({"serve"}, "unexpected argument 'serve'");
+  ExpectRefused({"-w", "8"}, "unexpected argument '-w'");
+  ExpectRefused({"--"}, "unknown flag --");
+}
+
+TEST(FlagSetTest, RefusesAMissingValue) {
+  ExpectRefused({"--workers"}, "--workers needs a value");
+  ExpectRefused({"--workers", "--metrics"}, "--workers needs a value");
+  ExpectRefused({"--workers="}, "--workers needs a value");
+  ExpectRefused({"--name"}, "--name needs a value");
+  ExpectRefused({"--name="}, "--name needs a value");
+}
+
+TEST(FlagSetTest, RefusesMalformedNegativeAndOverflowingIntegers) {
+  for (const char* bad :
+       {"-1", "4x", "0x10", " 4", "4 ", "+4", "1.5", "1e3", "abc",
+        "18446744073709551616"}) {
+    Parsed p = ParseArgs({"--workers", bad});
+    EXPECT_EQ(p.status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(p.status.message().find("--workers"), std::string::npos)
+        << p.status.ToString();
+    EXPECT_NE(p.status.message().find(bad), std::string::npos)
+        << "the refusal quotes the value: " << p.status.ToString();
+    EXPECT_EQ(p.workers, 4u) << "a refused value is not stored";
+  }
+  ExpectRefused({"--seed=18446744073709551616"}, "--seed");
+  ExpectRefused({"--seed", "-1"}, "--seed");
+}
+
+TEST(FlagSetTest, IntegerMustFitTheFieldItSets) {
+  ExpectRefused({"--timeout-ms", "2147483648"}, "--timeout-ms");
+  ExpectRefused({"--timeout-ms", "4294967296"}, "--timeout-ms");
+  Parsed p = ParseArgs({"--timeout-ms", "0"});
+  ASSERT_TRUE(p.status.ok());
+  EXPECT_EQ(p.timeout_ms, 0);
+}
+
+TEST(FlagSetTest, RefusesNonFiniteNegativeAndMalformedDoubles) {
+  for (const char* bad :
+       {"nan", "inf", "-inf", "1e400", "-0.5", "0x1p3", " 1", "abc", "1,5"}) {
+    Parsed p = ParseArgs({"--threshold", bad});
+    EXPECT_EQ(p.status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(p.status.message().find("--threshold"), std::string::npos)
+        << p.status.ToString();
+    EXPECT_DOUBLE_EQ(p.threshold, 0.3) << bad;
+  }
+}
+
+TEST(FlagSetTest, ParsingStartsAtFirst) {
+  // A tool with a mode word (uctr_serve train|serve) parses after it.
+  std::vector<const char*> argv = {"tool", "serve", "--workers", "6"};
+  size_t workers = 0;
+  FlagSet flags;
+  flags.Uint("workers", &workers);
+  ASSERT_TRUE(flags.Parse(static_cast<int>(argv.size()), argv.data(), 2).ok());
+  EXPECT_EQ(workers, 6u);
+  EXPECT_FALSE(
+      flags.Parse(static_cast<int>(argv.size()), argv.data(), 1).ok());
 }
 
 }  // namespace

@@ -401,7 +401,6 @@ TEST(SchedulerResilienceTest, ShedsJobsWhoseDeadlineCannotBeMet) {
   serve::SchedulerConfig config;
   config.num_workers = 1;
   config.queue_capacity = 16;
-  config.deadline_admission = true;
   MetricsRegistry metrics;
   serve::Scheduler scheduler(config, &metrics);
 

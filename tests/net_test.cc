@@ -203,6 +203,21 @@ TEST(SocketUtilTest, ParseHostPort) {
   EXPECT_FALSE(ParseHostPort("host:12x4").ok());
 }
 
+TEST(SocketUtilTest, ParseHostPortListNeedsExplicitPorts) {
+  auto list = ParseHostPortList("127.0.0.1:7501,,localhost:7502,");
+  ASSERT_TRUE(list.ok()) << list.status().ToString();
+  ASSERT_EQ(list->size(), 2u);
+  EXPECT_EQ((*list)[0].host, "127.0.0.1");
+  EXPECT_EQ((*list)[0].port, 7501);
+  EXPECT_EQ((*list)[1].host, "localhost");
+  EXPECT_EQ((*list)[1].port, 7502);
+  EXPECT_EQ(ParseHostPortList("h:1").ValueOrDie().size(), 1u);
+  EXPECT_FALSE(ParseHostPortList("").ok());
+  EXPECT_FALSE(ParseHostPortList(",").ok());
+  EXPECT_FALSE(ParseHostPortList("h:1,h:0").ok()) << "port 0 cannot be dialed";
+  EXPECT_FALSE(ParseHostPortList("h:1,no-port").ok());
+}
+
 // ------------------------------------------------------ loopback suites
 
 constexpr char kMedalsCsv[] =
